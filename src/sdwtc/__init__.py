@@ -8,6 +8,7 @@ from .models import (
     InputPolicy,
     RlnModel,
     SdWtcModel,
+    as_input_policy,
     assemble_joint,
     build_rln_example,
     build_semideterministic,
@@ -23,6 +24,7 @@ from .optimize import (
     evaluate_policy,
     exhaustive_small,
     maximize,
+    rate_report,
 )
 from .prob import (
     Channel,

@@ -25,12 +25,13 @@ from .models import (
     RlnModel,
     SdWtcModel,
     _symbols_from_json,
+    as_input_policy,
     assemble_joint,
     build_rln_example,
     gp_policy,
     model_from_dict,
 )
-from .optimize import OptBudget, maximize
+from .optimize import FUNCTIONALS, OptBudget, maximize, rate_report
 from .prob import (
     Channel,
     JointPmf,
@@ -42,7 +43,7 @@ from .prob import (
     mutual_information,
 )
 from .rng import derive_seeds
-from .softcover import SoftCoverSpec, best_gamma
+from .softcover import best_gamma
 from .simulate import (
     CodeRates,
     exact_message_channel,
@@ -114,27 +115,26 @@ def _round12(obj):
     return obj
 
 
+def _load_json(path: str) -> dict:
+    """Read a JSON document; parse errors carry line/column context and the
+    non-finite literals NaN and Infinity are refused."""
+    def refuse(literal: str):
+        raise ValueError(f"non-finite number {literal} in {path}")
+
+    with open(path) as fh:
+        try:
+            return json.load(fh, parse_constant=refuse)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"parse error in {path}: {err}") from None
+
+
 def load_channel_spec(path: str) -> SdWtcModel | RlnModel:
     """Load and validate a JSON channel document.
 
     Rows that do not sum to one within 1e-9 are a hard error (no silent
-    renormalization); parse errors carry line/column context.
+    renormalization).
     """
-    with open(path) as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ValueError(f"parse error in {path}: {err}") from None
-    return model_from_dict(doc)
-
-
-def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"parse error in {path}: {err}") from None
+    return model_from_dict(_load_json(path))
 
 
 def load_policy_spec(path: str, model: SdWtcModel | RlnModel):
@@ -183,27 +183,6 @@ def load_policy_spec(path: str, model: SdWtcModel | RlnModel):
     raise ValueError(f"unknown policy kind {kind!r}")
 
 
-def rate_report(functional: str, model: SdWtcModel | RlnModel, policy) -> rates.RateReport:
-    """Evaluate a functional and return the full term breakdown."""
-    if functional == "RA":
-        return rates.rate_RA(assemble_joint(model, _as_input_policy(model, policy)))
-    if functional == "RA_alt":
-        return rates.rate_RA_alt(assemble_joint(model, _as_input_policy(model, policy)))
-    if functional == "CHV":
-        return rates.rate_CHV(assemble_joint(model, _as_input_policy(model, policy)))
-    if functional == "CEG":
-        p_t, kernel = policy
-        return rates.rate_CEG(rates.ceg_joint(p_t, kernel, model))
-    if functional == "RLN":
-        p_x, a_kernel, b_kernel = policy
-        return rates.rate_RLN(p_x, a_kernel, b_kernel, model)
-    if functional == "semidet":
-        return rates.semidet_objective(policy, model)
-    if functional == "LN_encdec":
-        return rates.rate_LN_encdec(policy, model)
-    raise ValueError(f"unknown functional {functional!r}")
-
-
 def _write_csv(path: str, rows: list[tuple]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -228,17 +207,6 @@ def _covering_joint(model: SdWtcModel, policy: InputPolicy, w_axis: str) -> Join
     sub = marginalize(assemble_joint(model, policy), ("U", "V", w_axis))
     axes = (sub.axes[0], sub.axes[1], ("W", sub.axes[2][1]))
     return JointPmf(axes, sub.mass)
-
-
-def _as_input_policy(model: SdWtcModel, policy) -> InputPolicy:
-    """Lift an (S,) -> (X,) kernel to the layered form (U singleton, V = X)."""
-    if isinstance(policy, InputPolicy):
-        return policy
-    if isinstance(policy, Channel) and policy.out_names == ("X",):
-        nx = len(model.x_symbols)
-        k = policy.kernel[:, None, :, None] * np.eye(nx)[None, None, :, :]
-        return gp_policy(model.s_symbols, (0,), model.x_symbols, model.x_symbols, k)
-    raise ValueError("this subcommand needs a gp or x_given_s policy")
 
 
 def _achieving_rln_policy(model: RlnModel) -> tuple[Pmf, Channel, Channel]:
@@ -320,7 +288,7 @@ def _cmd_example(config: RunConfig) -> tuple[dict, list]:
 
 def _cmd_softcov_exponent(config: RunConfig) -> tuple[dict, list]:
     model = load_channel_spec(config.channel)
-    policy = _as_input_policy(model, load_policy_spec(config.policy, model))
+    policy = as_input_policy(model, load_policy_spec(config.policy, model))
     joint = _covering_joint(model, policy, config.w_axis)
     if config.r1 is None or config.r2 is None:
         raise ValueError("softcov-exponent needs --r1 and --r2")
@@ -352,7 +320,7 @@ def _cmd_softcov_exponent(config: RunConfig) -> tuple[dict, list]:
 
 def _cmd_softcov_sim(config: RunConfig) -> tuple[dict, list]:
     model = load_channel_spec(config.channel)
-    policy = _as_input_policy(model, load_policy_spec(config.policy, model))
+    policy = as_input_policy(model, load_policy_spec(config.policy, model))
     if config.r1 is None or config.r2 is None:
         raise ValueError("softcov-sim needs --r1 and --r2")
     if not config.n:
@@ -380,7 +348,7 @@ def _cmd_softcov_sim(config: RunConfig) -> tuple[dict, list]:
 
 def _cmd_codec_sim(config: RunConfig) -> tuple[dict, list]:
     model = load_channel_spec(config.channel)
-    policy = _as_input_policy(model, load_policy_spec(config.policy, model))
+    policy = as_input_policy(model, load_policy_spec(config.policy, model))
     if config.r1 is None or config.r2 is None:
         raise ValueError("codec-sim needs --r1 and --r2")
     if not config.n:
@@ -510,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--channel", help="channel spec JSON path")
         p.add_argument("--policy", help="policy JSON path")
-        p.add_argument("--functional", choices=("RA", "RA_alt", "CHV", "CEG", "RLN", "semidet", "LN_encdec"))
+        p.add_argument("--functional", choices=tuple(FUNCTIONALS))
         p.add_argument("--card-u", type=int, default=1)
         p.add_argument("--card-v", type=int, default=1)
         p.add_argument("--restarts", type=int, default=16)

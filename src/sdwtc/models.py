@@ -308,6 +308,17 @@ def gp_policy(
     )
 
 
+def as_input_policy(model: SdWtcModel, policy) -> InputPolicy:
+    """Lift an (S,) -> (X,) kernel to the layered form (U singleton, V = X)."""
+    if isinstance(policy, InputPolicy):
+        return policy
+    if isinstance(policy, Channel) and policy.out_names == ("X",):
+        nx = len(model.x_symbols)
+        k = policy.kernel[:, None, :, None] * np.eye(nx)[None, None, :, :]
+        return gp_policy(model.s_symbols, (0,), model.x_symbols, model.x_symbols, k)
+    raise ValueError("expected a gp or x_given_s policy")
+
+
 def vx_policy(s_symbols: tuple, v_symbols: tuple, x_symbols: tuple, kernel: np.ndarray) -> InputPolicy:
     """A policy P_{V,X|S} embedded with a degenerate (singleton) U axis."""
     k = np.asarray(kernel, dtype=float)[:, None, :, :]

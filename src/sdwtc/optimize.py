@@ -1,26 +1,26 @@
 """Policy search for the achievable-rate functionals.
 
-Random-restart coordinate ascent over the stochastic kernels that
-parameterize each functional, plus a brute-force grid enumeration for
-problems small enough to afford it.  Runs are deterministic given the
-budget seed (each restart draws from its own splitmix64 child stream).
+``FUNCTIONALS`` maps each functional name to the model class it needs, the
+row-stochastic blocks that parameterize its policies, the builder that turns
+blocks into a policy, and its rate report; ``rate_report``, ``maximize`` and
+``exhaustive_small`` all go through it.  The search is random-restart
+coordinate ascent plus a brute-force grid enumeration for problems small
+enough to afford it.  Runs are deterministic given the budget seed (restart
+r draws from the r-th splitmix64 output of the master seed).
 """
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 from . import rates
-from .models import InputPolicy, RlnModel, SdWtcModel, assemble_joint, gp_policy
-from .prob import Channel, Pmf
-from .rng import child_seed
-
-FUNCTIONALS = ("RA", "RA_alt", "CHV", "CEG", "RLN", "semidet", "LN_encdec")
+from .models import RlnModel, SdWtcModel, as_input_policy, assemble_joint, gp_policy
+from .prob import Channel, JointPmf, Pmf
+from .rng import derive_seeds
 
 _INITIAL_STEP = 0.5
 _REJECTS_PER_HALVING = 10
@@ -70,88 +70,113 @@ def _aux(card: int) -> tuple:
     return tuple(range(card))
 
 
-def _block_shapes(
-    functional: str, model: SdWtcModel | RlnModel, card_u: int, card_v: int
-) -> list[tuple[int, int]]:
-    """Row-stochastic blocks (rows, row length) parameterizing each policy."""
-    if functional in ("RA", "RA_alt"):
-        return [(len(model.s_symbols), card_u * card_v * len(model.x_symbols))]
-    if functional == "CHV":
-        return [(len(model.s_symbols), card_v * len(model.x_symbols))]
-    if functional == "CEG":
-        return [
-            (1, card_u),
-            (card_u * len(model.s_symbols), len(model.x_symbols)),
-        ]
-    if functional == "RLN":
-        return [
-            (1, len(model.x_symbols)),
-            (len(model.s_symbols), card_u),
-            (card_u, card_v),
-        ]
-    if functional in ("semidet", "LN_encdec"):
-        return [(len(model.s_symbols), len(model.x_symbols))]
-    raise ValueError(f"unknown functional {functional!r}; expected one of {FUNCTIONALS}")
+def _gp_shapes(model: SdWtcModel, card_u: int, card_v: int) -> list[tuple[int, int]]:
+    return [(len(model.s_symbols), card_u * card_v * len(model.x_symbols))]
 
 
-def _build_policy(
-    functional: str,
-    model: SdWtcModel | RlnModel,
-    card_u: int,
-    card_v: int,
-    blocks: list[np.ndarray],
-) -> Any:
-    if functional in ("RA", "RA_alt"):
-        kernel = blocks[0].reshape(len(model.s_symbols), card_u, card_v, len(model.x_symbols))
-        return gp_policy(model.s_symbols, _aux(card_u), _aux(card_v), model.x_symbols, kernel)
-    if functional == "CHV":
-        kernel = blocks[0].reshape(len(model.s_symbols), 1, card_v, len(model.x_symbols))
-        return gp_policy(model.s_symbols, (0,), _aux(card_v), model.x_symbols, kernel)
-    if functional == "CEG":
-        p_t = Pmf(_aux(card_u), blocks[0][0])
-        kernel = Channel(
-            (("T", _aux(card_u)), ("S", model.s_symbols)),
-            (("X", model.x_symbols),),
-            blocks[1].reshape(card_u, len(model.s_symbols), len(model.x_symbols)),
-        )
-        return p_t, kernel
-    if functional == "RLN":
-        p_x = Pmf(model.x_symbols, blocks[0][0])
-        a_kernel = Channel((("S", model.s_symbols),), (("A", _aux(card_u)),), blocks[1])
-        b_kernel = Channel((("A", _aux(card_u)),), (("B", _aux(card_v)),), blocks[2])
-        return p_x, a_kernel, b_kernel
-    kernel = Channel((("S", model.s_symbols),), (("X", model.x_symbols),), blocks[0])
-    return kernel
+def _gp_build(model: SdWtcModel, card_u: int, card_v: int, blocks: list[np.ndarray]) -> Any:
+    kernel = blocks[0].reshape(len(model.s_symbols), card_u, card_v, len(model.x_symbols))
+    return gp_policy(model.s_symbols, _aux(card_u), _aux(card_v), model.x_symbols, kernel)
+
+
+def _ceg_build(model: SdWtcModel, card_u: int, card_v: int, blocks: list[np.ndarray]) -> Any:
+    p_t = Pmf(_aux(card_u), blocks[0][0])
+    kernel = Channel(
+        (("T", _aux(card_u)), ("S", model.s_symbols)),
+        (("X", model.x_symbols),),
+        blocks[1].reshape(card_u, len(model.s_symbols), len(model.x_symbols)),
+    )
+    return p_t, kernel
+
+
+def _rln_build(model: RlnModel, card_u: int, card_v: int, blocks: list[np.ndarray]) -> Any:
+    p_x = Pmf(model.x_symbols, blocks[0][0])
+    a_kernel = Channel((("S", model.s_symbols),), (("A", _aux(card_u)),), blocks[1])
+    b_kernel = Channel((("A", _aux(card_u)),), (("B", _aux(card_v)),), blocks[2])
+    return p_x, a_kernel, b_kernel
+
+
+def _xs_shapes(model: SdWtcModel, card_u: int, card_v: int) -> list[tuple[int, int]]:
+    return [(len(model.s_symbols), len(model.x_symbols))]
+
+
+def _xs_build(model: SdWtcModel, card_u: int, card_v: int, blocks: list[np.ndarray]) -> Any:
+    return Channel((("S", model.s_symbols),), (("X", model.x_symbols),), blocks[0])
+
+
+def _layered_joint(model: SdWtcModel, policy: Any) -> JointPmf:
+    return assemble_joint(model, as_input_policy(model, policy))
+
+
+@dataclass(frozen=True)
+class Functional:
+    """One rate functional.
+
+    shapes(model, card_u, card_v) lists the row-stochastic blocks (rows, row
+    length) that parameterize a policy, build(model, card_u, card_v, blocks)
+    turns them into the policy, and report(model, policy) evaluates it.
+    """
+
+    model_class: type
+    shapes: Callable[[Any, int, int], list[tuple[int, int]]]
+    build: Callable[[Any, int, int, list[np.ndarray]], Any]
+    report: Callable[[Any, Any], rates.RateReport]
+
+
+# Reports look rates.* and assemble_joint up at call time, so wrapping the
+# module attributes (as a tracer does) reaches every evaluation.
+FUNCTIONALS: dict[str, Functional] = {
+    "RA": Functional(SdWtcModel, _gp_shapes, _gp_build,
+                     lambda m, policy: rates.rate_RA(_layered_joint(m, policy))),
+    "RA_alt": Functional(SdWtcModel, _gp_shapes, _gp_build,
+                         lambda m, policy: rates.rate_RA_alt(_layered_joint(m, policy))),
+    "CHV": Functional(SdWtcModel,
+                      lambda m, cu, cv: _gp_shapes(m, 1, cv),
+                      lambda m, cu, cv, blocks: _gp_build(m, 1, cv, blocks),
+                      lambda m, policy: rates.rate_CHV(_layered_joint(m, policy))),
+    "CEG": Functional(SdWtcModel,
+                      lambda m, cu, cv: [(1, cu), (cu * len(m.s_symbols), len(m.x_symbols))],
+                      _ceg_build,
+                      lambda m, policy: rates.rate_CEG(rates.ceg_joint(*policy, m))),
+    "RLN": Functional(RlnModel,
+                      lambda m, cu, cv: [(1, len(m.x_symbols)), (len(m.s_symbols), cu), (cu, cv)],
+                      _rln_build,
+                      lambda m, policy: rates.rate_RLN(*policy, m)),
+    "semidet": Functional(SdWtcModel, _xs_shapes, _xs_build,
+                          lambda m, policy: rates.semidet_objective(policy, m)),
+    "LN_encdec": Functional(SdWtcModel, _xs_shapes, _xs_build,
+                            lambda m, policy: rates.rate_LN_encdec(policy, m)),
+}
+
+
+def _lookup(
+    functional: str, model: SdWtcModel | RlnModel, card_u: int = 1, card_v: int = 1
+) -> Functional:
+    """The table entry for a functional, once the model and cardinalities fit it."""
+    entry = FUNCTIONALS.get(functional)
+    if entry is None:
+        raise ValueError(f"unknown functional {functional!r}; expected one of {tuple(FUNCTIONALS)}")
+    if not isinstance(model, entry.model_class):
+        raise TypeError(f"the {functional} functional needs an {entry.model_class.__name__}")
+    cap_u, cap_v = cardinality_caps(model)
+    if not 1 <= card_u <= cap_u or not 1 <= card_v <= cap_v:
+        raise ValueError(f"cardinalities ({card_u}, {card_v}) outside [1, {cap_u}] x [1, {cap_v}]")
+    return entry
+
+
+def rate_report(functional: str, model: SdWtcModel | RlnModel, policy: Any) -> rates.RateReport:
+    """Evaluate a functional on a policy and return the full term breakdown.
+
+    The layered functionals (RA, RA_alt, CHV) also take a bare (S,) -> (X,)
+    kernel, lifted by models.as_input_policy.
+    """
+    return _lookup(functional, model).report(model, policy)
 
 
 def evaluate_policy(functional: str, model: SdWtcModel | RlnModel, policy: Any) -> float:
     """Objective value of a policy; -inf when the two-term variant is infeasible."""
-    if functional == "RA":
-        return rates.rate_RA(assemble_joint(model, policy)).value
-    if functional == "RA_alt":
-        report = rates.rate_RA_alt(assemble_joint(model, policy))
-        return report.value if report.feasible else -math.inf
-    if functional == "CHV":
-        return rates.rate_CHV(assemble_joint(model, policy)).value
-    if functional == "CEG":
-        p_t, kernel = policy
-        return rates.rate_CEG(rates.ceg_joint(p_t, kernel, model)).value
-    if functional == "RLN":
-        p_x, a_kernel, b_kernel = policy
-        return rates.rate_RLN(p_x, a_kernel, b_kernel, model).value
-    if functional == "semidet":
-        return rates.semidet_objective(policy, model).value
-    if functional == "LN_encdec":
-        return rates.rate_LN_encdec(policy, model).value
-    raise ValueError(f"unknown functional {functional!r}; expected one of {FUNCTIONALS}")
-
-
-def _check_model(functional: str, model: SdWtcModel | RlnModel) -> None:
-    if functional == "RLN":
-        if not isinstance(model, RlnModel):
-            raise TypeError("the RLN functional needs an RlnModel")
-    elif not isinstance(model, SdWtcModel):
-        raise TypeError(f"the {functional} functional needs an SdWtcModel")
+    report = rate_report(functional, model, policy)
+    return report.value if report.feasible else -math.inf
 
 
 def cardinality_caps(model: SdWtcModel | RlnModel) -> tuple[int, int]:
@@ -160,11 +185,11 @@ def cardinality_caps(model: SdWtcModel | RlnModel) -> tuple[int, int]:
     return k + 5, k * k + 5 * k + 3
 
 
-def _objective(functional: str, model: SdWtcModel | RlnModel, policy: Any) -> float:
+def _objective(entry: Functional, model: SdWtcModel | RlnModel, policy: Any) -> float:
     """Search objective: the functional clamped at zero (a do-nothing policy
     always achieves zero), with infeasible candidates scored -inf."""
-    value = evaluate_policy(functional, model, policy)
-    return value if value == -math.inf else max(0.0, value)
+    report = entry.report(model, policy)
+    return max(0.0, report.value) if report.feasible else -math.inf
 
 
 def _ascend(
@@ -176,11 +201,12 @@ def _ascend(
     seed: int,
 ) -> tuple[Any, float, int]:
     """One coordinate-ascent run from a Dirichlet(1) start."""
+    entry = FUNCTIONALS[functional]
     rng = np.random.default_rng(seed)
-    shapes = _block_shapes(functional, model, card_u, card_v)
+    shapes = entry.shapes(model, card_u, card_v)
     blocks = [rng.dirichlet(np.ones(d), size=rows) for rows, d in shapes]
-    best_policy = _build_policy(functional, model, card_u, card_v, blocks)
-    best = _objective(functional, model, best_policy)
+    best_policy = entry.build(model, card_u, card_v, blocks)
+    best = _objective(entry, model, best_policy)
     evals = 1
 
     if functional == "RA_alt" and best == -math.inf:
@@ -191,8 +217,8 @@ def _ascend(
         k2 = np.zeros_like(k)
         k2[:, 0] = k.sum(axis=1)
         blocks = [k2.reshape(blocks[0].shape)]
-        best_policy = _build_policy(functional, model, card_u, card_v, blocks)
-        best = _objective(functional, model, best_policy)
+        best_policy = entry.build(model, card_u, card_v, blocks)
+        best = _objective(entry, model, best_policy)
         evals += 1
 
     slots = [(b, r) for b, (rows, d) in enumerate(shapes) for r in range(rows) if d > 1]
@@ -207,8 +233,8 @@ def _ascend(
         cand_row = _project_simplex(row + step * rng.standard_normal(row.size))
         saved = row.copy()
         blocks[b][r] = cand_row
-        cand_policy = _build_policy(functional, model, card_u, card_v, blocks)
-        cand = _objective(functional, model, cand_policy)
+        cand_policy = entry.build(model, card_u, card_v, blocks)
+        cand = _objective(entry, model, cand_policy)
         evals += 1
         if cand > best:
             best, best_policy = cand, cand_policy
@@ -233,32 +259,15 @@ def maximize(
 
     card_u / card_v size the auxiliary alphabets where the functional has
     them (U and V, or T for the causal-selection rate, or A and B for the
-    rate-limited variant); they are ignored otherwise.  Restarts run
-    independently and the first restart attaining the best value wins, so
-    results do not depend on worker scheduling (set SDWTC_WORKERS to run
-    restarts in threads).
+    rate-limited variant); they are ignored otherwise.  Restarts run one
+    after another from their own seeds, and the first restart attaining the
+    best value wins.
     """
-    _check_model(functional, model)
-    cap_u, cap_v = cardinality_caps(model)
-    if not 1 <= card_u <= cap_u or not 1 <= card_v <= cap_v:
-        raise ValueError(
-            f"cardinalities ({card_u}, {card_v}) outside [1, {cap_u}] x [1, {cap_v}]"
-        )
-
-    seeds = [child_seed(budget.seed, r) for r in range(budget.restarts)]
-
-    def one(r: int) -> tuple[Any, float, int]:
-        return _ascend(functional, model, card_u, card_v, budget.iterations, seeds[r])
-
-    workers = int(os.environ.get("SDWTC_WORKERS", "1") or "1")
-    if workers > 1 and budget.restarts > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(one, range(budget.restarts)))
-    else:
-        runs = [one(r) for r in range(budget.restarts)]
-
+    _lookup(functional, model, card_u, card_v)
+    runs = [
+        _ascend(functional, model, card_u, card_v, budget.iterations, seed)
+        for seed in derive_seeds(budget.seed, budget.restarts)
+    ]
     values = np.array([v for _, v, _ in runs])
     k = int(np.argmax(values))
     return OptResult(
@@ -294,17 +303,12 @@ def exhaustive_small(
     Only viable for tiny alphabets; refuses outright when the grid holds
     more than ten million policies.
     """
-    _check_model(functional, model)
-    cap_u, cap_v = cardinality_caps(model)
-    if not 1 <= card_u <= cap_u or not 1 <= card_v <= cap_v:
-        raise ValueError(
-            f"cardinalities ({card_u}, {card_v}) outside [1, {cap_u}] x [1, {cap_v}]"
-        )
+    entry = _lookup(functional, model, card_u, card_v)
     k = round(1.0 / grid_step)
     if k < 1 or abs(grid_step - 1.0 / k) > 1e-12:
         raise ValueError(f"grid_step must be a reciprocal integer, got {grid_step!r}")
 
-    shapes = _block_shapes(functional, model, card_u, card_v)
+    shapes = entry.shapes(model, card_u, card_v)
     total = 1
     for rows, d in shapes:
         total *= math.comb(k + d - 1, d - 1) ** rows
@@ -324,9 +328,7 @@ def exhaustive_small(
         for rows, d in shapes:
             blocks.append(np.stack([row_choices[i + r][pick[i + r]] for r in range(rows)]))
             i += rows
-        value = _objective(
-            functional, model, _build_policy(functional, model, card_u, card_v, blocks)
-        )
+        value = _objective(entry, model, entry.build(model, card_u, card_v, blocks))
         if value > best:
             best = value
     return float(best)

@@ -25,9 +25,13 @@ LN2 = math.log(2.0)
 
 def _clean_mass(mass: np.ndarray, what: str) -> np.ndarray:
     arr = np.asarray(mass, dtype=float)
-    if arr.min(initial=0.0) < -1e-12:
-        raise ValueError(f"{what} has negative mass {arr.min():.3e}")
-    arr = np.where(arr < 0.0, 0.0, arr)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} has non-finite mass")
+    low = arr.min(initial=0.0)
+    if low < -1e-12:
+        raise ValueError(f"{what} has negative mass {low:.3e}")
+    # always a private copy, since it is frozen below
+    arr = np.array(arr) if low >= 0.0 else np.where(arr < 0.0, 0.0, arr)
     arr.setflags(write=False)
     return arr
 

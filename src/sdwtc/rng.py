@@ -1,8 +1,7 @@
-"""Deterministic seed derivation for parallel-safe fan-out.
+"""Deterministic seed derivation.
 
-Child seeds come from a splitmix64 stream seeded by the master seed, so
-restart r / trial t always sees the same generator no matter how the work
-is scheduled.
+Child seeds are the outputs of a splitmix64 stream seeded by the master
+seed, so restart r / trial t always sees the same generator.
 """
 from __future__ import annotations
 
@@ -16,17 +15,6 @@ def splitmix64(state: int) -> tuple[int, int]:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return state, z ^ (z >> 31)
-
-
-def child_seed(master: int, index: int) -> int:
-    """The index-th output (0-based) of the splitmix64 stream at master."""
-    if index < 0:
-        raise ValueError(f"child index must be nonnegative, got {index}")
-    state = master & _MASK
-    out = 0
-    for _ in range(index + 1):
-        state, out = splitmix64(state)
-    return out
 
 
 def derive_seeds(master: int, count: int) -> list[int]:

@@ -13,7 +13,6 @@ from identities import random_model, random_rln_model
 from sdwtc import __version__, rates
 from sdwtc.cli import (
     RunConfig,
-    _as_input_policy,
     _fmt,
     _parse_n_list,
     _round12,
@@ -22,7 +21,7 @@ from sdwtc.cli import (
     load_policy_spec,
     main,
 )
-from sdwtc.models import RlnModel, assemble_joint, model_to_dict
+from sdwtc.models import RlnModel, as_input_policy, assemble_joint, model_to_dict
 from sdwtc.prob import Channel, Pmf, binary_entropy, entropy, inv_binary_entropy
 from sdwtc.simulate import index_count
 
@@ -188,7 +187,7 @@ def test_rate_lifts_x_given_s_policy(tmp_path, capsys):
     ch = write_json(tmp_path / "ch.json", wiretap_doc())
     pol = write_json(tmp_path / "pol.json", x_given_s_doc())
     model = load_channel_spec(ch)
-    lifted = _as_input_policy(model, load_policy_spec(pol, model))
+    lifted = as_input_policy(model, load_policy_spec(pol, model))
     expected = rates.rate_CHV(assemble_joint(model, lifted)).value
     status = main(["rate", "--channel", ch, "--policy", pol, "--functional", "CHV"])
     summary = json.loads(capsys.readouterr().out)
@@ -360,6 +359,55 @@ def test_missing_flags_produce_an_error_record(tmp_path, capsys):
     assert record["version"] == __version__
     assert len(record["config_hash"]) == 16
     assert "results" not in record
+
+
+def test_non_finite_literals_are_refused(tmp_path):
+    for value, literal in ((math.nan, "NaN"), (math.inf, "Infinity"), (-math.inf, "-Infinity")):
+        doc = wiretap_doc()
+        doc["state_pmf"] = [value, 0.4]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))  # json writes the bare literal
+        with pytest.raises(ValueError, match=f"non-finite number {literal} in "):
+            load_channel_spec(str(path))
+
+
+@pytest.mark.parametrize("subcommand", ["rate", "optimize"])
+def test_nan_state_pmf_is_an_error_record(tmp_path, capsys, subcommand):
+    doc = wiretap_doc()
+    doc["state_pmf"] = [math.nan, math.nan]
+    ch = tmp_path / "nan.json"
+    ch.write_text(json.dumps(doc))
+    pol = write_json(tmp_path / "pol.json", const_u_policy_doc())
+    status = main([subcommand, "--channel", str(ch), "--policy", pol, "--functional", "RA"])
+    record = json.loads(capsys.readouterr().out)
+    assert status == 1
+    assert record["error"]["type"] == "ValueError"
+    assert "non-finite" in record["error"]["message"]
+    assert "results" not in record
+
+
+def test_functional_model_mismatch_is_an_error_record(tmp_path, capsys):
+    ch = write_json(tmp_path / "ch.json", wiretap_doc())
+    pol = write_json(tmp_path / "pol.json", x_given_s_doc())
+    status = main(["rate", "--channel", ch, "--policy", pol, "--functional", "RLN"])
+    record = json.loads(capsys.readouterr().out)
+    assert status == 1
+    assert record["error"] == {
+        "type": "TypeError", "message": "the RLN functional needs an RlnModel"
+    }
+
+
+def test_rate_without_functional_lists_the_names(tmp_path, capsys):
+    ch = write_json(tmp_path / "ch.json", wiretap_doc())
+    pol = write_json(tmp_path / "pol.json", x_given_s_doc())
+    status = main(["rate", "--channel", ch, "--policy", pol])
+    record = json.loads(capsys.readouterr().out)
+    assert status == 1
+    assert record["error"]["type"] == "ValueError"
+    message = record["error"]["message"]
+    assert message.startswith("unknown functional None")
+    assert all(f"'{name}'" in message for name in ("RA", "RA_alt", "CHV", "CEG", "RLN",
+                                                   "semidet", "LN_encdec"))
 
 
 def test_unreadable_channel_is_reported_not_raised(capsys):

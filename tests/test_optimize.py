@@ -1,8 +1,6 @@
 """Restart/ascent maximizer and the tiny-instance grid oracle."""
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
@@ -16,6 +14,7 @@ from sdwtc.optimize import (
     evaluate_policy,
     exhaustive_small,
     maximize,
+    rate_report,
 )
 from sdwtc.prob import Channel, bernoulli
 from sdwtc.rates import constraint_gap
@@ -46,6 +45,19 @@ def test_unknown_functional_rejected():
     model = random_model(np.random.default_rng(RNG_SEED))
     with pytest.raises(ValueError):
         maximize("RB", model)
+    policy = random_gp_policy(np.random.default_rng(RNG_SEED), model)
+    with pytest.raises(ValueError, match="unknown functional None") as err:
+        rate_report(None, model, policy)
+    assert all(repr(name) in str(err.value) for name in FUNCTIONALS)
+
+
+def test_grid_oracle_shares_the_model_and_cardinality_checks():
+    model = random_model(np.random.default_rng(RNG_SEED))
+    cap_u, _ = cardinality_caps(model)
+    with pytest.raises(TypeError, match="needs an RlnModel"):
+        exhaustive_small("RLN", model, 0.5)
+    with pytest.raises(ValueError, match="cardinalities"):
+        exhaustive_small("RA", model, 0.5, card_u=cap_u + 1)
 
 
 def test_cardinality_caps_formulas():
@@ -128,18 +140,17 @@ def test_value_monotone_in_iterations():
     assert values[1] <= values[2] + 1e-15
 
 
-def test_threaded_restarts_match_serial():
-    model = random_model(np.random.default_rng(RNG_SEED + 7))
-    budget = OptBudget(restarts=6, iterations=30, seed=3)
-    serial = maximize("RA", model, card_v=2, budget=budget)
-    os.environ["SDWTC_WORKERS"] = "4"
-    try:
-        threaded = maximize("RA", model, card_v=2, budget=budget)
-    finally:
-        del os.environ["SDWTC_WORKERS"]
-    assert serial.value == threaded.value
-    assert serial.trace == threaded.trace
-    assert np.array_equal(serial.policy.kernel.kernel, threaded.policy.kernel.kernel)
+def test_trajectories_are_pinned():
+    # exact traces recorded before the functional table replaced the string
+    # dispatch and derive_seeds replaced per-restart seed derivation
+    model = random_model(np.random.default_rng(RNG_SEED + 19))
+    ra = maximize("RA", model, 2, 2, OptBudget(restarts=3, iterations=40, seed=5))
+    assert ra.trace == (0.09248317618777913, 0.09334634162232902, 0.16959887884741232)
+    assert ra.evaluations == 123
+    rln = maximize("RLN", build_rln_example(0.25, 0.5), 2, 1,
+                   OptBudget(restarts=3, iterations=40, seed=1))
+    assert rln.trace == (0.0494319960325551, 0.08926074908229764, 0.07641503298830243)
+    assert rln.evaluations == 123
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +190,8 @@ def test_evaluate_policy_penalizes_infeasible_alt():
     policy = gp_policy(model.s_symbols, model.s_symbols, (0,), model.x_symbols, k)
     assert evaluate_policy("RA_alt", model, policy) == -np.inf
     assert np.isfinite(evaluate_policy("RA", model, policy))
+    report = rate_report("RA_alt", model, policy)
+    assert not report.feasible and np.isfinite(report.value)
 
 
 def test_every_functional_runs_and_types_policies():

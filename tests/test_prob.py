@@ -55,6 +55,18 @@ def test_pmf_rejects_negative_mass():
         Pmf((0, 1), np.array([1.2, -0.2]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_mass_is_rejected(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        Pmf((0, 1), [bad, bad])
+    with pytest.raises(ValueError, match="non-finite"):
+        Pmf((0, 1), [bad, 1.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        JointPmf((("A", (0, 1)), ("B", (0,))), np.array([[bad], [0.5]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        Channel((("X", (0, 1)),), (("Y", (0, 1)),), np.array([[1.0, 0.0], [bad, 0.5]]))
+
+
 def test_pmf_rejects_unnormalized_mass():
     with pytest.raises(ValueError):
         Pmf((0, 1), np.array([0.6, 0.5]))
