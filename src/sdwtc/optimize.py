@@ -18,7 +18,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import rates
-from .models import RlnModel, SdWtcModel, as_input_policy, assemble_joint, gp_policy
+from .models import InputPolicy, RlnModel, SdWtcModel, as_input_policy, assemble_joint, gp_policy
 from .prob import Channel, JointPmf, Pmf
 from .rng import derive_seeds
 
@@ -112,39 +112,44 @@ def _layered_joint(model: SdWtcModel, policy: Any) -> JointPmf:
 class Functional:
     """One rate functional.
 
-    shapes(model, card_u, card_v) lists the row-stochastic blocks (rows, row
-    length) that parameterize a policy, build(model, card_u, card_v, blocks)
-    turns them into the policy, and report(model, policy) evaluates it.
+    policy_kinds names the policy documents (cli.load_policy_spec kinds) it
+    evaluates; shapes(model, card_u, card_v) lists the row-stochastic blocks
+    (rows, row length) that parameterize a policy, build(model, card_u,
+    card_v, blocks) turns them into the policy, and report(model, policy)
+    evaluates it.
     """
 
     model_class: type
+    policy_kinds: tuple[str, ...]
     shapes: Callable[[Any, int, int], list[tuple[int, int]]]
     build: Callable[[Any, int, int, list[np.ndarray]], Any]
     report: Callable[[Any, Any], rates.RateReport]
 
 
+_LAYERED = ("gp", "x_given_s")
+
 # Reports look rates.* and assemble_joint up at call time, so wrapping the
 # module attributes (as a tracer does) reaches every evaluation.
 FUNCTIONALS: dict[str, Functional] = {
-    "RA": Functional(SdWtcModel, _gp_shapes, _gp_build,
+    "RA": Functional(SdWtcModel, _LAYERED, _gp_shapes, _gp_build,
                      lambda m, policy: rates.rate_RA(_layered_joint(m, policy))),
-    "RA_alt": Functional(SdWtcModel, _gp_shapes, _gp_build,
+    "RA_alt": Functional(SdWtcModel, _LAYERED, _gp_shapes, _gp_build,
                          lambda m, policy: rates.rate_RA_alt(_layered_joint(m, policy))),
-    "CHV": Functional(SdWtcModel,
+    "CHV": Functional(SdWtcModel, _LAYERED,
                       lambda m, cu, cv: _gp_shapes(m, 1, cv),
                       lambda m, cu, cv, blocks: _gp_build(m, 1, cv, blocks),
                       lambda m, policy: rates.rate_CHV(_layered_joint(m, policy))),
-    "CEG": Functional(SdWtcModel,
+    "CEG": Functional(SdWtcModel, ("ceg",),
                       lambda m, cu, cv: [(1, cu), (cu * len(m.s_symbols), len(m.x_symbols))],
                       _ceg_build,
                       lambda m, policy: rates.rate_CEG(rates.ceg_joint(*policy, m))),
-    "RLN": Functional(RlnModel,
+    "RLN": Functional(RlnModel, ("rln",),
                       lambda m, cu, cv: [(1, len(m.x_symbols)), (len(m.s_symbols), cu), (cu, cv)],
                       _rln_build,
                       lambda m, policy: rates.rate_RLN(*policy, m)),
-    "semidet": Functional(SdWtcModel, _xs_shapes, _xs_build,
+    "semidet": Functional(SdWtcModel, ("x_given_s",), _xs_shapes, _xs_build,
                           lambda m, policy: rates.semidet_objective(policy, m)),
-    "LN_encdec": Functional(SdWtcModel, _xs_shapes, _xs_build,
+    "LN_encdec": Functional(SdWtcModel, ("x_given_s",), _xs_shapes, _xs_build,
                             lambda m, policy: rates.rate_LN_encdec(policy, m)),
 }
 
@@ -164,13 +169,34 @@ def _lookup(
     return entry
 
 
+def _policy_kind(policy: Any) -> str:
+    """The policy-document kind whose loader builds objects like this one."""
+    if isinstance(policy, InputPolicy):
+        return "gp"
+    if isinstance(policy, Channel):
+        return "x_given_s"
+    parts = tuple(type(p) for p in policy) if isinstance(policy, tuple) else ()
+    if parts == (Pmf, Channel):
+        return "ceg"
+    if parts == (Pmf, Channel, Channel):
+        return "rln"
+    return type(policy).__name__
+
+
 def rate_report(functional: str, model: SdWtcModel | RlnModel, policy: Any) -> rates.RateReport:
     """Evaluate a functional on a policy and return the full term breakdown.
 
     The layered functionals (RA, RA_alt, CHV) also take a bare (S,) -> (X,)
-    kernel, lifted by models.as_input_policy.
+    kernel, lifted by models.as_input_policy.  A policy of a kind the
+    functional does not take is a ValueError naming both kinds.
     """
-    return _lookup(functional, model).report(model, policy)
+    entry = _lookup(functional, model)
+    kind = _policy_kind(policy)
+    if kind not in entry.policy_kinds:
+        raise ValueError(
+            f"functional {functional} takes a {' or '.join(entry.policy_kinds)} policy, got {kind}"
+        )
+    return entry.report(model, policy)
 
 
 def evaluate_policy(functional: str, model: SdWtcModel | RlnModel, policy: Any) -> float:

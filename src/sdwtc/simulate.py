@@ -90,22 +90,18 @@ def _inverse_cdf(rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return np.minimum(idx, rows.shape[-1] - 1)
 
 
-def _all_sequences(alphabet_size: int, n: int) -> np.ndarray:
-    """(alphabet_size^n, n) array of all index sequences, lexicographic."""
-    count = alphabet_size ** n
-    idx = np.arange(count)
-    out = np.empty((count, n), dtype=np.int64)
-    for t in range(n):
-        out[:, t] = (idx // alphabet_size ** (n - 1 - t)) % alphabet_size
-    return out
+def _product_chain(rows: np.ndarray, combine: np.ufunc = np.multiply) -> np.ndarray:
+    """(C, n, K) per-letter rows -> (K^n, C) product distributions.
 
-
-def _product_chain(rows: np.ndarray) -> np.ndarray:
-    """(C, n, K) per-letter rows -> (C, K^n) product distributions."""
+    Row k of the result is the k-th sequence in lexicographic order.  With
+    combine=np.add the per-letter rows are log-masses and the result holds
+    their sums over each sequence.
+    """
     c, n, k = rows.shape
-    cur = np.ones((c, 1))
+    letters = np.ascontiguousarray(rows.transpose(1, 2, 0))  # (n, K, C): chains innermost
+    cur = np.full((1, c), float(combine.identity))
     for t in range(n):
-        cur = (cur[:, :, None] * rows[:, t, None, :]).reshape(c, -1)
+        cur = combine(cur[:, None, :], letters[t][None, :, :]).reshape(-1, c)
     return cur
 
 
@@ -277,8 +273,13 @@ def typicality_decode(
 def exact_output_divergence(cb: Codebook, q_w_given_uv: Channel, q_w: Pmf) -> float:
     """D(P_W^(B) || Q_W^n) in bits, enumerating every w in W^n.
 
-    The induced output averages the per-codeword product laws uniformly
-    over all (i, j, m).
+    The induced output averages the per-codeword product laws uniformly over
+    all Ncw = N1 N2 M codewords (i, j, m).  Splitting the letters at
+    h = n // 2, that average is one matrix product A B^T / Ncw, where the
+    columns of A (|W|^h x Ncw) and B (|W|^(n-h) x Ncw) hold each codeword's
+    product law over the first h and the last n - h letters: Ncw |W|^n
+    multiply-adds in one BLAS call, the count the guard bounds, and
+    Ncw (|W|^h + |W|^(n-h)) floats.
     """
     if q_w_given_uv.in_names != ("U", "V"):
         raise ValueError(f"need a kernel with inputs (U, V), got {q_w_given_uv.in_names}")
@@ -295,8 +296,9 @@ def exact_output_divergence(cb: Codebook, q_w_given_uv: Channel, q_w: Pmf) -> fl
     u = np.broadcast_to(cb.u_words[:, None, None, :], cb.v_words.shape).reshape(-1, cb.n)
     v = cb.v_words.reshape(-1, cb.n)
     rows = q_w_given_uv.kernel[u, v]  # (Ncw, n, |W|)
-    induced = _product_chain(rows).mean(axis=0)
-    reference = _product_chain(q_w.probs[None, None, :].repeat(cb.n, axis=1))[0]
+    h = cb.n // 2
+    induced = (_product_chain(rows[:, :h]) @ _product_chain(rows[:, h:]).T).ravel() / n_cw
+    reference = _product_chain(q_w.probs[None, None, :].repeat(cb.n, axis=1))[:, 0]
 
     mask = induced > ZERO_MASS
     if np.any(reference[mask] <= ZERO_MASS):
@@ -306,42 +308,39 @@ def exact_output_divergence(cb: Codebook, q_w_given_uv: Channel, q_w: Pmf) -> fl
 
 
 def _encoder_tables(
-    model: SdWtcModel, policy: InputPolicy, cb: Codebook
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    model: SdWtcModel, joint: JointPmf, cb: Codebook
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Enumerate all state sequences and the exact per-(m,i,j) likelihoods.
 
-    Returns (s_seqs, ln_ws, loglik, p_hat) with loglik and p_hat of shape
-    (M, N1, N2, Ns); p_hat rows with no support fall back to uniform so the
-    induced joint stays normalized.
+    joint is assemble_joint(model, policy).  Returns (ln_ws, loglik, p_hat)
+    with loglik and p_hat of shape (M, N1, N2, Ns), state sequences in
+    lexicographic order; p_hat rows with no support fall back to uniform so
+    the induced joint stays normalized.
     """
-    joint = assemble_joint(model, policy)
     if cb.u_symbols != joint.alphabet("U") or cb.v_symbols != joint.alphabet("V"):
         raise ValueError("codebook alphabets do not match the policy")
-    q_s_given_uv = channel_from_joint(joint, ("U", "V"), ("S",))
     n_s = len(model.s_symbols)
     num_seqs = n_s ** cb.n
     ops = cb.num_messages * cb.num_u * cb.num_v * num_seqs * cb.n
     if ops > _MAX_ENUM_OPS:
         raise ValueError(f"enumeration needs ~{ops} operations; guard is {_MAX_ENUM_OPS}")
+    q_s_given_uv = channel_from_joint(joint, ("U", "V"), ("S",))
 
-    s_seqs = _all_sequences(n_s, cb.n)
     with np.errstate(divide="ignore"):
-        ln_ws = np.log(model.state_pmf.probs)[s_seqs].sum(axis=1)
+        log_ws = np.log(model.state_pmf.probs)
         log_k = np.log(q_s_given_uv.kernel)
-
-    t_grid = np.broadcast_to(np.arange(cb.n), s_seqs.shape)
-    loglik = np.empty((cb.num_messages, cb.num_u, cb.num_v, num_seqs))
-    for m in range(cb.num_messages):
-        table = log_k[cb.u_words[:, None, :], cb.v_words[:, :, m, :]]  # (N1,N2,n,|S|)
-        gathered = table[:, :, t_grid, s_seqs]  # (N1, N2, Ns, n)
-        loglik[m] = gathered.sum(axis=-1)
+    ln_ws = _product_chain(log_ws[None, None, :].repeat(cb.n, axis=1), np.add)[:, 0]
+    letters = log_k[cb.u_words[:, None, None, :], cb.v_words]  # (N1, N2, M, n, |S|)
+    loglik = _product_chain(
+        np.moveaxis(letters, 2, 0).reshape(-1, cb.n, n_s), np.add
+    ).T.reshape(cb.num_messages, cb.num_u, cb.num_v, num_seqs)
 
     top = loglik.max(axis=(1, 2), keepdims=True)
     safe_top = np.where(np.isneginf(top), 0.0, top)
     w = np.exp(loglik - safe_top)
     norm = w.sum(axis=(1, 2), keepdims=True)
     p_hat = np.where(norm > 0.0, w / np.where(norm > 0.0, norm, 1.0), 1.0 / (cb.num_u * cb.num_v))
-    return s_seqs, ln_ws, loglik, p_hat
+    return ln_ws, loglik, p_hat
 
 
 @dataclass(frozen=True)
@@ -369,7 +368,7 @@ class InducedVsIdealized:
 
 def approximation_gap(model: SdWtcModel, policy: InputPolicy, cb: Codebook) -> InducedVsIdealized:
     """Exact TV between the scheme-induced joint and its idealized stand-in."""
-    s_seqs, ln_ws, loglik, p_hat = _encoder_tables(model, policy, cb)
+    ln_ws, loglik, p_hat = _encoder_tables(model, assemble_joint(model, policy), cb)
     ws = np.exp(ln_ws)  # (Ns,)
     m_count = cb.num_messages
     pairs = cb.num_u * cb.num_v
@@ -394,31 +393,37 @@ def exact_message_channel(model: SdWtcModel, policy: InputPolicy, cb: Codebook) 
     P(z^n | m) = sum_s W_S^n(s) sum_{i,j} P_hat(i,j|m,s) prod_t K(z_t | ...),
     where K marginalizes the input sampling step: K(z | u,v,s) =
     sum_x Q_{X|U,V,S}(x|u,v,s) W_Z(z|x,s).
+
+    For each message the weight tensor T[c, s_1..s_n] = P_hat(c|m,s) W_S^n(s)
+    over the codeword pairs c = (i, j) is contracted one letter at a time:
+    step t turns the leading s_t axis into a trailing z_t axis with the
+    per-pair |S| x |Z| kernel of letter t (an n-mode product), so after n
+    steps the axes are z_1..z_n in lexicographic order and the pairs are
+    summed out.  That is M N1 N2 sum_t |S|^(n-t+1) |Z|^t multiply-adds, the
+    count the guard bounds, and N1 N2 max(|S|, |Z|)^n floats at a time.
     """
-    s_seqs, ln_ws, _, p_hat = _encoder_tables(model, policy, cb)
+    n_s, n_z = len(model.s_symbols), len(model.z_symbols)
+    pairs = cb.num_u * cb.num_v
+    letter_ops = sum(n_s ** (cb.n - t + 1) * n_z ** t for t in range(1, cb.n + 1))
+    ops = cb.num_messages * pairs * letter_ops
+    if ops > _MAX_ENUM_OPS:
+        raise ValueError(f"enumeration needs ~{ops} operations; guard is {_MAX_ENUM_OPS}")
+
     joint = assemble_joint(model, policy)
+    ln_ws, _, p_hat = _encoder_tables(model, joint, cb)
     q_x_given_uvs = channel_from_joint(joint, ("U", "V", "S"), ("X",))
     w_z = model.channel.kernel.sum(axis=2)  # (|X|, |S|, |Z|)
     k_z = np.einsum("uvsx,xsz->uvsz", q_x_given_uvs.kernel, w_z)
 
-    n_z = len(model.z_symbols)
-    num_seqs = s_seqs.shape[0]
-    chains = cb.num_u * cb.num_v * num_seqs
-    ops = cb.num_messages * chains * n_z ** cb.n
-    if ops > _MAX_ENUM_OPS:
-        raise ValueError(f"enumeration needs ~{ops} operations; guard is {_MAX_ENUM_OPS}")
-
     ws = np.exp(ln_ws)
     kernel = np.empty((cb.num_messages, n_z ** cb.n))
     for m in range(cb.num_messages):
-        rows = k_z[
-            cb.u_words[:, None, None, :],
-            cb.v_words[:, :, m, :][:, :, None, :],
-            s_seqs[None, None, :, :],
-        ]  # (N1, N2, Ns, n, |Z|)
-        chain = _product_chain(rows.reshape(chains, cb.n, n_z))
-        weights = (p_hat[m] * ws[None, None, :]).reshape(chains)
-        kernel[m] = weights @ chain
+        letters = k_z[cb.u_words[:, None, :], cb.v_words[:, :, m, :]].reshape(pairs, cb.n, n_s, n_z)
+        cur = p_hat[m].reshape(pairs, -1) * ws[None, :]  # (pairs, s_1..s_n)
+        # letter t: (pairs, s_t, rest) -> (pairs, rest, z_t), rest = s_t+1..s_n z_1..z_t-1
+        for t in range(cb.n):
+            cur = cur.reshape(pairs, n_s, -1).transpose(0, 2, 1) @ letters[:, t]
+        kernel[m] = cur.reshape(pairs, -1).sum(axis=0)
 
     z_seqs = tuple(iter_product(model.z_symbols, repeat=cb.n))
     return Channel(

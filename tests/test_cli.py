@@ -397,6 +397,24 @@ def test_functional_model_mismatch_is_an_error_record(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "functional, doc, message",
+    [
+        ("CEG", const_u_policy_doc(), "functional CEG takes a ceg policy, got gp"),
+        ("RA", {"kind": "ceg", "t": [0], "p_t": [1.0], "kernel": [[[0.5, 0.5], [0.5, 0.5]]]},
+         "functional RA takes a gp or x_given_s policy, got ceg"),
+    ],
+)
+def test_policy_kind_mismatch_is_an_error_record(tmp_path, capsys, functional, doc, message):
+    ch = write_json(tmp_path / "ch.json", wiretap_doc())
+    pol = write_json(tmp_path / "pol.json", doc)
+    status = main(["rate", "--channel", ch, "--policy", pol, "--functional", functional])
+    record = json.loads(capsys.readouterr().out)
+    assert status == 1
+    assert record["error"] == {"type": "ValueError", "message": message}
+    assert "results" not in record
+
+
 def test_rate_without_functional_lists_the_names(tmp_path, capsys):
     ch = write_json(tmp_path / "ch.json", wiretap_doc())
     pol = write_json(tmp_path / "pol.json", x_given_s_doc())

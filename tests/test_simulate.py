@@ -3,11 +3,13 @@ enumerations, and the Monte Carlo experiments."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 from itertools import product as iter_product
 
 import numpy as np
 import pytest
 
+from identities import random_gp_policy, random_model
 from sdwtc.models import (
     ERASURE,
     SdWtcModel,
@@ -471,6 +473,90 @@ def test_divergence_guards_and_validation():
     mismatched = Pmf((0, 1, 2), np.array([0.2, 0.3, 0.5]))
     with pytest.raises(ValueError):
         exact_output_divergence(small, copy_v, mismatched)
+
+
+# ---------------------------------------------------------------------------
+# exact enumerations against the dense product chain
+
+
+def _dense_chain(rows):
+    """(C, n, K) per-letter rows -> (C, K^n) product laws, lexicographic."""
+    cur = np.ones((rows.shape[0], 1))
+    for t in range(rows.shape[1]):
+        cur = (cur[:, :, None] * rows[:, t, None, :]).reshape(rows.shape[0], -1)
+    return cur
+
+
+def dense_message_channel(model, policy, cb):
+    """P(z^n | m) as one chain per (pair, state sequence); positive kernels only."""
+    joint = assemble_joint(model, policy)
+    k_s = channel_from_joint(joint, ("U", "V"), ("S",)).kernel
+    k_x = channel_from_joint(joint, ("U", "V", "S"), ("X",)).kernel
+    k_z = np.einsum("uvsx,xsz->uvsz", k_x, model.channel.kernel.sum(axis=2))
+    n_s, n_z = k_z.shape[2:]
+    s_seqs = np.array(list(iter_product(range(n_s), repeat=cb.n)))  # (Ns, n)
+    ws = model.state_pmf.probs[s_seqs].prod(axis=1)
+    u = np.broadcast_to(cb.u_words[:, None, None, :], cb.v_words.shape[:2] + (1, cb.n))
+    kernel = []
+    for m in range(cb.num_messages):
+        v = cb.v_words[:, :, None, m, :]
+        lik = k_s[u, v, s_seqs].prod(axis=-1)  # (N1, N2, Ns)
+        weights = (lik / lik.sum(axis=(0, 1)) * ws).ravel()
+        kernel.append(weights @ _dense_chain(k_z[u, v, s_seqs].reshape(-1, cb.n, n_z)))
+    return np.array(kernel)
+
+
+def dense_output_divergence(cb, q_w_given_uv, q_w):
+    """D(P_W^(B) || Q_W^n) from one chain per codeword; positive kernels only."""
+    u = np.broadcast_to(cb.u_words[:, None, None, :], cb.v_words.shape).reshape(-1, cb.n)
+    induced = _dense_chain(q_w_given_uv.kernel[u, cb.v_words.reshape(-1, cb.n)]).mean(axis=0)
+    reference = _dense_chain(q_w.probs[None, None, :].repeat(cb.n, axis=1))[0]
+    return float(np.sum(induced * np.log2(induced / reference)))
+
+
+@pytest.mark.parametrize("n_s, n_z", [(3, 2), (2, 3)])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_exact_enumerations_match_the_dense_chain(n, n_s, n_z):
+    rng = np.random.default_rng(RNG_SEED + 10 * n + n_s)
+    model = random_model(rng, ns=n_s, nx=2, ny=2, nz=n_z)
+    policy = random_gp_policy(rng, model, cu=2, cv=3)
+    joint = assemble_joint(model, policy)
+    q_u = Pmf(joint.alphabet("U"), marginalize(joint, ("U",)).mass)
+    q_v_given_u = channel_from_joint(joint, ("U",), ("V",))
+    cb = sample_codebook(q_u, q_v_given_u, n, 1.0 / n, 1.6 / n, 1.0 / n, seed=n)
+    assert (cb.num_u, cb.num_v, cb.num_messages) == (2, 3, 2)
+
+    kernel = exact_message_channel(model, policy, cb).kernel
+    assert kernel.shape == (2, n_z ** n)
+    np.testing.assert_allclose(kernel, dense_message_channel(model, policy, cb), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(kernel.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    q_z_given_uv = channel_from_joint(joint, ("U", "V"), ("Z",))
+    q_z = Pmf(joint.alphabet("Z"), marginalize(joint, ("Z",)).mass)
+    assert exact_output_divergence(cb, q_z_given_uv, q_z) == pytest.approx(
+        dense_output_divergence(cb, q_z_given_uv, q_z), rel=0, abs=1e-12
+    )
+
+
+def test_message_channel_guard_counts_the_letter_contraction():
+    # sum_t 2^(n-t+1) 2^t = n 2^(n+1) operations trip the guard, while the
+    # encoder tables' n 2^n would not; the check comes before any allocation
+    model = bsc_wiretap(0.1, tap="copy")
+    n = 22
+    cb = Codebook(
+        n=n, r1=0.0, r2=0.0, r=0.0, u_symbols=(0,), v_symbols=(0, 1),
+        u_words=np.zeros((1, n), dtype=np.int64),
+        v_words=np.zeros((1, 1, 1, n), dtype=np.int64), seed=0,
+    )
+    assert n * 2 ** n <= 10 ** 8 < n * 2 ** (n + 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"enumeration needs ~{n * 2 ** (n + 1)} operations"):
+            exact_message_channel(model, uniform_input_policy(model), cb)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 # ---------------------------------------------------------------------------
