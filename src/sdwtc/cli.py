@@ -25,15 +25,16 @@ from .models import (
     RlnModel,
     SdWtcModel,
     _symbols_from_json,
+    achieving_rln_policy,
     as_input_policy,
     assemble_joint,
+    build_policy,
     build_rln_example,
-    gp_policy,
     model_from_dict,
+    policy_kind,
 )
 from .optimize import FUNCTIONALS, OptBudget, maximize, rate_report
 from .prob import (
-    Channel,
     JointPmf,
     Pmf,
     _marginal_mass,
@@ -115,17 +116,32 @@ def _round12(obj):
     return obj
 
 
+class _Document(dict):
+    """A JSON object whose missing fields are a ValueError naming the document."""
+
+    def __init__(self, path: str, fields: dict) -> None:
+        super().__init__(fields)
+        self.path = path
+
+    def __missing__(self, field: str):
+        raise ValueError(f"{self.path} has no field {field!r}")
+
+
 def _load_json(path: str) -> dict:
-    """Read a JSON document; parse errors carry line/column context and the
-    non-finite literals NaN and Infinity are refused."""
+    """Read a JSON document whose top level is an object; parse errors carry
+    line/column context, the non-finite literals NaN and Infinity are
+    refused, and a missing field is a ValueError naming the document."""
     def refuse(literal: str):
         raise ValueError(f"non-finite number {literal} in {path}")
 
     with open(path) as fh:
         try:
-            return json.load(fh, parse_constant=refuse)
+            doc = json.load(fh, parse_constant=refuse, object_hook=lambda d: _Document(path, d))
         except json.JSONDecodeError as err:
             raise ValueError(f"parse error in {path}: {err}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path} must hold a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def load_channel_spec(path: str) -> SdWtcModel | RlnModel:
@@ -138,49 +154,14 @@ def load_channel_spec(path: str) -> SdWtcModel | RlnModel:
 
 
 def load_policy_spec(path: str, model: SdWtcModel | RlnModel):
-    """Load a policy document; the kind picks the policy class.
-
-    kinds: "gp" (kernel indexed [s][u][v][x]), "x_given_s" ([s][x]),
-    "ceg" (p_t plus kernel [t][s][x]), "rln" (p_x, a_kernel [s][a],
-    b_kernel [a][b]).
-    """
+    """Load a policy document; its "kind" names the models.POLICY_KINDS
+    record that lists the auxiliary-alphabet and part fields to read."""
     doc = _load_json(path)
     kind = doc.get("kind")
-    if kind == "gp":
-        return gp_policy(
-            model.s_symbols,
-            _symbols_from_json(doc["u"]),
-            _symbols_from_json(doc["v"]),
-            model.x_symbols,
-            np.array(doc["kernel"], dtype=float),
-        )
-    if kind == "x_given_s":
-        return Channel(
-            (("S", model.s_symbols),),
-            (("X", model.x_symbols),),
-            np.array(doc["kernel"], dtype=float),
-        )
-    if kind == "ceg":
-        t_symbols = _symbols_from_json(doc["t"])
-        p_t = Pmf(t_symbols, np.array(doc["p_t"], dtype=float))
-        kernel = Channel(
-            (("T", t_symbols), ("S", model.s_symbols)),
-            (("X", model.x_symbols),),
-            np.array(doc["kernel"], dtype=float),
-        )
-        return p_t, kernel
-    if kind == "rln":
-        a_symbols = _symbols_from_json(doc["a"])
-        b_symbols = _symbols_from_json(doc["b"])
-        p_x = Pmf(model.x_symbols, np.array(doc["p_x"], dtype=float))
-        a_kernel = Channel(
-            (("S", model.s_symbols),), (("A", a_symbols),), np.array(doc["a_kernel"], dtype=float)
-        )
-        b_kernel = Channel(
-            (("A", a_symbols),), (("B", b_symbols),), np.array(doc["b_kernel"], dtype=float)
-        )
-        return p_x, a_kernel, b_kernel
-    raise ValueError(f"unknown policy kind {kind!r}")
+    spec = policy_kind(kind)
+    aux = [_symbols_from_json(doc[field]) for field in spec.aux]
+    arrays = [np.array(doc[field], dtype=float) for field, _, _ in spec.parts]
+    return build_policy(kind, model, aux, arrays)
 
 
 def _write_csv(path: str, rows: list[tuple]) -> None:
@@ -207,15 +188,6 @@ def _covering_joint(model: SdWtcModel, policy: InputPolicy, w_axis: str) -> Join
     sub = marginalize(assemble_joint(model, policy), ("U", "V", w_axis))
     axes = (sub.axes[0], sub.axes[1], ("W", sub.axes[2][1]))
     return JointPmf(axes, sub.mass)
-
-
-def _achieving_rln_policy(model: RlnModel) -> tuple[Pmf, Channel, Channel]:
-    """A = S, B constant, X uniform."""
-    n_s = len(model.s_symbols)
-    p_x = Pmf(model.x_symbols, np.full(len(model.x_symbols), 1.0 / len(model.x_symbols)))
-    a_kernel = Channel((("S", model.s_symbols),), (("A", model.s_symbols),), np.eye(n_s))
-    b_kernel = Channel((("A", model.s_symbols),), (("B", (0,)),), np.ones((n_s, 1)))
-    return p_x, a_kernel, b_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +235,7 @@ def _cmd_example(config: RunConfig) -> tuple[dict, list]:
     sigma = 0.5 if config.sigma is None else config.sigma
     model = build_rln_example(alpha, sigma)
     closed_form = (1.0 - sigma) * (1.0 - binary_entropy(alpha))
-    policy = _achieving_rln_policy(model)
+    policy = achieving_rln_policy(model)
     achieved = rates.rate_RLN(*policy, model)
     budget = OptBudget(restarts=config.restarts, iterations=config.iters, seed=config.seed)
     optimized = maximize("RLN", model, len(model.s_symbols), 1, budget)
@@ -473,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
         "for state-dependent wiretap channels.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    common: dict[str, argparse.ArgumentParser] = {}
     for name in SUBCOMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--channel", help="channel spec JSON path")
@@ -497,37 +468,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rbin", type=float)
         p.add_argument("--w-axis", default="S", choices=("S", "Y", "Z"))
         p.add_argument("--leakage-trials", type=int, default=0)
-        common[name] = p
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    config = RunConfig(
-        subcommand=args.subcommand,
-        channel=args.channel,
-        policy=args.policy,
-        functional=args.functional,
-        card_u=args.card_u,
-        card_v=args.card_v,
-        restarts=args.restarts,
-        iters=args.iters,
-        seed=args.seed,
-        n=args.n,
-        trials=args.trials,
-        eps=args.eps,
-        out=args.out,
-        alpha=args.alpha,
-        sigma=args.sigma,
-        r1=args.r1,
-        r2=args.r2,
-        r=args.r,
-        ra=args.ra,
-        rbin=args.rbin,
-        w_axis=args.w_axis,
-        leakage_trials=args.leakage_trials,
-    )
-    return run(config)
+    return run(RunConfig(**vars(args)))
 
 
 if __name__ == "__main__":

@@ -3,12 +3,14 @@
 A model is the tuple (state distribution, broadcast kernel).  This module
 builds generic instances, the product-form reversely-less-noisy instances,
 the semi-deterministic family, the side-information lifting that folds the
-receivers' state observations into their channel outputs, and (de)serializes
-all of them to a JSON channel-spec document.
+receivers' state observations into their channel outputs, (de)serializes
+all of them to a JSON channel-spec document, and describes each encoder
+policy kind once, in POLICY_KINDS.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping
 
@@ -323,6 +325,92 @@ def vx_policy(s_symbols: tuple, v_symbols: tuple, x_symbols: tuple, kernel: np.n
     """A policy P_{V,X|S} embedded with a degenerate (singleton) U axis."""
     k = np.asarray(kernel, dtype=float)[:, None, :, :]
     return gp_policy(s_symbols, (0,), v_symbols, x_symbols, k)
+
+
+# ---------------------------------------------------------------------------
+# policy kinds: the one description the policy loader and the search share
+
+
+@dataclass(frozen=True)
+class PolicyKind:
+    """One kind of encoder policy.
+
+    aux lists the document fields that hold its auxiliary alphabets; the
+    field's upper-cased name is the axis (u -> U).  Each part is (document
+    field, input axes, output axes) over S, X and those auxiliaries; a part
+    without input axes is a Pmf, any other a Channel.  wrap turns the list
+    of built parts into the policy object.
+    """
+
+    aux: tuple[str, ...]
+    parts: tuple[tuple[str, tuple[str, ...], tuple[str, ...]], ...]
+    wrap: Callable[[list], object]
+
+
+POLICY_KINDS: dict[str, PolicyKind] = {
+    "gp": PolicyKind(("u", "v"), (("kernel", ("S",), ("U", "V", "X")),),
+                     lambda parts: InputPolicy(parts[0])),
+    "x_given_s": PolicyKind((), (("kernel", ("S",), ("X",)),), lambda parts: parts[0]),
+    "ceg": PolicyKind(("t",), (("p_t", (), ("T",)), ("kernel", ("T", "S"), ("X",))), tuple),
+    "rln": PolicyKind(("a", "b"),
+                      (("p_x", (), ("X",)), ("a_kernel", ("S",), ("A",)), ("b_kernel", ("A",), ("B",))),
+                      tuple),
+}
+
+
+def policy_kind(kind: str) -> PolicyKind:
+    """The POLICY_KINDS record of a kind name."""
+    spec = POLICY_KINDS.get(kind)
+    if spec is None:
+        raise ValueError(f"unknown policy kind {kind!r}; expected one of {tuple(POLICY_KINDS)}")
+    return spec
+
+
+def _part_axes(spec: PolicyKind, model: SdWtcModel | RlnModel, aux) -> list[tuple[tuple, tuple]]:
+    """Each part's (input axes, output axes) as (name, alphabet) pairs."""
+    alph = {"S": model.s_symbols, "X": model.x_symbols}
+    alph.update((field.upper(), tuple(symbols)) for field, symbols in zip(spec.aux, aux, strict=True))
+    return [(tuple((a, alph[a]) for a in ins), tuple((a, alph[a]) for a in outs))
+            for _, ins, outs in spec.parts]
+
+
+def _assemble(spec: PolicyKind, axes: list[tuple[tuple, tuple]], arrays) -> object:
+    return spec.wrap([
+        Channel(ins, outs, arr) if ins else Pmf(outs[0][1], arr)
+        for (ins, outs), arr in zip(axes, arrays, strict=True)
+    ])
+
+
+def build_policy(kind: str, model: SdWtcModel | RlnModel, aux, arrays) -> object:
+    """A policy of the given kind from its auxiliary alphabets (in the order
+    of the kind's aux fields) and one array per part, shaped like the part."""
+    spec = policy_kind(kind)
+    return _assemble(spec, _part_axes(spec, model, aux), arrays)
+
+
+def policy_blocks(
+    kind: str, model: SdWtcModel | RlnModel, aux
+) -> tuple[list[tuple[int, int]], Callable[[list[np.ndarray]], object]]:
+    """The row-stochastic blocks (rows, row length) that parameterize a policy
+    of this kind, one per part, and the builder that turns such blocks into
+    the policy."""
+    spec = policy_kind(kind)
+    axes = _part_axes(spec, model, aux)
+    shapes = [tuple(len(a) for _, a in ins + outs) for ins, outs in axes]
+    blocks = [(math.prod(len(a) for _, a in ins), math.prod(len(a) for _, a in outs))
+              for ins, outs in axes]
+    return blocks, lambda arrays: _assemble(
+        spec, axes, [b.reshape(shape) for b, shape in zip(arrays, shapes)]
+    )
+
+
+def achieving_rln_policy(model: RlnModel) -> tuple:
+    """The rln policy A = S, B constant, X uniform, which attains the closed
+    form on build_rln_example."""
+    n_s, n_x = len(model.s_symbols), len(model.x_symbols)
+    return build_policy(
+        "rln", model, (model.s_symbols, (0,)), [np.full(n_x, 1.0 / n_x), np.eye(n_s), np.ones((n_s, 1))]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Policy search for the achievable-rate functionals.
 
 ``FUNCTIONALS`` maps each functional name to the model class it needs, the
-row-stochastic blocks that parameterize its policies, the builder that turns
-blocks into a policy, and its rate report; ``rate_report``, ``maximize`` and
-``exhaustive_small`` all go through it.  The search is random-restart
+policy kinds it takes (``models.POLICY_KINDS``, which gives the
+row-stochastic blocks that parameterize a policy and the builder that turns
+blocks into one), the sizes of their auxiliary alphabets, and its rate
+report; ``rate_report``, ``maximize`` and ``exhaustive_small`` all go
+through it.  The search is random-restart
 coordinate ascent plus a brute-force grid enumeration for problems small
 enough to afford it.  Runs are deterministic given the budget seed (restart
 r draws from the r-th splitmix64 output of the master seed).
@@ -18,7 +20,15 @@ from typing import Any, Callable
 import numpy as np
 
 from . import rates
-from .models import InputPolicy, RlnModel, SdWtcModel, as_input_policy, assemble_joint, gp_policy
+from .models import (
+    POLICY_KINDS,
+    InputPolicy,
+    RlnModel,
+    SdWtcModel,
+    as_input_policy,
+    assemble_joint,
+    policy_blocks,
+)
 from .prob import Channel, JointPmf, Pmf
 from .rng import derive_seeds
 
@@ -29,22 +39,15 @@ _MAX_GRID_EVALS = 10_000_000
 
 @dataclass(frozen=True)
 class OptBudget:
-    """Search effort: random restarts, ascent steps per restart, master seed.
-
-    grid_step only matters to the exhaustive oracle and is carried here so a
-    whole experiment can be described by one budget record.
-    """
+    """Search effort: random restarts, ascent steps per restart, master seed."""
 
     restarts: int = 16
     iterations: int = 400
     seed: int = 0
-    grid_step: float | None = None
 
     def __post_init__(self) -> None:
         if self.restarts < 1 or self.iterations < 1:
             raise ValueError(f"restarts and iterations must be positive, got {self!r}")
-        if self.grid_step is not None and not self.grid_step > 0.0:
-            raise ValueError(f"grid_step must be positive, got {self.grid_step!r}")
 
 
 @dataclass(frozen=True)
@@ -66,44 +69,6 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return out / out.sum()
 
 
-def _aux(card: int) -> tuple:
-    return tuple(range(card))
-
-
-def _gp_shapes(model: SdWtcModel, card_u: int, card_v: int) -> list[tuple[int, int]]:
-    return [(len(model.s_symbols), card_u * card_v * len(model.x_symbols))]
-
-
-def _gp_build(model: SdWtcModel, card_u: int, card_v: int, blocks: list[np.ndarray]) -> Any:
-    kernel = blocks[0].reshape(len(model.s_symbols), card_u, card_v, len(model.x_symbols))
-    return gp_policy(model.s_symbols, _aux(card_u), _aux(card_v), model.x_symbols, kernel)
-
-
-def _ceg_build(model: SdWtcModel, card_u: int, card_v: int, blocks: list[np.ndarray]) -> Any:
-    p_t = Pmf(_aux(card_u), blocks[0][0])
-    kernel = Channel(
-        (("T", _aux(card_u)), ("S", model.s_symbols)),
-        (("X", model.x_symbols),),
-        blocks[1].reshape(card_u, len(model.s_symbols), len(model.x_symbols)),
-    )
-    return p_t, kernel
-
-
-def _rln_build(model: RlnModel, card_u: int, card_v: int, blocks: list[np.ndarray]) -> Any:
-    p_x = Pmf(model.x_symbols, blocks[0][0])
-    a_kernel = Channel((("S", model.s_symbols),), (("A", _aux(card_u)),), blocks[1])
-    b_kernel = Channel((("A", _aux(card_u)),), (("B", _aux(card_v)),), blocks[2])
-    return p_x, a_kernel, b_kernel
-
-
-def _xs_shapes(model: SdWtcModel, card_u: int, card_v: int) -> list[tuple[int, int]]:
-    return [(len(model.s_symbols), len(model.x_symbols))]
-
-
-def _xs_build(model: SdWtcModel, card_u: int, card_v: int, blocks: list[np.ndarray]) -> Any:
-    return Channel((("S", model.s_symbols),), (("X", model.x_symbols),), blocks[0])
-
-
 def _layered_joint(model: SdWtcModel, policy: Any) -> JointPmf:
     return assemble_joint(model, as_input_policy(model, policy))
 
@@ -112,17 +77,14 @@ def _layered_joint(model: SdWtcModel, policy: Any) -> JointPmf:
 class Functional:
     """One rate functional.
 
-    policy_kinds names the policy documents (cli.load_policy_spec kinds) it
-    evaluates; shapes(model, card_u, card_v) lists the row-stochastic blocks
-    (rows, row length) that parameterize a policy, build(model, card_u,
-    card_v, blocks) turns them into the policy, and report(model, policy)
-    evaluates it.
+    policy_kinds names the models.POLICY_KINDS it evaluates; the search
+    builds the first.  aux_sizes(card_u, card_v) sizes that kind's auxiliary
+    alphabets, and report(model, policy) evaluates a policy.
     """
 
     model_class: type
     policy_kinds: tuple[str, ...]
-    shapes: Callable[[Any, int, int], list[tuple[int, int]]]
-    build: Callable[[Any, int, int, list[np.ndarray]], Any]
+    aux_sizes: Callable[[int, int], tuple[int, ...]]
     report: Callable[[Any, Any], rates.RateReport]
 
 
@@ -131,27 +93,29 @@ _LAYERED = ("gp", "x_given_s")
 # Reports look rates.* and assemble_joint up at call time, so wrapping the
 # module attributes (as a tracer does) reaches every evaluation.
 FUNCTIONALS: dict[str, Functional] = {
-    "RA": Functional(SdWtcModel, _LAYERED, _gp_shapes, _gp_build,
+    "RA": Functional(SdWtcModel, _LAYERED, lambda cu, cv: (cu, cv),
                      lambda m, policy: rates.rate_RA(_layered_joint(m, policy))),
-    "RA_alt": Functional(SdWtcModel, _LAYERED, _gp_shapes, _gp_build,
+    "RA_alt": Functional(SdWtcModel, _LAYERED, lambda cu, cv: (cu, cv),
                          lambda m, policy: rates.rate_RA_alt(_layered_joint(m, policy))),
-    "CHV": Functional(SdWtcModel, _LAYERED,
-                      lambda m, cu, cv: _gp_shapes(m, 1, cv),
-                      lambda m, cu, cv, blocks: _gp_build(m, 1, cv, blocks),
+    "CHV": Functional(SdWtcModel, _LAYERED, lambda cu, cv: (1, cv),
                       lambda m, policy: rates.rate_CHV(_layered_joint(m, policy))),
-    "CEG": Functional(SdWtcModel, ("ceg",),
-                      lambda m, cu, cv: [(1, cu), (cu * len(m.s_symbols), len(m.x_symbols))],
-                      _ceg_build,
+    "CEG": Functional(SdWtcModel, ("ceg",), lambda cu, cv: (cu,),
                       lambda m, policy: rates.rate_CEG(rates.ceg_joint(*policy, m))),
-    "RLN": Functional(RlnModel, ("rln",),
-                      lambda m, cu, cv: [(1, len(m.x_symbols)), (len(m.s_symbols), cu), (cu, cv)],
-                      _rln_build,
+    "RLN": Functional(RlnModel, ("rln",), lambda cu, cv: (cu, cv),
                       lambda m, policy: rates.rate_RLN(*policy, m)),
-    "semidet": Functional(SdWtcModel, ("x_given_s",), _xs_shapes, _xs_build,
+    "semidet": Functional(SdWtcModel, ("x_given_s",), lambda cu, cv: (),
                           lambda m, policy: rates.semidet_objective(policy, m)),
-    "LN_encdec": Functional(SdWtcModel, ("x_given_s",), _xs_shapes, _xs_build,
+    "LN_encdec": Functional(SdWtcModel, ("x_given_s",), lambda cu, cv: (),
                             lambda m, policy: rates.rate_LN_encdec(policy, m)),
 }
+
+
+def _search_space(
+    entry: Functional, model: SdWtcModel | RlnModel, card_u: int, card_v: int
+) -> tuple[list[tuple[int, int]], Callable[[list[np.ndarray]], Any]]:
+    """The blocks and the blocks -> policy builder of the kind the search builds."""
+    aux = tuple(tuple(range(size)) for size in entry.aux_sizes(card_u, card_v))
+    return policy_blocks(entry.policy_kinds[0], model, aux)
 
 
 def _lookup(
@@ -170,16 +134,18 @@ def _lookup(
 
 
 def _policy_kind(policy: Any) -> str:
-    """The policy-document kind whose loader builds objects like this one."""
+    """The POLICY_KINDS entry whose parts (Pmf, or Channel with the same axis
+    names) this policy has; its type name when none fits."""
     if isinstance(policy, InputPolicy):
-        return "gp"
-    if isinstance(policy, Channel):
-        return "x_given_s"
-    parts = tuple(type(p) for p in policy) if isinstance(policy, tuple) else ()
-    if parts == (Pmf, Channel):
-        return "ceg"
-    if parts == (Pmf, Channel, Channel):
-        return "rln"
+        policy = policy.kernel
+    parts = policy if isinstance(policy, tuple) else (policy,)
+    for kind, spec in POLICY_KINDS.items():
+        if len(parts) == len(spec.parts) and all(
+            isinstance(p, Channel) and (p.in_names, p.out_names) == (ins, outs) if ins
+            else isinstance(p, Pmf)
+            for p, (_, ins, outs) in zip(parts, spec.parts)
+        ):
+            return kind
     return type(policy).__name__
 
 
@@ -229,21 +195,20 @@ def _ascend(
     """One coordinate-ascent run from a Dirichlet(1) start."""
     entry = FUNCTIONALS[functional]
     rng = np.random.default_rng(seed)
-    shapes = entry.shapes(model, card_u, card_v)
+    shapes, build = _search_space(entry, model, card_u, card_v)
     blocks = [rng.dirichlet(np.ones(d), size=rows) for rows, d in shapes]
-    best_policy = entry.build(model, card_u, card_v, blocks)
+    best_policy = build(blocks)
     best = _objective(entry, model, best_policy)
     evals = 1
 
     if functional == "RA_alt" and best == -math.inf:
         # an uninformative U is always feasible (constraint gap exactly 0);
         # fold the drawn U-mass onto the first symbol and restart from there
-        nx = len(model.x_symbols)
-        k = blocks[0].reshape(len(model.s_symbols), card_u, card_v, nx)
+        k = blocks[0].reshape(len(model.s_symbols), card_u, -1)
         k2 = np.zeros_like(k)
         k2[:, 0] = k.sum(axis=1)
         blocks = [k2.reshape(blocks[0].shape)]
-        best_policy = entry.build(model, card_u, card_v, blocks)
+        best_policy = build(blocks)
         best = _objective(entry, model, best_policy)
         evals += 1
 
@@ -259,7 +224,7 @@ def _ascend(
         cand_row = _project_simplex(row + step * rng.standard_normal(row.size))
         saved = row.copy()
         blocks[b][r] = cand_row
-        cand_policy = entry.build(model, card_u, card_v, blocks)
+        cand_policy = build(blocks)
         cand = _objective(entry, model, cand_policy)
         evals += 1
         if cand > best:
@@ -334,7 +299,7 @@ def exhaustive_small(
     if k < 1 or abs(grid_step - 1.0 / k) > 1e-12:
         raise ValueError(f"grid_step must be a reciprocal integer, got {grid_step!r}")
 
-    shapes = entry.shapes(model, card_u, card_v)
+    shapes, build = _search_space(entry, model, card_u, card_v)
     total = 1
     for rows, d in shapes:
         total *= math.comb(k + d - 1, d - 1) ** rows
@@ -354,7 +319,7 @@ def exhaustive_small(
         for rows, d in shapes:
             blocks.append(np.stack([row_choices[i + r][pick[i + r]] for r in range(rows)]))
             i += rows
-        value = _objective(entry, model, entry.build(model, card_u, card_v, blocks))
+        value = _objective(entry, model, build(blocks))
         if value > best:
             best = value
     return float(best)

@@ -166,11 +166,7 @@ def sample_codebook(
     rng = np.random.default_rng(seed)
     u_words = rng.choice(len(q_u.symbols), size=(n1, n), p=q_u.probs)
     rows = q_v_given_u.kernel[u_words]  # (N1, n, |V|)
-    draws = rng.random((n1, n2, m, n))
-    cdf = np.cumsum(rows, axis=-1)
-    cdf[..., -1] = 1.0
-    v_words = (draws[..., None] > cdf[:, None, None, :, :]).sum(axis=-1)
-    v_words = np.minimum(v_words, len(q_v_given_u.out_axes[0][1]) - 1)
+    v_words = _inverse_cdf(rows[:, None, None], rng.random((n1, n2, m, n)))
     return Codebook(
         n=n,
         r1=r1,

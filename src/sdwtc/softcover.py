@@ -218,10 +218,6 @@ def best_gamma(joint: JointPmf, r1: float, r2: float) -> BestGammaResult:
     a1 = factor * (r1 - _renyi_from_logs(lp1, lq1, _ALPHA_GRID))
     a2 = factor * (r1 + r2 - _renyi_from_logs(lp2, lq2, _ALPHA_GRID))
 
-    def value(d1: float, d2: float) -> float:
-        curve = np.minimum(np.minimum(a1 - factor * d1, a2 - factor * d2), d1 / 4.0)
-        return float(curve.max())
-
     def scan(d1s: np.ndarray, n2: int, best: tuple[float, float, float]) -> tuple[float, float, float]:
         for d1 in d1s:
             hi = min(2.0 * d1, m2)

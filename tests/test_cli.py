@@ -21,7 +21,15 @@ from sdwtc.cli import (
     load_policy_spec,
     main,
 )
-from sdwtc.models import RlnModel, as_input_policy, assemble_joint, model_to_dict
+from sdwtc.models import (
+    POLICY_KINDS,
+    InputPolicy,
+    RlnModel,
+    as_input_policy,
+    assemble_joint,
+    model_to_dict,
+)
+from sdwtc.optimize import FUNCTIONALS, _search_space, rate_report
 from sdwtc.prob import Channel, Pmf, binary_entropy, entropy, inv_binary_entropy
 from sdwtc.simulate import index_count
 
@@ -161,6 +169,32 @@ def test_policy_kinds_load_into_the_right_shapes(tmp_path):
     assert kernel.in_names == ("T", "S") and kernel.out_names == ("X",)
     with pytest.raises(ValueError, match="unknown policy kind"):
         load_policy_spec(write_json(tmp_path / "zz.json", {"kind": "zz"}), model)
+
+
+@pytest.mark.parametrize(
+    "kind, functional, card_u, card_v",
+    [("gp", "RA", 2, 3), ("x_given_s", "LN_encdec", 1, 1), ("ceg", "CEG", 3, 1), ("rln", "RLN", 2, 3)],
+)
+def test_loader_rebuilds_what_the_search_builds(tmp_path, kind, functional, card_u, card_v):
+    # a policy from the search's builder, written out under the table's field
+    # names and read back, evaluates to the same report
+    rng = np.random.default_rng(RNG_SEED + 2)
+    model = random_rln_model(rng) if kind == "rln" else random_model(rng, ns=3, nx=2)
+    entry = FUNCTIONALS[functional]
+    assert entry.policy_kinds[0] == kind
+    shapes, build = _search_space(entry, model, card_u, card_v)
+    policy = build([rng.dirichlet(np.ones(d), size=rows) for rows, d in shapes])
+
+    spec = POLICY_KINDS[kind]
+    parts = (policy.kernel,) if isinstance(policy, InputPolicy) else policy
+    parts = parts if isinstance(parts, tuple) else (parts,)
+    doc = {"kind": kind}
+    doc.update((field, list(range(size))) for field, size
+               in zip(spec.aux, entry.aux_sizes(card_u, card_v)))
+    doc.update((field, (p.kernel if isinstance(p, Channel) else p.probs).tolist())
+               for (field, _, _), p in zip(spec.parts, parts))
+    loaded = load_policy_spec(write_json(tmp_path / "pol.json", doc), model)
+    assert rate_report(functional, model, loaded) == rate_report(functional, model, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +462,37 @@ def test_rate_without_functional_lists_the_names(tmp_path, capsys):
                                                    "semidet", "LN_encdec"))
 
 
+@pytest.mark.parametrize(
+    "channel, policy, message",
+    [
+        (wiretap_doc(), {"kind": "gp", "v": [0], "kernel": [[[[1.0, 0.0]]]] * 2},
+         "pol.json has no field 'u'"),
+        ({k: v for k, v in wiretap_doc().items() if k != "alphabets"}, x_given_s_doc(),
+         "ch.json has no field 'alphabets'"),
+        ({**wiretap_doc(), "alphabets": {"S": [0, 1], "X": [0, 1], "Y": [0, 1]}}, x_given_s_doc(),
+         "ch.json has no field 'Z'"),
+        ([wiretap_doc()], x_given_s_doc(), "ch.json must hold a JSON object, got list"),
+        (wiretap_doc(), [x_given_s_doc()], "pol.json must hold a JSON object, got list"),
+    ],
+)
+def test_malformed_documents_are_error_records(tmp_path, capsys, channel, policy, message):
+    ch = write_json(tmp_path / "ch.json", channel)
+    pol = write_json(tmp_path / "pol.json", policy)
+    status = main(["rate", "--channel", ch, "--policy", pol, "--functional", "RA"])
+    record = json.loads(capsys.readouterr().out)
+    assert status == 1
+    assert record["error"]["type"] == "ValueError"
+    assert record["error"]["message"].endswith(message)
+    assert "results" not in record
+
+
 def test_unreadable_channel_is_reported_not_raised(capsys):
     status = main(["rate", "--channel", "/no/such/file.json", "--policy", "x", "--functional", "RA"])
     record = json.loads(capsys.readouterr().out)
     assert status == 1
     assert record["error"]["type"] == "FileNotFoundError"
+    # recorded when main still spelled out every RunConfig keyword
+    assert record["config_hash"] == "289f5f83f5486787"
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,6 @@ def test_budget_rejects_nonpositive_fields():
         OptBudget(restarts=0)
     with pytest.raises(ValueError):
         OptBudget(iterations=0)
-    with pytest.raises(ValueError):
-        OptBudget(grid_step=0.0)
 
 
 def test_unknown_functional_rejected():
