@@ -159,7 +159,7 @@ def load_policy_spec(path: str, model: SdWtcModel | RlnModel):
     doc = _load_json(path)
     kind = doc.get("kind")
     spec = policy_kind(kind)
-    aux = [_symbols_from_json(doc[field]) for field in spec.aux]
+    aux = [_symbols_from_json(doc, field) for field in spec.aux]
     arrays = [np.array(doc[field], dtype=float) for field, _, _ in spec.parts]
     return build_policy(kind, model, aux, arrays)
 

@@ -150,29 +150,7 @@ def assemble_joint(model: SdWtcModel, policy: InputPolicy) -> JointPmf:
     Mass factorizes as W_S(s) Q(u,v,x|s) W(y,z|x,s), which forces the Markov
     chain (U, V) - (X, S) - (Y, Z).
     """
-    if policy.s_symbols != model.s_symbols:
-        raise ValueError(
-            f"policy S alphabet {policy.s_symbols} does not match model's {model.s_symbols}"
-        )
-    if policy.x_symbols != model.x_symbols:
-        raise ValueError(
-            f"policy X alphabet {policy.x_symbols} does not match model's {model.x_symbols}"
-        )
-    mass = np.einsum(
-        "s,suvx,xsyz->suvxyz",
-        model.state_pmf.probs,
-        policy.kernel.kernel,
-        model.channel.kernel,
-    )
-    axes = (
-        ("S", model.s_symbols),
-        ("U", policy.u_symbols),
-        ("V", policy.v_symbols),
-        ("X", model.x_symbols),
-        ("Y", model.y_symbols),
-        ("Z", model.z_symbols),
-    )
-    return JointPmf(axes, mass)
+    return policy_joint("gp", model, policy)
 
 
 def lift_side_information(rln: RlnModel) -> SdWtcModel:
@@ -339,22 +317,29 @@ class PolicyKind:
     field's upper-cased name is the axis (u -> U).  Each part is (document
     field, input axes, output axes) over S, X and those auxiliaries; a part
     without input axes is a Pmf, any other a Channel.  wrap turns the list
-    of built parts into the policy object.
+    of built parts into the policy object.  product names the factors of
+    the induced joint, parts by their field and model factors by their
+    attribute, in the order they are multiplied; the joint's axes come in
+    the order they first appear there.
     """
 
     aux: tuple[str, ...]
     parts: tuple[tuple[str, tuple[str, ...], tuple[str, ...]], ...]
     wrap: Callable[[list], object]
+    product: tuple[str, ...]
 
 
 POLICY_KINDS: dict[str, PolicyKind] = {
     "gp": PolicyKind(("u", "v"), (("kernel", ("S",), ("U", "V", "X")),),
-                     lambda parts: InputPolicy(parts[0])),
-    "x_given_s": PolicyKind((), (("kernel", ("S",), ("X",)),), lambda parts: parts[0]),
-    "ceg": PolicyKind(("t",), (("p_t", (), ("T",)), ("kernel", ("T", "S"), ("X",))), tuple),
+                     lambda parts: InputPolicy(parts[0]), ("state_pmf", "kernel", "channel")),
+    "x_given_s": PolicyKind((), (("kernel", ("S",), ("X",)),), lambda parts: parts[0],
+                            ("state_pmf", "kernel", "channel")),
+    "ceg": PolicyKind(("t",), (("p_t", (), ("T",)), ("kernel", ("T", "S"), ("X",))), tuple,
+                      ("state_pmf", "p_t", "kernel", "channel")),
     "rln": PolicyKind(("a", "b"),
                       (("p_x", (), ("X",)), ("a_kernel", ("S",), ("A",)), ("b_kernel", ("A",), ("B",))),
-                      tuple),
+                      tuple,
+                      ("state_pmf", "a_kernel", "b_kernel", "p_x", "state_channel", "main_channel")),
 }
 
 
@@ -366,12 +351,63 @@ def policy_kind(kind: str) -> PolicyKind:
     return spec
 
 
+def policy_parts(policy) -> tuple:
+    """A policy object's parts, in the order of its kind's parts."""
+    if isinstance(policy, InputPolicy):
+        return (policy.kernel,)
+    return policy if isinstance(policy, tuple) else (policy,)
+
+
 def _part_axes(spec: PolicyKind, model: SdWtcModel | RlnModel, aux) -> list[tuple[tuple, tuple]]:
     """Each part's (input axes, output axes) as (name, alphabet) pairs."""
     alph = {"S": model.s_symbols, "X": model.x_symbols}
     alph.update((field.upper(), tuple(symbols)) for field, symbols in zip(spec.aux, aux, strict=True))
     return [(tuple((a, alph[a]) for a in ins), tuple((a, alph[a]) for a in outs))
             for _, ins, outs in spec.parts]
+
+
+def _joint(spec: PolicyKind, model: SdWtcModel | RlnModel, axes: list[tuple[tuple, tuple]],
+           arrays) -> tuple[tuple, np.ndarray]:
+    """The (name, alphabet) axes and the (B, ...) masses of the joints a stack
+    of B policies induces, from one array per part holding B of its entries
+    (any shape that reshapes to (B, *part shape), such as stacked blocks).
+    The factors are multiplied in spec.product order, which fixes the
+    rounding."""
+    parts = {field: (ins + outs, arr.reshape(len(arr), *(len(a) for _, a in ins + outs)))
+             for (field, _, _), (ins, outs), arr in zip(spec.parts, axes, arrays, strict=True)}
+    index: dict[str, int] = {}  # axis name -> einsum subscript; 0 is the batch axis
+    joint_axes: list[tuple[str, tuple]] = []
+    operands: list = []
+    for name in spec.product:
+        if name in parts:
+            (f_axes, arr), batch = parts[name], [0]
+        else:  # a model factor: its state law over S, or one of its channels
+            f = getattr(model, name)
+            f_axes, arr = ((("S", f.symbols),), f.probs) if isinstance(f, Pmf) else (
+                f.in_axes + f.out_axes, f.kernel)
+            batch = []
+        for axis in f_axes:
+            if axis[0] not in index:
+                index[axis[0]] = len(index) + 1
+                joint_axes.append(axis)
+        operands += [arr, batch + [index[a] for a, _ in f_axes]]
+    return tuple(joint_axes), np.einsum(*operands, list(range(len(index) + 1)))
+
+
+def policy_joint(kind: str, model: SdWtcModel | RlnModel, policy) -> JointPmf:
+    """The joint PMF a policy of the given kind induces on a model, whose S
+    and X alphabets its parts must use (with shared auxiliary alphabets)."""
+    spec = policy_kind(kind)
+    parts = policy_parts(policy)
+    have = [(p.in_axes, p.out_axes) if isinstance(p, Channel) else ((), ((outs[0], p.symbols),))
+            for p, (_, _, outs) in zip(parts, spec.parts, strict=True)]
+    alph = dict(axis for ins, outs in have for axis in ins + outs)
+    axes = _part_axes(spec, model, [alph.get(field.upper(), ()) for field in spec.aux])
+    if have != axes:
+        raise ValueError(f"{kind} policy parts have axes {have}; the model needs {axes}")
+    arrays = [p.kernel[None] if isinstance(p, Channel) else p.probs[None] for p in parts]
+    joint_axes, mass = _joint(spec, model, axes, arrays)
+    return JointPmf(joint_axes, mass[0])
 
 
 def _assemble(spec: PolicyKind, axes: list[tuple[tuple, tuple]], arrays) -> object:
@@ -404,6 +440,14 @@ def policy_blocks(
     )
 
 
+def stacked_joint(kind: str, model: SdWtcModel | RlnModel, aux, stacks) -> tuple[tuple, np.ndarray]:
+    """The joints' (name, alphabet) axes and (B, ...) masses for a stack of B
+    policies of this kind, given as one (B, ...) array per part or block,
+    without building any policy or joint object."""
+    spec = policy_kind(kind)
+    return _joint(spec, model, _part_axes(spec, model, aux), stacks)
+
+
 def achieving_rln_policy(model: RlnModel) -> tuple:
     """The rln policy A = S, B constant, X uniform, which attains the closed
     form on build_rln_example."""
@@ -425,7 +469,14 @@ def _to_jsonable(obj):
     return obj
 
 
-def _symbols_from_json(values) -> tuple:
+def _symbols_from_json(doc: Mapping, field: str) -> tuple:
+    """The alphabet a document lists under field; list entries become tuples."""
+    values = doc[field]
+    if not isinstance(values, list):
+        raise ValueError(
+            f"{getattr(doc, 'path', 'the document')} field {field!r} must list the symbols, "
+            f"got {type(values).__name__}"
+        )
     return tuple(tuple(v) if isinstance(v, list) else v for v in values)
 
 
@@ -469,10 +520,7 @@ def model_from_dict(doc: Mapping) -> SdWtcModel | RlnModel:
     kind = doc.get("kind")
     if kind == "generic":
         alph = doc["alphabets"]
-        s = _symbols_from_json(alph["S"])
-        x = _symbols_from_json(alph["X"])
-        y = _symbols_from_json(alph["Y"])
-        z = _symbols_from_json(alph["Z"])
+        s, x, y, z = (_symbols_from_json(alph, a) for a in ("S", "X", "Y", "Z"))
         state_pmf = Pmf(s, np.asarray(doc["state_pmf"], dtype=float))
         channel = Channel(
             in_axes=(("X", x), ("S", s)),
@@ -482,12 +530,7 @@ def model_from_dict(doc: Mapping) -> SdWtcModel | RlnModel:
         return SdWtcModel(state_pmf=state_pmf, channel=channel)
     if kind == "rln":
         alph = doc["alphabets"]
-        s = _symbols_from_json(alph["S"])
-        s1 = _symbols_from_json(alph["S1"])
-        s2 = _symbols_from_json(alph["S2"])
-        x = _symbols_from_json(alph["X"])
-        y = _symbols_from_json(alph["Y"])
-        z = _symbols_from_json(alph["Z"])
+        s, s1, s2, x, y, z = (_symbols_from_json(alph, a) for a in ("S", "S1", "S2", "X", "Y", "Z"))
         return RlnModel(
             state_pmf=Pmf(s, np.asarray(doc["state_pmf"], dtype=float)),
             state_channel=Channel(
@@ -505,9 +548,7 @@ def model_from_dict(doc: Mapping) -> SdWtcModel | RlnModel:
         return build_rln_example(float(doc["alpha"]), float(doc["sigma"]))
     if kind == "semideterministic":
         alph = doc["alphabets"]
-        s = _symbols_from_json(alph["S"])
-        x = _symbols_from_json(alph["X"])
-        z = _symbols_from_json(alph["Z"])
+        s, x, z = (_symbols_from_json(alph, a) for a in ("S", "X", "Z"))
         state_pmf = Pmf(s, np.asarray(doc["state_pmf"], dtype=float))
         z_kernel = Channel(
             in_axes=(("X", x), ("S", s)),
@@ -515,6 +556,12 @@ def model_from_dict(doc: Mapping) -> SdWtcModel | RlnModel:
             kernel=np.asarray(doc["z_kernel"], dtype=float),
         )
         g_rows = doc["g"]
+        if not (isinstance(g_rows, list) and len(g_rows) == len(x)
+                and all(isinstance(row, list) and len(row) == len(s) for row in g_rows)):
+            raise ValueError(
+                f"{getattr(doc, 'path', 'the document')} field 'g' must hold {len(x)} rows "
+                f"(one per X symbol) of {len(s)} entries (one per S symbol)"
+            )
         g_map = {}
         for xi, xv in enumerate(x):
             for si, sv in enumerate(s):

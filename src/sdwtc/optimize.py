@@ -2,19 +2,19 @@
 
 ``FUNCTIONALS`` maps each functional name to the model class it needs, the
 policy kinds it takes (``models.POLICY_KINDS``, which gives the
-row-stochastic blocks that parameterize a policy and the builder that turns
-blocks into one), the sizes of their auxiliary alphabets, and its rate
-report; ``rate_report``, ``maximize`` and ``exhaustive_small`` all go
-through it.  The search is random-restart
-coordinate ascent plus a brute-force grid enumeration for problems small
-enough to afford it.  Runs are deterministic given the budget seed (restart
+row-stochastic blocks that parameterize a policy, the builder that turns
+blocks into one and the joints of stacked blocks), the sizes of their
+auxiliary alphabets, and its terms (``rates.Terms``); ``rate_report``,
+``maximize`` and ``exhaustive_small`` all evaluate them with
+``rates.evaluate``.  The search is random-restart coordinate ascent plus a
+brute-force grid enumeration, in chunks, for problems small enough to
+afford it.  Runs are deterministic given the budget seed (restart
 r draws from the r-th splitmix64 output of the master seed).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as iter_product
 from typing import Any, Callable
 
 import numpy as np
@@ -22,19 +22,22 @@ import numpy as np
 from . import rates
 from .models import (
     POLICY_KINDS,
-    InputPolicy,
     RlnModel,
     SdWtcModel,
     as_input_policy,
-    assemble_joint,
     policy_blocks,
+    policy_joint,
+    policy_parts,
+    stacked_joint,
 )
-from .prob import Channel, JointPmf, Pmf
+from .prob import Channel, Pmf
 from .rng import derive_seeds
 
 _INITIAL_STEP = 0.5
 _REJECTS_PER_HALVING = 10
 _MAX_GRID_EVALS = 10_000_000
+# joint-mass entries per chunk of grid policies evaluated together (8 bytes each)
+_GRID_CHUNK_ENTRIES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -69,53 +72,51 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return out / out.sum()
 
 
-def _layered_joint(model: SdWtcModel, policy: Any) -> JointPmf:
-    return assemble_joint(model, as_input_policy(model, policy))
-
-
 @dataclass(frozen=True)
 class Functional:
     """One rate functional.
 
     policy_kinds names the models.POLICY_KINDS it evaluates; the search
-    builds the first.  aux_sizes(card_u, card_v) sizes that kind's auxiliary
-    alphabets, and report(model, policy) evaluates a policy.
+    builds the first, which rate_report lifts the others to.  aux_sizes(
+    card_u, card_v) sizes its auxiliary alphabets; terms are the minimands.
     """
 
     model_class: type
     policy_kinds: tuple[str, ...]
     aux_sizes: Callable[[int, int], tuple[int, ...]]
-    report: Callable[[Any, Any], rates.RateReport]
+    terms: rates.Terms
 
 
 _LAYERED = ("gp", "x_given_s")
 
-# Reports look rates.* and assemble_joint up at call time, so wrapping the
-# module attributes (as a tracer does) reaches every evaluation.
 FUNCTIONALS: dict[str, Functional] = {
-    "RA": Functional(SdWtcModel, _LAYERED, lambda cu, cv: (cu, cv),
-                     lambda m, policy: rates.rate_RA(_layered_joint(m, policy))),
-    "RA_alt": Functional(SdWtcModel, _LAYERED, lambda cu, cv: (cu, cv),
-                         lambda m, policy: rates.rate_RA_alt(_layered_joint(m, policy))),
-    "CHV": Functional(SdWtcModel, _LAYERED, lambda cu, cv: (1, cv),
-                      lambda m, policy: rates.rate_CHV(_layered_joint(m, policy))),
-    "CEG": Functional(SdWtcModel, ("ceg",), lambda cu, cv: (cu,),
-                      lambda m, policy: rates.rate_CEG(rates.ceg_joint(*policy, m))),
-    "RLN": Functional(RlnModel, ("rln",), lambda cu, cv: (cu, cv),
-                      lambda m, policy: rates.rate_RLN(*policy, m)),
-    "semidet": Functional(SdWtcModel, ("x_given_s",), lambda cu, cv: (),
-                          lambda m, policy: rates.semidet_objective(policy, m)),
-    "LN_encdec": Functional(SdWtcModel, ("x_given_s",), lambda cu, cv: (),
-                            lambda m, policy: rates.rate_LN_encdec(policy, m)),
+    "RA": Functional(SdWtcModel, _LAYERED, lambda cu, cv: (cu, cv), rates.RA),
+    "RA_alt": Functional(SdWtcModel, _LAYERED, lambda cu, cv: (cu, cv), rates.RA_ALT),
+    "CHV": Functional(SdWtcModel, _LAYERED, lambda cu, cv: (1, cv), rates.CHV),
+    "CEG": Functional(SdWtcModel, ("ceg",), lambda cu, cv: (cu,), rates.CEG),
+    "RLN": Functional(RlnModel, ("rln",), lambda cu, cv: (cu, cv), rates.RLN),
+    "semidet": Functional(SdWtcModel, ("x_given_s",), lambda cu, cv: (), rates.SEMIDET),
+    "LN_encdec": Functional(SdWtcModel, ("x_given_s",), lambda cu, cv: (), rates.LN_ENCDEC),
 }
+
+
+def _aux(entry: Functional, card_u: int, card_v: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(range(size)) for size in entry.aux_sizes(card_u, card_v))
 
 
 def _search_space(
     entry: Functional, model: SdWtcModel | RlnModel, card_u: int, card_v: int
 ) -> tuple[list[tuple[int, int]], Callable[[list[np.ndarray]], Any]]:
     """The blocks and the blocks -> policy builder of the kind the search builds."""
-    aux = tuple(tuple(range(size)) for size in entry.aux_sizes(card_u, card_v))
-    return policy_blocks(entry.policy_kinds[0], model, aux)
+    return policy_blocks(entry.policy_kinds[0], model, _aux(entry, card_u, card_v))
+
+
+def _stack_objective(entry: Functional, axes: tuple, mass: np.ndarray) -> np.ndarray:
+    """Search objective of each joint in a stack: the functional clamped at
+    zero (a do-nothing policy always achieves zero), with infeasible
+    candidates scored -inf."""
+    values, feasible = rates.evaluate(entry.terms, [name for name, _ in axes], mass)
+    return np.where(feasible, np.maximum(0.0, values.min(axis=1)), -np.inf)
 
 
 def _lookup(
@@ -136,9 +137,7 @@ def _lookup(
 def _policy_kind(policy: Any) -> str:
     """The POLICY_KINDS entry whose parts (Pmf, or Channel with the same axis
     names) this policy has; its type name when none fits."""
-    if isinstance(policy, InputPolicy):
-        policy = policy.kernel
-    parts = policy if isinstance(policy, tuple) else (policy,)
+    parts = policy_parts(policy)
     for kind, spec in POLICY_KINDS.items():
         if len(parts) == len(spec.parts) and all(
             isinstance(p, Channel) and (p.in_names, p.out_names) == (ins, outs) if ins
@@ -162,7 +161,9 @@ def rate_report(functional: str, model: SdWtcModel | RlnModel, policy: Any) -> r
         raise ValueError(
             f"functional {functional} takes a {' or '.join(entry.policy_kinds)} policy, got {kind}"
         )
-    return entry.report(model, policy)
+    if kind != entry.policy_kinds[0]:
+        policy = as_input_policy(model, policy)
+    return rates.report(entry.terms, policy_joint(entry.policy_kinds[0], model, policy))
 
 
 def evaluate_policy(functional: str, model: SdWtcModel | RlnModel, policy: Any) -> float:
@@ -177,13 +178,6 @@ def cardinality_caps(model: SdWtcModel | RlnModel) -> tuple[int, int]:
     return k + 5, k * k + 5 * k + 3
 
 
-def _objective(entry: Functional, model: SdWtcModel | RlnModel, policy: Any) -> float:
-    """Search objective: the functional clamped at zero (a do-nothing policy
-    always achieves zero), with infeasible candidates scored -inf."""
-    report = entry.report(model, policy)
-    return max(0.0, report.value) if report.feasible else -math.inf
-
-
 def _ascend(
     functional: str,
     model: SdWtcModel | RlnModel,
@@ -196,9 +190,14 @@ def _ascend(
     entry = FUNCTIONALS[functional]
     rng = np.random.default_rng(seed)
     shapes, build = _search_space(entry, model, card_u, card_v)
+    aux = _aux(entry, card_u, card_v)
     blocks = [rng.dirichlet(np.ones(d), size=rows) for rows, d in shapes]
-    best_policy = build(blocks)
-    best = _objective(entry, model, best_policy)
+
+    def objective() -> float:
+        axes, mass = stacked_joint(entry.policy_kinds[0], model, aux, [b[None] for b in blocks])
+        return float(_stack_objective(entry, axes, mass)[0])
+
+    best = objective()
     evals = 1
 
     if functional == "RA_alt" and best == -math.inf:
@@ -208,13 +207,13 @@ def _ascend(
         k2 = np.zeros_like(k)
         k2[:, 0] = k.sum(axis=1)
         blocks = [k2.reshape(blocks[0].shape)]
-        best_policy = build(blocks)
-        best = _objective(entry, model, best_policy)
+        best = objective()
         evals += 1
+    best_blocks = [b.copy() for b in blocks]
 
     slots = [(b, r) for b, (rows, d) in enumerate(shapes) for r in range(rows) if d > 1]
     if not slots:
-        return best_policy, best, evals
+        return build(best_blocks), best, evals
 
     step = _INITIAL_STEP
     rejects = 0
@@ -224,11 +223,11 @@ def _ascend(
         cand_row = _project_simplex(row + step * rng.standard_normal(row.size))
         saved = row.copy()
         blocks[b][r] = cand_row
-        cand_policy = build(blocks)
-        cand = _objective(entry, model, cand_policy)
+        cand = objective()
         evals += 1
         if cand > best:
-            best, best_policy = cand, cand_policy
+            best = cand
+            best_blocks = [blk.copy() for blk in blocks]
             rejects = 0
         else:
             blocks[b][r] = saved
@@ -236,7 +235,7 @@ def _ascend(
             if rejects >= _REJECTS_PER_HALVING:
                 step *= 0.5
                 rejects = 0
-    return best_policy, best, evals
+    return build(best_blocks), best, evals
 
 
 def maximize(
@@ -292,34 +291,35 @@ def exhaustive_small(
     """Best value over all policies whose kernel rows lie on a 1/k grid.
 
     Only viable for tiny alphabets; refuses outright when the grid holds
-    more than ten million policies.
+    more than ten million policies.  Evaluates them in memory-bounded chunks.
     """
     entry = _lookup(functional, model, card_u, card_v)
     k = round(1.0 / grid_step)
     if k < 1 or abs(grid_step - 1.0 / k) > 1e-12:
         raise ValueError(f"grid_step must be a reciprocal integer, got {grid_step!r}")
 
-    shapes, build = _search_space(entry, model, card_u, card_v)
+    shapes, _ = _search_space(entry, model, card_u, card_v)
     total = 1
     for rows, d in shapes:
         total *= math.comb(k + d - 1, d - 1) ** rows
     if total > _MAX_GRID_EVALS:
         raise ValueError(f"grid has {total} policies; refusing more than {_MAX_GRID_EVALS}")
 
-    row_choices: list[np.ndarray] = []
-    for rows, d in shapes:
-        cand = _grid_rows(k, d)
-        for _ in range(rows):
-            row_choices.append(cand)
+    aux = _aux(entry, card_u, card_v)
+    row_choices = [_grid_rows(k, d) for _, d in shapes]
+    # one digit per kernel row, the last row's digit varying fastest
+    radices = [len(c) for c, (rows, _) in zip(row_choices, shapes) for _ in range(rows)]
 
-    best = -math.inf
-    for pick in iter_product(*(range(len(c)) for c in row_choices)):
-        blocks = []
-        i = 0
-        for rows, d in shapes:
-            blocks.append(np.stack([row_choices[i + r][pick[i + r]] for r in range(rows)]))
+    # the first chunk is one policy; its joint sizes the chunks after it
+    best, start, chunk = -math.inf, 0, 1
+    while start < total:
+        stop = min(start + chunk, total)
+        digits = np.unravel_index(np.arange(start, stop), radices)
+        stacks, i = [], 0
+        for cand, (rows, _) in zip(row_choices, shapes):
+            stacks.append(cand[np.stack(digits[i:i + rows], axis=1)])
             i += rows
-        value = _objective(entry, model, build(blocks))
-        if value > best:
-            best = value
-    return float(best)
+        axes, mass = stacked_joint(entry.policy_kinds[0], model, aux, stacks)
+        best = max(best, float(_stack_objective(entry, axes, mass).max()))
+        start, chunk = stop, max(1, _GRID_CHUNK_ENTRIES * len(mass) // mass.size)
+    return best

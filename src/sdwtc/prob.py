@@ -203,10 +203,15 @@ def product_pmf(p: Pmf, q: Pmf) -> Pmf:
 # entropy and friends
 
 
-def _entropy_bits(mass: np.ndarray) -> float:
-    flat = np.asarray(mass, dtype=float).ravel()
-    pos = flat[flat > ZERO_MASS]
-    return float(-(pos * np.log2(pos)).sum())
+def _entropy_bits(masses: Sequence[np.ndarray], lead: int = 0) -> list[np.ndarray]:
+    """The entropy in bits of each mass tensor, one per entry of its first
+    lead axes, the logs of all taken in one pass.  Masses at or below
+    ZERO_MASS count as zero and their log is never taken."""
+    flat = [np.asarray(m, dtype=float).reshape(np.shape(m)[:lead] + (-1,)) for m in masses]
+    p = np.concatenate(flat, axis=-1)
+    p_log_p = p * np.log2(np.where(p > ZERO_MASS, p, 1.0))
+    ends = np.cumsum([m.shape[-1] for m in flat])
+    return [-p_log_p[..., end - m.shape[-1]:end].sum(axis=-1) for m, end in zip(flat, ends)]
 
 
 def entropy(
@@ -221,7 +226,7 @@ def entropy(
     if isinstance(dist, Pmf):
         if axes is not None or given:
             raise ValueError("axis arguments only apply to JointPmf inputs")
-        return _entropy_bits(dist.probs)
+        return float(_entropy_bits([dist.probs])[0])
     given = tuple(given)
     if axes is None:
         axes = tuple(n for n in dist.names if n not in given)
@@ -231,10 +236,10 @@ def entropy(
     overlap = set(axes) & set(given)
     if overlap:
         raise ValueError(f"axes {sorted(overlap)} appear on both sides of the bar")
-    h_all = _entropy_bits(_marginal_mass(dist, axes + given))
+    h_all = float(_entropy_bits([_marginal_mass(dist, axes + given)])[0])
     if not given:
         return h_all
-    return h_all - _entropy_bits(_marginal_mass(dist, given))
+    return h_all - float(_entropy_bits([_marginal_mass(dist, given)])[0])
 
 
 def binary_entropy(p: float) -> float:
@@ -261,14 +266,18 @@ def inv_binary_entropy(y: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _marginal_mass(joint: JointPmf, keep: Sequence[str]) -> np.ndarray:
+def _marginal_mass(joint: JointPmf | tuple[Sequence[str], np.ndarray], keep: Sequence[str]) -> np.ndarray:
+    """The mass over keep, in keep's order, of a JointPmf or of a (names, mass)
+    pair whose mass has leading batch axes, kept in front, before the named ones."""
+    names, mass = (joint.names, joint.mass) if isinstance(joint, JointPmf) else joint
     keep = tuple(keep)
-    drop = tuple(i for i, n in enumerate(joint.names) if n not in keep)
-    mass = joint.mass.sum(axis=drop) if drop else joint.mass
-    # mass axes are now the kept ones in original joint order
-    kept_order = tuple(n for n in joint.names if n in keep)
+    lead = mass.ndim - len(names)
+    drop = tuple(lead + i for i, n in enumerate(names) if n not in keep)
+    mass = mass.sum(axis=drop) if drop else mass
+    # mass axes are now the batch axes, then the kept ones in original order
+    kept_order = tuple(n for n in names if n in keep)
     if kept_order != keep:
-        perm = tuple(kept_order.index(n) for n in keep)
+        perm = tuple(range(lead)) + tuple(lead + kept_order.index(n) for n in keep)
         mass = mass.transpose(perm)
     return mass
 
@@ -340,11 +349,9 @@ def mutual_information(
         overlap = set(left) & set(right)
         if overlap:
             raise ValueError(f"{what} overlap on axes {sorted(overlap)}")
-    h_ac = _entropy_bits(_marginal_mass(joint, a + c))
-    h_bc = _entropy_bits(_marginal_mass(joint, b + c))
-    h_abc = _entropy_bits(_marginal_mass(joint, a + b + c))
-    h_c = _entropy_bits(_marginal_mass(joint, c)) if c else 0.0
-    return h_ac + h_bc - h_abc - h_c
+    h_ac, h_bc, h_abc = _entropy_bits([_marginal_mass(joint, g) for g in (a + c, b + c, a + b + c)])
+    h_c = _entropy_bits([_marginal_mass(joint, c)])[0] if c else 0.0
+    return float(h_ac + h_bc - h_abc - h_c)
 
 
 def _check_same_alphabet(p: Pmf, q: Pmf, op: str) -> None:

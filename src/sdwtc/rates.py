@@ -1,18 +1,24 @@
 """Closed-form achievable-rate expressions for wiretap channels with state.
 
-Every functional takes a joint PMF (or the kernels that induce one) and
-returns a RateReport carrying all minimand values, which minimand was
-active, and a feasibility flag.  Values are reported raw: minima can be
-negative for poor policies, and clamping to zero is the caller's choice.
+Each functional's minimands are written once, as formulas over axis names
+(a Terms record); evaluate computes them on a stack of joint masses and
+backs both the search and the functions here.  Every functional takes a
+joint PMF (or the kernels that induce one) and returns a RateReport
+carrying all minimand values, which minimand was active, and a feasibility
+flag.  Values are reported raw: minima can be negative for poor policies,
+and clamping to zero is the caller's choice.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
-from .models import ERASURE, InputPolicy, RlnModel, SdWtcModel, assemble_joint, gp_policy
-from .prob import Channel, JointPmf, Pmf, entropy, mutual_information
+from .models import ERASURE, InputPolicy, RlnModel, SdWtcModel, assemble_joint, gp_policy, policy_joint
+from .prob import Channel, JointPmf, Pmf, _entropy_bits, _marginal_mass
 
 FEAS_TOL = 1e-10
 INDEP_TOL = 1e-9
@@ -28,37 +34,122 @@ class RateReport:
     feasible: bool = True
 
 
-def _report(terms: list[tuple[str, float]], feasible: bool = True) -> RateReport:
-    values = [v for _, v in terms]
-    k = int(np.argmin(values))
+@dataclass(frozen=True)
+class Terms:
+    """A min-of-terms rate, each term labelled by its formula over axis names:
+    I(A;B|C) and H(A|C) terms added and subtracted left to right, with
+    [...]+ the positive part.  The rate is infeasible (a report state) where
+    the feasible formula is below -FEAS_TOL; a joint where the vanishing
+    formula exceeds INDEP_TOL is refused with a ValueError that starts with
+    the requirement.
+    """
+
+    labels: tuple[str, ...]
+    feasible: str | None = None
+    vanishing: str | None = None
+    requirement: str = ""
+
+
+RA = Terms(("I(V;Y|U)-I(V;Z|U)", "I(U,V;Y)-I(U,V;S)", "I(U,V;Y)-I(U;S)-I(V;Z|U)"))
+RA_ALT = Terms(RA.labels[:2], feasible="I(U;Y)-I(U;S)")
+CHV = Terms(("I(V;Y)-I(V;Z)", "I(V;Y)-I(V;S)"))
+CEG = Terms(("I(T;Y|S)", "H(S|T,Z)+[I(T;Y,S)-I(T;Z)]+"),
+            vanishing="I(T;S)", requirement="T must be independent of S")
+RLN = Terms(("I(A;S1|B)-I(A;S2|B)", "I(X;Y)-I(A;S|S1)"))
+SEMIDET = Terms(("H(Y|Z)", "H(Y|S)"),
+                vanishing="H(Y|X,S)", requirement="the model must be semi-deterministic")
+LN_ENCDEC = Terms(("I(X;Y|S)", "I(X;Y|S)-I(X;Z|S)+H(S|Z)"))
+
+_TOKEN = re.compile(r"([+-]?)(\[|\]\+|[IH]\([^()]*\))")
+
+
+@lru_cache(maxsize=256)
+def _plan(terms: Terms, names: tuple[str, ...]) -> tuple[list[tuple[str, ...]], dict[str, list]]:
+    """The distinct marginals a rate needs on joints over these axes, and its
+    formulas as lists of (sign, node) summed left to right: a node is the
+    index of a marginal's entropy, or (clamp, nodes) for a bracket (clamped
+    at zero), an I(A;B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C) or an
+    H(A|C) = H(A,C) - H(C)."""
+    marginals: dict[tuple[str, ...], int] = {}
+    formulas: dict[str, list] = {}
+    for formula in filter(None, (*terms.labels, terms.feasible, terms.vanishing)):
+        tokens = _TOKEN.findall(formula)
+        if "".join(sign + tok for sign, tok in tokens) != formula:
+            raise ValueError(f"cannot parse rate formula {formula!r}")
+        stack: list[list] = [[]]
+        for sign, tok in tokens:
+            if tok == "[":
+                inner: list = []
+                stack[-1].append((sign, (True, inner)))
+                stack.append(inner)
+            elif tok == "]+":
+                stack.pop()
+            else:
+                body, _, given = tok[2:-1].partition("|")
+                c = tuple(given.split(",")) if given else ()
+                groups = [tuple(g.split(",")) for g in body.split(";")]
+                parts = [("+", g + c) for g in groups]
+                if len(groups) == 2:
+                    parts.append(("-", groups[0] + groups[1] + c))
+                if c:
+                    parts.append(("-", c))
+                stack[-1].append((sign, (False, [(s, marginals.setdefault(g, len(marginals)))
+                                                 for s, g in parts])))
+        formulas[formula] = stack[0]
+    unknown = {n for keep in marginals for n in keep} - set(names)
+    if unknown:
+        raise ValueError(f"unknown axes {sorted(unknown)}; have {names}")
+    return list(marginals), formulas
+
+
+def evaluate(terms: Terms, names: Sequence[str], mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every term of a rate on a stack of joints, mass[b] over the named axes:
+    the (B, terms) values and the (B,) feasibility flags.  Each distinct
+    marginal entropy is computed once."""
+    names = tuple(names)
+    marginals, formulas = _plan(terms, names)
+    h = _entropy_bits([_marginal_mass((names, mass), keep) for keep in marginals], lead=1)
+
+    def value(nodes: list) -> np.ndarray:
+        acc = None
+        for sign, node in nodes:
+            if isinstance(node, int):
+                v = h[node]
+            else:
+                clamp, inner = node
+                v = np.maximum(0.0, value(inner)) if clamp else value(inner)
+            v = -v if sign == "-" else v  # a + (-b) rounds exactly as a - b
+            acc = v if acc is None else acc + v
+        return acc
+
+    if terms.vanishing is not None:
+        got = value(formulas[terms.vanishing])
+        bad = np.nonzero(got > INDEP_TOL)[0]
+        if bad.size:
+            raise ValueError(
+                f"{terms.requirement}, got {terms.vanishing} = {float(got[bad[0]])!r} bits")
+    values = np.stack([value(formulas[label]) for label in terms.labels], axis=1)
+    feasible = (np.ones(len(mass), dtype=bool) if terms.feasible is None
+                else value(formulas[terms.feasible]) >= -FEAS_TOL)
+    return values, feasible
+
+
+def report(terms: Terms, joint: JointPmf) -> RateReport:
+    """The RateReport of a rate on one joint."""
+    values, feasible = evaluate(terms, joint.names, joint.mass[None])
+    k = int(np.argmin(values[0]))
     return RateReport(
-        value=float(values[k]),
-        active_term=terms[k][0],
-        terms=tuple((lbl, float(v)) for lbl, v in terms),
-        feasible=feasible,
+        value=float(values[0, k]),
+        active_term=terms.labels[k],
+        terms=tuple((label, float(v)) for label, v in zip(terms.labels, values[0])),
+        feasible=bool(feasible[0]),
     )
 
 
 def rate_RA(joint: JointPmf) -> RateReport:
-    """The three-term inner-layer/outer-layer secrecy rate.
-
-    Terms over a joint with axes S, U, V, X, Y, Z:
-      I(V;Y|U) - I(V;Z|U),
-      I(U,V;Y) - I(U,V;S),
-      I(U,V;Y) - I(U;S) - I(V;Z|U).
-    """
-    i_vy_u = mutual_information(joint, ("V",), ("Y",), ("U",))
-    i_vz_u = mutual_information(joint, ("V",), ("Z",), ("U",))
-    i_uvy = mutual_information(joint, ("U", "V"), ("Y",))
-    i_uvs = mutual_information(joint, ("U", "V"), ("S",))
-    i_us = mutual_information(joint, ("U",), ("S",))
-    return _report(
-        [
-            ("I(V;Y|U)-I(V;Z|U)", i_vy_u - i_vz_u),
-            ("I(U,V;Y)-I(U,V;S)", i_uvy - i_uvs),
-            ("I(U,V;Y)-I(U;S)-I(V;Z|U)", i_uvy - i_us - i_vz_u),
-        ]
-    )
+    """The three-term inner-layer/outer-layer secrecy rate over a joint with
+    axes S, U, V, X, Y, Z (the RA terms)."""
+    return report(RA, joint)
 
 
 def rate_RA_alt(joint: JointPmf) -> RateReport:
@@ -67,25 +158,12 @@ def rate_RA_alt(joint: JointPmf) -> RateReport:
     Shares the first two minimands of rate_RA; the constraint replaces the
     third.  Infeasibility is a report state, not an error.
     """
-    i_vy_u = mutual_information(joint, ("V",), ("Y",), ("U",))
-    i_vz_u = mutual_information(joint, ("V",), ("Z",), ("U",))
-    i_uvy = mutual_information(joint, ("U", "V"), ("Y",))
-    i_uvs = mutual_information(joint, ("U", "V"), ("S",))
-    i_uy = mutual_information(joint, ("U",), ("Y",))
-    i_us = mutual_information(joint, ("U",), ("S",))
-    feasible = i_uy - i_us >= -FEAS_TOL
-    return _report(
-        [
-            ("I(V;Y|U)-I(V;Z|U)", i_vy_u - i_vz_u),
-            ("I(U,V;Y)-I(U,V;S)", i_uvy - i_uvs),
-        ],
-        feasible=feasible,
-    )
+    return report(RA_ALT, joint)
 
 
 def constraint_gap(joint: JointPmf) -> float:
     """I(U;Y) - I(U;S), the feasibility margin of rate_RA_alt."""
-    return mutual_information(joint, ("U",), ("Y",)) - mutual_information(joint, ("U",), ("S",))
+    return report(Terms((RA_ALT.feasible,)), joint).value
 
 
 def _erasure_symbol(v_symbols: tuple) -> str:
@@ -153,15 +231,7 @@ def transform_to_alt(joint: JointPmf, model: SdWtcModel, policy: InputPolicy) ->
 
 def rate_CHV(joint: JointPmf) -> RateReport:
     """The single-auxiliary rate min{I(V;Y)-I(V;Z), I(V;Y)-I(V;S)}."""
-    i_vy = mutual_information(joint, ("V",), ("Y",))
-    i_vz = mutual_information(joint, ("V",), ("Z",))
-    i_vs = mutual_information(joint, ("V",), ("S",))
-    return _report(
-        [
-            ("I(V;Y)-I(V;Z)", i_vy - i_vz),
-            ("I(V;Y)-I(V;S)", i_vy - i_vs),
-        ]
-    )
+    return report(CHV, joint)
 
 
 def rate_CEG(joint: JointPmf) -> RateReport:
@@ -171,157 +241,33 @@ def rate_CEG(joint: JointPmf) -> RateReport:
       I(T;Y|S),
       H(S|T,Z) + max(0, I(T;Y,S) - I(T;Z)).
     """
-    i_ts = mutual_information(joint, ("T",), ("S",))
-    if i_ts > INDEP_TOL:
-        raise ValueError(f"T must be independent of S, got I(T;S) = {i_ts!r} bits")
-    i_tys = mutual_information(joint, ("T",), ("Y", "S"))
-    i_tz = mutual_information(joint, ("T",), ("Z",))
-    bracket = max(0.0, i_tys - i_tz)
-    return _report(
-        [
-            ("I(T;Y|S)", mutual_information(joint, ("T",), ("Y",), ("S",))),
-            ("H(S|T,Z)+[I(T;Y,S)-I(T;Z)]+", entropy(joint, ("S",), ("T", "Z")) + bracket),
-        ]
-    )
+    return report(CEG, joint)
 
 
 def ceg_joint(p_t: Pmf, p_x_given_ts: Channel, model: SdWtcModel) -> JointPmf:
     """The joint over (S, T, X, Y, Z) of a selection variable T independent of S."""
-    if p_x_given_ts.in_names != ("T", "S") or p_x_given_ts.out_names != ("X",):
-        raise ValueError(
-            f"need a kernel (T, S) -> (X,), got {p_x_given_ts.in_names} -> {p_x_given_ts.out_names}"
-        )
-    if p_x_given_ts.in_axes[0][1] != p_t.symbols:
-        raise ValueError("selection kernel T alphabet does not match the T pmf")
-    if p_x_given_ts.in_axes[1][1] != model.s_symbols:
-        raise ValueError("selection kernel state alphabet does not match the model")
-    if p_x_given_ts.out_axes[0][1] != model.x_symbols:
-        raise ValueError("selection kernel X alphabet does not match the model")
-    mass = np.einsum(
-        "s,t,tsx,xsyz->stxyz",
-        model.state_pmf.probs,
-        p_t.probs,
-        p_x_given_ts.kernel,
-        model.channel.kernel,
-    )
-    axes = (
-        ("S", model.s_symbols),
-        ("T", p_t.symbols),
-        ("X", model.x_symbols),
-        ("Y", model.y_symbols),
-        ("Z", model.z_symbols),
-    )
-    return JointPmf(axes, mass)
+    return policy_joint("ceg", model, (p_t, p_x_given_ts))
 
 
-def rln_joint(
-    p_x: Pmf,
-    p_a_given_s: Channel,
-    p_b_given_a: Channel,
-    rln: RlnModel,
-) -> JointPmf:
+def rln_joint(p_x: Pmf, p_a_given_s: Channel, p_b_given_a: Channel, rln: RlnModel) -> JointPmf:
     """The joint over (S, A, B, X, S1, S2, Y, Z) of a product-form policy."""
-    if p_a_given_s.in_names != ("S",) or p_a_given_s.out_names != ("A",):
-        raise ValueError(f"need a kernel (S,) -> (A,), got {p_a_given_s.in_names} -> {p_a_given_s.out_names}")
-    if p_b_given_a.in_names != ("A",) or p_b_given_a.out_names != ("B",):
-        raise ValueError(f"need a kernel (A,) -> (B,), got {p_b_given_a.in_names} -> {p_b_given_a.out_names}")
-    if p_a_given_s.in_axes[0][1] != rln.s_symbols:
-        raise ValueError("A-kernel state alphabet does not match the model")
-    if p_a_given_s.out_axes[0][1] != p_b_given_a.in_axes[0][1]:
-        raise ValueError("B-kernel input alphabet does not match the A alphabet")
-    if p_x.symbols != rln.x_symbols:
-        raise ValueError("input pmf alphabet does not match the model's X alphabet")
-    mass = np.einsum(
-        "s,sa,ab,x,scd,xyz->sabxcdyz",
-        rln.state_pmf.probs,
-        p_a_given_s.kernel,
-        p_b_given_a.kernel,
-        p_x.probs,
-        rln.state_channel.kernel,
-        rln.main_channel.kernel,
-    )
-    axes = (
-        ("S", rln.s_symbols),
-        ("A", p_a_given_s.out_axes[0][1]),
-        ("B", p_b_given_a.out_axes[0][1]),
-        ("X", rln.x_symbols),
-        ("S1", rln.s1_symbols),
-        ("S2", rln.s2_symbols),
-        ("Y", rln.y_symbols),
-        ("Z", rln.z_symbols),
-    )
-    return JointPmf(axes, mass)
+    return policy_joint("rln", rln, (p_x, p_a_given_s, p_b_given_a))
 
 
-def rate_RLN(
-    p_x: Pmf,
-    p_a_given_s: Channel,
-    p_b_given_a: Channel,
-    rln: RlnModel,
-) -> RateReport:
+def rate_RLN(p_x: Pmf, p_a_given_s: Channel, p_b_given_a: Channel, rln: RlnModel) -> RateReport:
     """min{I(A;S1|B) - I(A;S2|B), I(X;Y) - I(A;S|S1)} for product policies."""
-    joint = rln_joint(p_x, p_a_given_s, p_b_given_a, rln)
-    t1 = mutual_information(joint, ("A",), ("S1",), ("B",)) - mutual_information(
-        joint, ("A",), ("S2",), ("B",)
-    )
-    t2 = mutual_information(joint, ("X",), ("Y",)) - mutual_information(
-        joint, ("A",), ("S",), ("S1",)
-    )
-    return _report(
-        [
-            ("I(A;S1|B)-I(A;S2|B)", t1),
-            ("I(X;Y)-I(A;S|S1)", t2),
-        ]
-    )
+    return report(RLN, rln_joint(p_x, p_a_given_s, p_b_given_a, rln))
 
 
 def _xs_joint(p_x_given_s: Channel, model: SdWtcModel) -> JointPmf:
-    if p_x_given_s.in_names != ("S",) or p_x_given_s.out_names != ("X",):
-        raise ValueError(f"need a kernel (S,) -> (X,), got {p_x_given_s.in_names} -> {p_x_given_s.out_names}")
-    if p_x_given_s.in_axes[0][1] != model.s_symbols:
-        raise ValueError("input kernel state alphabet does not match the model")
-    if p_x_given_s.out_axes[0][1] != model.x_symbols:
-        raise ValueError("input kernel X alphabet does not match the model")
-    mass = np.einsum(
-        "s,sx,xsyz->sxyz",
-        model.state_pmf.probs,
-        p_x_given_s.kernel,
-        model.channel.kernel,
-    )
-    axes = (
-        ("S", model.s_symbols),
-        ("X", model.x_symbols),
-        ("Y", model.y_symbols),
-        ("Z", model.z_symbols),
-    )
-    return JointPmf(axes, mass)
+    return policy_joint("x_given_s", model, p_x_given_s)
 
 
 def semidet_objective(p_x_given_s: Channel, model: SdWtcModel) -> RateReport:
     """min{H(Y|Z), H(Y|S)} for models with a deterministic legitimate output."""
-    joint = _xs_joint(p_x_given_s, model)
-    h_y_xs = entropy(joint, ("Y",), ("X", "S"))
-    if h_y_xs > INDEP_TOL:
-        raise ValueError(
-            f"model is not semi-deterministic: H(Y|X,S) = {h_y_xs!r} bits"
-        )
-    return _report(
-        [
-            ("H(Y|Z)", entropy(joint, ("Y",), ("Z",))),
-            ("H(Y|S)", entropy(joint, ("Y",), ("S",))),
-        ]
-    )
+    return report(SEMIDET, _xs_joint(p_x_given_s, model))
 
 
 def rate_LN_encdec(p_x_given_s: Channel, model: SdWtcModel) -> RateReport:
     """min{I(X;Y|S), I(X;Y|S) - I(X;Z|S) + H(S|Z)} for state-informed ends."""
-    joint = _xs_joint(p_x_given_s, model)
-    i_xy_s = mutual_information(joint, ("X",), ("Y",), ("S",))
-    i_xz_s = mutual_information(joint, ("X",), ("Z",), ("S",))
-    h_s_z = entropy(joint, ("S",), ("Z",))
-    return _report(
-        [
-            ("I(X;Y|S)", i_xy_s),
-            ("I(X;Y|S)-I(X;Z|S)+H(S|Z)", i_xy_s - i_xz_s + h_s_z),
-        ]
-    )
+    return report(LN_ENCDEC, _xs_joint(p_x_given_s, model))

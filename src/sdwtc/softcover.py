@@ -88,6 +88,19 @@ def _divergence_tables(joint: JointPmf) -> tuple[tuple[np.ndarray, np.ndarray], 
     return pair1, pair2, float(np.log2(1.0 / qw_min))
 
 
+def _betas(
+    tables, orders: np.ndarray, r1: float, r2: float, d1: float, d2: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """beta1 and beta2 at each order: ((a-1)/(2a-1)) (r - d - d_a) for the two
+    divergences of the _divergence_tables."""
+    (lp1, lq1), (lp2, lq2), _ = tables
+    factor = (orders - 1.0) / (2.0 * orders - 1.0)
+    return (
+        factor * (r1 - d1 - _renyi_from_logs(lp1, lq1, orders)),
+        factor * (r1 + r2 - d2 - _renyi_from_logs(lp2, lq2, orders)),
+    )
+
+
 def beta_exponents(spec: SoftCoverSpec, order: float) -> tuple[float, float]:
     """The two exponent candidates at a given Renyi order alpha > 1.
 
@@ -96,24 +109,9 @@ def beta_exponents(spec: SoftCoverSpec, order: float) -> tuple[float, float]:
     """
     if not order > 1.0:
         raise ValueError(f"order must exceed 1, got {order!r}")
-    (lp1, lq1), (lp2, lq2), _ = _divergence_tables(spec.joint)
-    orders = np.array([order])
-    d_a1 = _renyi_from_logs(lp1, lq1, orders)[0]
-    d_a2 = _renyi_from_logs(lp2, lq2, orders)[0]
-    factor = (order - 1.0) / (2.0 * order - 1.0)
-    return (
-        float(factor * (spec.r1 - spec.d1 - d_a1)),
-        float(factor * (spec.r1 + spec.r2 - spec.d2 - d_a2)),
-    )
-
-
-def _beta_curves(spec: SoftCoverSpec) -> tuple[np.ndarray, np.ndarray, float]:
-    """beta1 and beta2 on the alpha grid, plus log2 of 1/min supported Q_W."""
-    (lp1, lq1), (lp2, lq2), log2_inv_qw = _divergence_tables(spec.joint)
-    factor = (_ALPHA_GRID - 1.0) / (2.0 * _ALPHA_GRID - 1.0)
-    b1 = factor * (spec.r1 - spec.d1 - _renyi_from_logs(lp1, lq1, _ALPHA_GRID))
-    b2 = factor * (spec.r1 + spec.r2 - spec.d2 - _renyi_from_logs(lp2, lq2, _ALPHA_GRID))
-    return b1, b2, log2_inv_qw
+    b1, b2 = _betas(_divergence_tables(spec.joint), np.array([order]),
+                    spec.r1, spec.r2, spec.d1, spec.d2)
+    return float(b1[0]), float(b2[0])
 
 
 def _refine_alpha(objective_at, t_lo: float, t_hi: float) -> tuple[float, float]:
@@ -135,9 +133,9 @@ def _refine_alpha(objective_at, t_lo: float, t_hi: float) -> tuple[float, float]
     return alpha, objective_at(alpha)
 
 
-def _maximize_over_alpha(spec: SoftCoverSpec, cap: float | None) -> tuple[float, float]:
+def _maximize_over_alpha(spec: SoftCoverSpec, tables, cap: float | None) -> tuple[float, float]:
     """sup over alpha of min(beta1, beta2[, cap]); returns (alpha, value)."""
-    b1, b2, _ = _beta_curves(spec)
+    b1, b2 = _betas(tables, _ALPHA_GRID, spec.r1, spec.r2, spec.d1, spec.d2)
     curve = np.minimum(b1, b2)
     if cap is not None:
         curve = np.minimum(curve, cap)
@@ -145,14 +143,9 @@ def _maximize_over_alpha(spec: SoftCoverSpec, cap: float | None) -> tuple[float,
     t = np.log(_ALPHA_GRID - 1.0)
     t_lo, t_hi = t[max(k - 1, 0)], t[min(k + 1, t.size - 1)]
 
-    (lp1, lq1), (lp2, lq2), _ = _divergence_tables(spec.joint)
-
     def objective_at(alpha: float) -> float:
-        orders = np.array([alpha])
-        f = (alpha - 1.0) / (2.0 * alpha - 1.0)
-        v1 = f * (spec.r1 - spec.d1 - _renyi_from_logs(lp1, lq1, orders)[0])
-        v2 = f * (spec.r1 + spec.r2 - spec.d2 - _renyi_from_logs(lp2, lq2, orders)[0])
-        v = min(v1, v2)
+        v1, v2 = _betas(tables, np.array([alpha]), spec.r1, spec.r2, spec.d1, spec.d2)
+        v = min(v1[0], v2[0])
         return v if cap is None else min(v, cap)
 
     alpha, refined = _refine_alpha(objective_at, t_lo, t_hi)
@@ -161,12 +154,20 @@ def _maximize_over_alpha(spec: SoftCoverSpec, cap: float | None) -> tuple[float,
     return alpha, float(refined)
 
 
-def _coefficient(spec: SoftCoverSpec) -> float:
-    """The level coefficient c: the tail bound controls D >= c n 2^{-n gamma}."""
-    _, sup_min = _maximize_over_alpha(spec, cap=None)
-    _, _, log2_inv_qw = _beta_curves(spec)
+def _gamma(spec: SoftCoverSpec, tables) -> GammaResult:
+    """gamma_exponent on the spec's precomputed _divergence_tables."""
+    alpha, value = _maximize_over_alpha(spec, tables, cap=spec.d1 / 4.0)
+    valid = spec.is_valid()
+    gamma = max(0.0, value) if valid else 0.0
+    # the level coefficient c: the tail bound controls D >= c n 2^{-n gamma}
+    _, sup_min = _maximize_over_alpha(spec, tables, cap=None)
     log2_e = 1.0 / LN2
-    return 4.0 * (log2_e + 2.0 * sup_min) + log2_e + 2.0 * log2_inv_qw
+    return GammaResult(
+        gamma=gamma,
+        alpha=alpha,
+        c=4.0 * (log2_e + 2.0 * sup_min) + log2_e + 2.0 * tables[2],
+        degenerate=(not valid) or gamma <= 0.0,
+    )
 
 
 def gamma_exponent(spec: SoftCoverSpec) -> GammaResult:
@@ -177,15 +178,7 @@ def gamma_exponent(spec: SoftCoverSpec) -> GammaResult:
     whose confidence parameters fall outside the valid region or whose
     exponent is zero.
     """
-    alpha, value = _maximize_over_alpha(spec, cap=spec.d1 / 4.0)
-    valid = spec.is_valid()
-    gamma = max(0.0, value) if valid else 0.0
-    return GammaResult(
-        gamma=gamma,
-        alpha=alpha,
-        c=_coefficient(spec),
-        degenerate=(not valid) or gamma <= 0.0,
-    )
+    return _gamma(spec, _divergence_tables(spec.joint))
 
 
 @dataclass(frozen=True)
@@ -213,10 +206,9 @@ def best_gamma(joint: JointPmf, r1: float, r2: float) -> BestGammaResult:
             f"rates sit below the covering thresholds: margins are ({m1!r}, {m2!r})"
         )
 
-    (lp1, lq1), (lp2, lq2), _ = _divergence_tables(joint)
+    tables = _divergence_tables(joint)
     factor = (_ALPHA_GRID - 1.0) / (2.0 * _ALPHA_GRID - 1.0)
-    a1 = factor * (r1 - _renyi_from_logs(lp1, lq1, _ALPHA_GRID))
-    a2 = factor * (r1 + r2 - _renyi_from_logs(lp2, lq2, _ALPHA_GRID))
+    a1, a2 = _betas(tables, _ALPHA_GRID, r1, r2, 0.0, 0.0)
 
     def scan(d1s: np.ndarray, n2: int, best: tuple[float, float, float]) -> tuple[float, float, float]:
         for d1 in d1s:
@@ -243,7 +235,7 @@ def best_gamma(joint: JointPmf, r1: float, r2: float) -> BestGammaResult:
         span *= 4.0 / 15.0
 
     spec = SoftCoverSpec(joint, r1, r2, best[1], best[2])
-    res = gamma_exponent(spec)
+    res = _gamma(spec, tables)
     return BestGammaResult(
         gamma=res.gamma,
         alpha=res.alpha,

@@ -473,6 +473,14 @@ def test_rate_without_functional_lists_the_names(tmp_path, capsys):
          "ch.json has no field 'Z'"),
         ([wiretap_doc()], x_given_s_doc(), "ch.json must hold a JSON object, got list"),
         (wiretap_doc(), [x_given_s_doc()], "pol.json must hold a JSON object, got list"),
+        ({"kind": "semideterministic", "alphabets": {"S": [0, 1], "X": [0, 1], "Z": [0]},
+          "state_pmf": [0.5, 0.5], "g": [[0, 1]], "z_kernel": [[[1.0], [1.0]], [[1.0], [1.0]]]},
+         x_given_s_doc(), "ch.json field 'g' must hold 2 rows (one per X symbol) "
+         "of 2 entries (one per S symbol)"),
+        (wiretap_doc(), {**const_u_policy_doc(), "u": 3},
+         "pol.json field 'u' must list the symbols, got int"),
+        ({**wiretap_doc(), "alphabets": {"S": 2, "X": [0, 1], "Y": [0, 1], "Z": [0, 1]}},
+         x_given_s_doc(), "ch.json field 'S' must list the symbols, got int"),
     ],
 )
 def test_malformed_documents_are_error_records(tmp_path, capsys, channel, policy, message):

@@ -1,15 +1,26 @@
 """Restart/ascent maximizer and the tiny-instance grid oracle."""
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from identities import random_gp_policy, random_model, random_rln_model
-from sdwtc.models import assemble_joint, build_rln_example, build_semideterministic, gp_policy
+from sdwtc.models import (
+    assemble_joint,
+    build_rln_example,
+    build_semideterministic,
+    gp_policy,
+    stacked_joint,
+)
 from sdwtc.optimize import (
     FUNCTIONALS,
     OptBudget,
     OptResult,
+    _aux,
+    _search_space,
     cardinality_caps,
     evaluate_policy,
     exhaustive_small,
@@ -17,7 +28,7 @@ from sdwtc.optimize import (
     rate_report,
 )
 from sdwtc.prob import Channel, bernoulli
-from sdwtc.rates import constraint_gap
+from sdwtc.rates import constraint_gap, evaluate
 
 RNG_SEED = 20240820
 
@@ -26,6 +37,16 @@ def _xor_model():
     kz = np.full((2, 2, 1), 1.0)
     ch = Channel((("X", (0, 1)), ("S", (0, 1))), (("Z", (0,)),), kz)
     return build_semideterministic(lambda x, s: x ^ s, ch, bernoulli(0.5))
+
+
+def _instances(rng):
+    """functional -> (model, card_u, card_v) on small random instances."""
+    model = random_model(rng)
+    return {
+        "RA": (model, 2, 2), "RA_alt": (model, 2, 2), "CHV": (model, 1, 2), "CEG": (model, 2, 1),
+        "RLN": (random_rln_model(rng), 2, 2), "semidet": (_xor_model(), 1, 1),
+        "LN_encdec": (model, 1, 1),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +259,61 @@ def test_grid_refinement_monotone():
         coarse = exhaustive_small("LN_encdec", model, 1.0 / 4.0)
         fine = exhaustive_small("LN_encdec", model, 1.0 / 8.0)
         assert fine >= coarse - 1e-12
+
+
+@pytest.mark.parametrize("functional", sorted(FUNCTIONALS))
+def test_stacked_evaluation_matches_rate_report(functional):
+    # the search's evaluator on a stack of policies against rate_report on
+    # each policy object: 1e-12 on the stack, bit for bit on a stack of one
+    rng = np.random.default_rng(RNG_SEED + 20)
+    model, card_u, card_v = _instances(rng)[functional]
+    entry = FUNCTIONALS[functional]
+    shapes, build = _search_space(entry, model, card_u, card_v)
+
+    def joints(stacks):
+        return stacked_joint(entry.policy_kinds[0], model, _aux(entry, card_u, card_v), stacks)
+
+    stacks = [rng.dirichlet(np.ones(d), size=(9, rows)) for rows, d in shapes]
+    axes, mass = joints(stacks)
+    names = [name for name, _ in axes]
+    values, feasible = evaluate(entry.terms, names, mass)
+    assert values.shape == (9, len(entry.terms.labels))
+    for b in range(9):
+        report = rate_report(functional, model, build([s[b] for s in stacks]))
+        want = [v for _, v in report.terms]
+        assert np.allclose(values[b], want, rtol=0.0, atol=1e-12)
+        assert feasible[b] == report.feasible
+        one, one_feasible = evaluate(entry.terms, names, joints([s[b:b + 1] for s in stacks])[1])
+        assert one[0].tolist() == want
+        assert one_feasible[0] == report.feasible
+
+
+def _grid_by_rate_report(functional, model, k, card_u, card_v):
+    """exhaustive_small one policy object at a time, through rate_report."""
+    shapes, build = _search_space(FUNCTIONALS[functional], model, card_u, card_v)
+    rows = {d: [np.array(c) / k for c in itertools.product(range(k + 1), repeat=d) if sum(c) == k]
+            for _, d in shapes}
+    best = -math.inf
+    for pick in itertools.product(*(rows[d] for n, d in shapes for _ in range(n))):
+        blocks, i = [], 0
+        for n, _ in shapes:
+            blocks.append(np.stack(pick[i:i + n]))
+            i += n
+        report = rate_report(functional, model, build(blocks))
+        best = max(best, max(0.0, report.value) if report.feasible else -math.inf)
+    return best
+
+
+@pytest.mark.parametrize("functional, k", [
+    ("RA", 2), ("RA_alt", 2), ("CHV", 3), ("CEG", 2), ("RLN", 2), ("semidet", 4), ("LN_encdec", 4),
+])
+def test_grid_matches_a_per_policy_oracle(functional, k):
+    rng = np.random.default_rng(RNG_SEED + 21)
+    model, card_u, card_v = _instances(rng)[functional]
+    if functional in ("RA", "RA_alt"):
+        card_v = 1
+    oracle = _grid_by_rate_report(functional, model, k, card_u, card_v)
+    assert exhaustive_small(functional, model, 1.0 / k, card_u, card_v) == pytest.approx(oracle, abs=1e-12)
 
 
 def test_maximize_matches_grid_oracle_on_xor_toy():
