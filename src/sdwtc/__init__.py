@@ -21,7 +21,6 @@ from .models import (
 from .optimize import (
     OptBudget,
     OptResult,
-    evaluate_policy,
     exhaustive_small,
     maximize,
     rate_report,
@@ -46,20 +45,7 @@ from .prob import (
     total_variation,
     uniform,
 )
-from .rates import (
-    RateReport,
-    ceg_joint,
-    constraint_gap,
-    rate_CEG,
-    rate_CHV,
-    rate_LN_encdec,
-    rate_RA,
-    rate_RA_alt,
-    rate_RLN,
-    rln_joint,
-    semidet_objective,
-    transform_to_alt,
-)
+from .rates import RateReport, constraint_gap, transform_to_alt
 from .simulate import (
     BinningResult,
     CapacityResult,

@@ -19,11 +19,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import __version__, rates, simulate
+from . import __version__, simulate
 from .models import (
-    InputPolicy,
     RlnModel,
     SdWtcModel,
+    _floats_from_json,
     _symbols_from_json,
     achieving_rln_policy,
     as_input_policy,
@@ -160,7 +160,7 @@ def load_policy_spec(path: str, model: SdWtcModel | RlnModel):
     kind = doc.get("kind")
     spec = policy_kind(kind)
     aux = [_symbols_from_json(doc, field) for field in spec.aux]
-    arrays = [np.array(doc[field], dtype=float) for field, _, _ in spec.parts]
+    arrays = [_floats_from_json(doc, field) for field, _, _ in spec.parts]
     return build_policy(kind, model, aux, arrays)
 
 
@@ -181,11 +181,11 @@ def _write_csv(path: str, rows: list[tuple]) -> None:
             )
 
 
-def _covering_joint(model: SdWtcModel, policy: InputPolicy, w_axis: str) -> JointPmf:
-    """The (U, V, W) joint where W is one of the model axes S, Y, or Z."""
+def _covering_joint(joint: JointPmf, w_axis: str) -> JointPmf:
+    """The (U, V, W) marginal of a layered joint, W one of its axes S, Y, or Z."""
     if w_axis not in ("S", "Y", "Z"):
         raise ValueError(f"--w-axis must be S, Y, or Z, got {w_axis!r}")
-    sub = marginalize(assemble_joint(model, policy), ("U", "V", w_axis))
+    sub = marginalize(joint, ("U", "V", w_axis))
     axes = (sub.axes[0], sub.axes[1], ("W", sub.axes[2][1]))
     return JointPmf(axes, sub.mass)
 
@@ -236,7 +236,7 @@ def _cmd_example(config: RunConfig) -> tuple[dict, list]:
     model = build_rln_example(alpha, sigma)
     closed_form = (1.0 - sigma) * (1.0 - binary_entropy(alpha))
     policy = achieving_rln_policy(model)
-    achieved = rates.rate_RLN(*policy, model)
+    achieved = rate_report("RLN", model, policy)
     budget = OptBudget(restarts=config.restarts, iterations=config.iters, seed=config.seed)
     optimized = maximize("RLN", model, len(model.s_symbols), 1, budget)
     results = {
@@ -261,7 +261,7 @@ def _cmd_example(config: RunConfig) -> tuple[dict, list]:
 def _cmd_softcov_exponent(config: RunConfig) -> tuple[dict, list]:
     model = load_channel_spec(config.channel)
     policy = as_input_policy(model, load_policy_spec(config.policy, model))
-    joint = _covering_joint(model, policy, config.w_axis)
+    joint = _covering_joint(assemble_joint(model, policy), config.w_axis)
     if config.r1 is None or config.r2 is None:
         raise ValueError("softcov-exponent needs --r1 and --r2")
     result = best_gamma(joint, config.r1, config.r2)
@@ -300,7 +300,7 @@ def _cmd_softcov_sim(config: RunConfig) -> tuple[dict, list]:
     joint = assemble_joint(model, policy)
     q_u = Pmf(joint.alphabet("U"), _marginal_mass(joint, ("U",)))
     q_v_given_u = channel_from_joint(joint, ("U",), ("V",))
-    cover = _covering_joint(model, policy, config.w_axis)
+    cover = _covering_joint(joint, config.w_axis)
     q_w = Pmf(cover.alphabet("W"), _marginal_mass(cover, ("W",)))
     q_w_given_uv = channel_from_joint(cover, ("U", "V"), ("W",))
 
@@ -326,6 +326,9 @@ def _cmd_codec_sim(config: RunConfig) -> tuple[dict, list]:
     if not config.n:
         raise ValueError("codec-sim needs --n")
     rate_triple = CodeRates(config.r1, config.r2, config.r)
+    joint = assemble_joint(model, policy)
+    q_u = Pmf(joint.alphabet("U"), _marginal_mass(joint, ("U",)))
+    q_v_given_u = channel_from_joint(joint, ("U",), ("V",))
 
     rows: list[tuple] = []
     summary: dict[str, dict] = {}
@@ -344,9 +347,6 @@ def _cmd_codec_sim(config: RunConfig) -> tuple[dict, list]:
             "encoder_failures": res.encoder_failures,
         }
         if config.leakage_trials > 0:
-            joint = assemble_joint(model, policy)
-            q_u = Pmf(joint.alphabet("U"), _marginal_mass(joint, ("U",)))
-            q_v_given_u = channel_from_joint(joint, ("U",), ("V",))
             leaks = []
             for s in derive_seeds(config.seed + n, config.leakage_trials):
                 cb = sample_codebook(q_u, q_v_given_u, n, config.r1, config.r2, config.r, s)

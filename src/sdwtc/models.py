@@ -480,6 +480,18 @@ def _symbols_from_json(doc: Mapping, field: str) -> tuple:
     return tuple(tuple(v) if isinstance(v, list) else v for v in values)
 
 
+def _floats_from_json(doc: Mapping, field: str, scalar: bool = False) -> float | np.ndarray:
+    """The number (scalar) or the float array a document holds under field."""
+    values = doc[field]
+    try:
+        return float(values) if scalar else np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"{getattr(doc, 'path', 'the document')} field {field!r} must hold "
+            f"{'a number' if scalar else 'a rectangular array of numbers'}"
+        ) from None
+
+
 def model_to_dict(model: SdWtcModel | RlnModel) -> dict:
     """Serialize a model to a channel-spec dict (kind generic or rln)."""
     if isinstance(model, SdWtcModel):
@@ -521,39 +533,40 @@ def model_from_dict(doc: Mapping) -> SdWtcModel | RlnModel:
     if kind == "generic":
         alph = doc["alphabets"]
         s, x, y, z = (_symbols_from_json(alph, a) for a in ("S", "X", "Y", "Z"))
-        state_pmf = Pmf(s, np.asarray(doc["state_pmf"], dtype=float))
+        state_pmf = Pmf(s, _floats_from_json(doc, "state_pmf"))
         channel = Channel(
             in_axes=(("X", x), ("S", s)),
             out_axes=(("Y", y), ("Z", z)),
-            kernel=np.asarray(doc["kernel"], dtype=float),
+            kernel=_floats_from_json(doc, "kernel"),
         )
         return SdWtcModel(state_pmf=state_pmf, channel=channel)
     if kind == "rln":
         alph = doc["alphabets"]
         s, s1, s2, x, y, z = (_symbols_from_json(alph, a) for a in ("S", "S1", "S2", "X", "Y", "Z"))
         return RlnModel(
-            state_pmf=Pmf(s, np.asarray(doc["state_pmf"], dtype=float)),
+            state_pmf=Pmf(s, _floats_from_json(doc, "state_pmf")),
             state_channel=Channel(
                 in_axes=(("S", s),),
                 out_axes=(("S1", s1), ("S2", s2)),
-                kernel=np.asarray(doc["state_kernel"], dtype=float),
+                kernel=_floats_from_json(doc, "state_kernel"),
             ),
             main_channel=Channel(
                 in_axes=(("X", x),),
                 out_axes=(("Y", y), ("Z", z)),
-                kernel=np.asarray(doc["main_kernel"], dtype=float),
+                kernel=_floats_from_json(doc, "main_kernel"),
             ),
         )
     if kind == "rln_example":
-        return build_rln_example(float(doc["alpha"]), float(doc["sigma"]))
+        alpha, sigma = (_floats_from_json(doc, field, scalar=True) for field in ("alpha", "sigma"))
+        return build_rln_example(alpha, sigma)
     if kind == "semideterministic":
         alph = doc["alphabets"]
         s, x, z = (_symbols_from_json(alph, a) for a in ("S", "X", "Z"))
-        state_pmf = Pmf(s, np.asarray(doc["state_pmf"], dtype=float))
+        state_pmf = Pmf(s, _floats_from_json(doc, "state_pmf"))
         z_kernel = Channel(
             in_axes=(("X", x), ("S", s)),
             out_axes=(("Z", z),),
-            kernel=np.asarray(doc["z_kernel"], dtype=float),
+            kernel=_floats_from_json(doc, "z_kernel"),
         )
         g_rows = doc["g"]
         if not (isinstance(g_rows, list) and len(g_rows) == len(x)

@@ -1,12 +1,14 @@
-"""Policy search for the achievable-rate functionals.
+"""Policy evaluation and search for the achievable-rate functionals.
 
 ``FUNCTIONALS`` maps each functional name to the model class it needs, the
 policy kinds it takes (``models.POLICY_KINDS``, which gives the
 row-stochastic blocks that parameterize a policy, the builder that turns
 blocks into one and the joints of stacked blocks), the sizes of their
-auxiliary alphabets, and its terms (``rates.Terms``); ``rate_report``,
-``maximize`` and ``exhaustive_small`` all evaluate them with
-``rates.evaluate``.  The search is random-restart coordinate ascent plus a
+auxiliary alphabets, and its terms (``rates.Terms``).  ``rate_report`` is
+the one way to evaluate a policy object: it builds the policy's joint and
+returns ``rates.report`` of it.  ``maximize`` and ``exhaustive_small``
+score stacks of raw blocks with ``rates.evaluate`` and build no policy per
+candidate.  The search is random-restart coordinate ascent plus a
 brute-force grid enumeration, in chunks, for problems small enough to
 afford it.  Runs are deterministic given the budget seed (restart
 r draws from the r-th splitmix64 output of the master seed).
@@ -153,7 +155,8 @@ def rate_report(functional: str, model: SdWtcModel | RlnModel, policy: Any) -> r
 
     The layered functionals (RA, RA_alt, CHV) also take a bare (S,) -> (X,)
     kernel, lifted by models.as_input_policy.  A policy of a kind the
-    functional does not take is a ValueError naming both kinds.
+    functional does not take is a ValueError naming both kinds; an
+    infeasible one (RA_alt where I(U;Y) < I(U;S)) has feasible False.
     """
     entry = _lookup(functional, model)
     kind = _policy_kind(policy)
@@ -164,12 +167,6 @@ def rate_report(functional: str, model: SdWtcModel | RlnModel, policy: Any) -> r
     if kind != entry.policy_kinds[0]:
         policy = as_input_policy(model, policy)
     return rates.report(entry.terms, policy_joint(entry.policy_kinds[0], model, policy))
-
-
-def evaluate_policy(functional: str, model: SdWtcModel | RlnModel, policy: Any) -> float:
-    """Objective value of a policy; -inf when the two-term variant is infeasible."""
-    report = rate_report(functional, model, policy)
-    return report.value if report.feasible else -math.inf
 
 
 def cardinality_caps(model: SdWtcModel | RlnModel) -> tuple[int, int]:

@@ -1,12 +1,12 @@
 """Closed-form achievable-rate expressions for wiretap channels with state.
 
 Each functional's minimands are written once, as formulas over axis names
-(a Terms record); evaluate computes them on a stack of joint masses and
-backs both the search and the functions here.  Every functional takes a
-joint PMF (or the kernels that induce one) and returns a RateReport
-carrying all minimand values, which minimand was active, and a feasibility
-flag.  Values are reported raw: minima can be negative for poor policies,
-and clamping to zero is the caller's choice.
+(a Terms record).  evaluate computes them on a stack of joint masses, and
+report on one joint, as a RateReport carrying all minimand values, which
+minimand was active, and a feasibility flag; optimize.rate_report builds
+the joint of a policy object and calls report.  Values are reported raw:
+minima can be negative for poor policies, and clamping to zero is the
+caller's choice.
 """
 from __future__ import annotations
 
@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .models import ERASURE, InputPolicy, RlnModel, SdWtcModel, assemble_joint, gp_policy, policy_joint
-from .prob import Channel, JointPmf, Pmf, _entropy_bits, _marginal_mass
+from .models import ERASURE, InputPolicy, SdWtcModel, assemble_joint, gp_policy
+from .prob import JointPmf, _entropy_bits, _marginal_mass
 
 FEAS_TOL = 1e-10
 INDEP_TOL = 1e-9
@@ -50,14 +50,21 @@ class Terms:
     requirement: str = ""
 
 
+# joint axes S, U, V, X, Y, Z (a gp policy)
 RA = Terms(("I(V;Y|U)-I(V;Z|U)", "I(U,V;Y)-I(U,V;S)", "I(U,V;Y)-I(U;S)-I(V;Z|U)"))
+# RA's first two terms, feasible only where I(U;Y) >= I(U;S)
 RA_ALT = Terms(RA.labels[:2], feasible="I(U;Y)-I(U;S)")
+# joint axes S, V, Y, Z (a gp policy whose U it ignores)
 CHV = Terms(("I(V;Y)-I(V;Z)", "I(V;Y)-I(V;S)"))
+# joint axes S, T, X, Y, Z (a ceg policy); T must be independent of S
 CEG = Terms(("I(T;Y|S)", "H(S|T,Z)+[I(T;Y,S)-I(T;Z)]+"),
             vanishing="I(T;S)", requirement="T must be independent of S")
+# joint axes S, A, B, X, S1, S2, Y, Z (an rln policy on an RlnModel)
 RLN = Terms(("I(A;S1|B)-I(A;S2|B)", "I(X;Y)-I(A;S|S1)"))
+# joint axes S, X, Y, Z (an x_given_s policy); Y must be a function of (X, S)
 SEMIDET = Terms(("H(Y|Z)", "H(Y|S)"),
                 vanishing="H(Y|X,S)", requirement="the model must be semi-deterministic")
+# joint axes S, X, Y, Z (an x_given_s policy), the state known at both ends
 LN_ENCDEC = Terms(("I(X;Y|S)", "I(X;Y|S)-I(X;Z|S)+H(S|Z)"))
 
 _TOKEN = re.compile(r"([+-]?)(\[|\]\+|[IH]\([^()]*\))")
@@ -146,23 +153,8 @@ def report(terms: Terms, joint: JointPmf) -> RateReport:
     )
 
 
-def rate_RA(joint: JointPmf) -> RateReport:
-    """The three-term inner-layer/outer-layer secrecy rate over a joint with
-    axes S, U, V, X, Y, Z (the RA terms)."""
-    return report(RA, joint)
-
-
-def rate_RA_alt(joint: JointPmf) -> RateReport:
-    """The two-term variant, feasible when I(U;Y) >= I(U;S).
-
-    Shares the first two minimands of rate_RA; the constraint replaces the
-    third.  Infeasibility is a report state, not an error.
-    """
-    return report(RA_ALT, joint)
-
-
 def constraint_gap(joint: JointPmf) -> float:
-    """I(U;Y) - I(U;S), the feasibility margin of rate_RA_alt."""
+    """I(U;Y) - I(U;S), the feasibility margin of RA_ALT."""
     return report(Terms((RA_ALT.feasible,)), joint).value
 
 
@@ -194,7 +186,7 @@ def _erasure_augmented_policy(policy: InputPolicy, eps: float) -> InputPolicy:
 
 
 def transform_to_alt(joint: JointPmf, model: SdWtcModel, policy: InputPolicy) -> InputPolicy:
-    """Repair an infeasible policy for rate_RA_alt without losing rate.
+    """Repair an infeasible policy for RA_ALT without losing rate.
 
     When the three-term rate is positive but I(U;Y) < I(U;S), augmenting the
     inner auxiliary with an erased copy of V restores the constraint: the
@@ -204,7 +196,7 @@ def transform_to_alt(joint: JointPmf, model: SdWtcModel, policy: InputPolicy) ->
     its two-term value is no worse than the original three-term value (up
     to the bisection tolerance).  Feasible policies are returned unchanged.
     """
-    if rate_RA(joint).value <= 0.0 or constraint_gap(joint) >= 0.0:
+    if report(RA, joint).value <= 0.0 or constraint_gap(joint) >= 0.0:
         return policy
 
     def margin(eps: float) -> tuple[float, InputPolicy]:
@@ -227,47 +219,3 @@ def transform_to_alt(joint: JointPmf, model: SdWtcModel, policy: InputPolicy) ->
         else:
             hi = mid
     return cand_lo
-
-
-def rate_CHV(joint: JointPmf) -> RateReport:
-    """The single-auxiliary rate min{I(V;Y)-I(V;Z), I(V;Y)-I(V;S)}."""
-    return report(CHV, joint)
-
-
-def rate_CEG(joint: JointPmf) -> RateReport:
-    """The causal-selection rate for a state-informed decoder.
-
-    Terms over a joint with axes S, T, X, Y, Z and T independent of S:
-      I(T;Y|S),
-      H(S|T,Z) + max(0, I(T;Y,S) - I(T;Z)).
-    """
-    return report(CEG, joint)
-
-
-def ceg_joint(p_t: Pmf, p_x_given_ts: Channel, model: SdWtcModel) -> JointPmf:
-    """The joint over (S, T, X, Y, Z) of a selection variable T independent of S."""
-    return policy_joint("ceg", model, (p_t, p_x_given_ts))
-
-
-def rln_joint(p_x: Pmf, p_a_given_s: Channel, p_b_given_a: Channel, rln: RlnModel) -> JointPmf:
-    """The joint over (S, A, B, X, S1, S2, Y, Z) of a product-form policy."""
-    return policy_joint("rln", rln, (p_x, p_a_given_s, p_b_given_a))
-
-
-def rate_RLN(p_x: Pmf, p_a_given_s: Channel, p_b_given_a: Channel, rln: RlnModel) -> RateReport:
-    """min{I(A;S1|B) - I(A;S2|B), I(X;Y) - I(A;S|S1)} for product policies."""
-    return report(RLN, rln_joint(p_x, p_a_given_s, p_b_given_a, rln))
-
-
-def _xs_joint(p_x_given_s: Channel, model: SdWtcModel) -> JointPmf:
-    return policy_joint("x_given_s", model, p_x_given_s)
-
-
-def semidet_objective(p_x_given_s: Channel, model: SdWtcModel) -> RateReport:
-    """min{H(Y|Z), H(Y|S)} for models with a deterministic legitimate output."""
-    return report(SEMIDET, _xs_joint(p_x_given_s, model))
-
-
-def rate_LN_encdec(p_x_given_s: Channel, model: SdWtcModel) -> RateReport:
-    """min{I(X;Y|S), I(X;Y|S) - I(X;Z|S) + H(S|Z)} for state-informed ends."""
-    return report(LN_ENCDEC, _xs_joint(p_x_given_s, model))

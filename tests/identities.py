@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from sdwtc.models import InputPolicy, RlnModel, SdWtcModel, gp_policy
+from sdwtc.models import InputPolicy, RlnModel, SdWtcModel, gp_policy, policy_joint
 from sdwtc.prob import Channel, JointPmf, Pmf
-from sdwtc.rates import ceg_joint, rln_joint
 
 
 def copy_axis(joint: JointPmf, of: str, name: str) -> JointPmf:
@@ -57,7 +56,7 @@ def random_ceg_joint(rng: np.random.Generator, nt: int = 2) -> JointPmf:
     p_x_given_ts = Channel(
         (("T", p_t.symbols), ("S", model.s_symbols)), (("X", model.x_symbols),), kern
     )
-    return ceg_joint(p_t, p_x_given_ts, model)
+    return policy_joint("ceg", model, (p_t, p_x_given_ts))
 
 
 def random_rln_model(
@@ -96,4 +95,4 @@ def random_rln_policy(
 def random_rln_joint(rng: np.random.Generator) -> JointPmf:
     rln = random_rln_model(rng)
     p_x, p_a, p_b = random_rln_policy(rng, rln)
-    return rln_joint(p_x, p_a, p_b, rln)
+    return policy_joint("rln", rln, (p_x, p_a, p_b))

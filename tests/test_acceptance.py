@@ -29,8 +29,9 @@ from sdwtc.models import (
     build_rln_example,
     build_semideterministic,
     lift_side_information,
+    policy_joint,
 )
-from sdwtc.optimize import OptBudget, exhaustive_small, maximize
+from sdwtc.optimize import OptBudget, exhaustive_small, maximize, rate_report
 from sdwtc.prob import (
     Channel,
     JointPmf,
@@ -45,15 +46,7 @@ from sdwtc.prob import (
     mutual_information,
     uniform,
 )
-from sdwtc.rates import (
-    constraint_gap,
-    rate_CHV,
-    rate_RA,
-    rate_RA_alt,
-    rate_RLN,
-    rln_joint,
-    transform_to_alt,
-)
+from sdwtc.rates import CHV, RA, RA_ALT, constraint_gap, report, transform_to_alt
 from sdwtc.simulate import (
     exact_message_channel,
     exact_output_divergence,
@@ -104,7 +97,7 @@ def test_criterion_01_closed_form_grid():
     for alpha in (0.1, 0.25, 0.4):
         for sigma in (0.2, 0.5, 0.8):
             ex = build_rln_example(alpha, sigma)
-            rep = rate_RLN(*_achieving_policy(ex), ex)
+            rep = rate_report("RLN", ex, _achieving_policy(ex))
             want = (1.0 - sigma) * (1.0 - binary_entropy(alpha))
             worst = max(worst, abs(rep.value - want))
     dt = time.perf_counter() - t0
@@ -151,7 +144,7 @@ def test_criterion_04_information_identity_suite():
     for _ in range(count):
         model = random_model(rng)
         j = assemble_joint(model, random_gp_policy(rng, model))
-        terms = dict(rate_RA(j).terms)
+        terms = dict(report(RA, j).terms)
         swapped = (
             mutual_information(j, ("U", "V"), ("Y",))
             - mutual_information(j, ("U",), ("S",))
@@ -167,14 +160,14 @@ def test_criterion_04_information_identity_suite():
     for _ in range(count):
         model = random_model(rng)
         j = assemble_joint(model, random_gp_policy(rng, model, cu=1, cv=2))
-        ok &= abs(rate_RA(j).value - rate_CHV(j).value) <= tol
+        ok &= abs(report(RA, j).value - report(CHV, j).value) <= tol
 
     # erased side information splits the state entropy
     for _ in range(count):
         alpha = float(rng.uniform(0.05, 0.45))
         sigma = float(rng.uniform(0.05, 0.95))
         ex = build_rln_example(alpha, sigma)
-        j = rln_joint(*_achieving_policy(ex), ex)
+        j = policy_joint("rln", ex, _achieving_policy(ex))
         h_s = entropy(ex.state_pmf)
         ok &= abs(mutual_information(j, ("S",), ("S1",)) - (1.0 - sigma) * h_s) <= tol
         ok &= (
@@ -240,12 +233,12 @@ def test_criterion_05_erasure_repair_recovers_rate():
         model = _repair_family_model()
         policy = _noisy_state_tracker_policy(model, float(rng.uniform(0.25, 0.45)), rng)
         j = assemble_joint(model, policy)
-        before = rate_RA(j)
+        before = report(RA, j)
         if constraint_gap(j) >= 0.0 or before.value <= 1e-6:
             continue
         repaired += 1
         new_policy = transform_to_alt(j, model, policy)
-        alt = rate_RA_alt(assemble_joint(model, new_policy))
+        alt = report(RA_ALT, assemble_joint(model, new_policy))
         ok &= alt.feasible and alt.value >= before.value - 1e-6
     dt = time.perf_counter() - t0
     ok = ok and repaired == 50 and dt < 60.0

@@ -205,7 +205,7 @@ def test_rate_with_constant_u_matches_chv(tmp_path, capsys):
     ch = write_json(tmp_path / "ch.json", wiretap_doc())
     pol = write_json(tmp_path / "pol.json", const_u_policy_doc())
     model = load_channel_spec(ch)
-    expected = rates.rate_CHV(assemble_joint(model, load_policy_spec(pol, model))).value
+    expected = rates.report(rates.CHV, assemble_joint(model, load_policy_spec(pol, model))).value
     status = main(["rate", "--channel", ch, "--policy", pol, "--functional", "RA", "--seed", "5"])
     summary = json.loads(capsys.readouterr().out)
     assert status == 0
@@ -222,7 +222,7 @@ def test_rate_lifts_x_given_s_policy(tmp_path, capsys):
     pol = write_json(tmp_path / "pol.json", x_given_s_doc())
     model = load_channel_spec(ch)
     lifted = as_input_policy(model, load_policy_spec(pol, model))
-    expected = rates.rate_CHV(assemble_joint(model, lifted)).value
+    expected = rates.report(rates.CHV, assemble_joint(model, lifted)).value
     status = main(["rate", "--channel", ch, "--policy", pol, "--functional", "CHV"])
     summary = json.loads(capsys.readouterr().out)
     assert status == 0
@@ -263,7 +263,7 @@ def test_csv_columns_and_formatting(tmp_path, capsys):
     first = lines[1].split(",")
     assert first[0] == "value"
     model = load_channel_spec(ch)
-    expected = rates.rate_CHV(assemble_joint(model, load_policy_spec(pol, model))).value
+    expected = rates.report(rates.CHV, assemble_joint(model, load_policy_spec(pol, model))).value
     assert first[3] == f"{expected:.12g}"
     assert all(line.count(",") == 5 for line in lines)
 
@@ -481,6 +481,14 @@ def test_rate_without_functional_lists_the_names(tmp_path, capsys):
          "pol.json field 'u' must list the symbols, got int"),
         ({**wiretap_doc(), "alphabets": {"S": 2, "X": [0, 1], "Y": [0, 1], "Z": [0, 1]}},
          x_given_s_doc(), "ch.json field 'S' must list the symbols, got int"),
+        ({"kind": "rln_example", "alpha": [0.25], "sigma": 0.5}, x_given_s_doc(),
+         "ch.json field 'alpha' must hold a number"),
+        ({**wiretap_doc(), "state_pmf": {"a": 1}}, x_given_s_doc(),
+         "ch.json field 'state_pmf' must hold a rectangular array of numbers"),
+        (wiretap_doc(), {"kind": "x_given_s", "kernel": [["a", "b"], [1, 0]]},
+         "pol.json field 'kernel' must hold a rectangular array of numbers"),
+        (wiretap_doc(), {"kind": "x_given_s", "kernel": [[0.5, 0.5], [1.0]]},
+         "pol.json field 'kernel' must hold a rectangular array of numbers"),
     ],
 )
 def test_malformed_documents_are_error_records(tmp_path, capsys, channel, policy, message):

@@ -22,7 +22,6 @@ from sdwtc.optimize import (
     _aux,
     _search_space,
     cardinality_caps,
-    evaluate_policy,
     exhaustive_small,
     maximize,
     rate_report,
@@ -137,8 +136,9 @@ def test_value_is_max_of_trace_and_reevaluates():
             functional, model, *cards, budget=OptBudget(restarts=3, iterations=40, seed=5)
         )
         assert res.value == max(res.trace)
-        again = evaluate_policy(functional, model, res.policy)
-        assert res.value == pytest.approx(max(0.0, again), abs=1e-12)
+        again = rate_report(functional, model, res.policy)
+        assert again.feasible
+        assert res.value == pytest.approx(max(0.0, again.value), abs=1e-12)
 
 
 def test_trace_values_clamped_nonnegative():
@@ -207,10 +207,10 @@ def test_evaluate_policy_penalizes_infeasible_alt():
     for s in range(ns):
         k[s, s, 0, :] = 1.0 / nx
     policy = gp_policy(model.s_symbols, model.s_symbols, (0,), model.x_symbols, k)
-    assert evaluate_policy("RA_alt", model, policy) == -np.inf
-    assert np.isfinite(evaluate_policy("RA", model, policy))
     report = rate_report("RA_alt", model, policy)
     assert not report.feasible and np.isfinite(report.value)
+    ra = rate_report("RA", model, policy)
+    assert ra.feasible and np.isfinite(ra.value)
 
 
 def test_every_functional_runs_and_types_policies():

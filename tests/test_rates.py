@@ -20,8 +20,10 @@ from sdwtc.models import (
     build_semideterministic,
     gp_policy,
     lift_side_information,
+    policy_joint,
     vx_policy,
 )
+from sdwtc.optimize import rate_report
 from sdwtc.prob import (
     Channel,
     Pmf,
@@ -31,18 +33,7 @@ from sdwtc.prob import (
     mutual_information,
     uniform,
 )
-from sdwtc.rates import (
-    ceg_joint,
-    constraint_gap,
-    rate_CEG,
-    rate_CHV,
-    rate_LN_encdec,
-    rate_RA,
-    rate_RA_alt,
-    rate_RLN,
-    semidet_objective,
-    transform_to_alt,
-)
+from sdwtc.rates import CEG, CHV, RA, RA_ALT, constraint_gap, report, transform_to_alt
 
 RNG_SEED = 20240819
 
@@ -55,14 +46,14 @@ def test_ra_constant_auxiliaries_give_zero():
     rng = np.random.default_rng(RNG_SEED)
     model = random_model(rng)
     policy = random_gp_policy(rng, model, cu=1, cv=1)
-    assert rate_RA(assemble_joint(model, policy)).value == pytest.approx(0.0, abs=1e-10)
+    assert report(RA, assemble_joint(model, policy)).value == pytest.approx(0.0, abs=1e-10)
 
 
 def test_ra_report_structure():
     rng = np.random.default_rng(RNG_SEED + 1)
     model = random_model(rng)
     j = assemble_joint(model, random_gp_policy(rng, model))
-    rep = rate_RA(j)
+    rep = report(RA, j)
     assert len(rep.terms) == 3
     values = [v for _, v in rep.terms]
     assert rep.value == min(values)
@@ -75,7 +66,7 @@ def test_ra_minimand_identity_swap_zs():
     for _ in range(60):
         model = random_model(rng)
         j = assemble_joint(model, random_gp_policy(rng, model))
-        t2 = dict(rate_RA(j).terms)["I(U,V;Y)-I(U,V;S)"]
+        t2 = dict(report(RA, j).terms)["I(U,V;Y)-I(U,V;S)"]
         swapped = (
             mutual_information(j, ("U", "V"), ("Y",))
             - mutual_information(j, ("U",), ("S",))
@@ -90,7 +81,7 @@ def test_ra_minimand_identity_gap_shift():
     for _ in range(60):
         model = random_model(rng)
         j = assemble_joint(model, random_gp_policy(rng, model))
-        terms = dict(rate_RA(j).terms)
+        terms = dict(report(RA, j).terms)
         t1 = terms["I(V;Y|U)-I(V;Z|U)"]
         t3 = terms["I(U,V;Y)-I(U;S)-I(V;Z|U)"]
         assert t1 == pytest.approx(t3 - constraint_gap(j), abs=1e-10)
@@ -106,12 +97,12 @@ def test_ra_alt_matches_ra_when_feasible():
     for _ in range(200):
         model = random_model(rng)
         j = assemble_joint(model, random_gp_policy(rng, model))
-        alt = rate_RA_alt(j)
+        alt = report(RA_ALT, j)
         if not alt.feasible:
             continue
         seen += 1
         gap = constraint_gap(j)
-        diff = rate_RA(j).value - alt.value
+        diff = report(RA, j).value - alt.value
         assert -1e-10 <= diff <= max(gap, 0.0) + 1e-10
     assert seen >= 20  # the generator must actually produce feasible cases
 
@@ -121,10 +112,10 @@ def test_ra_alt_constant_u_is_chv():
     for _ in range(30):
         model = random_model(rng)
         j = assemble_joint(model, random_gp_policy(rng, model, cu=1, cv=3))
-        alt = rate_RA_alt(j)
+        alt = report(RA_ALT, j)
         assert alt.feasible
         assert abs(constraint_gap(j)) < 1e-10
-        assert alt.value == pytest.approx(rate_CHV(j).value, abs=1e-12)
+        assert alt.value == pytest.approx(report(CHV, j).value, abs=1e-12)
 
 
 def test_ra_alt_reports_infeasibility():
@@ -137,7 +128,7 @@ def test_ra_alt_reports_infeasibility():
     policy = gp_policy(model.s_symbols, model.s_symbols, (0,), model.x_symbols, k)
     j = assemble_joint(model, policy)
     assert constraint_gap(j) < 0.0
-    assert not rate_RA_alt(j).feasible
+    assert not report(RA_ALT, j).feasible
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +206,13 @@ def test_repair_recovers_rate_on_infeasible_family():
         model = _repair_family_model()
         policy = _noisy_state_tracker_policy(model, float(rng.uniform(0.25, 0.45)), rng)
         j = assemble_joint(model, policy)
-        before = rate_RA(j)
+        before = report(RA, j)
         if constraint_gap(j) >= 0.0 or before.value <= 1e-6:
             continue
         repaired += 1
         new_policy = transform_to_alt(j, model, policy)
         new_joint = assemble_joint(model, new_policy)
-        alt = rate_RA_alt(new_joint)
+        alt = report(RA_ALT, new_joint)
         assert alt.feasible
         assert alt.value >= before.value - 1e-6
     assert repaired >= 15
@@ -238,7 +229,7 @@ def test_chv_independent_v_is_zero():
     k = np.full((ns, 1, 2, nx), 0.25)  # V uniform, X uniform, all independent
     policy = gp_policy(model.s_symbols, (0,), (0, 1), model.x_symbols, k)
     j = assemble_joint(model, policy)
-    assert rate_CHV(j).value == pytest.approx(0.0, abs=1e-10)
+    assert report(CHV, j).value == pytest.approx(0.0, abs=1e-10)
 
 
 def test_chv_equals_ra_with_constant_u():
@@ -247,7 +238,7 @@ def test_chv_equals_ra_with_constant_u():
         model = random_model(rng)
         policy = random_gp_policy(rng, model, cu=1, cv=2)
         j = assemble_joint(model, policy)
-        assert rate_RA(j).value == pytest.approx(rate_CHV(j).value, abs=1e-12)
+        assert report(RA, j).value == pytest.approx(report(CHV, j).value, abs=1e-12)
 
 
 def test_chv_state_revealing_policy_stays_below_capacity():
@@ -260,7 +251,7 @@ def test_chv_state_revealing_policy_stays_below_capacity():
         k[s, s, s] = 1.0
     policy = vx_policy(lifted.s_symbols, lifted.s_symbols, lifted.x_symbols, k)
     j = assemble_joint(lifted, policy)
-    assert rate_CHV(j).value <= 0.094361
+    assert report(CHV, j).value <= 0.094361
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +264,7 @@ def test_ceg_constant_t_is_zero():
     p_t = Pmf((0,), np.array([1.0]))
     kern = np.full((1, 2, 2), 0.5)
     ch = Channel((("T", (0,)), ("S", model.s_symbols)), (("X", model.x_symbols),), kern)
-    rep = rate_CEG(ceg_joint(p_t, ch, model))
+    rep = report(CEG, policy_joint("ceg", model, (p_t, ch)))
     assert rep.value == pytest.approx(0.0, abs=1e-10)
 
 
@@ -288,7 +279,7 @@ def test_ceg_rejects_correlated_t():
     from sdwtc.prob import JointPmf
 
     with pytest.raises(ValueError):
-        rate_CEG(JointPmf(axes, mass))
+        report(CEG, JointPmf(axes, mass))
 
 
 def test_ceg_substitution_identities_first_case():
@@ -337,10 +328,8 @@ def test_rln_remark_form_with_constant_b():
     rln = random_rln_model(rng, ns2=1)
     p_x, p_a, _ = random_rln_policy(rng, rln, na=3, nb=1)
     p_b = Channel((("A", (0, 1, 2)),), (("B", (0,)),), np.ones((3, 1)))
-    rep = rate_RLN(p_x, p_a, p_b, rln)
-    from sdwtc.rates import rln_joint
-
-    j = rln_joint(p_x, p_a, p_b, rln)
+    rep = rate_report("RLN", rln, (p_x, p_a, p_b))
+    j = policy_joint("rln", rln, (p_x, p_a, p_b))
     want1 = mutual_information(j, ("A",), ("S1",))
     want2 = mutual_information(j, ("X",), ("Y",)) - mutual_information(
         j, ("A",), ("S",), given=("S1",)
@@ -356,7 +345,7 @@ def test_rln_example_closed_form():
     p_x = uniform(ex.x_symbols)
     a_kernel = Channel((("S", ex.s_symbols),), (("A", ex.s_symbols),), np.eye(2))
     b_kernel = Channel((("A", ex.s_symbols),), (("B", (0,)),), np.ones((2, 1)))
-    rep = rate_RLN(p_x, a_kernel, b_kernel, ex)
+    rep = rate_report("RLN", ex, (p_x, a_kernel, b_kernel))
     want = (1.0 - sigma) * (1.0 - binary_entropy(alpha))
     assert rep.value == pytest.approx(want, abs=1e-9)
 
@@ -364,14 +353,12 @@ def test_rln_example_closed_form():
 def test_rln_example_side_information_split():
     # the erased state observation splits the state entropy:
     # I(S;S1) = (1-σ) H(S) and, with A=S, I(A;S|S1) = σ H(S)
-    from sdwtc.rates import rln_joint
-
     for alpha, sigma in ((0.1, 0.2), (0.25, 0.5), (0.4, 0.8)):
         ex = build_rln_example(alpha, sigma)
         p_x = uniform(ex.x_symbols)
         a_kernel = Channel((("S", ex.s_symbols),), (("A", ex.s_symbols),), np.eye(2))
         b_kernel = Channel((("A", ex.s_symbols),), (("B", (0,)),), np.ones((2, 1)))
-        j = rln_joint(p_x, a_kernel, b_kernel, ex)
+        j = policy_joint("rln", ex, (p_x, a_kernel, b_kernel))
         h_s = entropy(ex.state_pmf)
         assert mutual_information(j, ("S",), ("S1",)) == pytest.approx(
             (1.0 - sigma) * h_s, abs=1e-10
@@ -430,7 +417,7 @@ def test_semidet_y_equals_s_gives_zero():
     model = build_semideterministic(lambda x, s: s, ch, bernoulli(0.3))
     rows = np.array([[0.5, 0.5], [0.5, 0.5]])
     pol = Channel((("S", (0, 1)),), (("X", (0, 1)),), rows)
-    assert semidet_objective(pol, model).value == pytest.approx(0.0, abs=1e-10)
+    assert rate_report("semidet", model, pol).value == pytest.approx(0.0, abs=1e-10)
 
 
 def test_semidet_z_equals_y_gives_zero():
@@ -442,13 +429,13 @@ def test_semidet_z_equals_y_gives_zero():
     ch = Channel((("X", (0, 1)), ("S", (0, 1))), (("Z", (0, 1)),), kz)
     model = build_semideterministic(lambda x, s: x ^ s, ch, bernoulli(0.3))
     pol = Channel((("S", (0, 1)),), (("X", (0, 1)),), np.array([[0.5, 0.5], [0.5, 0.5]]))
-    assert semidet_objective(pol, model).value == pytest.approx(0.0, abs=1e-10)
+    assert rate_report("semidet", model, pol).value == pytest.approx(0.0, abs=1e-10)
 
 
 def test_semidet_xor_uniform_input_hits_one_bit():
     model = _binary_xor_model()
     pol = Channel((("S", (0, 1)),), (("X", (0, 1)),), np.array([[0.5, 0.5], [0.5, 0.5]]))
-    rep = semidet_objective(pol, model)
+    rep = rate_report("semidet", model, pol)
     assert rep.value == pytest.approx(1.0, abs=1e-10)  # H(Y|Z)=H(Y)=1, H(Y|S)=1
 
 
@@ -457,7 +444,7 @@ def test_semidet_rejects_noisy_y():
     model = random_model(rng)  # generic noisy kernel
     pol = Channel((("S", model.s_symbols),), (("X", model.x_symbols),), np.full((2, 2), 0.5))
     with pytest.raises(ValueError):
-        semidet_objective(pol, model)
+        rate_report("semidet", model, pol)
 
 
 # ---------------------------------------------------------------------------
@@ -477,10 +464,8 @@ def test_ln_encdec_z_equals_y_reduces_to_state_entropy_term():
         ),
     )
     pol = Channel((("S", (0, 1)),), (("X", (0, 1)),), rng.dirichlet(np.ones(2), size=2))
-    rep = rate_LN_encdec(pol, model)
-    from sdwtc.rates import _xs_joint
-
-    j = _xs_joint(pol, model)
+    rep = rate_report("LN_encdec", model, pol)
+    j = policy_joint("x_given_s", model, pol)
     want = min(
         mutual_information(j, ("X",), ("Y",), given=("S",)),
         entropy(j, ("S",), given=("Y",)),
@@ -502,12 +487,13 @@ def test_ln_encdec_cross_checks_ceg_at_t_equals_x():
         kern[0, :, 0] = 1.0
         kern[1, :, 1] = 1.0
         ch = Channel((("T", (0, 1)), ("S", model.s_symbols)), (("X", model.x_symbols),), kern)
-        j = ceg_joint(p_t, ch, model)
+        j = policy_joint("ceg", model, (p_t, ch))
         bracket = mutual_information(j, ("T",), ("Y", "S")) - mutual_information(
             j, ("T",), ("Z",)
         )
         if bracket <= 1e-6:
             continue
         checked += 1
-        assert rate_CEG(j).value == pytest.approx(rate_LN_encdec(pol, model).value, abs=1e-10)
+        ln = rate_report("LN_encdec", model, pol)
+        assert report(CEG, j).value == pytest.approx(ln.value, abs=1e-10)
     assert checked >= 30

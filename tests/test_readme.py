@@ -1,0 +1,18 @@
+"""The README's Python examples run as written against the current package."""
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
+
+
+def test_readme_has_python_examples():
+    assert BLOCKS
+
+
+@pytest.mark.parametrize("code", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
+def test_readme_python_block_runs(code, capsys):
+    exec(compile(code, str(README), "exec"), {"__name__": "__readme__"})
+    assert capsys.readouterr().out
