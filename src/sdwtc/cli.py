@@ -23,15 +23,12 @@ from . import __version__, simulate
 from .models import (
     RlnModel,
     SdWtcModel,
-    _floats_from_json,
-    _symbols_from_json,
     achieving_rln_policy,
     as_input_policy,
     assemble_joint,
-    build_policy,
     build_rln_example,
     model_from_dict,
-    policy_kind,
+    policy_from_dict,
 )
 from .optimize import FUNCTIONALS, OptBudget, maximize, rate_report
 from .prob import (
@@ -156,12 +153,7 @@ def load_channel_spec(path: str) -> SdWtcModel | RlnModel:
 def load_policy_spec(path: str, model: SdWtcModel | RlnModel):
     """Load a policy document; its "kind" names the models.POLICY_KINDS
     record that lists the auxiliary-alphabet and part fields to read."""
-    doc = _load_json(path)
-    kind = doc.get("kind")
-    spec = policy_kind(kind)
-    aux = [_symbols_from_json(doc, field) for field in spec.aux]
-    arrays = [_floats_from_json(doc, field) for field, _, _ in spec.parts]
-    return build_policy(kind, model, aux, arrays)
+    return policy_from_dict(_load_json(path), model)
 
 
 def _write_csv(path: str, rows: list[tuple]) -> None:

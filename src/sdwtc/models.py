@@ -410,11 +410,14 @@ def policy_joint(kind: str, model: SdWtcModel | RlnModel, policy) -> JointPmf:
     return JointPmf(joint_axes, mass[0])
 
 
+def _part(ins: tuple, outs: tuple, arr) -> Channel | Pmf:
+    """A policy or model part: a Channel from its input axes, or a Pmf over
+    its one output axis when it has none."""
+    return Channel(ins, outs, arr) if ins else Pmf(outs[0][1], arr)
+
+
 def _assemble(spec: PolicyKind, axes: list[tuple[tuple, tuple]], arrays) -> object:
-    return spec.wrap([
-        Channel(ins, outs, arr) if ins else Pmf(outs[0][1], arr)
-        for (ins, outs), arr in zip(axes, arrays, strict=True)
-    ])
+    return spec.wrap([_part(ins, outs, arr) for (ins, outs), arr in zip(axes, arrays, strict=True)])
 
 
 def build_policy(kind: str, model: SdWtcModel | RlnModel, aux, arrays) -> object:
@@ -469,27 +472,44 @@ def _to_jsonable(obj):
     return obj
 
 
+def _doc_name(doc: Mapping) -> str:
+    return getattr(doc, "path", "the document")
+
+
 def _symbols_from_json(doc: Mapping, field: str) -> tuple:
     """The alphabet a document lists under field; list entries become tuples."""
     values = doc[field]
     if not isinstance(values, list):
         raise ValueError(
-            f"{getattr(doc, 'path', 'the document')} field {field!r} must list the symbols, "
-            f"got {type(values).__name__}"
+            f"{_doc_name(doc)} field {field!r} must list the symbols, got {type(values).__name__}"
         )
     return tuple(tuple(v) if isinstance(v, list) else v for v in values)
 
 
 def _floats_from_json(doc: Mapping, field: str, scalar: bool = False) -> float | np.ndarray:
-    """The number (scalar) or the float array a document holds under field."""
+    """The number (scalar) or the float array a document holds under field;
+    a null entry (read as NaN) is not a number."""
     values = doc[field]
     try:
-        return float(values) if scalar else np.asarray(values, dtype=float)
+        out = float(values) if scalar else np.asarray(values, dtype=float)
     except (TypeError, ValueError):
+        out = math.nan
+    if np.isnan(out).any():
         raise ValueError(
-            f"{getattr(doc, 'path', 'the document')} field {field!r} must hold "
+            f"{_doc_name(doc)} field {field!r} must hold "
             f"{'a number' if scalar else 'a rectangular array of numbers'}"
-        ) from None
+        )
+    return out
+
+
+def _part_from_json(doc: Mapping, field: str, ins: tuple, outs: tuple) -> Channel | Pmf:
+    """The part (see _part) a document holds under field, a mass it refuses
+    re-raised naming the document and field."""
+    values = _floats_from_json(doc, field)
+    try:
+        return _part(ins, outs, values)
+    except ValueError as err:
+        raise ValueError(f"{_doc_name(doc)} field {field!r}: {err}") from None
 
 
 def model_to_dict(model: SdWtcModel | RlnModel) -> dict:
@@ -533,28 +553,17 @@ def model_from_dict(doc: Mapping) -> SdWtcModel | RlnModel:
     if kind == "generic":
         alph = doc["alphabets"]
         s, x, y, z = (_symbols_from_json(alph, a) for a in ("S", "X", "Y", "Z"))
-        state_pmf = Pmf(s, _floats_from_json(doc, "state_pmf"))
-        channel = Channel(
-            in_axes=(("X", x), ("S", s)),
-            out_axes=(("Y", y), ("Z", z)),
-            kernel=_floats_from_json(doc, "kernel"),
+        return SdWtcModel(
+            state_pmf=_part_from_json(doc, "state_pmf", (), (("S", s),)),
+            channel=_part_from_json(doc, "kernel", (("X", x), ("S", s)), (("Y", y), ("Z", z))),
         )
-        return SdWtcModel(state_pmf=state_pmf, channel=channel)
     if kind == "rln":
         alph = doc["alphabets"]
         s, s1, s2, x, y, z = (_symbols_from_json(alph, a) for a in ("S", "S1", "S2", "X", "Y", "Z"))
         return RlnModel(
-            state_pmf=Pmf(s, _floats_from_json(doc, "state_pmf")),
-            state_channel=Channel(
-                in_axes=(("S", s),),
-                out_axes=(("S1", s1), ("S2", s2)),
-                kernel=_floats_from_json(doc, "state_kernel"),
-            ),
-            main_channel=Channel(
-                in_axes=(("X", x),),
-                out_axes=(("Y", y), ("Z", z)),
-                kernel=_floats_from_json(doc, "main_kernel"),
-            ),
+            state_pmf=_part_from_json(doc, "state_pmf", (), (("S", s),)),
+            state_channel=_part_from_json(doc, "state_kernel", (("S", s),), (("S1", s1), ("S2", s2))),
+            main_channel=_part_from_json(doc, "main_kernel", (("X", x),), (("Y", y), ("Z", z))),
         )
     if kind == "rln_example":
         alpha, sigma = (_floats_from_json(doc, field, scalar=True) for field in ("alpha", "sigma"))
@@ -562,17 +571,13 @@ def model_from_dict(doc: Mapping) -> SdWtcModel | RlnModel:
     if kind == "semideterministic":
         alph = doc["alphabets"]
         s, x, z = (_symbols_from_json(alph, a) for a in ("S", "X", "Z"))
-        state_pmf = Pmf(s, _floats_from_json(doc, "state_pmf"))
-        z_kernel = Channel(
-            in_axes=(("X", x), ("S", s)),
-            out_axes=(("Z", z),),
-            kernel=_floats_from_json(doc, "z_kernel"),
-        )
+        state_pmf = _part_from_json(doc, "state_pmf", (), (("S", s),))
+        z_kernel = _part_from_json(doc, "z_kernel", (("X", x), ("S", s)), (("Z", z),))
         g_rows = doc["g"]
         if not (isinstance(g_rows, list) and len(g_rows) == len(x)
                 and all(isinstance(row, list) and len(row) == len(s) for row in g_rows)):
             raise ValueError(
-                f"{getattr(doc, 'path', 'the document')} field 'g' must hold {len(x)} rows "
+                f"{_doc_name(doc)} field 'g' must hold {len(x)} rows "
                 f"(one per X symbol) of {len(s)} entries (one per S symbol)"
             )
         g_map = {}
@@ -585,3 +590,12 @@ def model_from_dict(doc: Mapping) -> SdWtcModel | RlnModel:
         f"unknown channel-spec kind {kind!r}; expected one of "
         "generic, rln, rln_example, semideterministic"
     )
+
+
+def policy_from_dict(doc: Mapping, model: SdWtcModel | RlnModel) -> object:
+    """Build a policy for a model from a policy-spec dict, whose "kind" names
+    the POLICY_KINDS record that lists its auxiliary-alphabet and part fields."""
+    spec = policy_kind(doc.get("kind"))
+    axes = _part_axes(spec, model, [_symbols_from_json(doc, field) for field in spec.aux])
+    return spec.wrap([_part_from_json(doc, field, ins, outs)
+                      for (field, _, _), (ins, outs) in zip(spec.parts, axes, strict=True)])

@@ -8,10 +8,12 @@ auxiliary alphabets, and its terms (``rates.Terms``).  ``rate_report`` is
 the one way to evaluate a policy object: it builds the policy's joint and
 returns ``rates.report`` of it.  ``maximize`` and ``exhaustive_small``
 score stacks of raw blocks with ``rates.evaluate`` and build no policy per
-candidate.  The search is random-restart coordinate ascent plus a
+candidate.  The search is random-restart coordinate ascent, its restarts
+advanced in lockstep with one stacked evaluation per iteration, plus a
 brute-force grid enumeration, in chunks, for problems small enough to
-afford it.  Runs are deterministic given the budget seed (restart
-r draws from the r-th splitmix64 output of the master seed).
+afford it.  Runs are deterministic given the budget seed (restart r draws
+from the r-th splitmix64 output of the master seed), and each restart walks
+the path it would walk alone.
 """
 from __future__ import annotations
 
@@ -175,64 +177,58 @@ def cardinality_caps(model: SdWtcModel | RlnModel) -> tuple[int, int]:
     return k + 5, k * k + 5 * k + 3
 
 
-def _ascend(
-    functional: str,
-    model: SdWtcModel | RlnModel,
-    card_u: int,
-    card_v: int,
-    iterations: int,
-    seed: int,
-) -> tuple[Any, float, int]:
-    """One coordinate-ascent run from a Dirichlet(1) start."""
+def _lockstep(
+    functional: str, model: SdWtcModel | RlnModel, aux: tuple, shapes: list[tuple[int, int]],
+    iterations: int, seeds: list[int],
+) -> tuple[list[np.ndarray], np.ndarray, int]:
+    """Coordinate ascent from a Dirichlet(1) start per seed, all restarts
+    advanced together: each iteration scores every restart's candidate in one
+    stack, then accepts or rejects each on its own.  Restart i draws only
+    from its own generator, in the order a lone run would.  Returns the best
+    (R, rows, d) blocks, the (R,) best values and the number of evaluations."""
     entry = FUNCTIONALS[functional]
-    rng = np.random.default_rng(seed)
-    shapes, build = _search_space(entry, model, card_u, card_v)
-    aux = _aux(entry, card_u, card_v)
-    blocks = [rng.dirichlet(np.ones(d), size=rows) for rows, d in shapes]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    starts = [[g.dirichlet(np.ones(d), size=rows) for rows, d in shapes] for g in rngs]
+    blocks = [np.stack(block) for block in zip(*starts)]
 
-    def objective() -> float:
-        axes, mass = stacked_joint(entry.policy_kinds[0], model, aux, [b[None] for b in blocks])
-        return float(_stack_objective(entry, axes, mass)[0])
+    def objective(stacks: list[np.ndarray]) -> np.ndarray:
+        axes, mass = stacked_joint(entry.policy_kinds[0], model, aux, stacks)
+        return _stack_objective(entry, axes, mass)
 
-    best = objective()
-    evals = 1
+    best = objective(blocks)
 
-    if functional == "RA_alt" and best == -math.inf:
+    fold = np.flatnonzero(best == -math.inf) if functional == "RA_alt" else ()
+    if len(fold):
         # an uninformative U is always feasible (constraint gap exactly 0);
         # fold the drawn U-mass onto the first symbol and restart from there
-        k = blocks[0].reshape(len(model.s_symbols), card_u, -1)
+        k = blocks[0][fold].reshape(len(fold), len(model.s_symbols), len(aux[0]), -1)
         k2 = np.zeros_like(k)
-        k2[:, 0] = k.sum(axis=1)
-        blocks = [k2.reshape(blocks[0].shape)]
-        best = objective()
-        evals += 1
-    best_blocks = [b.copy() for b in blocks]
+        k2[:, :, 0] = k.sum(axis=2)
+        blocks[0][fold] = k2.reshape(-1, *blocks[0].shape[1:])
+        best[fold] = objective([b[fold] for b in blocks])
 
     slots = [(b, r) for b, (rows, d) in enumerate(shapes) for r in range(rows) if d > 1]
     if not slots:
-        return build(best_blocks), best, evals
+        return blocks, best, len(rngs) + len(fold)
 
-    step = _INITIAL_STEP
-    rejects = 0
+    step = np.full(len(rngs), _INITIAL_STEP)
+    rejects = np.zeros(len(rngs), dtype=int)
     for _ in range(iterations):
-        b, r = slots[rng.integers(len(slots))]
-        row = blocks[b][r]
-        cand_row = _project_simplex(row + step * rng.standard_normal(row.size))
-        saved = row.copy()
-        blocks[b][r] = cand_row
-        cand = objective()
-        evals += 1
-        if cand > best:
-            best = cand
-            best_blocks = [blk.copy() for blk in blocks]
-            rejects = 0
-        else:
-            blocks[b][r] = saved
-            rejects += 1
-            if rejects >= _REJECTS_PER_HALVING:
-                step *= 0.5
-                rejects = 0
-    return build(best_blocks), best, evals
+        trial = [b.copy() for b in blocks]
+        for i, g in enumerate(rngs):
+            b, r = slots[g.integers(len(slots))]
+            row = trial[b][i, r]
+            trial[b][i, r] = _project_simplex(row + step[i] * g.standard_normal(row.size))
+        cand = objective(trial)
+        up = cand > best
+        best[up] = cand[up]
+        for blk, t in zip(blocks, trial):
+            blk[up] = t[up]
+        rejects = np.where(up, 0, rejects + 1)
+        halve = rejects >= _REJECTS_PER_HALVING
+        step[halve] *= 0.5
+        rejects[halve] = 0
+    return blocks, best, len(rngs) * (1 + iterations) + len(fold)
 
 
 def maximize(
@@ -246,22 +242,23 @@ def maximize(
 
     card_u / card_v size the auxiliary alphabets where the functional has
     them (U and V, or T for the causal-selection rate, or A and B for the
-    rate-limited variant); they are ignored otherwise.  Restarts run one
-    after another from their own seeds, and the first restart attaining the
+    rate-limited variant); they are ignored otherwise.  Restarts advance in
+    lockstep from their own seeds, one stacked evaluation per iteration, and
+    each walks the path it would walk alone; the first restart attaining the
     best value wins.
     """
-    _lookup(functional, model, card_u, card_v)
-    runs = [
-        _ascend(functional, model, card_u, card_v, budget.iterations, seed)
-        for seed in derive_seeds(budget.seed, budget.restarts)
-    ]
-    values = np.array([v for _, v, _ in runs])
+    entry = _lookup(functional, model, card_u, card_v)
+    shapes, build = _search_space(entry, model, card_u, card_v)
+    blocks, values, evals = _lockstep(
+        functional, model, _aux(entry, card_u, card_v), shapes, budget.iterations,
+        derive_seeds(budget.seed, budget.restarts),
+    )
     k = int(np.argmax(values))
     return OptResult(
-        policy=runs[k][0],
+        policy=build([b[k] for b in blocks]),
         value=float(values[k]),
-        trace=tuple(float(v) for v in values),
-        evaluations=sum(e for _, _, e in runs),
+        trace=tuple(values.tolist()),
+        evaluations=evals,
     )
 
 

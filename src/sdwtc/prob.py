@@ -55,7 +55,7 @@ class Pmf:
             raise ValueError("Pmf alphabet labels must be unique")
         total = probs.sum()
         if abs(total - 1.0) > MASS_ATOL:
-            raise ValueError(f"Pmf mass sums to {total!r}, expected 1")
+            raise ValueError(f"Pmf mass sums to {float(total)!r}, expected 1")
         object.__setattr__(self, "probs", probs)
 
     def prob_of(self, symbol: Hashable) -> float:
@@ -89,7 +89,7 @@ class JointPmf:
             raise ValueError(f"mass shape {mass.shape} does not match axes {want}")
         total = mass.sum()
         if abs(total - 1.0) > MASS_ATOL:
-            raise ValueError(f"JointPmf mass sums to {total!r}, expected 1")
+            raise ValueError(f"JointPmf mass sums to {float(total)!r}, expected 1")
         object.__setattr__(self, "mass", mass)
 
     @property
@@ -150,7 +150,7 @@ class Channel:
         if bad.size:
             idx = np.unravel_index(int(bad[0]), kernel.shape[:n_in])
             raise ValueError(
-                f"Channel row {tuple(int(i) for i in idx)} sums to {sums[bad[0]]!r}, expected 1"
+                f"Channel row {tuple(int(i) for i in idx)} sums to {float(sums[bad[0]])!r}, expected 1"
             )
         object.__setattr__(self, "kernel", kernel)
 
@@ -266,19 +266,15 @@ def inv_binary_entropy(y: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _marginal_mass(joint: JointPmf | tuple[Sequence[str], np.ndarray], keep: Sequence[str]) -> np.ndarray:
-    """The mass over keep, in keep's order, of a JointPmf or of a (names, mass)
-    pair whose mass has leading batch axes, kept in front, before the named ones."""
-    names, mass = (joint.names, joint.mass) if isinstance(joint, JointPmf) else joint
-    keep = tuple(keep)
-    lead = mass.ndim - len(names)
-    drop = tuple(lead + i for i, n in enumerate(names) if n not in keep)
-    mass = mass.sum(axis=drop) if drop else mass
-    # mass axes are now the batch axes, then the kept ones in original order
+def _marginal_mass(joint: JointPmf, keep: Sequence[str]) -> np.ndarray:
+    """The mass of a joint over keep, in keep's order."""
+    names, keep = joint.names, tuple(keep)
+    drop = tuple(i for i, n in enumerate(names) if n not in keep)
+    mass = joint.mass.sum(axis=drop) if drop else joint.mass
+    # mass axes are now the kept ones in original order
     kept_order = tuple(n for n in names if n in keep)
     if kept_order != keep:
-        perm = tuple(range(lead)) + tuple(lead + kept_order.index(n) for n in keep)
-        mass = mass.transpose(perm)
+        mass = mass.transpose(tuple(kept_order.index(n) for n in keep))
     return mass
 
 

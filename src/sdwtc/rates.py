@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .models import ERASURE, InputPolicy, SdWtcModel, assemble_joint, gp_policy
-from .prob import JointPmf, _entropy_bits, _marginal_mass
+from .prob import JointPmf, _entropy_bits
 
 FEAS_TOL = 1e-10
 INDEP_TOL = 1e-9
@@ -71,12 +71,13 @@ _TOKEN = re.compile(r"([+-]?)(\[|\]\+|[IH]\([^()]*\))")
 
 
 @lru_cache(maxsize=256)
-def _plan(terms: Terms, names: tuple[str, ...]) -> tuple[list[tuple[str, ...]], dict[str, list]]:
-    """The distinct marginals a rate needs on joints over these axes, and its
-    formulas as lists of (sign, node) summed left to right: a node is the
-    index of a marginal's entropy, or (clamp, nodes) for a bracket (clamped
-    at zero), an I(A;B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C) or an
-    H(A|C) = H(A,C) - H(C)."""
+def _plan(terms: Terms, names: tuple[str, ...]) -> tuple[list[tuple], dict[str, list]]:
+    """The distinct marginals a rate needs on stacked joints over these axes,
+    each as the (summed-out axes, axis permutation) that reduces a (B, ...)
+    mass to it, and its formulas as lists of (sign, node) summed left to
+    right: a node is the index of a marginal's entropy, or (clamp, nodes)
+    for a bracket (clamped at zero), an I(A;B|C) = H(A,C) + H(B,C) -
+    H(A,B,C) - H(C) or an H(A|C) = H(A,C) - H(C)."""
     marginals: dict[tuple[str, ...], int] = {}
     formulas: dict[str, list] = {}
     for formula in filter(None, (*terms.labels, terms.feasible, terms.vanishing)):
@@ -106,7 +107,12 @@ def _plan(terms: Terms, names: tuple[str, ...]) -> tuple[list[tuple[str, ...]], 
     unknown = {n for keep in marginals for n in keep} - set(names)
     if unknown:
         raise ValueError(f"unknown axes {sorted(unknown)}; have {names}")
-    return list(marginals), formulas
+    reductions = []
+    for keep in marginals:
+        kept = [n for n in names if n in keep]
+        reductions.append((tuple(1 + i for i, n in enumerate(names) if n not in keep),
+                           (0, *(1 + kept.index(n) for n in keep))))
+    return reductions, formulas
 
 
 def evaluate(terms: Terms, names: Sequence[str], mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -114,8 +120,9 @@ def evaluate(terms: Terms, names: Sequence[str], mass: np.ndarray) -> tuple[np.n
     the (B, terms) values and the (B,) feasibility flags.  Each distinct
     marginal entropy is computed once."""
     names = tuple(names)
-    marginals, formulas = _plan(terms, names)
-    h = _entropy_bits([_marginal_mass((names, mass), keep) for keep in marginals], lead=1)
+    reductions, formulas = _plan(terms, names)
+    h = _entropy_bits([(mass.sum(axis=drop) if drop else mass).transpose(perm)
+                       for drop, perm in reductions], lead=1)
 
     def value(nodes: list) -> np.ndarray:
         acc = None

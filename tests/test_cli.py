@@ -489,6 +489,12 @@ def test_rate_without_functional_lists_the_names(tmp_path, capsys):
          "pol.json field 'kernel' must hold a rectangular array of numbers"),
         (wiretap_doc(), {"kind": "x_given_s", "kernel": [[0.5, 0.5], [1.0]]},
          "pol.json field 'kernel' must hold a rectangular array of numbers"),
+        ({**wiretap_doc(), "state_pmf": None}, x_given_s_doc(),
+         "ch.json field 'state_pmf' must hold a rectangular array of numbers"),
+        (wiretap_doc(), {"kind": "x_given_s", "kernel": [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]},
+         "pol.json field 'kernel': kernel shape (2, 3) does not match axes (2, 2)"),
+        (wiretap_doc(), {"kind": "x_given_s", "kernel": [[0.6, 0.3], [0.5, 0.5]]},
+         "pol.json field 'kernel': Channel row (0,) sums to 0.8999999999999999, expected 1"),
     ],
 )
 def test_malformed_documents_are_error_records(tmp_path, capsys, channel, policy, message):

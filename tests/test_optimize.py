@@ -13,14 +13,19 @@ from sdwtc.models import (
     build_rln_example,
     build_semideterministic,
     gp_policy,
+    policy_parts,
     stacked_joint,
 )
 from sdwtc.optimize import (
+    _INITIAL_STEP,
+    _REJECTS_PER_HALVING,
     FUNCTIONALS,
     OptBudget,
     OptResult,
     _aux,
+    _project_simplex,
     _search_space,
+    _stack_objective,
     cardinality_caps,
     exhaustive_small,
     maximize,
@@ -28,6 +33,7 @@ from sdwtc.optimize import (
 )
 from sdwtc.prob import Channel, bernoulli
 from sdwtc.rates import constraint_gap, evaluate
+from sdwtc.rng import derive_seeds
 
 RNG_SEED = 20240820
 
@@ -170,6 +176,96 @@ def test_trajectories_are_pinned():
                    OptBudget(restarts=3, iterations=40, seed=1))
     assert rln.trace == (0.0494319960325551, 0.08926074908229764, 0.07641503298830243)
     assert rln.evaluations == 123
+
+
+def _sequential_maximize(functional, model, card_u, card_v, budget):
+    """maximize with its restarts run one after another, each candidate
+    scored as a stack of one: the reference the lockstep search must match
+    bit for bit."""
+    entry = FUNCTIONALS[functional]
+    shapes, build = _search_space(entry, model, card_u, card_v)
+    aux = _aux(entry, card_u, card_v)
+
+    def ascend(seed):
+        rng = np.random.default_rng(seed)
+        blocks = [rng.dirichlet(np.ones(d), size=rows) for rows, d in shapes]
+
+        def objective():
+            axes, mass = stacked_joint(entry.policy_kinds[0], model, aux, [b[None] for b in blocks])
+            return float(_stack_objective(entry, axes, mass)[0])
+
+        best, evals = objective(), 1
+        if functional == "RA_alt" and best == -math.inf:
+            k = blocks[0].reshape(len(model.s_symbols), card_u, -1)
+            k2 = np.zeros_like(k)
+            k2[:, 0] = k.sum(axis=1)
+            blocks = [k2.reshape(blocks[0].shape)]
+            best, evals = objective(), evals + 1
+        best_blocks = [b.copy() for b in blocks]
+        slots = [(b, r) for b, (rows, d) in enumerate(shapes) for r in range(rows) if d > 1]
+        if not slots:
+            return build(best_blocks), best, evals
+        step, rejects = _INITIAL_STEP, 0
+        for _ in range(budget.iterations):
+            b, r = slots[rng.integers(len(slots))]
+            row = blocks[b][r]
+            cand_row = _project_simplex(row + step * rng.standard_normal(row.size))
+            saved = row.copy()
+            blocks[b][r] = cand_row
+            cand, evals = objective(), evals + 1
+            if cand > best:
+                best, best_blocks, rejects = cand, [blk.copy() for blk in blocks], 0
+            else:
+                blocks[b][r] = saved
+                rejects += 1
+                if rejects >= _REJECTS_PER_HALVING:
+                    step, rejects = step * 0.5, 0
+        return build(best_blocks), best, evals
+
+    runs = [ascend(seed) for seed in derive_seeds(budget.seed, budget.restarts)]
+    values = np.array([v for _, v, _ in runs])
+    k = int(np.argmax(values))
+    return OptResult(runs[k][0], float(values[k]), tuple(float(v) for v in values),
+                     sum(e for _, _, e in runs))
+
+
+def _assert_same_result(got, want):
+    assert got.value == want.value
+    assert got.trace == want.trace
+    assert got.evaluations == want.evaluations
+    got_parts, want_parts = policy_parts(got.policy), policy_parts(want.policy)
+    assert len(got_parts) == len(want_parts)
+    for g, w in zip(got_parts, want_parts):
+        assert type(g) is type(w)
+        field = "kernel" if isinstance(g, Channel) else "probs"
+        assert np.array_equal(getattr(g, field), getattr(w, field))
+
+
+def test_lockstep_matches_sequential_restarts():
+    budget = OptBudget(restarts=6, iterations=30, seed=3)
+    for offset in (22, 23):
+        for functional, (model, card_u, card_v) in _instances(
+                np.random.default_rng(RNG_SEED + offset)).items():
+            want = _sequential_maximize(functional, model, card_u, card_v, budget)
+            _assert_same_result(maximize(functional, model, card_u, card_v, budget), want)
+            if functional == "RA_alt":
+                # some restarts, not all, start infeasible and take the fold
+                folded = want.evaluations - budget.restarts * (budget.iterations + 1)
+                assert 0 < folded < budget.restarts
+
+    # no block row longer than 1: no free slot, one evaluation per restart
+    rng = np.random.default_rng(RNG_SEED + 24)
+    for functional, model in (("LN_encdec", random_model(rng, nx=1)),
+                              ("RA", random_model(rng, nx=1))):
+        want = _sequential_maximize(functional, model, 1, 1, budget)
+        assert want.evaluations == budget.restarts
+        _assert_same_result(maximize(functional, model, 1, 1, budget), want)
+
+    # a noisy Y is refused by both searches
+    noisy = random_model(rng)
+    for search in (maximize, _sequential_maximize):
+        with pytest.raises(ValueError, match="must be semi-deterministic"):
+            search("semidet", noisy, 1, 1, budget)
 
 
 # ---------------------------------------------------------------------------
