@@ -9,18 +9,17 @@ import numpy as np
 
 from sdwtc import (
     Channel,
+    CodeLaw,
     SdWtcModel,
     approximation_gap,
     assemble_joint,
     bernoulli,
     binary_entropy,
-    channel_from_joint,
     gp_policy,
     index_count,
     run_reliability_experiment,
     sample_codebook,
 )
-from sdwtc.prob import Pmf, _marginal_mass
 
 EPS = 1.0
 TRIALS = 200
@@ -88,12 +87,10 @@ for s in range(2):
     pol[s, s, 1, 1] = 0.2
 tracking = gp_policy((0, 1), (0, 1), (0, 1), (0, 1), pol)
 
-joint = assemble_joint(xor_model, tracking)
-q_u = Pmf(joint.alphabet("U"), _marginal_mass(joint, ("U",)))
-q_v_given_u = channel_from_joint(joint, ("U",), ("V",))
+law = CodeLaw.of(assemble_joint(xor_model, tracking))
 print("\nstate-tracking code at n = 6, induced vs idealized index law:")
 for r1 in (0.4, 1.2):
-    cb = sample_codebook(q_u, q_v_given_u, 6, r1, 0.3, 0.2, seed=5)
+    cb = sample_codebook(law.q_u, law.q_v_given_u, 6, r1, 0.3, 0.2, seed=5)
     gap = approximation_gap(xor_model, tracking, cb)
     print(f"  R1 = {r1}: {cb.num_u:3d} outer words, TV = {gap.total_variation:.4f}")
 print("a thin outer layer cannot cover the state law, and the diagnostic sees it")

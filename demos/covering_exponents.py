@@ -10,6 +10,7 @@ import numpy as np
 
 from sdwtc import (
     Channel,
+    CodeLaw,
     JointPmf,
     Pmf,
     SdWtcModel,
@@ -76,15 +77,14 @@ for n in (50, 100, 200, 400, 800):
 print("the tail bound only bites past n ~ 100 at this window, then collapses fast")
 
 # 4. exact divergence of sampled codebooks at desk-scale n
-q_u = Pmf(cover.alphabet("U"), cover.mass.sum(axis=(1, 2)))
-q_v_given_u = channel_from_joint(cover, ("U",), ("V",))
+law = CodeLaw.of(joint)
 q_w_given_uv = channel_from_joint(cover, ("U", "V"), ("W",))
 q_w = Pmf(cover.alphabet("W"), cover.mass.sum(axis=(0, 1)))
 
 print(f"\n{'n':>6} {'median D(P_W^B || Q_W^n)':>26}")
 for n in (4, 7, 10):
     vals = [
-        exact_output_divergence(sample_codebook(q_u, q_v_given_u, n, r1, r2, 0.0, 300 + t), q_w_given_uv, q_w)
+        exact_output_divergence(sample_codebook(law.q_u, law.q_v_given_u, n, r1, r2, 0.0, 300 + t), q_w_given_uv, q_w)
         for t in range(15)
     ]
     print(f"{n:6d} {np.median(vals):26.4f}")

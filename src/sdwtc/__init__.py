@@ -50,6 +50,7 @@ from .simulate import (
     BinningResult,
     CapacityResult,
     Codebook,
+    CodeLaw,
     CodeRates,
     EncoderFailure,
     InducedVsIdealized,

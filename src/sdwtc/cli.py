@@ -43,6 +43,7 @@ from .prob import (
 from .rng import derive_seeds
 from .softcover import best_gamma
 from .simulate import (
+    CodeLaw,
     CodeRates,
     exact_message_channel,
     exact_output_divergence,
@@ -290,8 +291,7 @@ def _cmd_softcov_sim(config: RunConfig) -> tuple[dict, list]:
     if not config.n:
         raise ValueError("softcov-sim needs --n")
     joint = assemble_joint(model, policy)
-    q_u = Pmf(joint.alphabet("U"), _marginal_mass(joint, ("U",)))
-    q_v_given_u = channel_from_joint(joint, ("U",), ("V",))
+    law = CodeLaw.of(joint)
     cover = _covering_joint(joint, config.w_axis)
     q_w = Pmf(cover.alphabet("W"), _marginal_mass(cover, ("W",)))
     q_w_given_uv = channel_from_joint(cover, ("U", "V"), ("W",))
@@ -302,7 +302,7 @@ def _cmd_softcov_sim(config: RunConfig) -> tuple[dict, list]:
         seeds = derive_seeds(config.seed + n, config.trials)
         values = []
         for s in seeds:
-            cb = sample_codebook(q_u, q_v_given_u, n, config.r1, config.r2, 0.0, s)
+            cb = sample_codebook(law.q_u, law.q_v_given_u, n, config.r1, config.r2, 0.0, s)
             d = exact_output_divergence(cb, q_w_given_uv, q_w)
             values.append(d)
             rows.append(("divergence", n, s, d, None, None))
@@ -318,9 +318,7 @@ def _cmd_codec_sim(config: RunConfig) -> tuple[dict, list]:
     if not config.n:
         raise ValueError("codec-sim needs --n")
     rate_triple = CodeRates(config.r1, config.r2, config.r)
-    joint = assemble_joint(model, policy)
-    q_u = Pmf(joint.alphabet("U"), _marginal_mass(joint, ("U",)))
-    q_v_given_u = channel_from_joint(joint, ("U",), ("V",))
+    law = CodeLaw.of(assemble_joint(model, policy))
 
     rows: list[tuple] = []
     summary: dict[str, dict] = {}
@@ -341,7 +339,7 @@ def _cmd_codec_sim(config: RunConfig) -> tuple[dict, list]:
         if config.leakage_trials > 0:
             leaks = []
             for s in derive_seeds(config.seed + n, config.leakage_trials):
-                cb = sample_codebook(q_u, q_v_given_u, n, config.r1, config.r2, config.r, s)
+                cb = sample_codebook(law.q_u, law.q_v_given_u, n, *rate_triple, s)
                 cap = leakage_capacity(exact_message_channel(model, policy, cb))
                 leaks.append(cap.bits)
                 rows.append(("leakage_bits", n, s, cap.bits, None, None))

@@ -58,9 +58,6 @@ class Pmf:
             raise ValueError(f"Pmf mass sums to {float(total)!r}, expected 1")
         object.__setattr__(self, "probs", probs)
 
-    def prob_of(self, symbol: Hashable) -> float:
-        return float(self.probs[self.symbols.index(symbol)])
-
     def support(self) -> tuple:
         return tuple(s for s, p in zip(self.symbols, self.probs) if p > ZERO_MASS)
 

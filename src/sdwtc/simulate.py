@@ -21,15 +21,7 @@ from typing import Hashable, NamedTuple, Sequence
 import numpy as np
 
 from .models import ERASURE, InputPolicy, RlnModel, SdWtcModel, assemble_joint
-from .prob import (
-    ZERO_MASS,
-    Channel,
-    JointPmf,
-    Pmf,
-    _marginal_mass,
-    channel_from_joint,
-    marginalize,
-)
+from .prob import ZERO_MASS, Channel, JointPmf, Pmf, _marginal_mass, channel_from_joint
 from .rng import derive_seeds
 
 DEFAULT_EPS = 0.15  # loose typicality for n <= 12
@@ -74,12 +66,12 @@ def _symbol_indices(seq: Sequence[Hashable], alphabet: tuple) -> np.ndarray | No
 
 
 def _typical_rows(codes: np.ndarray, probs: np.ndarray, eps: float, n: int) -> np.ndarray:
-    """is_letter_typical over rows of combined-letter codes (same arithmetic)."""
-    out = np.empty(codes.shape[0], dtype=bool)
-    for r in range(codes.shape[0]):
-        freq = np.bincount(codes[r], minlength=probs.size) / n
-        out[r] = not np.any(np.abs(freq - probs) > eps * probs)
-    return out
+    """is_letter_typical over rows of combined-letter codes (same arithmetic), in one
+    bincount: row r's codes are offset by r * |probs|."""
+    rows, k = codes.shape[0], probs.size
+    counts = np.bincount((codes + k * np.arange(rows)[:, None]).ravel(), minlength=rows * k)
+    freq = counts.reshape(rows, k) / n
+    return ~np.any(np.abs(freq - probs) > eps * probs, axis=1)
 
 
 def _inverse_cdf(rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -184,12 +176,41 @@ def sample_codebook(
 # encoder / decoder
 
 
+@dataclass(frozen=True)
+class CodeLaw:
+    """The laws of the layered scheme, read once off one joint over S, U, V, X, Y:
+    q_u and q_v_given_u draw the codebook, log Q_{S|U,V} (|U|, |V|, |S|) weighs the
+    encoder, q_x_given_uvs draws the input, q_uvy (flat) is the decoder's target."""
+
+    joint: JointPmf
+    q_u: Pmf
+    q_v_given_u: Channel
+    log_q_s_given_uv: np.ndarray
+    q_x_given_uvs: Channel
+    q_uvy: np.ndarray
+
+    @classmethod
+    def of(cls, joint: JointPmf) -> CodeLaw:
+        for name in ("S", "U", "V", "X", "Y"):
+            if name not in joint.names:
+                raise ValueError(f"a code law needs a joint over S, U, V, X, Y; {name!r} is missing")
+        with np.errstate(divide="ignore"):
+            log_k = np.log(channel_from_joint(joint, ("U", "V"), ("S",)).kernel)
+        return cls(
+            joint=joint,
+            q_u=Pmf(joint.alphabet("U"), _marginal_mass(joint, ("U",))),
+            q_v_given_u=channel_from_joint(joint, ("U",), ("V",)),
+            log_q_s_given_uv=log_k,
+            q_x_given_uvs=channel_from_joint(joint, ("U", "V", "S"), ("X",)),
+            q_uvy=_marginal_mass(joint, ("U", "V", "Y")).ravel(),
+        )
+
+
 def likelihood_encode(
     m: int,
     s: Sequence[Hashable],
     cb: Codebook,
-    q_s_given_uv: Channel,
-    q_x_given_uvs: Channel,
+    law: CodeLaw,
     seed: int,
 ) -> tuple[int, int, tuple]:
     """Sample (i, j) with probability proportional to Q^n_{S|U,V}(s | u(i), v(i,j,m)),
@@ -198,19 +219,13 @@ def likelihood_encode(
         raise ValueError(f"message {m!r} outside [0, {cb.num_messages})")
     if len(s) != cb.n:
         raise ValueError(f"state sequence has length {len(s)}, codebook has n={cb.n}")
-    if q_s_given_uv.in_names != ("U", "V") or q_s_given_uv.out_names != ("S",):
-        raise ValueError("need a kernel (U, V) -> (S,)")
-    if q_x_given_uvs.in_names != ("U", "V", "S") or q_x_given_uvs.out_names != ("X",):
-        raise ValueError("need a kernel (U, V, S) -> (X,)")
-    s_idx = _symbol_indices(s, q_s_given_uv.out_axes[0][1])
+    s_idx = _symbol_indices(s, law.joint.alphabet("S"))
     if s_idx is None:
         raise ValueError("state sequence contains symbols outside the S alphabet")
 
-    with np.errstate(divide="ignore"):
-        log_k = np.log(q_s_given_uv.kernel)
     u = cb.u_words[:, None, :]  # (N1, 1, n)
     v = cb.v_words[:, :, m, :]  # (N1, N2, n)
-    loglik = log_k[u, v, s_idx[None, None, :]].sum(axis=-1)  # (N1, N2)
+    loglik = law.log_q_s_given_uv[u, v, s_idx[None, None, :]].sum(axis=-1)  # (N1, N2)
     top = loglik.max()
     if top == -np.inf:
         raise EncoderFailure(
@@ -223,38 +238,35 @@ def likelihood_encode(
     flat = int(rng.choice(weights.size, p=weights.ravel()))
     i, j = divmod(flat, cb.num_v)
 
-    rows = q_x_given_uvs.kernel[cb.u_words[i], cb.v_words[i, j, m], s_idx]  # (n, |X|)
+    rows = law.q_x_given_uvs.kernel[cb.u_words[i], cb.v_words[i, j, m], s_idx]  # (n, |X|)
     x_idx = _inverse_cdf(rows, rng.random(cb.n))
-    x_alphabet = q_x_given_uvs.out_axes[0][1]
+    x_alphabet = law.q_x_given_uvs.out_axes[0][1]
     return i, j, tuple(x_alphabet[k] for k in x_idx)
 
 
 def typicality_decode(
     y: Sequence[Hashable],
     cb: Codebook,
-    q_uvy: JointPmf,
+    law: CodeLaw,
     eps: float,
 ) -> tuple[int, int, int] | str:
     """The unique triple (i, j, m) with (u(i), v(i,j,m), y) letter-typical for
     Q_{U,V,Y}; the erasure symbol when zero or several triples qualify."""
-    if set(q_uvy.names) != {"U", "V", "Y"}:
-        raise ValueError(f"need a joint over U, V, Y, got axes {q_uvy.names}")
-    if q_uvy.alphabet("U") != cb.u_symbols or q_uvy.alphabet("V") != cb.v_symbols:
+    if law.joint.alphabet("U") != cb.u_symbols or law.joint.alphabet("V") != cb.v_symbols:
         raise ValueError("joint alphabets do not match the codebook")
     if len(y) != cb.n:
         raise ValueError(f"output sequence has length {len(y)}, codebook has n={cb.n}")
     if eps < 0.0:
         raise ValueError(f"eps must be nonnegative, got {eps!r}")
-    y_alphabet = q_uvy.alphabet("Y")
+    y_alphabet = law.joint.alphabet("Y")
     y_idx = _symbol_indices(y, y_alphabet)
     if y_idx is None:
         return ERASURE
 
     n_v, n_y = len(cb.v_symbols), len(y_alphabet)
-    probs = _marginal_mass(q_uvy, ("U", "V", "Y")).ravel()
     codes = (cb.u_words[:, None, None, :] * n_v + cb.v_words) * n_y + y_idx
     flat = codes.reshape(-1, cb.n)
-    hits = np.nonzero(_typical_rows(flat, probs, eps, cb.n))[0]
+    hits = np.nonzero(_typical_rows(flat, law.q_uvy, eps, cb.n))[0]
     if hits.size != 1:
         return ERASURE
     i, rest = divmod(int(hits[0]), cb.num_v * cb.num_messages)
@@ -304,29 +316,27 @@ def exact_output_divergence(cb: Codebook, q_w_given_uv: Channel, q_w: Pmf) -> fl
 
 
 def _encoder_tables(
-    model: SdWtcModel, joint: JointPmf, cb: Codebook
+    model: SdWtcModel, law: CodeLaw, cb: Codebook
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Enumerate all state sequences and the exact per-(m,i,j) likelihoods.
 
-    joint is assemble_joint(model, policy).  Returns (ln_ws, loglik, p_hat)
+    law is CodeLaw.of(assemble_joint(model, policy)).  Returns (ln_ws, loglik, p_hat)
     with loglik and p_hat of shape (M, N1, N2, Ns), state sequences in
     lexicographic order; p_hat rows with no support fall back to uniform so
     the induced joint stays normalized.
     """
-    if cb.u_symbols != joint.alphabet("U") or cb.v_symbols != joint.alphabet("V"):
+    if cb.u_symbols != law.joint.alphabet("U") or cb.v_symbols != law.joint.alphabet("V"):
         raise ValueError("codebook alphabets do not match the policy")
     n_s = len(model.s_symbols)
     num_seqs = n_s ** cb.n
     ops = cb.num_messages * cb.num_u * cb.num_v * num_seqs * cb.n
     if ops > _MAX_ENUM_OPS:
         raise ValueError(f"enumeration needs ~{ops} operations; guard is {_MAX_ENUM_OPS}")
-    q_s_given_uv = channel_from_joint(joint, ("U", "V"), ("S",))
 
     with np.errstate(divide="ignore"):
         log_ws = np.log(model.state_pmf.probs)
-        log_k = np.log(q_s_given_uv.kernel)
     ln_ws = _product_chain(log_ws[None, None, :].repeat(cb.n, axis=1), np.add)[:, 0]
-    letters = log_k[cb.u_words[:, None, None, :], cb.v_words]  # (N1, N2, M, n, |S|)
+    letters = law.log_q_s_given_uv[cb.u_words[:, None, None, :], cb.v_words]  # (N1, N2, M, n, |S|)
     loglik = _product_chain(
         np.moveaxis(letters, 2, 0).reshape(-1, cb.n, n_s), np.add
     ).T.reshape(cb.num_messages, cb.num_u, cb.num_v, num_seqs)
@@ -364,7 +374,7 @@ class InducedVsIdealized:
 
 def approximation_gap(model: SdWtcModel, policy: InputPolicy, cb: Codebook) -> InducedVsIdealized:
     """Exact TV between the scheme-induced joint and its idealized stand-in."""
-    ln_ws, loglik, p_hat = _encoder_tables(model, assemble_joint(model, policy), cb)
+    ln_ws, loglik, p_hat = _encoder_tables(model, CodeLaw.of(assemble_joint(model, policy)), cb)
     ws = np.exp(ln_ws)  # (Ns,)
     m_count = cb.num_messages
     pairs = cb.num_u * cb.num_v
@@ -405,11 +415,10 @@ def exact_message_channel(model: SdWtcModel, policy: InputPolicy, cb: Codebook) 
     if ops > _MAX_ENUM_OPS:
         raise ValueError(f"enumeration needs ~{ops} operations; guard is {_MAX_ENUM_OPS}")
 
-    joint = assemble_joint(model, policy)
-    ln_ws, _, p_hat = _encoder_tables(model, joint, cb)
-    q_x_given_uvs = channel_from_joint(joint, ("U", "V", "S"), ("X",))
+    law = CodeLaw.of(assemble_joint(model, policy))
+    ln_ws, _, p_hat = _encoder_tables(model, law, cb)
     w_z = model.channel.kernel.sum(axis=2)  # (|X|, |S|, |Z|)
-    k_z = np.einsum("uvsx,xsz->uvsz", q_x_given_uvs.kernel, w_z)
+    k_z = np.einsum("uvsx,xsz->uvsz", law.q_x_given_uvs.kernel, w_z)
 
     ws = np.exp(ln_ws)
     kernel = np.empty((cb.num_messages, n_z ** cb.n))
@@ -512,11 +521,6 @@ class ReliabilityResult:
     def average_interval(self) -> tuple[float, float]:
         return wilson_interval(sum(self.message_errors), self.trials)
 
-    def message_intervals(self) -> tuple[tuple[float, float], ...]:
-        return tuple(
-            wilson_interval(e, t) for e, t in zip(self.message_errors, self.message_trials)
-        )
-
 
 def run_reliability_experiment(
     model: SdWtcModel,
@@ -537,14 +541,11 @@ def run_reliability_experiment(
     (erasures included); encoder failures are folded in as errors.
     """
     r1, r2, r = rates
+    if n < 1 or eps < 0.0:
+        raise ValueError(f"need blocklength n >= 1 and eps >= 0, got n={n!r}, eps={eps!r}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials!r}")
-    joint = assemble_joint(model, policy)
-    q_u = Pmf(joint.alphabet("U"), _marginal_mass(joint, ("U",)))
-    q_v_given_u = channel_from_joint(joint, ("U",), ("V",))
-    q_s_given_uv = channel_from_joint(joint, ("U", "V"), ("S",))
-    q_x_given_uvs = channel_from_joint(joint, ("U", "V", "S"), ("X",))
-    q_uvy = marginalize(joint, ("U", "V", "Y"))
+    law = CodeLaw.of(assemble_joint(model, policy))
 
     num_messages = index_count(n, r)
     msg_trials = [0] * num_messages
@@ -561,7 +562,7 @@ def run_reliability_experiment(
     seeds = derive_seeds(seed, 3 * trials)
     for t in range(trials):
         cb_seed, enc_seed, noise_seed = seeds[3 * t : 3 * t + 3]
-        cb = sample_codebook(q_u, q_v_given_u, n, r1, r2, r, cb_seed)
+        cb = sample_codebook(law.q_u, law.q_v_given_u, n, r1, r2, r, cb_seed)
         noise = np.random.default_rng(noise_seed)
         m = t % num_messages
         msg_trials[m] += 1
@@ -569,7 +570,7 @@ def run_reliability_experiment(
         s_idx = noise.choice(len(model.s_symbols), size=n, p=model.state_pmf.probs)
         s = tuple(model.s_symbols[k] for k in s_idx)
         try:
-            i, j, x = likelihood_encode(m, s, cb, q_s_given_uv, q_x_given_uvs, enc_seed)
+            i, j, x = likelihood_encode(m, s, cb, law, enc_seed)
         except EncoderFailure:
             encoder_failures += 1
             msg_errors[m] += 1
@@ -581,7 +582,7 @@ def run_reliability_experiment(
         y = tuple(model.y_symbols[k] for k in y_idx)
         z = tuple(model.z_symbols[k] for k in z_idx)
 
-        decoded = typicality_decode(y, cb, q_uvy, eps)
+        decoded = typicality_decode(y, cb, law, eps)
         if decoded == ERASURE:
             erasures += 1
             msg_errors[m] += 1
@@ -649,6 +650,8 @@ def binning_otp_protocol(
     """
     if len(rln_example.s2_symbols) != 1:
         raise ValueError("protocol needs a constant S2 (eavesdropper side information)")
+    if n < 1 or eps < 0.0:
+        raise ValueError(f"need blocklength n >= 1 and eps >= 0, got n={n!r}, eps={eps!r}")
     if r < 0.0 or r_bin < 0.0 or r_a < 0.0:
         raise ValueError("rates must be nonnegative")
     if r > r_a - r_bin + 1e-12:

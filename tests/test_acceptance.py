@@ -36,10 +36,8 @@ from sdwtc.prob import (
     Channel,
     JointPmf,
     Pmf,
-    _marginal_mass,
     bernoulli,
     binary_entropy,
-    channel_from_joint,
     entropy,
     inv_binary_entropy,
     marginalize,
@@ -48,6 +46,7 @@ from sdwtc.prob import (
 )
 from sdwtc.rates import CHV, RA, RA_ALT, constraint_gap, report, transform_to_alt
 from sdwtc.simulate import (
+    CodeLaw,
     exact_message_channel,
     exact_output_divergence,
     leakage_capacity,
@@ -365,16 +364,15 @@ def test_criterion_08_decoder_matches_full_scan():
     policy = uniform_input_policy(model)
     joint = assemble_joint(model, policy)
     q_uvy = marginalize(joint, ("U", "V", "Y"))
-    q_u = Pmf(joint.alphabet("U"), _marginal_mass(joint, ("U",)))
-    q_v_given_u = channel_from_joint(joint, ("U",), ("V",))
+    law = CodeLaw.of(joint)
     rng = np.random.default_rng(RNG_SEED + 8)
     agree = 0
     for k in range(100):
-        cb = sample_codebook(q_u, q_v_given_u, 6, 0.3, 0.3, 0.3, 8100 + k)
+        cb = sample_codebook(law.q_u, law.q_v_given_u, 6, 0.3, 0.3, 0.3, 8100 + k)
         for t in range(100):
             y = tuple(rng.integers(0, 2, size=6).tolist())
             eps = (0.2, 0.5, 0.9, 1.2)[t % 4]
-            agree += typicality_decode(y, cb, q_uvy, eps) == _scan_decode(y, cb, q_uvy, eps)
+            agree += typicality_decode(y, cb, law, eps) == _scan_decode(y, cb, q_uvy, eps)
     dt = time.perf_counter() - t0
     ok = agree == 10_000 and dt < 60.0
     _report(8, ok, f"{agree}/10000 decode calls match the full scan ({dt:.1f}s < 60s)")
@@ -407,13 +405,12 @@ def test_criterion_09_leakage_capacity_and_trend():
     joint = assemble_joint(model, policy)
     i_vz_u = mutual_information(joint, ("V",), ("Z",), given=("U",))
     r2 = i_vz_u + 0.15
-    q_u = Pmf(joint.alphabet("U"), _marginal_mass(joint, ("U",)))
-    q_v_given_u = channel_from_joint(joint, ("U",), ("V",))
+    law = CodeLaw.of(joint)
     meds = {}
     for n in (4, 6, 8):
         vals = []
         for s in range(20):
-            cb = sample_codebook(q_u, q_v_given_u, n, 0.0, r2, 1.0 / n, 7000 + s)
+            cb = sample_codebook(law.q_u, law.q_v_given_u, n, 0.0, r2, 1.0 / n, 7000 + s)
             vals.append(leakage_capacity(exact_message_channel(model, policy, cb)).bits)
         meds[n] = float(np.median(vals))
     trend_ok = meds[4] >= meds[6] >= meds[8]

@@ -395,6 +395,18 @@ def test_missing_flags_produce_an_error_record(tmp_path, capsys):
     assert "results" not in record
 
 
+@pytest.mark.parametrize("flags", [["--eps", "-0.5"], ["--n", "0"], ["--n", "-3"]])
+def test_binning_sim_refuses_bad_blocklength_and_eps(capsys, flags):
+    argv = ["binning-sim", "--alpha", "0.0289", "--sigma", "0.05", "--ra", "0.89",
+            "--rbin", "0.64", "--r", "0.2", "--n", "6", "--trials", "3", "--eps", "1.25"]
+    status = main(argv + flags)
+    record = json.loads(capsys.readouterr().out)
+    assert status == 1
+    assert record["error"]["type"] == "ValueError"
+    assert record["error"]["message"].startswith("need blocklength n >= 1 and eps >= 0")
+    assert "results" not in record
+
+
 def test_non_finite_literals_are_refused(tmp_path):
     for value, literal in ((math.nan, "NaN"), (math.inf, "Infinity"), (-math.inf, "-Infinity")):
         doc = wiretap_doc()

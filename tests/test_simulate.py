@@ -30,9 +30,11 @@ from sdwtc.prob import (
     mutual_information,
 )
 from sdwtc.simulate import (
+    CodeLaw,
     CodeRates,
     Codebook,
     EncoderFailure,
+    _typical_rows,
     approximation_gap,
     binning_otp_protocol,
     exact_message_channel,
@@ -95,8 +97,15 @@ def chain_covering_setup():
     return j, q_u, q_v_given_u, q_w_given_uv, q_w
 
 
-def tiny_codebook() -> tuple[Codebook, Channel, Channel]:
-    """Fixed n=3 codebook with four (i, j) pairs and known kernels."""
+def kernel_law(q_s_uv: Channel, q_x_uvs: Channel) -> CodeLaw:
+    """The code law of a joint built from hand-set kernels: (U, V) uniform, Y constant."""
+    mass = np.einsum("uvs,uvsx->suvx", q_s_uv.kernel, q_x_uvs.kernel) / q_s_uv.kernel[..., 0].size
+    axes = (q_s_uv.out_axes[0], *q_s_uv.in_axes, q_x_uvs.out_axes[0], ("Y", (0,)))
+    return CodeLaw.of(JointPmf(axes, mass[..., None]))
+
+
+def tiny_codebook() -> tuple[Codebook, Channel, CodeLaw]:
+    """Fixed n=3 codebook with four (i, j) pairs, its Q_{S|U,V} and its law."""
     q_s_uv = Channel(
         (("U", (0, 1)), ("V", (0, 1))),
         (("S", (0, 1)),),
@@ -118,7 +127,7 @@ def tiny_codebook() -> tuple[Codebook, Channel, Channel]:
         v_words=np.array([[[[0, 1, 1]], [[1, 0, 0]]], [[[0, 0, 1]], [[1, 1, 0]]]]),
         seed=0,
     )
-    return cb, q_s_uv, q_x_uvs
+    return cb, q_s_uv, kernel_law(q_s_uv, q_x_uvs)
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +215,13 @@ def test_codebook_kernel_validation():
 
 
 def test_encoder_single_pair_always_selected():
-    cb, q_s_uv, q_x_uvs = tiny_codebook()
+    cb, _, law = tiny_codebook()
     solo = Codebook(
         n=3, r1=0.0, r2=0.0, r=0.0, u_symbols=(0, 1), v_symbols=(0, 1),
         u_words=cb.u_words[:1], v_words=cb.v_words[:1, :1], seed=0,
     )
     for k in range(20):
-        i, j, x = likelihood_encode(0, (0, 1, 0), solo, q_s_uv, q_x_uvs, seed=k)
+        i, j, x = likelihood_encode(0, (0, 1, 0), solo, law, seed=k)
         assert (i, j) == (0, 0)
         assert len(x) == 3 and set(x) <= {0, 1}
 
@@ -234,8 +243,9 @@ def test_encoder_skips_zero_likelihood_pair():
         u_words=np.array([[0], [1]]), v_words=np.zeros((2, 1, 1, 1), dtype=np.int64),
         seed=0,
     )
+    law = kernel_law(q_s_uv, q_x_uvs)
     for k in range(50):
-        i, _, _ = likelihood_encode(0, (0,), cb, q_s_uv, q_x_uvs, seed=k)
+        i, _, _ = likelihood_encode(0, (0,), cb, law, seed=k)
         assert i == 1
 
 
@@ -252,22 +262,22 @@ def test_encoder_failure_when_state_unreachable():
         v_words=np.zeros((1, 1, 1, 2), dtype=np.int64), seed=0,
     )
     with pytest.raises(EncoderFailure):
-        likelihood_encode(0, (0, 0), cb, q_s_uv, q_x_uvs, seed=3)
+        likelihood_encode(0, (0, 0), cb, kernel_law(q_s_uv, q_x_uvs), seed=3)
 
 
 def test_encoder_argument_validation():
-    cb, q_s_uv, q_x_uvs = tiny_codebook()
+    cb, _, law = tiny_codebook()
     with pytest.raises(ValueError, match="message"):
-        likelihood_encode(1, (0, 1, 0), cb, q_s_uv, q_x_uvs, seed=0)
+        likelihood_encode(1, (0, 1, 0), cb, law, seed=0)
     with pytest.raises(ValueError, match="length"):
-        likelihood_encode(0, (0, 1), cb, q_s_uv, q_x_uvs, seed=0)
+        likelihood_encode(0, (0, 1), cb, law, seed=0)
     with pytest.raises(ValueError, match="alphabet"):
-        likelihood_encode(0, (0, 2, 0), cb, q_s_uv, q_x_uvs, seed=0)
+        likelihood_encode(0, (0, 2, 0), cb, law, seed=0)
 
 
 def test_encoder_selection_frequencies_match_exact_law():
     # tiny instance (n=3, 4 pairs): 1e5 draws vs the exact posterior, 3 sigma
-    cb, q_s_uv, q_x_uvs = tiny_codebook()
+    cb, q_s_uv, law = tiny_codebook()
     s_seq = (0, 1, 0)
     exact = np.zeros((2, 2))
     for i in range(2):
@@ -282,7 +292,7 @@ def test_encoder_selection_frequencies_match_exact_law():
     counts = np.zeros((2, 2))
     ones = 0
     for k in range(draws):
-        i, j, x = likelihood_encode(0, s_seq, cb, q_s_uv, q_x_uvs, seed=77_000 + k)
+        i, j, x = likelihood_encode(0, s_seq, cb, law, seed=77_000 + k)
         counts[i, j] += 1
         ones += sum(x)
     for idx in np.ndindex(2, 2):
@@ -319,22 +329,37 @@ def _scan_decode(y, cb, q_uvy, eps):
     return hits[0] if len(hits) == 1 else ERASURE
 
 
+@pytest.mark.parametrize("rows, k, n", [(1, 3, 1), (64, 8, 6), (500, 12, 12)])
+def test_typical_rows_match_the_per_row_count(rows, k, n):
+    rng = np.random.default_rng(RNG_SEED + rows)
+    probs = rng.dirichlet(np.ones(k))
+    probs[0] = 0.0  # a letter off the support must not occur in a typical row
+    probs /= probs.sum()
+    codes = rng.integers(0, k, size=(rows, n))
+    for eps in (0.0, 0.3, 1.25):
+        want = [
+            not np.any(np.abs(np.bincount(row, minlength=k) / n - probs) > eps * probs)
+            for row in codes
+        ]
+        assert _typical_rows(codes, probs, eps, n).tolist() == want
+
+
 def test_decoder_matches_full_scan():
     model = bsc_wiretap(0.11)
     policy = uniform_input_policy(model)
     joint = assemble_joint(model, policy)
     q_uvy = marginalize(joint, ("U", "V", "Y"))
-    q_u = Pmf(joint.alphabet("U"), np.array([1.0]))
-    q_v_given_u = channel_from_joint(joint, ("U",), ("V",))
+    law = CodeLaw.of(joint)
 
     rng = np.random.default_rng(RNG_SEED)
     agreements = 0
     for trial in range(60):
-        cb = sample_codebook(q_u, q_v_given_u, 6, 0.3, 0.3, 0.3, seed=int(rng.integers(2**31)))
+        seed = int(rng.integers(2**31))
+        cb = sample_codebook(law.q_u, law.q_v_given_u, 6, 0.3, 0.3, 0.3, seed=seed)
         for _ in range(5):
             y = tuple(rng.integers(0, 2, size=6).tolist())
             eps = float(rng.choice([0.2, 0.5, 0.9, 1.2]))
-            assert typicality_decode(y, cb, q_uvy, eps) == _scan_decode(y, cb, q_uvy, eps)
+            assert typicality_decode(y, cb, law, eps) == _scan_decode(y, cb, q_uvy, eps)
             agreements += 1
     assert agreements == 300
 
@@ -342,47 +367,45 @@ def test_decoder_matches_full_scan():
 def test_decoder_unique_exact_word():
     model = bsc_wiretap(0.0)
     policy = uniform_input_policy(model)
-    joint = assemble_joint(model, policy)
-    q_uvy = marginalize(joint, ("U", "V", "Y"))
+    law = CodeLaw.of(assemble_joint(model, policy))
     cb = Codebook(
         n=4, r1=0.0, r2=0.0, r=0.0, u_symbols=(0,), v_symbols=(0, 1),
         u_words=np.zeros((1, 4), dtype=np.int64),
         v_words=np.array([0, 1, 1, 0]).reshape(1, 1, 1, 4), seed=0,
     )
-    assert typicality_decode((0, 1, 1, 0), cb, q_uvy, 1.0) == (0, 0, 0)
+    assert typicality_decode((0, 1, 1, 0), cb, law, 1.0) == (0, 0, 0)
 
 
 def test_decoder_erases_on_ambiguity_and_unknown_symbols():
     model = bsc_wiretap(0.0)
     policy = uniform_input_policy(model)
-    joint = assemble_joint(model, policy)
-    q_uvy = marginalize(joint, ("U", "V", "Y"))
+    law = CodeLaw.of(assemble_joint(model, policy))
     word = np.array([0, 1, 1, 0])
     cb = Codebook(
         n=4, r1=0.0, r2=0.25, r=0.0, u_symbols=(0,), v_symbols=(0, 1),
         u_words=np.zeros((1, 4), dtype=np.int64),
         v_words=np.stack([word, word]).reshape(1, 2, 1, 4), seed=0,
     )
-    assert typicality_decode((0, 1, 1, 0), cb, q_uvy, 1.0) == ERASURE
-    assert typicality_decode((0, 1, 1, 7), cb, q_uvy, 1.0) == ERASURE
+    assert typicality_decode((0, 1, 1, 0), cb, law, 1.0) == ERASURE
+    assert typicality_decode((0, 1, 1, 7), cb, law, 1.0) == ERASURE
 
 
 def test_decoder_argument_validation():
     model = bsc_wiretap(0.0)
     policy = uniform_input_policy(model)
     joint = assemble_joint(model, policy)
-    q_uvy = marginalize(joint, ("U", "V", "Y"))
+    law = CodeLaw.of(joint)
     cb = Codebook(
         n=4, r1=0.0, r2=0.0, r=0.0, u_symbols=(0,), v_symbols=(0, 1),
         u_words=np.zeros((1, 4), dtype=np.int64),
         v_words=np.zeros((1, 1, 1, 4), dtype=np.int64), seed=0,
     )
     with pytest.raises(ValueError, match="joint"):
-        typicality_decode((0, 0, 0, 0), cb, marginalize(joint, ("U", "V", "Z")), 0.5)
+        typicality_decode((0, 0, 0, 0), cb, CodeLaw.of(marginalize(joint, ("U", "V", "Z"))), 0.5)
     with pytest.raises(ValueError, match="length"):
-        typicality_decode((0, 0), cb, q_uvy, 0.5)
+        typicality_decode((0, 0), cb, law, 0.5)
     with pytest.raises(ValueError, match="eps"):
-        typicality_decode((0, 0, 0, 0), cb, q_uvy, -0.1)
+        typicality_decode((0, 0, 0, 0), cb, law, -0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -521,9 +544,8 @@ def test_exact_enumerations_match_the_dense_chain(n, n_s, n_z):
     model = random_model(rng, ns=n_s, nx=2, ny=2, nz=n_z)
     policy = random_gp_policy(rng, model, cu=2, cv=3)
     joint = assemble_joint(model, policy)
-    q_u = Pmf(joint.alphabet("U"), marginalize(joint, ("U",)).mass)
-    q_v_given_u = channel_from_joint(joint, ("U",), ("V",))
-    cb = sample_codebook(q_u, q_v_given_u, n, 1.0 / n, 1.6 / n, 1.0 / n, seed=n)
+    law = CodeLaw.of(joint)
+    cb = sample_codebook(law.q_u, law.q_v_given_u, n, 1.0 / n, 1.6 / n, 1.0 / n, seed=n)
     assert (cb.num_u, cb.num_v, cb.num_messages) == (2, 3, 2)
 
     kernel = exact_message_channel(model, policy, cb).kernel
@@ -575,10 +597,8 @@ def _correlated_state_policy(model: SdWtcModel):
 def test_approximation_gap_normalization_and_structure():
     model = bsc_wiretap(0.0)
     policy = _correlated_state_policy(model)
-    joint = assemble_joint(model, policy)
-    q_u = Pmf(joint.alphabet("U"), np.array([1.0]))
-    q_v_given_u = channel_from_joint(joint, ("U",), ("V",))
-    cb = sample_codebook(q_u, q_v_given_u, 4, 0.0, 0.75, 0.25, seed=5)
+    law = CodeLaw.of(assemble_joint(model, policy))
+    cb = sample_codebook(law.q_u, law.q_v_given_u, 4, 0.0, 0.75, 0.25, seed=5)
     res = approximation_gap(model, policy, cb)
     assert res.induced.sum() == pytest.approx(1.0, abs=1e-10)
     assert res.idealized.sum() == pytest.approx(1.0, abs=1e-10)
@@ -599,10 +619,8 @@ def test_approximation_gap_single_pair_oracle():
     # single (u, v) pair: induced S-marginal is W_S^n, idealized is Q_{S|u,v}^n
     model = bsc_wiretap(0.0)
     policy = _correlated_state_policy(model)
-    joint = assemble_joint(model, policy)
-    q_u = Pmf(joint.alphabet("U"), np.array([1.0]))
-    q_v_given_u = channel_from_joint(joint, ("U",), ("V",))
-    cb = sample_codebook(q_u, q_v_given_u, 4, 0.0, 0.0, 0.0, seed=11)
+    law = CodeLaw.of(assemble_joint(model, policy))
+    cb = sample_codebook(law.q_u, law.q_v_given_u, 4, 0.0, 0.0, 0.0, seed=11)
     res = approximation_gap(model, policy, cb)
     expected = 0.0
     for k in range(5):
@@ -615,12 +633,10 @@ def test_approximation_gap_single_pair_oracle():
 def test_approximation_gap_shrinks_with_huge_rates():
     model = bsc_wiretap(0.0)
     policy = _correlated_state_policy(model)
-    joint = assemble_joint(model, policy)
-    q_u = Pmf(joint.alphabet("U"), np.array([1.0]))
-    q_v_given_u = channel_from_joint(joint, ("U",), ("V",))
+    law = CodeLaw.of(assemble_joint(model, policy))
     tvs = []
     for s in range(5):
-        cb = sample_codebook(q_u, q_v_given_u, 4, 0.0, 2.4, 0.0, seed=21 + s)
+        cb = sample_codebook(law.q_u, law.q_v_given_u, 4, 0.0, 2.4, 0.0, seed=21 + s)
         tvs.append(approximation_gap(model, policy, cb).total_variation)
     assert float(np.median(tvs)) < 0.05
 
@@ -632,10 +648,8 @@ def test_approximation_gap_shrinks_with_huge_rates():
 def test_leakage_zero_when_tap_is_constant():
     model = bsc_wiretap(0.1, tap="const")
     policy = uniform_input_policy(model)
-    joint = assemble_joint(model, policy)
-    q_u = Pmf(joint.alphabet("U"), np.array([1.0]))
-    q_v_given_u = channel_from_joint(joint, ("U",), ("V",))
-    cb = sample_codebook(q_u, q_v_given_u, 4, 0.0, 0.0, 0.25, seed=2)
+    law = CodeLaw.of(assemble_joint(model, policy))
+    cb = sample_codebook(law.q_u, law.q_v_given_u, 4, 0.0, 0.0, 0.25, seed=2)
     ch = exact_message_channel(model, policy, cb)
     assert ch.in_names == ("M",) and ch.out_names == ("Zn",)
     assert ch.kernel.shape[0] == cb.num_messages
@@ -647,10 +661,8 @@ def test_leakage_zero_when_tap_is_constant():
 def test_leakage_full_bit_when_tap_copies_distinct_words():
     model = bsc_wiretap(0.0, tap="copy")
     policy = uniform_input_policy(model)
-    joint = assemble_joint(model, policy)
-    q_u = Pmf(joint.alphabet("U"), np.array([1.0]))
-    q_v_given_u = channel_from_joint(joint, ("U",), ("V",))
-    cb = sample_codebook(q_u, q_v_given_u, 4, 0.0, 0.0, 0.25, seed=7)
+    law = CodeLaw.of(assemble_joint(model, policy))
+    cb = sample_codebook(law.q_u, law.q_v_given_u, 4, 0.0, 0.0, 0.25, seed=7)
     assert not np.array_equal(cb.v_words[0, 0, 0], cb.v_words[0, 0, 1])
     cap = leakage_capacity(exact_message_channel(model, policy, cb))
     assert cap.bits == pytest.approx(1.0, abs=1e-9)
@@ -755,6 +767,16 @@ def test_reliability_validation():
     policy = uniform_input_policy(model)
     with pytest.raises(ValueError, match="trials"):
         run_reliability_experiment(model, policy, 4, (0.0, 0.0, 0.0), trials=0)
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="blocklength"):
+            run_reliability_experiment(model, policy, n, (0.0, 0.0, 0.0), trials=2)
+    # V = S: a lone 8-letter word rarely matches the state, so every trial is
+    # an encoder failure and no decode would see the negative eps
+    k = np.zeros((2, 1, 2, 2))
+    k[0, 0, 0, 0] = k[1, 0, 1, 1] = 1.0
+    tracking = gp_policy((0, 1), (0,), (0, 1), (0, 1), k)
+    with pytest.raises(ValueError, match="eps"):
+        run_reliability_experiment(model, tracking, 8, (0.0, 0.0, 0.0), eps=-0.1, trials=2)
 
 
 # ---------------------------------------------------------------------------
@@ -774,6 +796,9 @@ def test_binning_rejects_impossible_rates():
         binning_otp_protocol(ex, 8, 0.6, -0.1, 0.2, trials=5, seed=0)
     with pytest.raises(ValueError, match="trials"):
         binning_otp_protocol(ex, 8, 0.6, 0.3, 0.2, trials=0, seed=0)
+    for n, eps in ((0, 1.0), (-3, 1.0), (8, -0.5)):
+        with pytest.raises(ValueError, match="blocklength n >= 1 and eps >= 0"):
+            binning_otp_protocol(ex, n, 0.6, 0.3, 0.2, trials=5, seed=0, eps=eps)
 
 
 def test_binning_requires_constant_s2():
@@ -823,3 +848,36 @@ def test_binning_pad_key_close_to_uniform():
     assert res.num_keys == 8
     assert res.trials - res.csi_failures > 150  # enough picks to estimate the law
     assert res.key_tv_from_uniform < 0.1
+
+
+def test_monte_carlo_outcomes_are_pinned():
+    # exact outcomes recorded before the codebook laws moved into one record
+    # and the typicality scan became one bincount
+    model = bsc_wiretap(0.05)
+    pair = np.array([[[0.4, 0.3], [0.3, 0.0]], [[0.1, 0.2], [0.3, 0.4]]])  # (s, u, v)
+    policy = gp_policy((0, 1), (0, 1), (0, 1), (0, 1), pair[..., None] * np.eye(2))  # X = V
+    pinned = {
+        3: ((2, 3, 2, 1), 7, 1,
+            ((0, 0, 0), ERASURE, ERASURE, (1, 1, 3), ERASURE, ERASURE, ERASURE, ERASURE,
+             ERASURE, (1, 1, 2), (0, 0, 3))),
+        4: ((2, 2, 2, 1), 5, 2,
+            ((0, 0, 0), (0, 1, 2), (1, 0, 3), ERASURE, ERASURE, ERASURE, ERASURE, (1, 1, 1),
+             ERASURE, (1, 0, 3))),
+    }
+    for seed, (errors, erasures, failures, decoded) in pinned.items():
+        res = run_reliability_experiment(
+            model, policy, 8, (0.125, 0.125, 0.25), eps=1.5, trials=12, seed=seed,
+            keep_records=True,
+        )
+        assert res.message_errors == errors
+        assert (res.erasures, res.encoder_failures) == (erasures, failures)
+        assert tuple(rec.decoded for rec in res.records) == decoded
+
+    ex, _ = _surrogate_example()
+    r_a = 1.1 * binary_entropy(0.25)
+    for seed, counts, tv in ((5, (19, 9, 2, 8), 0.3846153846153846),
+                             (6, (22, 11, 5, 6), 0.46153846153846145)):
+        res = binning_otp_protocol(ex, 8, r_a, 0.3, 0.2, trials=30, seed=seed, eps=1.25)
+        assert (res.errors, res.csi_failures, res.x_decode_failures,
+                res.key_decode_failures) == counts
+        assert res.key_tv_from_uniform == tv
