@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -290,6 +291,8 @@ def _cmd_softcov_sim(config: RunConfig) -> tuple[dict, list]:
         raise ValueError("softcov-sim needs --r1 and --r2")
     if not config.n:
         raise ValueError("softcov-sim needs --n")
+    if config.trials < 1:
+        raise ValueError(f"trials must be positive, got {config.trials!r}")
     joint = assemble_joint(model, policy)
     law = CodeLaw.of(joint)
     cover = _covering_joint(joint, config.w_axis)
@@ -317,6 +320,8 @@ def _cmd_codec_sim(config: RunConfig) -> tuple[dict, list]:
         raise ValueError("codec-sim needs --r1 and --r2")
     if not config.n:
         raise ValueError("codec-sim needs --n")
+    if config.leakage_trials < 0:
+        raise ValueError(f"leakage trials must be positive, got {config.leakage_trials!r}")
     rate_triple = CodeRates(config.r1, config.r2, config.r)
     law = CodeLaw.of(assemble_joint(model, policy))
 
@@ -428,7 +433,9 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"--n wants comma-separated integers, got {text!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="sdwtc",
         description="Secrecy rates, covering exponents, and coding-scheme simulation "

@@ -366,21 +366,24 @@ def _part_axes(spec: PolicyKind, model: SdWtcModel | RlnModel, aux) -> list[tupl
             for _, ins, outs in spec.parts]
 
 
-def _joint(spec: PolicyKind, model: SdWtcModel | RlnModel, axes: list[tuple[tuple, tuple]],
-           arrays) -> tuple[tuple, np.ndarray]:
-    """The (name, alphabet) axes and the (B, ...) masses of the joints a stack
-    of B policies induces, from one array per part holding B of its entries
-    (any shape that reshapes to (B, *part shape), such as stacked blocks).
-    The factors are multiplied in spec.product order, which fixes the
+def joint_plan(kind: str, model: SdWtcModel | RlnModel, aux) -> tuple[tuple, Callable[[list], np.ndarray]]:
+    """The (name, alphabet) axes of the joints that policies of this kind,
+    with these auxiliary alphabets, induce on a model, and the builder of
+    the (B, ...) masses of a stack of B policies from one array per part
+    holding B of its entries (any shape that reshapes to (B, *part shape),
+    such as stacked blocks); it builds no policy or joint object.  The
+    factors are multiplied in the kind's product order, which fixes the
     rounding."""
-    parts = {field: (ins + outs, arr.reshape(len(arr), *(len(a) for _, a in ins + outs)))
-             for (field, _, _), (ins, outs), arr in zip(spec.parts, axes, arrays, strict=True)}
+    spec = policy_kind(kind)
+    part_axes = {field: ins + outs for (field, _, _), (ins, outs)
+                 in zip(spec.parts, _part_axes(spec, model, aux), strict=True)}
+    shapes = {field: tuple(len(a) for _, a in f_axes) for field, f_axes in part_axes.items()}
     index: dict[str, int] = {}  # axis name -> einsum subscript; 0 is the batch axis
     joint_axes: list[tuple[str, tuple]] = []
-    operands: list = []
+    factors: list[tuple[str, np.ndarray | None, list[int]]] = []  # a part's array is None
     for name in spec.product:
-        if name in parts:
-            (f_axes, arr), batch = parts[name], [0]
+        if name in part_axes:
+            f_axes, arr, batch = part_axes[name], None, [0]
         else:  # a model factor: its state law over S, or one of its channels
             f = getattr(model, name)
             f_axes, arr = ((("S", f.symbols),), f.probs) if isinstance(f, Pmf) else (
@@ -390,8 +393,18 @@ def _joint(spec: PolicyKind, model: SdWtcModel | RlnModel, axes: list[tuple[tupl
             if axis[0] not in index:
                 index[axis[0]] = len(index) + 1
                 joint_axes.append(axis)
-        operands += [arr, batch + [index[a] for a, _ in f_axes]]
-    return tuple(joint_axes), np.einsum(*operands, list(range(len(index) + 1)))
+        factors.append((name, arr, batch + [index[a] for a, _ in f_axes]))
+    out = list(range(len(index) + 1))
+
+    def mass(arrays) -> np.ndarray:
+        parts = {field: arr.reshape(len(arr), *shape)
+                 for (field, shape), arr in zip(shapes.items(), arrays, strict=True)}
+        operands: list = []
+        for name, arr, subscripts in factors:
+            operands += [parts[name] if arr is None else arr, subscripts]
+        return np.einsum(*operands, out)
+
+    return tuple(joint_axes), mass
 
 
 def policy_joint(kind: str, model: SdWtcModel | RlnModel, policy) -> JointPmf:
@@ -402,12 +415,13 @@ def policy_joint(kind: str, model: SdWtcModel | RlnModel, policy) -> JointPmf:
     have = [(p.in_axes, p.out_axes) if isinstance(p, Channel) else ((), ((outs[0], p.symbols),))
             for p, (_, _, outs) in zip(parts, spec.parts, strict=True)]
     alph = dict(axis for ins, outs in have for axis in ins + outs)
-    axes = _part_axes(spec, model, [alph.get(field.upper(), ()) for field in spec.aux])
+    aux = [alph.get(field.upper(), ()) for field in spec.aux]
+    axes = _part_axes(spec, model, aux)
     if have != axes:
         raise ValueError(f"{kind} policy parts have axes {have}; the model needs {axes}")
-    arrays = [p.kernel[None] if isinstance(p, Channel) else p.probs[None] for p in parts]
-    joint_axes, mass = _joint(spec, model, axes, arrays)
-    return JointPmf(joint_axes, mass[0])
+    joint_axes, mass = joint_plan(kind, model, aux)
+    return JointPmf(joint_axes, mass([p.kernel[None] if isinstance(p, Channel) else p.probs[None]
+                                      for p in parts])[0])
 
 
 def _part(ins: tuple, outs: tuple, arr) -> Channel | Pmf:
@@ -445,10 +459,9 @@ def policy_blocks(
 
 def stacked_joint(kind: str, model: SdWtcModel | RlnModel, aux, stacks) -> tuple[tuple, np.ndarray]:
     """The joints' (name, alphabet) axes and (B, ...) masses for a stack of B
-    policies of this kind, given as one (B, ...) array per part or block,
-    without building any policy or joint object."""
-    spec = policy_kind(kind)
-    return _joint(spec, model, _part_axes(spec, model, aux), stacks)
+    policies of this kind (see joint_plan)."""
+    axes, mass = joint_plan(kind, model, aux)
+    return axes, mass(stacks)
 
 
 def achieving_rln_policy(model: RlnModel) -> tuple:

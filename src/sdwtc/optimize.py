@@ -9,11 +9,12 @@ the one way to evaluate a policy object: it builds the policy's joint and
 returns ``rates.report`` of it.  ``maximize`` and ``exhaustive_small``
 score stacks of raw blocks with ``rates.evaluate`` and build no policy per
 candidate.  The search is random-restart coordinate ascent, its restarts
-advanced in lockstep with one stacked evaluation per iteration, plus a
-brute-force grid enumeration, in chunks, for problems small enough to
-afford it.  Runs are deterministic given the budget seed (restart r draws
-from the r-th splitmix64 output of the master seed), and each restart walks
-the path it would walk alone.
+advanced in lockstep: each iteration makes one stacked evaluation and one
+batched simplex projection per block, so each restart's generator draws
+are the only per-restart work.  A brute-force grid enumeration, in chunks,
+serves problems small enough to afford it.  Runs are deterministic given
+the budget seed (restart r draws from the r-th splitmix64 output of the
+master seed), and each restart walks the path it would walk alone.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ from .models import (
     RlnModel,
     SdWtcModel,
     as_input_policy,
+    joint_plan,
     policy_blocks,
     policy_joint,
     policy_parts,
@@ -67,13 +69,16 @@ class OptResult:
     evaluations: int
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u * np.arange(1, v.size + 1) > css)[0][-1]
-    out = np.maximum(v - css[rho] / (rho + 1), 0.0)
-    return out / out.sum()
+def _project_rows(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection of each row of a (k, d) array onto the
+    probability simplex (the sort-based method of Duchi et al., 2008)."""
+    k, d = v.shape
+    u = np.sort(v, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1) - 1.0
+    # in each row, the last index j with u[j] * (j + 1) > css[j]
+    rho = d - 1 - np.argmax((u * np.arange(1, d + 1) > css)[:, ::-1], axis=1)
+    out = np.maximum(v - (css[np.arange(k), rho] / (rho + 1))[:, None], 0.0)
+    return out / out.sum(axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -184,16 +189,18 @@ def _lockstep(
     """Coordinate ascent from a Dirichlet(1) start per seed, all restarts
     advanced together: each iteration scores every restart's candidate in one
     stack, then accepts or rejects each on its own.  Restart i draws only
-    from its own generator, in the order a lone run would.  Returns the best
-    (R, rows, d) blocks, the (R,) best values and the number of evaluations."""
+    from its own generator, in the order a lone run would; the draws are the
+    only per-restart work, and each block's perturbed rows are projected in
+    one call.  Returns the best (R, rows, d) blocks, the (R,) best values and
+    the number of evaluations."""
     entry = FUNCTIONALS[functional]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     starts = [[g.dirichlet(np.ones(d), size=rows) for rows, d in shapes] for g in rngs]
     blocks = [np.stack(block) for block in zip(*starts)]
+    axes, joint_mass = joint_plan(entry.policy_kinds[0], model, aux)
 
     def objective(stacks: list[np.ndarray]) -> np.ndarray:
-        axes, mass = stacked_joint(entry.policy_kinds[0], model, aux, stacks)
-        return _stack_objective(entry, axes, mass)
+        return _stack_objective(entry, axes, joint_mass(stacks))
 
     best = objective(blocks)
 
@@ -207,18 +214,32 @@ def _lockstep(
         blocks[0][fold] = k2.reshape(-1, *blocks[0].shape[1:])
         best[fold] = objective([b[fold] for b in blocks])
 
-    slots = [(b, r) for b, (rows, d) in enumerate(shapes) for r in range(rows) if d > 1]
-    if not slots:
+    # the free slots, rows of length above 1, as (block, row) lookups
+    slots = np.array([(b, r) for b, (rows, d) in enumerate(shapes) for r in range(rows) if d > 1],
+                     dtype=int).reshape(-1, 2)
+    if not len(slots):
         return blocks, best, len(rngs) + len(fold)
+    slot_block, slot_row = slots.T
+    moved = [b for b, (_, d) in enumerate(shapes) if d > 1]
+    # each restart's noise row, drawn into the row of its slot's block
+    noise = [np.empty((len(rngs), d)) for _, d in shapes]
+    slot_noise = [noise[b] for b in slot_block]
 
     step = np.full(len(rngs), _INITIAL_STEP)
     rejects = np.zeros(len(rngs), dtype=int)
+    picks = np.empty(len(rngs), dtype=int)
     for _ in range(iterations):
-        trial = [b.copy() for b in blocks]
         for i, g in enumerate(rngs):
-            b, r = slots[g.integers(len(slots))]
-            row = trial[b][i, r]
-            trial[b][i, r] = _project_simplex(row + step[i] * g.standard_normal(row.size))
+            picks[i] = s = g.integers(len(slots))
+            g.standard_normal(out=slot_noise[s][i])
+        trial = [b.copy() for b in blocks]
+        picked = slot_block[picks]
+        for b in moved:
+            who = np.flatnonzero(picked == b)
+            if len(who):
+                rows = slot_row[picks[who]]
+                trial[b][who, rows] = _project_rows(
+                    trial[b][who, rows] + step[who, None] * noise[b][who])
         cand = objective(trial)
         up = cand > best
         best[up] = cand[up]

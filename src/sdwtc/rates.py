@@ -71,10 +71,11 @@ _TOKEN = re.compile(r"([+-]?)(\[|\]\+|[IH]\([^()]*\))")
 
 
 @lru_cache(maxsize=256)
-def _plan(terms: Terms, names: tuple[str, ...]) -> tuple[list[tuple], dict[str, list]]:
-    """The distinct marginals a rate needs on stacked joints over these axes,
-    each as the (summed-out axes, axis permutation) that reduces a (B, ...)
-    mass to it, and its formulas as lists of (sign, node) summed left to
+def _plan(terms: Terms, names: tuple[str, ...]) -> tuple[list[tuple], list[tuple], dict[str, list]]:
+    """The distinct axis sets a rate sums out of stacked joints over these
+    axes, the distinct marginals it needs, each as (index of its summed-out
+    set, the axis permutation that orders the sum's axes like the
+    marginal), and its formulas as lists of (sign, node) summed left to
     right: a node is the index of a marginal's entropy, or (clamp, nodes)
     for a bracket (clamped at zero), an I(A;B|C) = H(A,C) + H(B,C) -
     H(A,B,C) - H(C) or an H(A|C) = H(A,C) - H(C)."""
@@ -107,22 +108,23 @@ def _plan(terms: Terms, names: tuple[str, ...]) -> tuple[list[tuple], dict[str, 
     unknown = {n for keep in marginals for n in keep} - set(names)
     if unknown:
         raise ValueError(f"unknown axes {sorted(unknown)}; have {names}")
+    drops: dict[tuple[int, ...], int] = {}
     reductions = []
     for keep in marginals:
         kept = [n for n in names if n in keep]
-        reductions.append((tuple(1 + i for i, n in enumerate(names) if n not in keep),
-                           (0, *(1 + kept.index(n) for n in keep))))
-    return reductions, formulas
+        drop = tuple(1 + i for i, n in enumerate(names) if n not in keep)
+        reductions.append((drops.setdefault(drop, len(drops)), (0, *(1 + kept.index(n) for n in keep))))
+    return list(drops), reductions, formulas
 
 
 def evaluate(terms: Terms, names: Sequence[str], mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every term of a rate on a stack of joints, mass[b] over the named axes:
     the (B, terms) values and the (B,) feasibility flags.  Each distinct
-    marginal entropy is computed once."""
+    marginal entropy is computed once, from one sum per summed-out axis set."""
     names = tuple(names)
-    reductions, formulas = _plan(terms, names)
-    h = _entropy_bits([(mass.sum(axis=drop) if drop else mass).transpose(perm)
-                       for drop, perm in reductions], lead=1)
+    drops, reductions, formulas = _plan(terms, names)
+    sums = [mass.sum(axis=drop) if drop else mass for drop in drops]
+    h = _entropy_bits([sums[j].transpose(perm) for j, perm in reductions], lead=1)
 
     def value(nodes: list) -> np.ndarray:
         acc = None

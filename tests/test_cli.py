@@ -5,17 +5,23 @@ summary, and CSV bytes can all be captured and compared across reruns.
 """
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from identities import random_model, random_rln_model
+import sdwtc
 from sdwtc import __version__, rates
 from sdwtc.cli import (
     RunConfig,
     _fmt,
     _parse_n_list,
     _round12,
+    build_parser,
     config_hash,
     load_channel_spec,
     load_policy_spec,
@@ -405,6 +411,43 @@ def test_binning_sim_refuses_bad_blocklength_and_eps(capsys, flags):
     assert record["error"]["type"] == "ValueError"
     assert record["error"]["message"].startswith("need blocklength n >= 1 and eps >= 0")
     assert "results" not in record
+
+
+@pytest.mark.parametrize("subcommand, flags", [
+    ("softcov-sim", ["--trials", "0"]),
+    ("softcov-sim", ["--trials", "-2"]),
+    ("codec-sim", ["--leakage-trials", "-1"]),
+])
+def test_bad_trial_counts_are_error_records(tmp_path, capsys, subcommand, flags):
+    ch = write_json(tmp_path / "ch.json", wiretap_doc())
+    pol = write_json(tmp_path / "pol.json", x_given_s_doc())
+    argv = [subcommand, "--channel", ch, "--policy", pol, "--r1", "0.7", "--r2", "0.7",
+            "--n", "3", "--trials", "4", "--seed", "2"]
+    status = main(argv + flags)
+    captured = capsys.readouterr()
+    record = json.loads(captured.out)
+    assert status == 1
+    assert record["error"]["type"] == "ValueError"
+    assert f"trials must be positive, got {flags[1]}" in record["error"]["message"]
+    assert "results" not in record
+    assert captured.err == ""
+
+
+def test_successive_mains_print_what_fresh_processes_print(tmp_path, capsys):
+    ch = write_json(tmp_path / "ch.json", wiretap_doc())
+    pol = write_json(tmp_path / "pol.json", const_u_policy_doc())
+    out_csv = tmp_path / "rate.csv"
+    runs = [["rate", "--channel", ch, "--policy", pol, "--functional", "RA", "--out", str(out_csv)],
+            ["rate", "--channel", ch, "--policy", pol, "--functional", "CHV"]]
+    env = dict(os.environ, PYTHONPATH=str(Path(sdwtc.__file__).parents[1]))
+    fresh = [subprocess.run([sys.executable, "-m", "sdwtc.cli", *argv], env=env, check=True,
+                            capture_output=True, text=True).stdout for argv in runs]
+    out_csv.unlink()
+    for argv, want in zip(runs, fresh):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+    assert json.loads(fresh[1])["csv"] is None
+    assert build_parser() is build_parser()
 
 
 def test_non_finite_literals_are_refused(tmp_path):

@@ -23,7 +23,7 @@ from sdwtc.optimize import (
     OptBudget,
     OptResult,
     _aux,
-    _project_simplex,
+    _project_rows,
     _search_space,
     _stack_objective,
     cardinality_caps,
@@ -176,6 +176,43 @@ def test_trajectories_are_pinned():
                    OptBudget(restarts=3, iterations=40, seed=1))
     assert rln.trace == (0.0494319960325551, 0.08926074908229764, 0.07641503298830243)
     assert rln.evaluations == 123
+
+
+def _project_simplex(v):
+    """Euclidean projection of one row onto the probability simplex: the
+    per-row reference for optimize._project_rows."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    rho = np.nonzero(u * np.arange(1, v.size + 1) > css)[0][-1]
+    out = np.maximum(v - css[rho] / (rho + 1), 0.0)
+    return out / out.sum()
+
+
+def _projection_cases(rng):
+    """Seeded (k, d) batches for the simplex projection: Gaussian rows at
+    d = 2..40, tied entries, rows already on the simplex, vertices,
+    all-negative rows and entries of magnitude 1e6."""
+    for d in range(2, 41):
+        yield rng.normal(size=(5, d)) * rng.uniform(0.01, 3.0)
+        yield np.round(rng.normal(size=(4, d)), 1)
+        yield np.vstack([np.full(d, rng.normal()), np.repeat(rng.normal(size=2), [1, d - 1])])
+        yield rng.dirichlet(np.ones(d), size=3)
+        yield np.eye(d)[rng.permutation(d)[:3]]
+        yield -rng.uniform(0.1, 5.0, size=(3, d))
+        yield rng.normal(size=(3, d)) * 1e6
+
+
+def test_batched_projection_matches_the_per_row_projection():
+    rng = np.random.default_rng(RNG_SEED + 25)
+    cases = list(_projection_cases(rng))
+    for v in cases:
+        want = np.array([_project_simplex(row) for row in v])
+        assert np.array_equal(_project_rows(v), want)
+        assert np.array_equal(_project_rows(v[1:2]), want[1:2])
+    # a row inside a stack of other rows of its length, as the search projects it
+    d = 7
+    mixed = np.vstack([c for c in cases if c.shape[1] == d])
+    assert np.array_equal(_project_rows(mixed), np.array([_project_simplex(row) for row in mixed]))
 
 
 def _sequential_maximize(functional, model, card_u, card_v, budget):

@@ -21,9 +21,10 @@ from sdwtc.models import (
     gp_policy,
     lift_side_information,
     policy_joint,
+    stacked_joint,
     vx_policy,
 )
-from sdwtc.optimize import rate_report
+from sdwtc.optimize import FUNCTIONALS, _aux, _search_space, rate_report
 from sdwtc.prob import (
     Channel,
     Pmf,
@@ -31,9 +32,21 @@ from sdwtc.prob import (
     binary_entropy,
     entropy,
     mutual_information,
+    _entropy_bits,
     uniform,
 )
-from sdwtc.rates import CEG, CHV, RA, RA_ALT, constraint_gap, report, transform_to_alt
+from sdwtc.rates import (
+    _TOKEN,
+    CEG,
+    CHV,
+    FEAS_TOL,
+    RA,
+    RA_ALT,
+    constraint_gap,
+    evaluate,
+    report,
+    transform_to_alt,
+)
 
 RNG_SEED = 20240819
 
@@ -497,3 +510,66 @@ def test_ln_encdec_cross_checks_ceg_at_t_equals_x():
         ln = rate_report("LN_encdec", model, pol)
         assert report(CEG, j).value == pytest.approx(ln.value, abs=1e-10)
     assert checked >= 30
+
+
+# ---------------------------------------------------------------------------
+# stacked evaluation
+
+
+def _evaluate_per_marginal(terms, names, mass):
+    """rates.evaluate with each entropy summed out of the joints on its own
+    (one mass.sum per marginal), its formulas added left to right."""
+    def h(keep):
+        kept = [n for n in names if n in keep]
+        drop = tuple(1 + i for i, n in enumerate(names) if n not in keep)
+        m = (mass.sum(axis=drop) if drop else mass).transpose(0, *(1 + kept.index(n) for n in keep))
+        return _entropy_bits([m], lead=1)[0]
+
+    def add(acc, sign, v):
+        v = -v if sign == "-" else v
+        return v if acc is None else acc + v
+
+    def value(formula):
+        stack = [["+", None]]  # [sign, running sum] per open bracket
+        for sign, tok in _TOKEN.findall(formula):
+            if tok == "[":
+                stack.append([sign, None])
+            elif tok == "]+":
+                sign, acc = stack.pop()
+                stack[-1][1] = add(stack[-1][1], sign, np.maximum(0.0, acc))
+            else:
+                body, _, given = tok[2:-1].partition("|")
+                c = tuple(given.split(",")) if given else ()
+                groups = [tuple(g.split(",")) for g in body.split(";")]
+                acc = None
+                for g in groups:
+                    acc = add(acc, "+", h(g + c))
+                if len(groups) == 2:
+                    acc = add(acc, "-", h(groups[0] + groups[1] + c))
+                if c:
+                    acc = add(acc, "-", h(c))
+                stack[-1][1] = add(stack[-1][1], sign, acc)
+        return stack[0][1]
+
+    values = np.stack([value(label) for label in terms.labels], axis=1)
+    feasible = (np.ones(len(mass), dtype=bool) if terms.feasible is None
+                else value(terms.feasible) >= -FEAS_TOL)
+    return values, feasible
+
+
+def test_evaluate_matches_a_per_marginal_reference():
+    rng = np.random.default_rng(RNG_SEED + 21)
+    model = random_model(rng, ns=3, nx=2)
+    instances = {"RA": (model, 2, 3), "RA_alt": (model, 3, 2), "CHV": (model, 1, 3),
+                 "CEG": (model, 2, 1), "RLN": (random_rln_model(rng), 2, 2),
+                 "semidet": (_binary_xor_model(0.3), 1, 1), "LN_encdec": (model, 1, 1)}
+    for functional, (m, card_u, card_v) in instances.items():
+        entry = FUNCTIONALS[functional]
+        shapes, _ = _search_space(entry, m, card_u, card_v)
+        stacks = [rng.dirichlet(np.full(d, 0.5), size=(9, rows)) for rows, d in shapes]
+        axes, mass = stacked_joint(entry.policy_kinds[0], m, _aux(entry, card_u, card_v), stacks)
+        names = tuple(name for name, _ in axes)
+        values, feasible = evaluate(entry.terms, names, mass)
+        want_values, want_feasible = _evaluate_per_marginal(entry.terms, names, mass)
+        assert np.array_equal(values, want_values), functional
+        assert np.array_equal(feasible, want_feasible), functional
