@@ -205,10 +205,15 @@ def _entropy_bits(masses: Sequence[np.ndarray], lead: int = 0) -> list[np.ndarra
     lead axes, the logs of all taken in one pass.  Masses at or below
     ZERO_MASS count as zero and their log is never taken."""
     flat = [np.asarray(m, dtype=float).reshape(np.shape(m)[:lead] + (-1,)) for m in masses]
-    p = np.concatenate(flat, axis=-1)
+    return _segment_entropy_bits(np.concatenate(flat, axis=-1), [m.shape[-1] for m in flat])
+
+
+def _segment_entropy_bits(p: np.ndarray, sizes: Sequence[int]) -> list[np.ndarray]:
+    """The entropy in bits of each run of the given sizes laid side by side
+    along the last axis of the flat masses p, as in _entropy_bits."""
     p_log_p = p * np.log2(np.where(p > ZERO_MASS, p, 1.0))
-    ends = np.cumsum([m.shape[-1] for m in flat])
-    return [-p_log_p[..., end - m.shape[-1]:end].sum(axis=-1) for m, end in zip(flat, ends)]
+    ends = np.cumsum(sizes)
+    return [-p_log_p[..., end - size:end].sum(axis=-1) for size, end in zip(sizes, ends)]
 
 
 def entropy(

@@ -10,6 +10,7 @@ caller's choice.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -18,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .models import ERASURE, InputPolicy, SdWtcModel, assemble_joint, gp_policy
-from .prob import JointPmf, _entropy_bits
+from .prob import JointPmf, _segment_entropy_bits
 
 FEAS_TOL = 1e-10
 INDEP_TOL = 1e-9
@@ -117,14 +118,34 @@ def _plan(terms: Terms, names: tuple[str, ...]) -> tuple[list[tuple], list[tuple
     return list(drops), reductions, formulas
 
 
+@lru_cache(maxsize=256)
+def _gather(terms: Terms, names: tuple[str, ...],
+            shape: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """For joints of this shape (batch axis excluded): the flat index that
+    takes every marginal of _plan(terms, names), in its own axis order, out
+    of the summed-out sets flattened and laid side by side, and the size of
+    each marginal."""
+    drops, reductions, _ = _plan(terms, names)
+    blocks, offset = [], 0
+    for drop in drops:
+        kept = tuple(d for axis, d in enumerate(shape, start=1) if axis not in drop)
+        blocks.append(offset + np.arange(math.prod(kept)).reshape(kept))
+        offset += blocks[-1].size
+    parts = [blocks[j].transpose([axis - 1 for axis in perm[1:]]).ravel() for j, perm in reductions]
+    return np.concatenate(parts), tuple(part.size for part in parts)
+
+
 def evaluate(terms: Terms, names: Sequence[str], mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every term of a rate on a stack of joints, mass[b] over the named axes:
     the (B, terms) values and the (B,) feasibility flags.  Each distinct
-    marginal entropy is computed once, from one sum per summed-out axis set."""
+    marginal entropy is computed once, from one sum per summed-out axis set
+    and one gather of all marginals."""
     names = tuple(names)
-    drops, reductions, formulas = _plan(terms, names)
-    sums = [mass.sum(axis=drop) if drop else mass for drop in drops]
-    h = _entropy_bits([sums[j].transpose(perm) for j, perm in reductions], lead=1)
+    drops, _, formulas = _plan(terms, names)
+    sums = [(mass.sum(axis=drop) if drop else mass).reshape(len(mass), -1) for drop in drops]
+    index, sizes = _gather(terms, names, mass.shape[1:])
+    # np.take keeps p C-ordered; p[:, index] would not, and its run sums would round differently
+    h = _segment_entropy_bits(np.take(np.concatenate(sums, axis=1), index, axis=1), sizes)
 
     def value(nodes: list) -> np.ndarray:
         acc = None

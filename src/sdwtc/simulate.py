@@ -40,9 +40,15 @@ class CodeRates(NamedTuple):
 
 
 def index_count(n: int, rate: float) -> int:
-    """Floor-convention index set size max(1, floor(2^{n rate}))."""
-    if rate < 0.0:
-        raise ValueError(f"rates must be nonnegative, got {rate!r}")
+    """Floor-convention index set size max(1, floor(2^{n rate})).
+
+    A rate that is not finite, or an n rate of 63 or more (a set larger than
+    any size guard), is refused before the power is taken.
+    """
+    if not (math.isfinite(rate) and rate >= 0.0):
+        raise ValueError(f"rates must be finite and nonnegative, got {rate!r}")
+    if n * rate >= 63:
+        raise ValueError(f"n*rate = {n * rate!r} gives an index set of 2^63 or more")
     return max(1, int(math.floor(2.0 ** (n * rate) + 1e-9)))
 
 
@@ -75,11 +81,16 @@ def _typical_rows(codes: np.ndarray, probs: np.ndarray, eps: float, n: int) -> n
 
 
 def _inverse_cdf(rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Sample one index per row of a row-stochastic array given uniforms."""
+    """Sample one index per row of a row-stochastic (..., K) array given
+    uniforms in [0, 1) broadcast against its leading axes: the number of the
+    first K - 1 cumulative masses each draw exceeds, counted one column at a
+    time into int64, so the last index takes whatever mass rounding leaves
+    above the final sum."""
     cdf = np.cumsum(rows, axis=-1)
-    cdf[..., -1] = 1.0
-    idx = (draws[..., None] > cdf).sum(axis=-1)
-    return np.minimum(idx, rows.shape[-1] - 1)
+    idx = np.zeros(np.broadcast_shapes(cdf.shape[:-1], draws.shape), dtype=np.int64)
+    for j in range(rows.shape[-1] - 1):
+        idx += draws > cdf[..., j]
+    return idx
 
 
 def _product_chain(rows: np.ndarray, combine: np.ufunc = np.multiply) -> np.ndarray:
@@ -166,8 +177,8 @@ def sample_codebook(
         r=r,
         u_symbols=q_u.symbols,
         v_symbols=q_v_given_u.out_axes[0][1],
-        u_words=u_words.astype(np.int64),
-        v_words=v_words.astype(np.int64),
+        u_words=u_words.astype(np.int64, copy=False),
+        v_words=v_words.astype(np.int64, copy=False),
         seed=seed,
     )
 
@@ -278,16 +289,45 @@ def typicality_decode(
 # exact enumerations
 
 
+def _distinct_words(codes: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of (C, w) letter codes in [0, p), in lexicographic
+    order, and the index of each row among them.
+
+    Rows are keyed letter by letter as key * p + code; before a letter could
+    push a key past 2^62 the keys are replaced by their ranks, which keeps
+    their order, so any width fits in int64.  Each distinct row is copied
+    from one row that has its key (return_index would force a stable sort,
+    three times slower here).
+    """
+    key = np.zeros(codes.shape[0], dtype=np.int64)
+    bound = 1  # every key is below bound
+    for t in range(codes.shape[1]):
+        if bound * p > 2 ** 62:
+            ranks, key = np.unique(key, return_inverse=True)
+            bound = ranks.size
+        key = key * p + codes[:, t]
+        bound *= p
+    distinct, inverse = np.unique(key, return_inverse=True)
+    first = np.empty(distinct.size, dtype=np.intp)
+    first[inverse] = np.arange(key.size)
+    return codes[first], inverse
+
+
 def exact_output_divergence(cb: Codebook, q_w_given_uv: Channel, q_w: Pmf) -> float:
     """D(P_W^(B) || Q_W^n) in bits, enumerating every w in W^n.
 
     The induced output averages the per-codeword product laws uniformly over
     all Ncw = N1 N2 M codewords (i, j, m).  Splitting the letters at
-    h = n // 2, that average is one matrix product A B^T / Ncw, where the
-    columns of A (|W|^h x Ncw) and B (|W|^(n-h) x Ncw) hold each codeword's
-    product law over the first h and the last n - h letters: Ncw |W|^n
-    multiply-adds in one BLAS call, the count the guard bounds, and
-    Ncw (|W|^h + |W|^(n-h)) floats.
+    h = n // 2, each codeword is a pair of (u, v) half-words, and the law of
+    a codeword is the product of its halves' laws, so the average is
+    A G / Ncw: the columns of A (|W|^h x n_a) hold the laws of the n_a
+    distinct first halves, and row a of G (n_a x |W|^(n-h)) sums the laws of
+    the second halves that follow first half a, each as often as it does.
+    That costs |W|^n n_a + |W|^(n-h) n_p multiply-adds for the n_p distinct
+    (first, second) pairs, where n_a <= min(Ncw, (|U||V|)^h) and
+    n_p <= Ncw, against the Ncw |W|^n that the guard still counts.  It
+    differs from the per-codeword average only in rounding, by at most
+    1e-12 bits.
     """
     if q_w_given_uv.in_names != ("U", "V"):
         raise ValueError(f"need a kernel with inputs (U, V), got {q_w_given_uv.in_names}")
@@ -301,11 +341,18 @@ def exact_output_divergence(cb: Codebook, q_w_given_uv: Channel, q_w: Pmf) -> fl
     if ops > _MAX_ENUM_OPS:
         raise ValueError(f"enumeration needs ~{ops} operations; guard is {_MAX_ENUM_OPS}")
 
-    u = np.broadcast_to(cb.u_words[:, None, None, :], cb.v_words.shape).reshape(-1, cb.n)
-    v = cb.v_words.reshape(-1, cb.n)
-    rows = q_w_given_uv.kernel[u, v]  # (Ncw, n, |W|)
+    n_v = len(cb.v_symbols)
+    uv = (cb.u_words[:, None, None, :] * n_v + cb.v_words).reshape(-1, cb.n)  # (Ncw, n)
+    rows = q_w_given_uv.kernel.reshape(-1, n_w)  # (|U||V|, |W|)
     h = cb.n // 2
-    induced = (_product_chain(rows[:, :h]) @ _product_chain(rows[:, h:]).T).ravel() / n_cw
+    first, ia = _distinct_words(uv[:, :h], rows.shape[0])
+    second, ib = _distinct_words(uv[:, h:], rows.shape[0])
+    pairs, counts = np.unique(ia * len(second) + ib, return_counts=True)  # sorted by first half
+    starts = np.searchsorted(pairs, np.arange(len(first)) * len(second))
+    weighted = _product_chain(rows[second]).T[pairs % len(second)]
+    weighted *= counts[:, None]
+    g = np.add.reduceat(weighted, starts, axis=0)  # (n_a, |W|^(n-h))
+    induced = (_product_chain(rows[first]) @ g).ravel() / n_cw
     reference = _product_chain(q_w.probs[None, None, :].repeat(cb.n, axis=1))[:, 0]
 
     mask = induced > ZERO_MASS
@@ -342,10 +389,11 @@ def _encoder_tables(
     ).T.reshape(cb.num_messages, cb.num_u, cb.num_v, num_seqs)
 
     top = loglik.max(axis=(1, 2), keepdims=True)
-    safe_top = np.where(np.isneginf(top), 0.0, top)
-    w = np.exp(loglik - safe_top)
-    norm = w.sum(axis=(1, 2), keepdims=True)
-    p_hat = np.where(norm > 0.0, w / np.where(norm > 0.0, norm, 1.0), 1.0 / (cb.num_u * cb.num_v))
+    supported = ~np.isneginf(top)
+    p_hat = loglik - np.where(supported, top, 0.0)
+    np.exp(p_hat, out=p_hat)
+    p_hat /= np.where(supported, p_hat.sum(axis=(1, 2), keepdims=True), 1.0)
+    np.copyto(p_hat, 1.0 / (cb.num_u * cb.num_v), where=~supported)
     return ln_ws, loglik, p_hat
 
 
@@ -394,6 +442,12 @@ def approximation_gap(model: SdWtcModel, policy: InputPolicy, cb: Codebook) -> I
 
 
 def exact_message_channel(model: SdWtcModel, policy: InputPolicy, cb: Codebook) -> Channel:
+    """The exact channel from the message to the eavesdropper's sequence
+    (see _message_channel) under the policy's code law."""
+    return _message_channel(model, CodeLaw.of(assemble_joint(model, policy)), cb)
+
+
+def _message_channel(model: SdWtcModel, law: CodeLaw, cb: Codebook) -> Channel:
     """The exact channel from the message to the eavesdropper's sequence.
 
     P(z^n | m) = sum_s W_S^n(s) sum_{i,j} P_hat(i,j|m,s) prod_t K(z_t | ...),
@@ -406,7 +460,9 @@ def exact_message_channel(model: SdWtcModel, policy: InputPolicy, cb: Codebook) 
     per-pair |S| x |Z| kernel of letter t (an n-mode product), so after n
     steps the axes are z_1..z_n in lexicographic order and the pairs are
     summed out.  That is M N1 N2 sum_t |S|^(n-t+1) |Z|^t multiply-adds, the
-    count the guard bounds, and N1 N2 max(|S|, |Z|)^n floats at a time.
+    count the guard bounds before any table is built, and N1 N2
+    max(|S|, |Z|)^n floats at a time.  law is the policy's
+    CodeLaw.of(assemble_joint(model, policy)).
     """
     n_s, n_z = len(model.s_symbols), len(model.z_symbols)
     pairs = cb.num_u * cb.num_v
@@ -415,7 +471,6 @@ def exact_message_channel(model: SdWtcModel, policy: InputPolicy, cb: Codebook) 
     if ops > _MAX_ENUM_OPS:
         raise ValueError(f"enumeration needs ~{ops} operations; guard is {_MAX_ENUM_OPS}")
 
-    law = CodeLaw.of(assemble_joint(model, policy))
     ln_ws, _, p_hat = _encoder_tables(model, law, cb)
     w_z = model.channel.kernel.sum(axis=2)  # (|X|, |S|, |Z|)
     k_z = np.einsum("uvsx,xsz->uvsz", law.q_x_given_uvs.kernel, w_z)

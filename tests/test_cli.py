@@ -433,6 +433,45 @@ def test_bad_trial_counts_are_error_records(tmp_path, capsys, subcommand, flags)
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("subcommand, flags, message", [
+    ("softcov-sim", ["--r1", "1100", "--r2", "0.7", "--n", "1"], "n*rate = 1100.0"),
+    ("softcov-sim", ["--r1", "0.7", "--r2", "inf", "--n", "3"],
+     "rates must be finite and nonnegative, got inf"),
+    ("codec-sim", ["--r1", "0.25", "--r2", "0.25", "--r", "nan", "--n", "4"],
+     "rates must be finite and nonnegative, got nan"),
+    ("codec-sim", ["--r1", "9", "--r2", "0.25", "--n", "7"], "n*rate = 63.0"),
+    ("binning-sim", ["--ra", "nan", "--rbin", "0.2", "--n", "6"],
+     "rates must be finite and nonnegative, got nan"),
+    ("binning-sim", ["--ra", "70.25", "--rbin", "0.25", "--n", "1"], "n*rate = 70.0"),
+])
+def test_uncountable_rates_are_error_records(tmp_path, capsys, subcommand, flags, message):
+    ch = write_json(tmp_path / "ch.json", wiretap_doc())
+    pol = write_json(tmp_path / "pol.json", x_given_s_doc())
+    docs = [] if subcommand == "binning-sim" else ["--channel", ch, "--policy", pol]
+    status = main([subcommand, *docs, *flags, "--trials", "2", "--seed", "1"])
+    captured = capsys.readouterr()
+    record = json.loads(captured.out)
+    assert status == 1
+    assert record["error"]["type"] == "ValueError"
+    assert message in record["error"]["message"]
+    assert captured.err == ""
+
+
+PINNED_LEAKAGE = {"4": 0.0164762588102, "6": 0.0231424938517}
+
+
+def test_codec_sim_leakage_is_pinned(tmp_path, capsys):
+    # the medians printed when each leakage codebook rebuilt the code law
+    ch = write_json(tmp_path / "ch.json", wiretap_doc())
+    pol = write_json(tmp_path / "pol.json", x_given_s_doc())
+    argv = ["codec-sim", "--channel", ch, "--policy", pol, "--r1", "0.25", "--r2", "0.25",
+            "--r", "0.25", "--n", "4,6", "--trials", "4", "--eps", "1.0", "--seed", "11",
+            "--leakage-trials", "2"]
+    assert main(argv) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert {n: block["median_leakage_bits"] for n, block in results.items()} == PINNED_LEAKAGE
+
+
 def test_successive_mains_print_what_fresh_processes_print(tmp_path, capsys):
     ch = write_json(tmp_path / "ch.json", wiretap_doc())
     pol = write_json(tmp_path / "pol.json", const_u_policy_doc())

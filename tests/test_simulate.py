@@ -3,6 +3,7 @@ enumerations, and the Monte Carlo experiments."""
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 from itertools import product as iter_product
 
@@ -34,6 +35,11 @@ from sdwtc.simulate import (
     CodeRates,
     Codebook,
     EncoderFailure,
+    _distinct_words,
+    _encoder_tables,
+    _inverse_cdf,
+    _message_channel,
+    _product_chain,
     _typical_rows,
     approximation_gap,
     binning_otp_protocol,
@@ -143,6 +149,18 @@ def test_index_count_floor_convention():
         index_count(10, -0.1)
 
 
+@pytest.mark.parametrize("n, rate, message", [
+    (1, math.nan, "rates must be finite and nonnegative, got nan"),
+    (3, math.inf, "rates must be finite and nonnegative, got inf"),
+    (1, 1100.0, "n*rate = 1100.0"),
+    (9, 7.0, "n*rate = 63.0"),
+])
+def test_index_count_refuses_rates_it_cannot_count(n, rate, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        index_count(n, rate)
+    assert index_count(1, 62.0) == 2 ** 62
+
+
 def test_wilson_interval_basics():
     assert wilson_interval(0, 0) == (0.0, 1.0)
     lo, hi = wilson_interval(3, 40)
@@ -156,6 +174,37 @@ def test_wilson_interval_basics():
 
 # ---------------------------------------------------------------------------
 # codebook sampling
+
+
+def _boolean_inverse_cdf(rows, draws):
+    """The reference sampler: count the cumulative masses (the last set to 1)
+    below each draw in one (..., K) boolean tensor, clamped at K - 1."""
+    cdf = np.cumsum(rows, axis=-1)
+    cdf[..., -1] = 1.0
+    idx = (draws[..., None] > cdf).sum(axis=-1)
+    return np.minimum(idx, rows.shape[-1] - 1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_inverse_cdf_matches_the_boolean_count(k):
+    rng = np.random.default_rng(RNG_SEED + k)
+    rows = rng.random((5, 1, 1, 7, k))
+    rows[rng.random(rows.shape) < 0.3] = 0.0  # zero-mass entries, some whole rows
+    rows[0, 0, 0, 0] = 0.0
+    rows[0, 0, 0, 0, -1] = 1.0
+    rows /= np.where(rows.sum(axis=-1, keepdims=True) > 0, rows.sum(axis=-1, keepdims=True), 1.0)
+    draws = rng.random((5, 3, 2, 7))  # a codebook's (N1, N2, M, n) against (N1, 1, 1, n, K)
+    cdf = np.cumsum(rows, axis=-1)
+    at = rng.integers(0, k, size=draws.shape)
+    at_cdf = np.take_along_axis(np.broadcast_to(cdf, draws.shape + (k,)), at[..., None], -1)[..., 0]
+    hit = (rng.random(draws.shape) < 0.4) & (at_cdf < 1.0)  # uniforms lie in [0, 1)
+    draws[hit] = at_cdf[hit]
+    draws[0, 0, 0, :2] = (0.0, np.nextafter(1.0, 0.0))
+    got = _inverse_cdf(rows, draws)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _boolean_inverse_cdf(rows, draws))
+    assert np.array_equal(_inverse_cdf(rows[0, 0, 0], draws[0, 0, 0]),
+                          _boolean_inverse_cdf(rows[0, 0, 0], draws[0, 0, 0]))
 
 
 def test_codebook_degenerate_rates_single_pair():
@@ -498,6 +547,72 @@ def test_divergence_guards_and_validation():
         exact_output_divergence(small, copy_v, mismatched)
 
 
+def per_codeword_output_divergence(cb, q_w_given_uv, q_w):
+    """The reference formulation: each codeword's product law over the two
+    halves, averaged in one matrix product A B^T / Ncw over all codewords."""
+    u = np.broadcast_to(cb.u_words[:, None, None, :], cb.v_words.shape).reshape(-1, cb.n)
+    rows = q_w_given_uv.kernel[u, cb.v_words.reshape(-1, cb.n)]  # (Ncw, n, |W|)
+    h = cb.n // 2
+    induced = (_product_chain(rows[:, :h]) @ _product_chain(rows[:, h:]).T).ravel() / len(rows)
+    reference = _product_chain(q_w.probs[None, None, :].repeat(cb.n, axis=1))[:, 0]
+    mask = induced > 1e-300
+    return max(0.0, float(np.sum(induced[mask] * np.log2(induced[mask] / reference[mask]))))
+
+
+@pytest.mark.parametrize("p, width, rows", [
+    (2, 5, 400), (3, 1, 9), (40, 13, 300), (7, 30, 200), (5, 0, 6), (4, 3, 1),
+])
+def test_distinct_words_partition_matches_numpy_unique(p, width, rows):
+    # 40^13 and 7^30 exceed 2^63, so the keys are re-ranked on the way
+    rng = np.random.default_rng(RNG_SEED + 100 * p + width)
+    codes = rng.integers(0, p, size=(rows, width))
+    codes = codes[rng.integers(0, rows, size=rows)]  # repeated rows
+    codes[: rows // 2, : width // 2] = 0  # shared prefixes
+    words, index = _distinct_words(codes, p)
+    want, want_index = np.unique(codes, axis=0, return_inverse=True)
+    assert words.shape == want.shape and np.array_equal(words, want)
+    assert np.array_equal(index, want_index.ravel())
+
+
+def _random_kernel(rng, shape):
+    k = rng.random(shape) + 0.05
+    return k / k.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("card_u, card_v, card_w, r", [(2, 2, 2, 0.7), (4, 4, 3, 0.4)])
+def test_output_divergence_matches_the_per_codeword_product(n, card_u, card_v, card_w, r):
+    # (2, 2): at most 2^h distinct half-words; (4, 4): nearly every half distinct
+    rng = np.random.default_rng(RNG_SEED + 10 * n + card_u)
+    q_u = Pmf(tuple(range(card_u)), _random_kernel(rng, card_u))
+    q_v = Channel((("U", q_u.symbols),), (("V", tuple(range(card_v))),),
+                  _random_kernel(rng, (card_u, card_v)))
+    q_w_given_uv = Channel((("U", q_u.symbols), ("V", tuple(range(card_v)))),
+                           (("W", tuple(range(card_w))),), _random_kernel(rng, (card_u, card_v, card_w)))
+    q_w = Pmf(tuple(range(card_w)), _random_kernel(rng, card_w))
+    for seed, (r1, r2) in enumerate([(r, r), (0.0, 0.0)]):  # the second holds one codeword
+        cb = sample_codebook(q_u, q_v, n, r1, r2, 0.0, seed=n + seed)
+        got = exact_output_divergence(cb, q_w_given_uv, q_w)
+        assert got == pytest.approx(per_codeword_output_divergence(cb, q_w_given_uv, q_w),
+                                    rel=0, abs=1e-12)
+
+
+def test_output_divergence_of_the_exhaustive_codebook_matches_the_per_codeword_product():
+    # every (u, v) pair sequence once, over a noisy kernel
+    n = 6
+    rng = np.random.default_rng(RNG_SEED)
+    words = np.array(list(iter_product(range(4), repeat=n)))  # pair codes u * 2 + v
+    cb = Codebook(
+        n=n, r1=2.0, r2=0.0, r=0.0, u_symbols=(0, 1), v_symbols=(0, 1),
+        u_words=words // 2, v_words=(words % 2).reshape(-1, 1, 1, n), seed=0,
+    )
+    q_w_given_uv = Channel((("U", (0, 1)), ("V", (0, 1))), (("W", (0, 1, 2)),),
+                           _random_kernel(rng, (2, 2, 3)))
+    q_w = Pmf((0, 1, 2), _random_kernel(rng, 3))
+    assert exact_output_divergence(cb, q_w_given_uv, q_w) == pytest.approx(
+        per_codeword_output_divergence(cb, q_w_given_uv, q_w), rel=0, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # exact enumerations against the dense product chain
 
@@ -549,6 +664,7 @@ def test_exact_enumerations_match_the_dense_chain(n, n_s, n_z):
     assert (cb.num_u, cb.num_v, cb.num_messages) == (2, 3, 2)
 
     kernel = exact_message_channel(model, policy, cb).kernel
+    assert np.array_equal(_message_channel(model, law, cb).kernel, kernel)
     assert kernel.shape == (2, n_z ** n)
     np.testing.assert_allclose(kernel, dense_message_channel(model, policy, cb), rtol=0, atol=1e-12)
     np.testing.assert_allclose(kernel.sum(axis=1), 1.0, rtol=0, atol=1e-12)
@@ -579,6 +695,29 @@ def test_message_channel_guard_counts_the_letter_contraction():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+def test_encoder_weights_match_the_masked_normalisation():
+    # V copies S, so a state sequence off every codeword has no likelihood and
+    # its weights fall back to uniform over the four pairs
+    model = bsc_wiretap(0.1, tap="copy")
+    k = np.zeros((2, 1, 2, 2))
+    for s in (0, 1):
+        k[s, 0, s, :] = 0.5
+    law = CodeLaw.of(assemble_joint(model, gp_policy((0, 1), (0,), (0, 1), (0, 1), k)))
+    v = np.array([[0, 0, 1], [0, 1, 1], [0, 1, 0], [0, 0, 0]])
+    cb = Codebook(
+        n=3, r1=0.0, r2=2 / 3, r=1 / 3, u_symbols=(0,), v_symbols=(0, 1),
+        u_words=np.zeros((1, 3), dtype=np.int64),
+        v_words=np.stack([v, v[::-1]], axis=1)[None], seed=0,
+    )
+    _, loglik, p_hat = _encoder_tables(model, law, cb)
+    top = loglik.max(axis=(1, 2), keepdims=True)
+    w = np.exp(loglik - np.where(np.isneginf(top), 0.0, top))
+    norm = w.sum(axis=(1, 2), keepdims=True)
+    want = np.where(norm > 0.0, w / np.where(norm > 0.0, norm, 1.0), 0.25)
+    assert np.isneginf(top).sum() == 2 * 4  # s_1 = 1 in both messages
+    assert np.array_equal(p_hat, want)
 
 
 # ---------------------------------------------------------------------------
