@@ -596,8 +596,8 @@ def run_reliability_experiment(
     (erasures included); encoder failures are folded in as errors.
     """
     r1, r2, r = rates
-    if n < 1 or eps < 0.0:
-        raise ValueError(f"need blocklength n >= 1 and eps >= 0, got n={n!r}, eps={eps!r}")
+    if n < 1 or not 0.0 <= eps < math.inf:
+        raise ValueError(f"need blocklength n >= 1 and eps >= 0 finite, got n={n!r}, eps={eps!r}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials!r}")
     law = CodeLaw.of(assemble_joint(model, policy))
@@ -705,8 +705,8 @@ def binning_otp_protocol(
     """
     if len(rln_example.s2_symbols) != 1:
         raise ValueError("protocol needs a constant S2 (eavesdropper side information)")
-    if n < 1 or eps < 0.0:
-        raise ValueError(f"need blocklength n >= 1 and eps >= 0, got n={n!r}, eps={eps!r}")
+    if n < 1 or not 0.0 <= eps < math.inf:
+        raise ValueError(f"need blocklength n >= 1 and eps >= 0 finite, got n={n!r}, eps={eps!r}")
     if r < 0.0 or r_bin < 0.0 or r_a < 0.0:
         raise ValueError("rates must be nonnegative")
     if r > r_a - r_bin + 1e-12:

@@ -259,8 +259,10 @@ def _renyi_curve(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.log2(s.sum(axis=1)) / (_ALPHAS - 1.0)
 
 
-def _dense_gamma_grid(j: JointPmf, r1: float, r2: float) -> float:
-    """Plain sup over a dense (order, d1, d2) grid; no shared search code."""
+def _dense_gamma_grid(j: JointPmf, r1: float, r2: float, n2: int) -> float:
+    """Plain sup over a dense (order, d1) grid and n2 points of d2; no shared
+    search code.  beta2 falls as d2 grows, so n2 = 1 (d2 at its lowest
+    point only) must give the same float as the full grid."""
     mass = j.mass
     m_uw = mass.sum(axis=1)
     top1 = _F * (r1 - _renyi_curve(m_uw.ravel(), np.outer(m_uw.sum(1), m_uw.sum(0)).ravel()))
@@ -274,7 +276,7 @@ def _dense_gamma_grid(j: JointPmf, r1: float, r2: float) -> float:
         hi = min(2.0 * d1, m2)
         if hi <= d1:
             continue
-        d2s = np.linspace(d1 * (1 + 1e-7), hi * (1 - 1e-7), 160)
+        d2s = np.linspace(d1 * (1 + 1e-7), hi * (1 - 1e-7), n2)
         row = np.minimum(top1 - _F * d1, d1 / 4.0)
         vals = np.minimum(row[None, :], top2[None, :] - _F[None, :] * d2s[:, None]).max(axis=1)
         best = max(best, float(vals.max()))
@@ -287,14 +289,17 @@ def test_criterion_06_exponent_calculator_against_dense_grid():
     axes = (("U", (0, 1)), ("V", (0, 1)), ("W", (0, 1)))
     ok = True
     worst = 0.0
-    for _ in range(20):
+    for i in range(20):
         w = rng.dirichlet(np.ones(8)) + 0.01
         j = JointPmf(axes, (w / w.sum()).reshape(2, 2, 2))
         r1 = mutual_information(j, ("U",), ("W",)) + 0.3
         r2 = mutual_information(j, ("V",), ("W",), given=("U",)) + 0.3
         bg = best_gamma(j, r1, r2)
         ok &= bg.gamma > 0.0 and not bg.degenerate
-        worst = max(worst, abs(bg.gamma - _dense_gamma_grid(j, r1, r2)))
+        dense = _dense_gamma_grid(j, r1, r2, 1)
+        if i == 0:
+            ok &= _dense_gamma_grid(j, r1, r2, 160) == dense
+        worst = max(worst, abs(bg.gamma - dense))
         # failure bound at a wide fixed window (margins are 0.3 and 0.6 by
         # construction, so this window is always valid)
         d1 = 0.95 * 0.3

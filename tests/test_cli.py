@@ -401,7 +401,9 @@ def test_missing_flags_produce_an_error_record(tmp_path, capsys):
     assert "results" not in record
 
 
-@pytest.mark.parametrize("flags", [["--eps", "-0.5"], ["--n", "0"], ["--n", "-3"]])
+@pytest.mark.parametrize("flags", [
+    ["--eps", "-0.5"], ["--n", "0"], ["--n", "-3"], ["--eps", "nan"], ["--eps", "inf"],
+])
 def test_binning_sim_refuses_bad_blocklength_and_eps(capsys, flags):
     argv = ["binning-sim", "--alpha", "0.0289", "--sigma", "0.05", "--ra", "0.89",
             "--rbin", "0.64", "--r", "0.2", "--n", "6", "--trials", "3", "--eps", "1.25"]
@@ -410,6 +412,35 @@ def test_binning_sim_refuses_bad_blocklength_and_eps(capsys, flags):
     assert status == 1
     assert record["error"]["type"] == "ValueError"
     assert record["error"]["message"].startswith("need blocklength n >= 1 and eps >= 0")
+    assert "results" not in record
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_codec_sim_refuses_non_finite_eps(tmp_path, capsys, eps):
+    ch = write_json(tmp_path / "ch.json", wiretap_doc())
+    pol = write_json(tmp_path / "pol.json", x_given_s_doc())
+    status = main(["codec-sim", "--channel", ch, "--policy", pol, "--r1", "0.25", "--r2", "0.25",
+                   "--n", "4", "--trials", "2", "--eps", eps])
+    record = json.loads(capsys.readouterr().out)
+    assert status == 1
+    assert record["error"]["type"] == "ValueError"
+    assert record["error"]["message"].startswith("need blocklength n >= 1 and eps >= 0 finite")
+    assert "results" not in record
+
+
+@pytest.mark.parametrize("flags", [
+    ["--r1", "nan", "--r2", "0.6"],
+    ["--r1", "0.6", "--r2", "nan"],
+    ["--r1", "inf", "--r2", "0.6"],
+])
+def test_softcov_exponent_refuses_non_finite_rates(tmp_path, capsys, flags):
+    ch = write_json(tmp_path / "ch.json", wiretap_doc())
+    pol = write_json(tmp_path / "pol.json", x_given_s_doc())
+    status = main(["softcov-exponent", "--channel", ch, "--policy", pol, *flags])
+    record = json.loads(capsys.readouterr().out)
+    assert status == 1
+    assert record["error"]["type"] == "ValueError"
+    assert "must be finite" in record["error"]["message"]
     assert "results" not in record
 
 

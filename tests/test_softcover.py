@@ -6,12 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from sdwtc.prob import JointPmf, Pmf, mutual_information, renyi_divergence
+from test_cli import wiretap_doc, x_given_s_doc
+from sdwtc.cli import _covering_joint
+from sdwtc.models import as_input_policy, assemble_joint, model_from_dict, policy_from_dict
+from sdwtc.prob import LN2, JointPmf, Pmf, mutual_information, renyi_divergence
 from sdwtc.softcover import (
+    _ALPHA_GRID,
+    _GOLDEN,
     BestGammaResult,
     FailureBound,
     GammaResult,
     SoftCoverSpec,
+    _betas,
+    _divergence_tables,
     best_gamma,
     beta_exponents,
     failure_probability_bound,
@@ -52,6 +59,14 @@ def test_spec_rejects_negative_rates():
     j = independent_uvw()
     with pytest.raises(ValueError):
         SoftCoverSpec(j, -0.1, 0.5, 0.1, 0.15)
+
+
+@pytest.mark.parametrize("field", ["r1", "r2", "d1", "d2"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_spec_rejects_non_finite_rates_and_confidences(field, value):
+    args = {"r1": 1.0, "r2": 1.0, "d1": 0.1, "d2": 0.15, field: value}
+    with pytest.raises(ValueError, match="must be finite"):
+        SoftCoverSpec(independent_uvw(), **args)
 
 
 def test_spec_requires_uvw_axes():
@@ -277,6 +292,137 @@ def test_best_gamma_agrees_with_grid_oracle():
     res = best_gamma(j, r1, r2)
     oracle = _oracle_best_gamma(j, r1, r2)
     assert res.gamma == pytest.approx(oracle, abs=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# the array search against its sequential form
+
+
+def _sequential_alpha(spec: SoftCoverSpec, tables, cap: float | None) -> tuple[float, float]:
+    """sup over alpha of min(beta1, beta2[, cap]): the 400-point grid, then a
+    golden section over t = ln(alpha - 1) that scores one order per call."""
+
+    def objective_at(alpha: float) -> float:
+        v1, v2 = _betas(tables, np.array([alpha]), spec.r1, spec.r2, spec.d1, spec.d2)
+        v = min(v1[0], v2[0])
+        return v if cap is None else min(v, cap)
+
+    b1, b2 = _betas(tables, _ALPHA_GRID, spec.r1, spec.r2, spec.d1, spec.d2)
+    curve = np.minimum(b1, b2)
+    if cap is not None:
+        curve = np.minimum(curve, cap)
+    k = int(np.argmax(curve))
+    t = np.log(_ALPHA_GRID - 1.0)
+    a, b = t[max(k - 1, 0)], t[min(k + 1, t.size - 1)]
+    fa_x = a + (1.0 - _GOLDEN) * (b - a)
+    fb_x = a + _GOLDEN * (b - a)
+    fa, fb = objective_at(1.0 + math.exp(fa_x)), objective_at(1.0 + math.exp(fb_x))
+    while b - a > 1e-9:
+        if fa < fb:
+            a, fa_x, fa = fa_x, fb_x, fb
+            fb_x = a + _GOLDEN * (b - a)
+            fb = objective_at(1.0 + math.exp(fb_x))
+        else:
+            b, fb_x, fb = fb_x, fa_x, fa
+            fa_x = a + (1.0 - _GOLDEN) * (b - a)
+            fa = objective_at(1.0 + math.exp(fa_x))
+    alpha = 1.0 + math.exp(0.5 * (a + b))
+    refined = objective_at(alpha)
+    if refined < curve[k]:
+        alpha, refined = float(_ALPHA_GRID[k]), float(curve[k])
+    return alpha, float(refined)
+
+
+def _sequential_gamma(spec: SoftCoverSpec, tables) -> GammaResult:
+    """The exponent with its capped and uncapped golden sections run one
+    after the other: the reference the lockstep lanes must match bit for bit."""
+    alpha, value = _sequential_alpha(spec, tables, spec.d1 / 4.0)
+    valid = spec.is_valid()
+    gamma = max(0.0, value) if valid else 0.0
+    _, sup_min = _sequential_alpha(spec, tables, None)
+    log2_e = 1.0 / LN2
+    return GammaResult(
+        gamma=gamma,
+        alpha=alpha,
+        c=4.0 * (log2_e + 2.0 * sup_min) + log2_e + 2.0 * tables[2],
+        degenerate=(not valid) or gamma <= 0.0,
+    )
+
+
+def _sequential_best_gamma(joint: JointPmf, r1: float, r2: float) -> BestGammaResult:
+    """best_gamma with a full (d1, d2) grid scanned one d1 at a time: the
+    reference for the d1-only array scan."""
+    m1, m2 = SoftCoverSpec(joint, r1, r2, 1.0, 1.5).rate_margins
+    tables = _divergence_tables(joint)
+    factor = (_ALPHA_GRID - 1.0) / (2.0 * _ALPHA_GRID - 1.0)
+    a1, a2 = _betas(tables, _ALPHA_GRID, r1, r2, 0.0, 0.0)
+
+    def scan(d1s: np.ndarray, n2: int, best: tuple[float, float, float]) -> tuple[float, float, float]:
+        for d1 in d1s:
+            hi = min(2.0 * d1, m2)
+            if hi <= d1:
+                continue
+            width = hi - d1
+            d2s = np.linspace(d1 + 1e-4 * width, hi - 1e-4 * width, n2)
+            rows = np.minimum(a1 - factor * d1, d1 / 4.0)
+            curve = np.minimum(rows[None, :], a2[None, :] - factor[None, :] * d2s[:, None])
+            vals = curve.max(axis=1)
+            j = int(np.argmax(vals))
+            if vals[j] > best[0]:
+                best = (float(vals[j]), float(d1), float(d2s[j]))
+        return best
+
+    best = (-math.inf, m1 / 2.0, min(0.75 * m1, m2 * 0.99))
+    best = scan(np.linspace(m1 * 1e-3, m1 * (1.0 - 1e-3), 48), 48, best)
+    span = m1 / 48.0
+    for _ in range(3):
+        lo = max(best[1] - 2.0 * span, m1 * 1e-6)
+        hi = min(best[1] + 2.0 * span, m1 * (1.0 - 1e-6))
+        best = scan(np.linspace(lo, hi, 15), 15, best)
+        span *= 4.0 / 15.0
+    res = _sequential_gamma(SoftCoverSpec(joint, r1, r2, best[1], best[2]), tables)
+    return BestGammaResult(res.gamma, res.alpha, best[1], best[2], res.c, res.degenerate)
+
+
+def _random_covering_joint(rng: np.random.Generator) -> JointPmf:
+    """|U| = 2, |V| and |W| in {2, 3}; Dirichlet(1/2) masses, so some are tiny."""
+    nv, nw = (int(x) for x in rng.integers(2, 4, size=2))
+    axes = (("U", (0, 1)), ("V", tuple(range(nv))), ("W", tuple(range(nw))))
+    return JointPmf(axes, rng.dirichlet(np.full(2 * nv * nw, 0.5)).reshape(2, nv, nw))
+
+
+def _rates_with_margins(joint: JointPmf, m1: float, m2: float) -> tuple[float, float]:
+    spec = spec_with_margins(joint, m1, m2, 0.0, 0.0)
+    return spec.r1, spec.r2
+
+
+def criterion_11_joint() -> JointPmf:
+    """The (U, V, S) covering joint of the wiretap and x_given_s documents."""
+    model = model_from_dict(wiretap_doc())
+    policy = as_input_policy(model, policy_from_dict(x_given_s_doc(), model))
+    return _covering_joint(assemble_joint(model, policy), "S")
+
+
+def test_best_gamma_matches_the_sequential_search():
+    rng = np.random.default_rng(RNG_SEED + 8)
+    cases = [(criterion_11_joint(), r1, r2) for r1, r2 in ((0.6, 0.6), (0.7, 0.7), (0.3, 0.4))]
+    for _ in range(120):
+        j = _random_covering_joint(rng)
+        # m2 < m1 in about a quarter of the draws, so some d1 points have no room for d2
+        cases.append((j, *_rates_with_margins(j, rng.uniform(0.01, 1.0), rng.uniform(0.01, 1.5))))
+    for j, r1, r2 in cases:
+        assert best_gamma(j, r1, r2) == _sequential_best_gamma(j, r1, r2)
+
+
+def test_gamma_exponent_matches_the_sequential_golden_sections():
+    rng = np.random.default_rng(RNG_SEED + 9)
+    for _ in range(120):
+        j = _random_covering_joint(rng)
+        m1, m2 = rng.uniform(0.01, 1.0), rng.uniform(0.01, 1.5)
+        d1 = float(rng.uniform(0.0, 1.2)) * m1
+        d2 = float(rng.uniform(0.5, 2.5)) * d1  # valid and invalid windows
+        spec = spec_with_margins(j, m1, m2, d1, d2)
+        assert gamma_exponent(spec) == _sequential_gamma(spec, _divergence_tables(j))
 
 
 # ---------------------------------------------------------------------------
