@@ -404,8 +404,8 @@ def is_letter_typical(x: Sequence[Hashable], p: Pmf, eps: float) -> bool:
 
     Sequences containing symbols outside p's alphabet are never typical.
     """
-    if eps < 0.0:
-        raise ValueError(f"typicality eps must be nonnegative, got {eps!r}")
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"typicality eps must be finite and nonnegative, got {eps!r}")
     n = len(x)
     if n == 0:
         raise ValueError("cannot test typicality of an empty sequence")

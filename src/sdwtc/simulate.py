@@ -27,6 +27,9 @@ from .rng import derive_seeds
 DEFAULT_EPS = 0.15  # loose typicality for n <= 12
 _MAX_CODEWORDS = 2 ** 24
 _MAX_ENUM_OPS = 10 ** 8
+# codebook letters (N1 N2 M n per trial) stacked in one Monte Carlo chunk: 2^14
+# ran 35% slower, and without chunking 40 trials at n = 12 added 5 MB of RSS
+_TRIAL_CHUNK = 2 ** 15
 
 
 class EncoderFailure(RuntimeError):
@@ -78,6 +81,25 @@ def _typical_rows(codes: np.ndarray, probs: np.ndarray, eps: float, n: int) -> n
     counts = np.bincount((codes + k * np.arange(rows)[:, None]).ravel(), minlength=rows * k)
     freq = counts.reshape(rows, k) / n
     return ~np.any(np.abs(freq - probs) > eps * probs, axis=1)
+
+
+def _fill(seeds: Sequence[int], *buffers: np.ndarray) -> None:
+    """Row k of each buffer in turn with the uniforms np.random.default_rng(seeds[k])
+    draws, so each trial sees its own generator in a lone run's order."""
+    for k, seed in enumerate(seeds):
+        gen = np.random.default_rng(seed)
+        for buf in buffers:
+            gen.random(out=buf[k])
+
+
+def _replay_choice(p: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Generator.choice(K, p=p) replayed on the uniforms it would draw, by its
+    own rule: cdf = p.cumsum(), cdf /= cdf[-1], then cdf.searchsorted(draws,
+    side="right"), here the count of cdf values at or below each draw.  p is
+    one (K,) law for draws of any shape, or (T, K) rows with draws (T,)."""
+    cdf = np.cumsum(p, axis=-1)
+    cdf /= cdf[..., -1:]
+    return (cdf[..., :-1] <= draws[..., None]).sum(axis=-1)
 
 
 def _inverse_cdf(rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -145,15 +167,11 @@ class Codebook:
 
 
 def sample_codebook(
-    q_u: Pmf,
-    q_v_given_u: Channel,
-    n: int,
-    r1: float,
-    r2: float,
-    r: float,
-    seed: int,
+    q_u: Pmf, q_v_given_u: Channel, n: int, r1: float, r2: float, r: float, seed: int
 ) -> Codebook:
-    """Draw a layered codebook; reproducible from the seed."""
+    """Draw a layered codebook; reproducible from the seed: random((N1, n))
+    read by a replay of Generator.choice against Q_U, then random((N1, N2, M, n))
+    for the outer words (the one-codebook case of the stacked Monte Carlo draw)."""
     if n < 1:
         raise ValueError(f"blocklength must be positive, got {n!r}")
     if q_v_given_u.in_names != ("U",) or q_v_given_u.out_names != ("V",):
@@ -162,25 +180,31 @@ def sample_codebook(
         )
     if q_v_given_u.in_axes[0][1] != q_u.symbols:
         raise ValueError("codebook kernel U alphabet does not match the U pmf")
+    n1, n2, m = _codebook_shape(n, r1, r2, r)
+    u_draws, v_draws = np.empty((1, n1, n)), np.empty((1, n1, n2, m, n))
+    _fill([seed], u_draws, v_draws)
+    u_words, v_words = _draw_words(q_u.probs, q_v_given_u.kernel, u_draws, v_draws)
+    return Codebook(
+        n=n, r1=r1, r2=r2, r=r, u_symbols=q_u.symbols, v_symbols=q_v_given_u.out_axes[0][1],
+        u_words=u_words[0], v_words=v_words[0], seed=seed,
+    )
+
+
+def _codebook_shape(n: int, r1: float, r2: float, r: float) -> tuple[int, int, int]:
+    """(N1, N2, M) at blocklength n, refused above the codeword guard."""
     n1, n2, m = index_count(n, r1), index_count(n, r2), index_count(n, r)
     total = n1 + n1 * n2 * m
     if total > _MAX_CODEWORDS:
         raise ValueError(f"codebook would hold {total} words; guard is {_MAX_CODEWORDS}")
-    rng = np.random.default_rng(seed)
-    u_words = rng.choice(len(q_u.symbols), size=(n1, n), p=q_u.probs)
-    rows = q_v_given_u.kernel[u_words]  # (N1, n, |V|)
-    v_words = _inverse_cdf(rows[:, None, None], rng.random((n1, n2, m, n)))
-    return Codebook(
-        n=n,
-        r1=r1,
-        r2=r2,
-        r=r,
-        u_symbols=q_u.symbols,
-        v_symbols=q_v_given_u.out_axes[0][1],
-        u_words=u_words.astype(np.int64, copy=False),
-        v_words=v_words.astype(np.int64, copy=False),
-        seed=seed,
-    )
+    return n1, n2, m
+
+
+def _draw_words(
+    q_u: np.ndarray, kernel: np.ndarray, u_draws: np.ndarray, v_draws: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """T codebooks' inner words (T, N1, n) and outer words (T, N1, N2, M, n) from their uniforms."""
+    u_words = _replay_choice(q_u, u_draws)
+    return u_words, _inverse_cdf(kernel[u_words][:, :, None, None], v_draws)
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +242,7 @@ class CodeLaw:
 
 
 def likelihood_encode(
-    m: int,
-    s: Sequence[Hashable],
-    cb: Codebook,
-    law: CodeLaw,
-    seed: int,
+    m: int, s: Sequence[Hashable], cb: Codebook, law: CodeLaw, seed: int
 ) -> tuple[int, int, tuple]:
     """Sample (i, j) with probability proportional to Q^n_{S|U,V}(s | u(i), v(i,j,m)),
     then draw the channel input x from Q^n_{X|U,V,S}."""
@@ -234,32 +254,42 @@ def likelihood_encode(
     if s_idx is None:
         raise ValueError("state sequence contains symbols outside the S alphabet")
 
-    u = cb.u_words[:, None, :]  # (N1, 1, n)
-    v = cb.v_words[:, :, m, :]  # (N1, N2, n)
-    loglik = law.log_q_s_given_uv[u, v, s_idx[None, None, :]].sum(axis=-1)  # (N1, N2)
-    top = loglik.max()
-    if top == -np.inf:
+    pick_draws, x_draws = np.empty((1, 1)), np.empty((1, cb.n))
+    _fill([seed], pick_draws, x_draws)
+    ok, i, j, x_idx = _encode(
+        law, cb.u_words[None], cb.v_words[None, :, :, m], s_idx[None], pick_draws, x_draws
+    )
+    if not ok[0]:
         raise EncoderFailure(
-            f"state sequence has zero likelihood under all {loglik.size} codeword pairs"
+            f"state sequence has zero likelihood under all {cb.num_u * cb.num_v} codeword pairs"
         )
-    weights = np.exp(loglik - top)
-    weights /= weights.sum()
-
-    rng = np.random.default_rng(seed)
-    flat = int(rng.choice(weights.size, p=weights.ravel()))
-    i, j = divmod(flat, cb.num_v)
-
-    rows = law.q_x_given_uvs.kernel[cb.u_words[i], cb.v_words[i, j, m], s_idx]  # (n, |X|)
-    x_idx = _inverse_cdf(rows, rng.random(cb.n))
     x_alphabet = law.q_x_given_uvs.out_axes[0][1]
-    return i, j, tuple(x_alphabet[k] for k in x_idx)
+    return int(i[0]), int(j[0]), tuple(x_alphabet[k] for k in x_idx[0])
+
+
+def _encode(
+    law: CodeLaw, u_words: np.ndarray, v_words: np.ndarray, s_idx: np.ndarray,
+    pick_draws: np.ndarray, x_draws: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The likelihood encoder on T trials: inner words (T, N1, n), the outer
+    words (T, N1, N2, n) of each trial's message, states (T, n) and encoder
+    uniforms (T, 1) and (T, n).  Returns the mask of trials with a pair of
+    positive likelihood and, for those in order, i, j and X indices (T', n)."""
+    loglik = law.log_q_s_given_uv[u_words[:, :, None, :], v_words, s_idx[:, None, None, :]]
+    loglik = loglik.sum(axis=-1).reshape(len(s_idx), -1)  # (T, N1 N2)
+    top = loglik.max(axis=1, keepdims=True)
+    ok = top[:, 0] > -np.inf
+    weights = np.exp(loglik[ok] - top[ok])
+    weights /= weights.sum(axis=1, keepdims=True)
+    i, j = np.divmod(_replay_choice(weights, pick_draws[ok, 0]), v_words.shape[2])
+
+    t = np.flatnonzero(ok)
+    rows = law.q_x_given_uvs.kernel[u_words[t, i], v_words[t, i, j], s_idx[t]]  # (T', n, |X|)
+    return ok, i, j, _inverse_cdf(rows, x_draws[ok])
 
 
 def typicality_decode(
-    y: Sequence[Hashable],
-    cb: Codebook,
-    law: CodeLaw,
-    eps: float,
+    y: Sequence[Hashable], cb: Codebook, law: CodeLaw, eps: float
 ) -> tuple[int, int, int] | str:
     """The unique triple (i, j, m) with (u(i), v(i,j,m), y) letter-typical for
     Q_{U,V,Y}; the erasure symbol when zero or several triples qualify."""
@@ -267,22 +297,27 @@ def typicality_decode(
         raise ValueError("joint alphabets do not match the codebook")
     if len(y) != cb.n:
         raise ValueError(f"output sequence has length {len(y)}, codebook has n={cb.n}")
-    if eps < 0.0:
-        raise ValueError(f"eps must be nonnegative, got {eps!r}")
-    y_alphabet = law.joint.alphabet("Y")
-    y_idx = _symbol_indices(y, y_alphabet)
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and nonnegative, got {eps!r}")
+    y_idx = _symbol_indices(y, law.joint.alphabet("Y"))
     if y_idx is None:
         return ERASURE
+    flat = _decode(law, cb.u_words[None], cb.v_words[None], y_idx[None], eps)[0]
+    return ERASURE if flat < 0 else tuple(map(int, np.unravel_index(flat, cb.v_words.shape[:3])))
 
-    n_v, n_y = len(cb.v_symbols), len(y_alphabet)
-    codes = (cb.u_words[:, None, None, :] * n_v + cb.v_words) * n_y + y_idx
-    flat = codes.reshape(-1, cb.n)
-    hits = np.nonzero(_typical_rows(flat, law.q_uvy, eps, cb.n))[0]
-    if hits.size != 1:
-        return ERASURE
-    i, rest = divmod(int(hits[0]), cb.num_v * cb.num_messages)
-    j, m = divmod(rest, cb.num_messages)
-    return i, j, m
+
+def _decode(
+    law: CodeLaw, u_words: np.ndarray, v_words: np.ndarray, y_idx: np.ndarray, eps: float
+) -> np.ndarray:
+    """The typicality decoder on T trials at once: u_words (T, N1, n),
+    v_words (T, N1, N2, M, n) and outputs y_idx (T, n).  Returns each trial's
+    flat index (i N2 + j) M + m of its one typical triple, or -1."""
+    n_v, n_y = len(law.joint.alphabet("V")), len(law.joint.alphabet("Y"))
+    trials, n = y_idx.shape
+    codes = (u_words[:, :, None, None, :] * n_v + v_words) * n_y + y_idx[:, None, None, None, :]
+    typical = _typical_rows(codes.reshape(-1, n), law.q_uvy, eps, n)
+    typical = typical.reshape(trials, math.prod(v_words.shape[1:4]))
+    return np.where(typical.sum(axis=1) == 1, typical.argmax(axis=1), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -578,14 +613,8 @@ class ReliabilityResult:
 
 
 def run_reliability_experiment(
-    model: SdWtcModel,
-    policy: InputPolicy,
-    n: int,
-    rates: CodeRates | tuple[float, float, float],
-    eps: float = DEFAULT_EPS,
-    trials: int = 200,
-    seed: int = 0,
-    keep_records: bool = False,
+    model: SdWtcModel, policy: InputPolicy, n: int, rates: CodeRates | tuple[float, float, float],
+    eps: float = DEFAULT_EPS, trials: int = 200, seed: int = 0, keep_records: bool = False,
 ) -> ReliabilityResult:
     """Monte Carlo decoding-error estimate of the layered scheme.
 
@@ -594,6 +623,11 @@ def run_reliability_experiment(
     message set so per-message estimates stay balanced.  A decode counts
     as an error when the decoded message differs from the sent one
     (erasures included); encoder failures are folded in as errors.
+
+    Trials run in index space, stacked in chunks of about 2^15 codebook
+    letters.  Each trial's generators fill its rows of the chunk's uniforms
+    in a lone run's order, every Generator.choice draw is replayed on them,
+    and the codebooks, encoder, channel and decoder run as arrays per chunk.
     """
     r1, r2, r = rates
     if n < 1 or not 0.0 <= eps < math.inf:
@@ -601,59 +635,53 @@ def run_reliability_experiment(
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials!r}")
     law = CodeLaw.of(assemble_joint(model, policy))
+    n1, n2, num_messages = _codebook_shape(n, r1, r2, r)
+    for name, symbols in (("S", model.s_symbols), ("X", model.x_symbols), ("Y", model.y_symbols)):
+        assert law.joint.alphabet(name) == symbols, f"code law and model disagree on {name}"
 
-    num_messages = index_count(n, r)
-    msg_trials = [0] * num_messages
-    msg_errors = [0] * num_messages
-    erasures = 0
-    encoder_failures = 0
-    records: list[TrialRecord] = []
-
-    x_lookup = {sym: k for k, sym in enumerate(model.x_symbols)}
-    yz_rows = model.channel.kernel.reshape(
-        len(model.x_symbols), len(model.s_symbols), -1
-    )
+    yz_rows = model.channel.kernel.reshape(len(model.x_symbols), len(model.s_symbols), -1)
     n_z = len(model.z_symbols)
     seeds = derive_seeds(seed, 3 * trials)
-    for t in range(trials):
-        cb_seed, enc_seed, noise_seed = seeds[3 * t : 3 * t + 3]
-        cb = sample_codebook(law.q_u, law.q_v_given_u, n, r1, r2, r, cb_seed)
-        noise = np.random.default_rng(noise_seed)
-        m = t % num_messages
-        msg_trials[m] += 1
+    messages = np.arange(trials) % num_messages
+    wrong = np.ones(trials, dtype=bool)
+    erasures = encoder_failures = 0
+    records: list[TrialRecord] = []
 
-        s_idx = noise.choice(len(model.s_symbols), size=n, p=model.state_pmf.probs)
-        s = tuple(model.s_symbols[k] for k in s_idx)
-        try:
-            i, j, x = likelihood_encode(m, s, cb, law, enc_seed)
-        except EncoderFailure:
-            encoder_failures += 1
-            msg_errors[m] += 1
-            continue
-
-        x_idx = np.array([x_lookup[sym] for sym in x])
-        yz = _inverse_cdf(yz_rows[x_idx, s_idx], noise.random(n))
-        y_idx, z_idx = yz // n_z, yz % n_z
-        y = tuple(model.y_symbols[k] for k in y_idx)
-        z = tuple(model.z_symbols[k] for k in z_idx)
-
-        decoded = typicality_decode(y, cb, law, eps)
-        if decoded == ERASURE:
-            erasures += 1
-            msg_errors[m] += 1
-        elif decoded[2] != m:
-            msg_errors[m] += 1
+    chunk = min(trials, max(1, _TRIAL_CHUNK // (n1 * n2 * num_messages * n)))
+    u_draws, v_draws = np.empty((chunk, n1, n)), np.empty((chunk, n1, n2, num_messages, n))
+    s_draws, yz_draws, pick_draws, x_draws = (np.empty((chunk, w)) for w in (n, n, 1, n))
+    for start in range(0, trials, chunk):
+        c = min(chunk, trials - start)
+        stop = start + c
+        _fill(seeds[3 * start : 3 * stop : 3], u_draws, v_draws)
+        _fill(seeds[3 * start + 1 : 3 * stop : 3], pick_draws, x_draws)
+        _fill(seeds[3 * start + 2 : 3 * stop : 3], s_draws, yz_draws)
+        u_words, v_words = _draw_words(
+            law.q_u.probs, law.q_v_given_u.kernel, u_draws[:c], v_draws[:c]
+        )
+        s_idx = _replay_choice(model.state_pmf.probs, s_draws[:c])
+        m = messages[start:stop]
+        ok, i, j, x_idx = _encode(law, u_words, v_words[np.arange(c), :, :, m], s_idx,
+                                  pick_draws[:c], x_draws[:c])
+        yz = _inverse_cdf(yz_rows[x_idx, s_idx[ok]], yz_draws[:c][ok])
+        flat = _decode(law, u_words[ok], v_words[ok], yz // n_z, eps)
+        wrong[start:stop][ok] = (flat < 0) | (flat % num_messages != m[ok])
+        encoder_failures += c - int(ok.sum())
+        erasures += int((flat < 0).sum())
         if keep_records:
-            records.append(TrialRecord(m, (i, j), s, x, y, z, decoded))
+            for k, t in enumerate(np.flatnonzero(ok)):
+                s, x, y, z = (tuple(a[q] for q in row) for a, row in (
+                    (model.s_symbols, s_idx[t]), (model.x_symbols, x_idx[k]),
+                    (model.y_symbols, yz[k] // n_z), (model.z_symbols, yz[k] % n_z)))
+                decoded = ERASURE if flat[k] < 0 else tuple(
+                    map(int, np.unravel_index(flat[k], (n1, n2, num_messages))))
+                records.append(TrialRecord(int(m[t]), (int(i[k]), int(j[k])), s, x, y, z, decoded))
 
     return ReliabilityResult(
-        n=n,
-        trials=trials,
-        num_messages=num_messages,
-        message_trials=tuple(msg_trials),
-        message_errors=tuple(msg_errors),
-        erasures=erasures,
-        encoder_failures=encoder_failures,
+        n=n, trials=trials, num_messages=num_messages,
+        message_trials=tuple(np.bincount(messages, minlength=num_messages).tolist()),
+        message_errors=tuple(np.bincount(messages[wrong], minlength=num_messages).tolist()),
+        erasures=erasures, encoder_failures=encoder_failures,
         records=tuple(records) if keep_records else None,
     )
 
@@ -683,14 +711,8 @@ class BinningResult:
 
 
 def binning_otp_protocol(
-    rln_example: RlnModel,
-    n: int,
-    r_a: float,
-    r_bin: float,
-    r: float,
-    trials: int = 200,
-    seed: int = 0,
-    eps: float = DEFAULT_EPS,
+    rln_example: RlnModel, n: int, r_a: float, r_bin: float, r: float,
+    trials: int = 200, seed: int = 0, eps: float = DEFAULT_EPS,
 ) -> BinningResult:
     """Monte Carlo run of the binned-CSI one-time-pad protocol.
 
@@ -702,6 +724,9 @@ def binning_otp_protocol(
     information s1, and unpads.  Failures at any stage count as errors.
     The reported key TV measures how far the selected keys are from
     uniform — the pad leaks nothing exactly when the key is uniform.
+
+    Each trial runs as its own pass on its own two generators; the draws from
+    the state law replay Generator.choice's rule on random() uniforms.
     """
     if len(rln_example.s2_symbols) != 1:
         raise ValueError("protocol needs a constant S2 (eavesdropper side information)")
@@ -710,24 +735,18 @@ def binning_otp_protocol(
     if r < 0.0 or r_bin < 0.0 or r_a < 0.0:
         raise ValueError("rates must be nonnegative")
     if r > r_a - r_bin + 1e-12:
-        raise ValueError(
-            f"message rate {r} exceeds the key rate {r_a} - {r_bin}; pad impossible"
-        )
+        raise ValueError(f"message rate {r} exceeds the key rate {r_a} - {r_bin}; pad impossible")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials!r}")
 
-    num_bins = index_count(n, r_bin)
-    num_keys = index_count(n, r_a - r_bin)
-    num_messages = index_count(n, r)
-    num_x = num_messages * num_bins
-    if num_bins * num_keys + num_x > _MAX_CODEWORDS:
+    num_bins, num_keys, num_messages = (index_count(n, q) for q in (r_bin, r_a - r_bin, r))
+    if num_bins * num_keys + num_messages * num_bins > _MAX_CODEWORDS:
         raise ValueError("codebooks exceed the size guard")
 
     ws = rln_example.state_pmf.probs
     n_s = len(rln_example.s_symbols)
     n_x = len(rln_example.x_symbols)
     n_s1 = len(rln_example.s1_symbols)
-    n_s2 = len(rln_example.s2_symbols)
     n_y = len(rln_example.y_symbols)
     n_z = len(rln_example.z_symbols)
 
@@ -738,44 +757,35 @@ def binning_otp_protocol(
     p_xy = (rln_example.main_channel.kernel.sum(axis=2) / n_x).ravel()  # (x, y)
 
     yz_rows = rln_example.main_channel.kernel.reshape(n_x, -1)
-    s12_rows = rln_example.state_channel.kernel.reshape(n_s, -1)
+    s1_rows = rln_example.state_channel.kernel.reshape(n_s, -1)  # S2 is constant: (S1, S2) = S1
 
-    errors = csi_failures = x_failures = key_failures = 0
+    wrong = csi_failures = x_failures = key_failures = 0
     key_counts = np.zeros(num_keys, dtype=np.int64)
-    key_picks = 0
     seeds = derive_seeds(seed, 2 * trials)
     for t in range(trials):
         book_rng = np.random.default_rng(seeds[2 * t])
         noise = np.random.default_rng(seeds[2 * t + 1])
-        a_words = book_rng.choice(n_s, size=(num_bins, num_keys, n), p=ws)
+        a_words = _replay_choice(ws, book_rng.random((num_bins, num_keys, n)))
         x_words = book_rng.integers(0, n_x, size=(num_messages, num_bins, n))
 
-        s_idx = noise.choice(n_s, size=n, p=ws)
+        s_idx = _replay_choice(ws, noise.random(n))
         sa_codes = (s_idx[None, None, :] * n_s + a_words).reshape(-1, n)
-        typical = _typical_rows(sa_codes, p_sa, eps, n)
-        hits = np.nonzero(typical)[0]
+        hits = np.nonzero(_typical_rows(sa_codes, p_sa, eps, n))[0]
         if hits.size == 0:
             csi_failures += 1
-            errors += 1
             continue
         b, k = divmod(int(hits[0]), num_keys)
         key_counts[k] += 1
-        key_picks += 1
 
         m = int(noise.integers(num_messages))
-        m_tilde = (m + k) % num_messages
-
-        x_idx = x_words[m_tilde, b]
-        yz = _inverse_cdf(yz_rows[x_idx], noise.random(n))
-        y_idx, z_idx = yz // n_z, yz % n_z
-        s12 = _inverse_cdf(s12_rows[s_idx], noise.random(n))
-        s1_idx = s12 // n_s2
+        x_idx = x_words[(m + k) % num_messages, b]
+        y_idx = _inverse_cdf(yz_rows[x_idx], noise.random(n)) // n_z
+        s1_idx = _inverse_cdf(s1_rows[s_idx], noise.random(n))
 
         xy_codes = (x_words * n_y + y_idx[None, None, :]).reshape(-1, n)
         xy_hits = np.nonzero(_typical_rows(xy_codes, p_xy, eps, n))[0]
         if xy_hits.size != 1:
             x_failures += 1
-            errors += 1
             continue
         m_tilde_hat, b_hat = divmod(int(xy_hits[0]), num_bins)
 
@@ -783,25 +793,13 @@ def binning_otp_protocol(
         key_hits = np.nonzero(_typical_rows(as1_codes, p_as1, eps, n))[0]
         if key_hits.size != 1:
             key_failures += 1
-            errors += 1
             continue
-        m_hat = (m_tilde_hat - int(key_hits[0])) % num_messages
-        if m_hat != m:
-            errors += 1
+        wrong += (m_tilde_hat - int(key_hits[0])) % num_messages != m
 
-    if key_picks:
-        key_tv = float(0.5 * np.abs(key_counts / key_picks - 1.0 / num_keys).sum())
-    else:
-        key_tv = 1.0
+    picks = int(key_counts.sum())
+    key_tv = float(0.5 * np.abs(key_counts / picks - 1.0 / num_keys).sum()) if picks else 1.0
     return BinningResult(
-        n=n,
-        trials=trials,
-        num_bins=num_bins,
-        num_keys=num_keys,
-        num_messages=num_messages,
-        errors=errors,
-        csi_failures=csi_failures,
-        x_decode_failures=x_failures,
-        key_decode_failures=key_failures,
-        key_tv_from_uniform=key_tv,
+        n=n, trials=trials, num_bins=num_bins, num_keys=num_keys, num_messages=num_messages,
+        errors=csi_failures + x_failures + key_failures + wrong, csi_failures=csi_failures,
+        x_decode_failures=x_failures, key_decode_failures=key_failures, key_tv_from_uniform=key_tv,
     )

@@ -358,6 +358,13 @@ def test_typicality_zero_eps_needs_exact_composition():
     assert not is_letter_typical([0, 0, 1, 1], p, 0.0)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -0.1])
+def test_typicality_refuses_an_eps_that_is_not_finite_and_nonnegative(eps):
+    # a NaN eps made every comparison False, so [0, 0, 0, 0] was typical for a fair coin
+    with pytest.raises(ValueError, match="eps must be finite and nonnegative"):
+        is_letter_typical([0, 0, 0, 0], Pmf((0, 1), np.array([0.5, 0.5])), eps)
+
+
 def test_typicality_empty_sequence_rejected():
     with pytest.raises(ValueError):
         is_letter_typical([], bernoulli(0.5), 0.1)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from identities import random_gp_policy, random_model
+from sdwtc import simulate
 from sdwtc.models import (
     ERASURE,
     SdWtcModel,
@@ -30,16 +31,25 @@ from sdwtc.prob import (
     marginalize,
     mutual_information,
 )
+from sdwtc.rng import derive_seeds
 from sdwtc.simulate import (
+    BinningResult,
     CodeLaw,
     CodeRates,
     Codebook,
     EncoderFailure,
+    ReliabilityResult,
+    TrialRecord,
+    _TRIAL_CHUNK,
+    _decode,
     _distinct_words,
+    _encode,
     _encoder_tables,
+    _fill,
     _inverse_cdf,
     _message_channel,
     _product_chain,
+    _replay_choice,
     _typical_rows,
     approximation_gap,
     binning_otp_protocol,
@@ -207,6 +217,56 @@ def test_inverse_cdf_matches_the_boolean_count(k):
                           _boolean_inverse_cdf(rows[0, 0, 0], draws[0, 0, 0]))
 
 
+def _choice_laws(rng, k):
+    """Seeded laws over k letters with zero-mass and trailing-zero entries."""
+    p = rng.random(k)
+    p[rng.random(k) < 0.3] = 0.0
+    if k >= 3 and k % 2:
+        p[-(k // 3):] = 0.0
+    p[0] += p.sum() == 0.0
+    return p / p.sum()
+
+
+@pytest.mark.parametrize("k", range(1, 40))
+def test_choice_replay_matches_generator_choice(k):
+    # the replay reads numpy's own rule for choice(k, p=p); this pins it, and
+    # that the generator's next draw is unmoved
+    rng = np.random.default_rng(RNG_SEED + 400 + k)
+    p = _choice_laws(rng, k)
+    for size in (None, 9, (3, 2, 5)):
+        seed = int(rng.integers(2 ** 63))
+        lone, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = lone.choice(k, size=size, p=p)
+        got = _replay_choice(p, np.asarray(replay.random(size)))
+        if size is None:
+            assert int(got) == want
+        else:
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert replay.random() == lone.random()
+    # (T, k) rows, one draw each from its own generator
+    rows = np.stack([_choice_laws(rng, k) for _ in range(6)])
+    seeds = [int(s) for s in rng.integers(2 ** 63, size=6)]
+    draws = np.empty((6, 1))
+    _fill(seeds, draws)
+    want = [np.random.default_rng(s).choice(k, p=row) for s, row in zip(seeds, rows)]
+    assert _replay_choice(rows, draws[:, 0]).tolist() == want
+
+
+def test_choice_replay_on_draws_that_sit_on_the_cdf():
+    # dyadic masses sum exactly, so draws can sit on cdf values; the last law
+    # sums to 1 - 2^-40, so only a normalised cdf places the draw 0.5
+    for p in (np.array([0.25, 0.5, 0.25]), np.array([0.5, 0.0, 0.25, 0.25, 0.0]),
+              np.array([0.125] * 8), np.array([0.5, 0.5 - 2.0 ** -40])):
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        draws = np.concatenate([[0.0, 0.5, np.nextafter(1.0, 0.0)], cdf, np.nextafter(cdf, 0.0)])
+        draws = draws[draws < 1.0]
+        want = cdf.searchsorted(draws, side="right")
+        assert np.array_equal(_replay_choice(p, draws), want)
+        rows = np.broadcast_to(p, (draws.size, p.size))
+        assert np.array_equal(_replay_choice(rows, draws), want)
+
+
 def test_codebook_degenerate_rates_single_pair():
     q_u = bernoulli(0.3)
     q_v = Channel((("U", (0, 1)),), (("V", (0, 1)),), np.array([[0.9, 0.1], [0.2, 0.8]]))
@@ -325,7 +385,8 @@ def test_encoder_argument_validation():
 
 
 def test_encoder_selection_frequencies_match_exact_law():
-    # tiny instance (n=3, 4 pairs): 1e5 draws vs the exact posterior, 3 sigma
+    # tiny instance (n=3, 4 pairs): 1e5 draws vs the exact posterior, 3 sigma,
+    # run as one stacked call of the encoder on the one-trial seeds
     cb, q_s_uv, law = tiny_codebook()
     s_seq = (0, 1, 0)
     exact = np.zeros((2, 2))
@@ -338,17 +399,51 @@ def test_encoder_selection_frequencies_match_exact_law():
     exact /= exact.sum()
 
     draws = 100_000
+    pick_draws, x_draws = np.empty((draws, 1)), np.empty((draws, 3))
+    _fill([77_000 + k for k in range(draws)], pick_draws, x_draws)
+    stack = lambda a: np.broadcast_to(a, (draws, *a.shape))
+    ok, i, j, x_idx = _encode(law, stack(cb.u_words), stack(cb.v_words[:, :, 0]),
+                              stack(np.array(s_seq)), pick_draws, x_draws)
+    assert ok.all()
     counts = np.zeros((2, 2))
-    ones = 0
-    for k in range(draws):
-        i, j, x = likelihood_encode(0, s_seq, cb, law, seed=77_000 + k)
-        counts[i, j] += 1
-        ones += sum(x)
+    np.add.at(counts, (i, j), 1)
+    ones = int(x_idx.sum())
     for idx in np.ndindex(2, 2):
         p = exact[idx]
         assert abs(counts[idx] - draws * p) <= 3.0 * math.sqrt(draws * p * (1 - p))
     # the input sampler is an unbiased coin here
     assert abs(ones / (3 * draws) - 0.5) < 0.01
+
+
+def test_one_trial_encoder_and_decoder_are_rows_of_the_core():
+    law = CodeLaw.of(assemble_joint(*_two_layer_case()))
+    trials, n = 40, 6
+    rng = np.random.default_rng(RNG_SEED + 5)
+    cbs = [sample_codebook(law.q_u, law.q_v_given_u, n, 0.2, 0.3, 0.4, seed=300 + t)
+           for t in range(trials)]
+    u = np.stack([cb.u_words for cb in cbs])
+    v = np.stack([cb.v_words for cb in cbs])
+    m = rng.integers(cbs[0].num_messages, size=trials)
+    s = rng.integers(2, size=(trials, n))
+    y = rng.integers(2, size=(trials, n))
+    seeds = [500 + t for t in range(trials)]
+    pick_draws, x_draws = np.empty((trials, 1)), np.empty((trials, n))
+    _fill(seeds, pick_draws, x_draws)
+    ok, i, j, x_idx = _encode(law, u, v[np.arange(trials), :, :, m], s, pick_draws, x_draws)
+    assert 0 < ok.sum() < trials  # some states have no likelihood under any pair
+    flat = _decode(law, u, v, y, 1.0)
+    assert 0 < (flat < 0).sum() < trials
+    k = 0
+    for t, cb in enumerate(cbs):
+        if ok[t]:
+            want = (int(i[k]), int(j[k]), tuple(x_idx[k].tolist()))
+            assert likelihood_encode(int(m[t]), tuple(s[t]), cb, law, seeds[t]) == want
+            k += 1
+        else:
+            with pytest.raises(EncoderFailure):
+                likelihood_encode(int(m[t]), tuple(s[t]), cb, law, seeds[t])
+        got = typicality_decode(tuple(y[t]), cb, law, 1.0)
+        assert got == (ERASURE if flat[t] < 0 else np.unravel_index(flat[t], v.shape[1:4]))
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +548,9 @@ def test_decoder_argument_validation():
         typicality_decode((0, 0, 0, 0), cb, CodeLaw.of(marginalize(joint, ("U", "V", "Z"))), 0.5)
     with pytest.raises(ValueError, match="length"):
         typicality_decode((0, 0), cb, law, 0.5)
-    with pytest.raises(ValueError, match="eps"):
-        typicality_decode((0, 0, 0, 0), cb, law, -0.1)
+    for eps in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="eps must be finite and nonnegative"):
+            typicality_decode((0, 0, 0, 0), cb, law, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -909,6 +1005,15 @@ def test_reliability_validation():
     for n in (0, -3):
         with pytest.raises(ValueError, match="blocklength"):
             run_reliability_experiment(model, policy, n, (0.0, 0.0, 0.0), trials=2)
+    # the codeword guard holds before any chunk buffer is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="codebook would hold"):
+            run_reliability_experiment(model, policy, 20, (0.9, 0.9, 0.9), trials=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
     # V = S: a lone 8-letter word rarely matches the state, so every trial is
     # an encoder failure and no decode would see the negative eps
     k = np.zeros((2, 1, 2, 2))
@@ -1020,3 +1125,199 @@ def test_monte_carlo_outcomes_are_pinned():
         assert (res.errors, res.csi_failures, res.x_decode_failures,
                 res.key_decode_failures) == counts
         assert res.key_tv_from_uniform == tv
+
+
+# ---------------------------------------------------------------------------
+# the per-trial loops with Generator.choice, kept as oracles for the stacked
+# Monte Carlo core
+
+
+def _lone_codebook(law, n, r1, r2, r, seed):
+    n1, n2, m = index_count(n, r1), index_count(n, r2), index_count(n, r)
+    rng = np.random.default_rng(seed)
+    u_words = rng.choice(len(law.q_u.symbols), size=(n1, n), p=law.q_u.probs)
+    rows = law.q_v_given_u.kernel[u_words]
+    v_words = _inverse_cdf(rows[:, None, None], rng.random((n1, n2, m, n)))
+    return u_words, v_words
+
+
+def _lone_encode(m, s_idx, u_words, v_words, law, seed):
+    loglik = law.log_q_s_given_uv[u_words[:, None, :], v_words[:, :, m, :], s_idx[None, None, :]]
+    loglik = loglik.sum(axis=-1)
+    top = loglik.max()
+    if top == -np.inf:
+        return None
+    weights = np.exp(loglik - top)
+    weights /= weights.sum()
+    rng = np.random.default_rng(seed)
+    i, j = divmod(int(rng.choice(weights.size, p=weights.ravel())), v_words.shape[1])
+    rows = law.q_x_given_uvs.kernel[u_words[i], v_words[i, j, m], s_idx]
+    return i, j, _inverse_cdf(rows, rng.random(len(s_idx)))
+
+
+def _lone_decode(y_idx, u_words, v_words, law, eps):
+    n_v, n_y = len(law.joint.alphabet("V")), len(law.joint.alphabet("Y"))
+    codes = (u_words[:, None, None, :] * n_v + v_words) * n_y + y_idx
+    hits = np.nonzero(_typical_rows(codes.reshape(-1, len(y_idx)), law.q_uvy, eps, len(y_idx)))[0]
+    if hits.size != 1:
+        return ERASURE
+    return tuple(int(a) for a in np.unravel_index(hits[0], v_words.shape[:3]))
+
+
+def _lone_reliability(model, policy, n, rates, eps, trials, seed):
+    law = CodeLaw.of(assemble_joint(model, policy))
+    num_messages = index_count(n, rates[2])
+    msg_trials, msg_errors = [0] * num_messages, [0] * num_messages
+    erasures = failures = 0
+    records = []
+    yz_rows = model.channel.kernel.reshape(len(model.x_symbols), len(model.s_symbols), -1)
+    n_z = len(model.z_symbols)
+    sym = lambda symbols, idx: tuple(symbols[k] for k in idx)
+    seeds = derive_seeds(seed, 3 * trials)
+    for t in range(trials):
+        cb_seed, enc_seed, noise_seed = seeds[3 * t : 3 * t + 3]
+        u_words, v_words = _lone_codebook(law, n, *rates, cb_seed)
+        noise = np.random.default_rng(noise_seed)
+        m = t % num_messages
+        msg_trials[m] += 1
+        s_idx = noise.choice(len(model.s_symbols), size=n, p=model.state_pmf.probs)
+        enc = _lone_encode(m, s_idx, u_words, v_words, law, enc_seed)
+        if enc is None:
+            failures += 1
+            msg_errors[m] += 1
+            continue
+        i, j, x_idx = enc
+        yz = _inverse_cdf(yz_rows[x_idx, s_idx], noise.random(n))
+        decoded = _lone_decode(yz // n_z, u_words, v_words, law, eps)
+        if decoded == ERASURE:
+            erasures += 1
+            msg_errors[m] += 1
+        elif decoded[2] != m:
+            msg_errors[m] += 1
+        records.append(TrialRecord(
+            m, (i, j), sym(model.s_symbols, s_idx), sym(model.x_symbols, x_idx),
+            sym(model.y_symbols, yz // n_z), sym(model.z_symbols, yz % n_z), decoded,
+        ))
+    return ReliabilityResult(n, trials, num_messages, tuple(msg_trials), tuple(msg_errors),
+                             erasures, failures, tuple(records))
+
+
+def _lone_binning(ex, n, r_a, r_bin, r, trials, seed, eps):
+    num_bins, num_keys, num_messages = (index_count(n, r_bin), index_count(n, r_a - r_bin),
+                                        index_count(n, r))
+    ws = ex.state_pmf.probs
+    n_s, n_x, n_s1, n_s2 = (len(ex.s_symbols), len(ex.x_symbols), len(ex.s1_symbols),
+                            len(ex.s2_symbols))
+    n_y, n_z = len(ex.y_symbols), len(ex.z_symbols)
+    p_sa = (np.eye(n_s) * ws[:, None]).ravel()
+    p_as1 = (ws[:, None] * ex.state_channel.kernel.sum(axis=2)).ravel()
+    p_xy = (ex.main_channel.kernel.sum(axis=2) / n_x).ravel()
+    yz_rows = ex.main_channel.kernel.reshape(n_x, -1)
+    s12_rows = ex.state_channel.kernel.reshape(n_s, -1)
+    errors = csi_failures = x_failures = key_failures = key_picks = 0
+    key_counts = np.zeros(num_keys, dtype=np.int64)
+    seeds = derive_seeds(seed, 2 * trials)
+    for t in range(trials):
+        book_rng = np.random.default_rng(seeds[2 * t])
+        noise = np.random.default_rng(seeds[2 * t + 1])
+        a_words = book_rng.choice(n_s, size=(num_bins, num_keys, n), p=ws)
+        x_words = book_rng.integers(0, n_x, size=(num_messages, num_bins, n))
+        s_idx = noise.choice(n_s, size=n, p=ws)
+        hits = np.nonzero(_typical_rows((s_idx * n_s + a_words).reshape(-1, n), p_sa, eps, n))[0]
+        if hits.size == 0:
+            csi_failures += 1
+            errors += 1
+            continue
+        b, k = divmod(int(hits[0]), num_keys)
+        key_counts[k] += 1
+        key_picks += 1
+        m = int(noise.integers(num_messages))
+        yz = _inverse_cdf(yz_rows[x_words[(m + k) % num_messages, b]], noise.random(n))
+        s1_idx = _inverse_cdf(s12_rows[s_idx], noise.random(n)) // n_s2
+        xy_codes = (x_words * n_y + yz // n_z).reshape(-1, n)
+        xy_hits = np.nonzero(_typical_rows(xy_codes, p_xy, eps, n))[0]
+        if xy_hits.size != 1:
+            x_failures += 1
+            errors += 1
+            continue
+        m_tilde_hat, b_hat = divmod(int(xy_hits[0]), num_bins)
+        key_hits = np.nonzero(_typical_rows(a_words[b_hat] * n_s1 + s1_idx, p_as1, eps, n))[0]
+        if key_hits.size != 1:
+            key_failures += 1
+            errors += 1
+            continue
+        errors += (m_tilde_hat - int(key_hits[0])) % num_messages != m
+    key_tv = (float(0.5 * np.abs(key_counts / key_picks - 1.0 / num_keys).sum())
+              if key_picks else 1.0)
+    return BinningResult(n, trials, num_bins, num_keys, num_messages, errors, csi_failures,
+                         x_failures, key_failures, key_tv)
+
+
+def _two_layer_case():
+    model = bsc_wiretap(0.05)
+    pair = np.array([[[0.4, 0.3], [0.3, 0.0]], [[0.1, 0.2], [0.3, 0.4]]])  # (s, u, v)
+    return model, gp_policy((0, 1), (0, 1), (0, 1), (0, 1), pair[..., None] * np.eye(2))
+
+
+@pytest.mark.parametrize("chunk", [None, 3, 1])
+@pytest.mark.parametrize("n, rates, eps, trials, seed", [
+    (8, (0.125, 0.125, 0.25), 1.5, 12, 3),  # encoder failures and erasures
+    (6, (0.2, 0.3, 0.4), 1.0, 23, 7),
+    (5, (0.0, 0.0, 0.6), 0.6, 17, 11),
+    (3, (0.4, 0.0, 0.0), 0.3, 9, 2),
+])
+def test_stacked_reliability_equals_the_per_trial_loop(monkeypatch, chunk, n, rates, eps, trials, seed):
+    model, policy = _two_layer_case()
+    if chunk is not None:  # letters for `chunk` trials per chunk
+        n1, n2, m = (index_count(n, r) for r in rates)
+        monkeypatch.setattr(simulate, "_TRIAL_CHUNK", chunk * n1 * n2 * m * n)
+    got = run_reliability_experiment(model, policy, n, rates, eps, trials, seed, keep_records=True)
+    assert got == _lone_reliability(model, policy, n, rates, eps, trials, seed)
+    if seed == 3:
+        assert got.encoder_failures > 0 and got.erasures > 0
+
+
+def test_stacked_reliability_with_one_trial_per_chunk():
+    # N1 N2 M n = 16 * 16 * 16 * 8 = 2^15 letters: each trial is its own chunk
+    model, policy = _two_layer_case()
+    assert index_count(8, 0.5) ** 3 * 8 == _TRIAL_CHUNK
+    args = (model, policy, 8, (0.5, 0.5, 0.5), 1.25, 3, 21)
+    assert run_reliability_experiment(*args, keep_records=True) == _lone_reliability(*args)
+
+
+@pytest.mark.parametrize("n, r_bin, r, trials, seed, eps", [
+    (8, 0.3, 0.2, 30, 5, 1.25),
+    (8, 0.3, 0.2, 30, 6, 1.25),
+    (6, 0.2, 0.5, 25, 9, 1.25),
+    (12, 0.64, 0.2, 12, 4, 0.4),
+])
+def test_binning_equals_the_per_trial_loop(n, r_bin, r, trials, seed, eps):
+    ex, _ = _surrogate_example()
+    r_a = 1.1 * binary_entropy(0.25)
+    got = binning_otp_protocol(ex, n, r_a, r_bin, r, trials, seed, eps)
+    assert got == _lone_binning(ex, n, r_a, r_bin, r, trials, seed, eps)
+
+
+def test_binning_oracle_cases_reach_every_failure_kind():
+    ex, _ = _surrogate_example()
+    got = binning_otp_protocol(ex, 8, 1.1 * binary_entropy(0.25), 0.3, 0.2, 30, 5, 1.25)
+    assert min(got.csi_failures, got.x_decode_failures, got.key_decode_failures) > 0
+
+
+def test_reliability_memory_is_bounded_by_the_chunk():
+    # the peak at 8x the chunk's trial count exceeds the peak at 1x by less
+    # than one chunk's (N1, N2, M, n) array of uniforms
+    model, policy = _two_layer_case()
+    n, rates = 8, (0.25, 0.25, 0.5)
+    letters = index_count(n, 0.25) ** 2 * index_count(n, 0.5) * n
+    per_chunk = _TRIAL_CHUNK // letters
+    assert per_chunk > 1
+    peaks = []
+    for trials in (per_chunk, 8 * per_chunk):
+        tracemalloc.start()
+        try:
+            run_reliability_experiment(model, policy, n, rates, 1.0, trials, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < per_chunk * letters * 8
