@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -397,6 +398,14 @@ _BODIES = {
 }
 
 
+def _error_record(command: str | None, kind: str, message: str, **fields) -> int:
+    """Print the JSON error record of a failed run; return exit status 1."""
+    record = {"command": command, "version": __version__, **fields,
+              "error": {"type": kind, "message": message}}
+    print(json.dumps(_round12(record), sort_keys=True, indent=2))
+    return 1
+
+
 def run(config: RunConfig) -> int:
     """Dispatch a config; print the summary; return the exit status."""
     digest = config_hash(config)
@@ -405,14 +414,7 @@ def run(config: RunConfig) -> int:
         if config.out:
             _write_csv(config.out, rows)
     except Exception as err:  # noqa: BLE001 - converted to a machine-readable record
-        record = {
-            "command": config.subcommand,
-            "version": __version__,
-            "config_hash": digest,
-            "error": {"type": type(err).__name__, "message": str(err)},
-        }
-        print(json.dumps(_round12(record), sort_keys=True, indent=2))
-        return 1
+        return _error_record(config.subcommand, type(err).__name__, str(err), config_hash=digest)
     summary = {
         "command": config.subcommand,
         "version": __version__,
@@ -432,10 +434,22 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"--n wants comma-separated integers, got {text!r}")
 
 
+class _UsageError(Exception):
+    """A command line the parser refuses; args are (subcommand or None, message)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors (on the parser or a subcommand's)
+    reach main as a _UsageError, not as usage text and exit status 2."""
+
+    def error(self, message: str) -> NoReturn:
+        raise _UsageError(self.prog.partition(" ")[2] or None, message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser of every subcommand, built once per process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sdwtc",
         description="Secrecy rates, covering exponents, and coding-scheme simulation "
         "for state-dependent wiretap channels.",
@@ -468,7 +482,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command line; a line the parser refuses is a UsageError record."""
+    try:
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:
+            raise _UsageError(args.subcommand, f"unrecognized arguments: {' '.join(extra)}")
+    except _UsageError as err:
+        command, message = err.args
+        return _error_record(command, "UsageError", message)
     return run(RunConfig(**vars(args)))
 
 

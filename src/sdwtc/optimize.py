@@ -7,11 +7,12 @@ blocks into one and the joints of stacked blocks), the sizes of their
 auxiliary alphabets, and its terms (``rates.Terms``).  ``rate_report`` is
 the one way to evaluate a policy object: it builds the policy's joint and
 returns ``rates.report`` of it.  ``maximize`` and ``exhaustive_small``
-score stacks of raw blocks with ``rates.evaluate`` and build no policy per
-candidate.  The search is random-restart coordinate ascent, its restarts
-advanced in lockstep: each iteration makes one stacked evaluation and one
-batched simplex projection per block, so each restart's generator draws
-are the only per-restart work.  A brute-force grid enumeration, in chunks,
+score stacks of raw blocks with a ``rates.plan`` evaluator (``maximize``
+looks it up once per search) and build no policy per candidate.  The
+search is random-restart coordinate ascent, its restarts advanced in
+lockstep: each iteration makes one stacked evaluation and one batched
+simplex projection per block, so each restart's generator draws are the
+only per-restart work.  A brute-force grid enumeration, in chunks,
 serves problems small enough to afford it.  Runs are deterministic given
 the budget seed (restart r draws from the r-th splitmix64 output of the
 master seed), and each restart walks the path it would walk alone.
@@ -120,12 +121,23 @@ def _search_space(
     return policy_blocks(entry.policy_kinds[0], model, _aux(entry, card_u, card_v))
 
 
+def _objective(entry: Functional, axes: tuple) -> Callable[[np.ndarray], np.ndarray]:
+    """The search objective of each joint in a stack over these (name,
+    alphabet) axes: the functional clamped at zero (a do-nothing policy
+    always achieves zero), with infeasible candidates scored -inf.  Its
+    rates.plan is looked up here, once per search."""
+    evaluate = rates.plan(entry.terms, tuple(name for name, _ in axes), tuple(len(a) for _, a in axes))
+
+    def objective(mass: np.ndarray) -> np.ndarray:
+        values, feasible = evaluate(mass)
+        return np.where(feasible, np.maximum(0.0, values.min(axis=1)), -np.inf)
+
+    return objective
+
+
 def _stack_objective(entry: Functional, axes: tuple, mass: np.ndarray) -> np.ndarray:
-    """Search objective of each joint in a stack: the functional clamped at
-    zero (a do-nothing policy always achieves zero), with infeasible
-    candidates scored -inf."""
-    values, feasible = rates.evaluate(entry.terms, [name for name, _ in axes], mass)
-    return np.where(feasible, np.maximum(0.0, values.min(axis=1)), -np.inf)
+    """The search objective (see _objective) of each joint in one stack."""
+    return _objective(entry, axes)(mass)
 
 
 def _lookup(
@@ -198,9 +210,10 @@ def _lockstep(
     starts = [[g.dirichlet(np.ones(d), size=rows) for rows, d in shapes] for g in rngs]
     blocks = [np.stack(block) for block in zip(*starts)]
     axes, joint_mass = joint_plan(entry.policy_kinds[0], model, aux)
+    score = _objective(entry, axes)
 
     def objective(stacks: list[np.ndarray]) -> np.ndarray:
-        return _stack_objective(entry, axes, joint_mass(stacks))
+        return score(joint_mass(stacks))
 
     best = objective(blocks)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -200,20 +201,24 @@ def product_pmf(p: Pmf, q: Pmf) -> Pmf:
 # entropy and friends
 
 
-def _entropy_bits(masses: Sequence[np.ndarray], lead: int = 0) -> list[np.ndarray]:
+def _entropy_bits(masses: Sequence[np.ndarray], lead: int = 0) -> np.ndarray:
     """The entropy in bits of each mass tensor, one per entry of its first
-    lead axes, the logs of all taken in one pass.  Masses at or below
-    ZERO_MASS count as zero and their log is never taken."""
+    lead axes (a (masses, *lead) array), the logs of all taken in one pass.
+    Masses at or below ZERO_MASS count as zero and their log is never taken."""
     flat = [np.asarray(m, dtype=float).reshape(np.shape(m)[:lead] + (-1,)) for m in masses]
-    return _segment_entropy_bits(np.concatenate(flat, axis=-1), [m.shape[-1] for m in flat])
+    runs = [(m.shape[-1], 1) for m in flat]
+    return np.moveaxis(_run_entropy_bits(np.concatenate(flat, axis=-1), runs), -1, 0)
 
 
-def _segment_entropy_bits(p: np.ndarray, sizes: Sequence[int]) -> list[np.ndarray]:
-    """The entropy in bits of each run of the given sizes laid side by side
-    along the last axis of the flat masses p, as in _entropy_bits."""
+def _run_entropy_bits(p: np.ndarray, runs: Sequence[tuple[int, int]]) -> np.ndarray:
+    """The entropy in bits of each run of masses laid side by side along the
+    last axis of p, as in _entropy_bits, one per entry of that axis of the
+    result; runs lists (size, count) for each stretch of count runs of one
+    size.  Each run is summed on its own, so it rounds the same anywhere."""
     p_log_p = p * np.log2(np.where(p > ZERO_MASS, p, 1.0))
-    ends = np.cumsum(sizes)
-    return [-p_log_p[..., end - size:end].sum(axis=-1) for size, end in zip(sizes, ends)]
+    lead, ends = p.shape[:-1], accumulate(size * count for size, count in runs)
+    return -np.concatenate([np.add.reduce(p_log_p[..., end - size * count:end].reshape(*lead, count, size), -1)
+                            for (size, count), end in zip(runs, ends)], axis=-1)
 
 
 def entropy(
@@ -412,9 +417,9 @@ def is_letter_typical(x: Sequence[Hashable], p: Pmf, eps: float) -> bool:
     counts: dict = {}
     for sym in x:
         counts[sym] = counts.get(sym, 0) + 1
-    if any(sym not in p.symbols for sym in counts):
+    if not set(p.symbols).issuperset(counts):
         return False
-    for sym, prob in zip(p.symbols, p.probs):
+    for sym, prob in zip(p.symbols, p.probs.tolist()):  # Python floats: the same IEEE arithmetic
         nu = counts.get(sym, 0) / n
         if abs(nu - prob) > eps * prob:
             return False

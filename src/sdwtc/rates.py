@@ -1,8 +1,9 @@
 """Closed-form achievable-rate expressions for wiretap channels with state.
 
 Each functional's minimands are written once, as formulas over axis names
-(a Terms record).  evaluate computes them on a stack of joint masses, and
-report on one joint, as a RateReport carrying all minimand values, which
+(a Terms record).  evaluate computes them on a stack of joint masses, by
+the evaluator plan builds once per rate and joint shape, and report on one
+joint, as a RateReport carrying all minimand values, which
 minimand was active, and a feasibility flag; optimize.rate_report builds
 the joint of a policy object and calls report.  Values are reported raw:
 minima can be negative for poor policies, and clamping to zero is the
@@ -14,12 +15,13 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from itertools import groupby
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .models import ERASURE, InputPolicy, SdWtcModel, assemble_joint, gp_policy
-from .prob import JointPmf, _segment_entropy_bits
+from .prob import JointPmf, _run_entropy_bits
 
 FEAS_TOL = 1e-10
 INDEP_TOL = 1e-9
@@ -72,28 +74,37 @@ _TOKEN = re.compile(r"([+-]?)(\[|\]\+|[IH]\([^()]*\))")
 
 
 @lru_cache(maxsize=256)
-def _plan(terms: Terms, names: tuple[str, ...]) -> tuple[list[tuple], list[tuple], dict[str, list]]:
-    """The distinct axis sets a rate sums out of stacked joints over these
-    axes, the distinct marginals it needs, each as (index of its summed-out
-    set, the axis permutation that orders the sum's axes like the
-    marginal), and its formulas as lists of (sign, node) summed left to
-    right: a node is the index of a marginal's entropy, or (clamp, nodes)
-    for a bracket (clamped at zero), an I(A;B|C) = H(A,C) + H(B,C) -
-    H(A,B,C) - H(C) or an H(A|C) = H(A,C) - H(C)."""
+def plan(terms: Terms, names: tuple[str, ...],
+         shape: tuple[int, ...]) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The evaluator of a rate on (B, *shape) stacks of joints over the named
+    axes, built once per rate and shape; evaluate calls it.  Its rounding is
+    fixed by: one sum per distinct set of summed-out axes, in the joint's
+    memory order and never over merged axes (axes of size 1 are left out of
+    the sets, which changes no bit); one gather of all marginals, equal
+    sizes side by side, each summed on its own (prob._run_entropy_bits);
+    each formula a row of (column, +-1.0) pairs folded left to right by
+    cumsum, as acc + v, padded with a column of -0.0, which changes no sum.
+    The rows are evaluated in stages, each into further columns: the
+    I(A;B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C) and H(A|C) = H(A,C) - H(C)
+    nodes, the [...]+ brackets deepest first (clamped at zero), then the
+    formulas."""
+    formulas = tuple(filter(None, (*terms.labels, terms.feasible, terms.vanishing)))
     marginals: dict[tuple[str, ...], int] = {}
-    formulas: dict[str, list] = {}
-    for formula in filter(None, (*terms.labels, terms.feasible, terms.vanishing)):
+    # (clamp, ((sign, ref), ...)) -> number: a node over marginals, or a
+    # bracket (clamp True) over earlier nodes and brackets
+    exprs: dict[tuple, int] = {}
+    tops = []
+    for formula in formulas:
         tokens = _TOKEN.findall(formula)
         if "".join(sign + tok for sign, tok in tokens) != formula:
             raise ValueError(f"cannot parse rate formula {formula!r}")
         stack: list[list] = [[]]
         for sign, tok in tokens:
             if tok == "[":
-                inner: list = []
-                stack[-1].append((sign, (True, inner)))
-                stack.append(inner)
+                stack.append([sign])
             elif tok == "]+":
-                stack.pop()
+                sign, *inner = stack.pop()
+                stack[-1].append((sign, exprs.setdefault((True, tuple(inner)), len(exprs))))
             else:
                 body, _, given = tok[2:-1].partition("|")
                 c = tuple(given.split(",")) if given else ()
@@ -103,72 +114,83 @@ def _plan(terms: Terms, names: tuple[str, ...]) -> tuple[list[tuple], list[tuple
                     parts.append(("-", groups[0] + groups[1] + c))
                 if c:
                     parts.append(("-", c))
-                stack[-1].append((sign, (False, [(s, marginals.setdefault(g, len(marginals)))
-                                                 for s, g in parts])))
-        formulas[formula] = stack[0]
+                node = tuple((s, marginals.setdefault(g, len(marginals))) for s, g in parts)
+                stack[-1].append((sign, exprs.setdefault((False, node), len(exprs))))
+        tops.append(stack[0])
     unknown = {n for keep in marginals for n in keep} - set(names)
     if unknown:
         raise ValueError(f"unknown axes {sorted(unknown)}; have {names}")
-    drops: dict[tuple[int, ...], int] = {}
-    reductions = []
-    for keep in marginals:
-        kept = [n for n in names if n in keep]
-        drop = tuple(1 + i for i, n in enumerate(names) if n not in keep)
-        reductions.append((drops.setdefault(drop, len(drops)), (0, *(1 + kept.index(n) for n in keep))))
-    return list(drops), reductions, formulas
 
+    dims = dict(zip(names, shape))
+    order = sorted(marginals, key=lambda keep: math.prod(dims[n] for n in keep))
+    sums: dict[tuple[int, ...], np.ndarray] = {}  # summed-out axes -> flat index of the sum
+    gathered, offset = [], 0
+    for keep in order:
+        drop = tuple(1 + i for i, n in enumerate(names) if n not in keep and dims[n] > 1)
+        kept = [n for n in names if n in keep or dims[n] == 1]
+        if drop not in sums:
+            sums[drop] = offset + np.arange(math.prod(dims[n] for n in kept)).reshape([dims[n] for n in kept])
+            offset += sums[drop].size
+        block = sums[drop][tuple(slice(None) if n in keep else 0 for n in kept)]
+        rest = [n for n in kept if n in keep]
+        gathered.append(block.transpose([rest.index(n) for n in keep]).ravel())
+    index = np.concatenate(gathered)
+    runs = [(size, len(list(run))) for size, run in groupby(part.size for part in gathered)]
 
-@lru_cache(maxsize=256)
-def _gather(terms: Terms, names: tuple[str, ...],
-            shape: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...]]:
-    """For joints of this shape (batch axis excluded): the flat index that
-    takes every marginal of _plan(terms, names), in its own axis order, out
-    of the summed-out sets flattened and laid side by side, and the size of
-    each marginal."""
-    drops, reductions, _ = _plan(terms, names)
-    blocks, offset = [], 0
-    for drop in drops:
-        kept = tuple(d for axis, d in enumerate(shape, start=1) if axis not in drop)
-        blocks.append(offset + np.arange(math.prod(kept)).reshape(kept))
-        offset += blocks[-1].size
-    parts = [blocks[j].transpose([axis - 1 for axis in perm[1:]]).ravel() for j, perm in reductions]
-    return np.concatenate(parts), tuple(part.size for part in parts)
+    # columns: the entropies in gather order, the -0.0 pad, then each stage's rows
+    pad, entries = len(order), list(exprs)
+    h_col, e_col = {marginals[keep]: j for j, keep in enumerate(order)}, {}
+    depth: list[int] = []
+    for clamp, row in entries:
+        depth.append(1 + max(depth[r] for _, r in row) if clamp else 1)
+
+    def table(rows: list) -> tuple[np.ndarray, np.ndarray]:
+        width = max(map(len, rows))
+        return (np.array([[j for _, j in row] + [pad] * (width - len(row)) for row in rows]),
+                np.array([[-1.0 if s == "-" else 1.0 for s, _ in row] + [1.0] * (width - len(row))
+                          for row in rows]))
+
+    stages = []
+    for level in range(1, max(depth, default=0) + 1):
+        members = [e for e, d in enumerate(depth) if d == level]
+        refs = e_col if level > 1 else h_col
+        stages.append((*table([[(s, refs[r]) for s, r in entries[e][1]] for e in members]), level > 1))
+        for e in members:
+            e_col[e] = pad + 1 + len(e_col)
+    stages.append((*table([[(s, e_col[r]) for s, r in row] for row in tops]), False))
+    drops, n_labels = list(sums), len(terms.labels)
+
+    def evaluate_stack(mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        flat = [(np.add.reduce(mass, axis=drop) if drop else mass).reshape(len(mass), -1) for drop in drops]
+        # take keeps p C-ordered; p[:, index] would not, and its run sums would round differently
+        h = _run_entropy_bits(np.concatenate(flat, axis=1).take(index, axis=1), runs)
+        v = np.full((len(mass), 1), -0.0)
+        for idx, sgn, clamp in stages:
+            h = np.concatenate([h, v], axis=1)
+            v = (h.take(idx, axis=1) * sgn).cumsum(axis=2)[..., -1]
+            if clamp:
+                v = np.maximum(0.0, v)
+        if not np.isfinite(v).all():
+            j = int(np.argmin(np.isfinite(v).all(axis=0)))
+            raise ValueError(f"rate term {formulas[j]} is not finite: got {v[~np.isfinite(v[:, j]), j][0]}")
+        if terms.vanishing is not None:
+            bad = np.nonzero(v[:, -1] > INDEP_TOL)[0]
+            if bad.size:
+                raise ValueError(
+                    f"{terms.requirement}, got {terms.vanishing} = {float(v[bad[0], -1])!r} bits")
+        feasible = (np.ones(len(mass), dtype=bool) if terms.feasible is None
+                    else v[:, n_labels] >= -FEAS_TOL)
+        return v[:, :n_labels], feasible
+
+    return evaluate_stack
 
 
 def evaluate(terms: Terms, names: Sequence[str], mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every term of a rate on a stack of joints, mass[b] over the named axes:
-    the (B, terms) values and the (B,) feasibility flags.  Each distinct
-    marginal entropy is computed once, from one sum per summed-out axis set
-    and one gather of all marginals."""
-    names = tuple(names)
-    drops, _, formulas = _plan(terms, names)
-    sums = [(mass.sum(axis=drop) if drop else mass).reshape(len(mass), -1) for drop in drops]
-    index, sizes = _gather(terms, names, mass.shape[1:])
-    # np.take keeps p C-ordered; p[:, index] would not, and its run sums would round differently
-    h = _segment_entropy_bits(np.take(np.concatenate(sums, axis=1), index, axis=1), sizes)
-
-    def value(nodes: list) -> np.ndarray:
-        acc = None
-        for sign, node in nodes:
-            if isinstance(node, int):
-                v = h[node]
-            else:
-                clamp, inner = node
-                v = np.maximum(0.0, value(inner)) if clamp else value(inner)
-            v = -v if sign == "-" else v  # a + (-b) rounds exactly as a - b
-            acc = v if acc is None else acc + v
-        return acc
-
-    if terms.vanishing is not None:
-        got = value(formulas[terms.vanishing])
-        bad = np.nonzero(got > INDEP_TOL)[0]
-        if bad.size:
-            raise ValueError(
-                f"{terms.requirement}, got {terms.vanishing} = {float(got[bad[0]])!r} bits")
-    values = np.stack([value(formulas[label]) for label in terms.labels], axis=1)
-    feasible = (np.ones(len(mass), dtype=bool) if terms.feasible is None
-                else value(formulas[terms.feasible]) >= -FEAS_TOL)
-    return values, feasible
+    the (B, terms) values and the (B,) feasibility flags, by the evaluator
+    plan(terms, names, shape) builds once per joint shape.  A term that is
+    not finite (a NaN or infinite mass) is a ValueError naming it."""
+    return plan(terms, tuple(names), mass.shape[1:])(mass)
 
 
 def report(terms: Terms, joint: JointPmf) -> RateReport:

@@ -22,7 +22,7 @@ from identities import (
 )
 from test_cli import const_u_policy_doc, wiretap_doc, write_json, x_given_s_doc
 from test_rates import _noisy_state_tracker_policy, _repair_family_model
-from test_simulate import _scan_decode, bsc_wiretap, uniform_input_policy
+from test_simulate import _codewords, _scan_decode, _uvy_pmf, bsc_wiretap, uniform_input_policy
 from sdwtc.cli import main
 from sdwtc.models import (
     assemble_joint,
@@ -368,16 +368,17 @@ def test_criterion_08_decoder_matches_full_scan():
     model = bsc_wiretap(0.11)
     policy = uniform_input_policy(model)
     joint = assemble_joint(model, policy)
-    q_uvy = marginalize(joint, ("U", "V", "Y"))
+    flat = _uvy_pmf(marginalize(joint, ("U", "V", "Y")))
     law = CodeLaw.of(joint)
     rng = np.random.default_rng(RNG_SEED + 8)
     agree = 0
     for k in range(100):
         cb = sample_codebook(law.q_u, law.q_v_given_u, 6, 0.3, 0.3, 0.3, 8100 + k)
+        words = _codewords(cb)
         for t in range(100):
             y = tuple(rng.integers(0, 2, size=6).tolist())
             eps = (0.2, 0.5, 0.9, 1.2)[t % 4]
-            agree += typicality_decode(y, cb, law, eps) == _scan_decode(y, cb, q_uvy, eps)
+            agree += typicality_decode(y, cb, law, eps) == _scan_decode(y, words, flat, eps)
     dt = time.perf_counter() - t0
     ok = agree == 10_000 and dt < 60.0
     _report(8, ok, f"{agree}/10000 decode calls match the full scan ({dt:.1f}s < 60s)")

@@ -401,6 +401,35 @@ def test_missing_flags_produce_an_error_record(tmp_path, capsys):
     assert "results" not in record
 
 
+@pytest.mark.parametrize("argv, command, message", [
+    (["softcov-exponent", "--r1", "0.6", "--r2", "0.6", "--w-axis", "Q"], "softcov-exponent",
+     "argument --w-axis: invalid choice: 'Q'"),
+    (["codec-sim", "--n", "3,x"], "codec-sim", "argument --n: --n wants comma-separated integers"),
+    (["rate", "--trials", "7", "--no-such-option"], "rate", "unrecognized arguments: --no-such-option"),
+    (["no-such-command"], None, "argument subcommand: invalid choice: 'no-such-command'"),
+    ([], None, "the following arguments are required: subcommand"),
+], ids=["bad-choice", "bad-n-list", "unknown-option", "unknown-command", "no-command"])
+def test_parser_errors_are_error_records(capsys, argv, command, message):
+    status = main(argv)
+    out, err = capsys.readouterr()
+    record = json.loads(out)
+    assert status == 1
+    assert err == ""
+    assert record["command"] == command
+    assert record["version"] == __version__
+    assert record["error"]["type"] == "UsageError"
+    assert record["error"]["message"].startswith(message)
+    assert "results" not in record
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["codec-sim", "--help"]])
+def test_help_still_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: sdwtc")
+
+
 @pytest.mark.parametrize("flags", [
     ["--eps", "-0.5"], ["--n", "0"], ["--n", "-3"], ["--eps", "nan"], ["--eps", "inf"],
 ])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from identities import random_gp_policy, random_model, random_rln_model
+from sdwtc import rates
 from sdwtc.models import (
     assemble_joint,
     build_rln_example,
@@ -447,6 +448,21 @@ def test_grid_matches_a_per_policy_oracle(functional, k):
         card_v = 1
     oracle = _grid_by_rate_report(functional, model, k, card_u, card_v)
     assert exhaustive_small(functional, model, 1.0 / k, card_u, card_v) == pytest.approx(oracle, abs=1e-12)
+
+
+def test_lockstep_builds_the_evaluation_plan_once(monkeypatch):
+    calls, plan = [], rates.plan
+
+    def counting_plan(*args):
+        calls.append(args)
+        return plan(*args)
+
+    monkeypatch.setattr(rates, "plan", counting_plan)
+    budget = OptBudget(restarts=3, iterations=25, seed=5)
+    for functional, (model, card_u, card_v) in _instances(np.random.default_rng(RNG_SEED + 26)).items():
+        calls.clear()
+        maximize(functional, model, card_u, card_v, budget)
+        assert len(calls) == 1, functional
 
 
 def test_maximize_matches_grid_oracle_on_xor_toy():

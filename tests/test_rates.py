@@ -1,6 +1,8 @@
 """Rate functionals: minimand identities, feasibility, and the erasure repair."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,7 @@ from sdwtc.rates import (
     FEAS_TOL,
     RA,
     RA_ALT,
+    RLN,
     constraint_gap,
     evaluate,
     report,
@@ -573,3 +576,77 @@ def test_evaluate_matches_a_per_marginal_reference():
         want_values, want_feasible = _evaluate_per_marginal(entry.terms, names, mass)
         assert np.array_equal(values, want_values), functional
         assert np.array_equal(feasible, want_feasible), functional
+
+
+def _same_bits(a, b):
+    """Equal values with equal sign bits (np.array_equal alone takes -0.0 for 0.0)."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _sweep_stacks(rng, functional, model, card_u, card_v, size=8):
+    """Seeded (axes, mass) stacks for a functional: Dirichlet(1/2) policies,
+    policies with a fifth of their entries zeroed, and vertex (deterministic)
+    policies, each stack ending in a joint of zero mass."""
+    entry = FUNCTIONALS[functional]
+    shapes, _ = _search_space(entry, model, card_u, card_v)
+    for kind in ("dirichlet", "sparse", "vertex"):
+        stacks = []
+        for rows, d in shapes:
+            s = rng.dirichlet(np.full(d, 0.5), size=(size, rows))
+            if kind == "sparse":
+                s[rng.random(s.shape) < 0.2] = 0.0
+                s[..., 0] += s.sum(axis=-1) == 0.0
+                s /= s.sum(axis=-1, keepdims=True)
+            elif kind == "vertex":
+                s = np.eye(d)[rng.integers(d, size=(size, rows))]
+            stacks.append(s)
+        axes, mass = stacked_joint(entry.policy_kinds[0], model, _aux(entry, card_u, card_v), stacks)
+        mass[-1] = 0.0
+        yield tuple(name for name, _ in axes), mass
+
+
+def _sweep_instances(rng):
+    """functional -> (model, card_u, card_v); CHV's U and the RLN example's
+    B and S2 are axes of size 1, and the CEG joint is not C-contiguous."""
+    model = random_model(rng, ns=3, nx=2)
+    return {"RA": (model, 2, 3), "RA_alt": (model, 3, 2), "CHV": (model, 1, 3),
+            "CEG": (model, 2, 1), "RLN": (build_rln_example(0.25, 0.5), 2, 1),
+            "semidet": (_binary_xor_model(0.3), 1, 1), "LN_encdec": (model, 1, 1)}
+
+
+@pytest.mark.parametrize("functional", sorted(FUNCTIONALS))
+def test_stacked_evaluation_equals_row_by_row_evaluation(functional):
+    rng = np.random.default_rng(RNG_SEED + 22)
+    model, card_u, card_v = _sweep_instances(rng)[functional]
+    terms = FUNCTIONALS[functional].terms
+    for names, mass in _sweep_stacks(rng, functional, model, card_u, card_v):
+        if functional in ("CHV", "RLN"):
+            assert 1 in mass.shape[1:]
+        if functional == "CEG":
+            assert not mass.flags.c_contiguous
+        values, feasible = evaluate(terms, names, mass)
+        assert np.isfinite(values).all()
+        want_values, want_feasible = _evaluate_per_marginal(terms, names, mass)
+        assert _same_bits(values, want_values)
+        assert np.array_equal(feasible, want_feasible)
+        for b in range(len(mass)):
+            one, one_feasible = evaluate(terms, names, mass[b:b + 1])
+            assert _same_bits(one[0], values[b])
+            assert one_feasible[0] == feasible[b]
+
+
+def test_evaluate_refuses_non_finite_terms():
+    rng = np.random.default_rng(RNG_SEED + 23)
+    names, mass = next(_sweep_stacks(rng, "RLN", build_rln_example(0.25, 0.5), 2, 1, size=3))
+    mass[1, 0, 0] = np.nan
+    with pytest.raises(ValueError, match=re.escape(f"rate term {RLN.labels[0]} is not finite: got nan")):
+        evaluate(RLN, names, mass)
+    mass[1, 0, 0] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="is not finite"):
+        evaluate(RLN, names, mass)
+    model = random_model(rng)
+    j = assemble_joint(model, random_gp_policy(rng, model))
+    mass = j.mass.copy()
+    mass.flat[0] = np.nan
+    with pytest.raises(ValueError, match=re.escape(f"rate term {RA.labels[0]} is not finite")):
+        evaluate(RA, j.names, mass[None])

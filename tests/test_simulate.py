@@ -450,26 +450,30 @@ def test_one_trial_encoder_and_decoder_are_rows_of_the_core():
 # typicality decoder
 
 
-def _scan_decode(y, cb, q_uvy, eps):
-    """Brute-force reference: test every triple with is_letter_typical."""
+def _uvy_pmf(q_uvy):
+    """The (U, V, Y) marginal as one Pmf over (u, v, y) letters, for _scan_decode."""
     order = [q_uvy.names.index(a) for a in ("U", "V", "Y")]
     mass = np.transpose(q_uvy.mass, order)
     symbols = tuple(iter_product(q_uvy.alphabet("U"), q_uvy.alphabet("V"), q_uvy.alphabet("Y")))
-    flat = Pmf(symbols, mass.ravel())
-    hits = []
-    for i in range(cb.num_u):
-        for j in range(cb.num_v):
-            for m in range(cb.num_messages):
-                word = tuple(
-                    (cb.u_symbols[cb.u_words[i, t]], cb.v_symbols[cb.v_words[i, j, m, t]], y[t])
-                    for t in range(cb.n)
-                )
-                try:
-                    ok = is_letter_typical(word, flat, eps)
-                except ValueError:
-                    ok = False
-                if ok:
-                    hits.append((i, j, m))
+    return Pmf(symbols, mass.ravel())
+
+
+def _codewords(cb):
+    """Each codeword of a codebook as ((i, j, m), its u letters, its v
+    letters), for _scan_decode."""
+    u_words, v_words = cb.u_words.tolist(), cb.v_words.tolist()
+    return [((i, j, m), [cb.u_symbols[u] for u in u_words[i]], [cb.v_symbols[v] for v in v_words[i][j][m]])
+            for i in range(cb.num_u) for j in range(cb.num_v) for m in range(cb.num_messages)]
+
+
+def _scan_decode(y, codewords, flat, eps):
+    """Brute-force reference: test every triple with is_letter_typical
+    against the flat (U, V, Y) Pmf of _uvy_pmf, codewords from _codewords."""
+    try:
+        hits = [ijm for ijm, u_letters, v_letters in codewords
+                if is_letter_typical(tuple(zip(u_letters, v_letters, y)), flat, eps)]
+    except ValueError:  # a bad eps or an empty word: every codeword alike is refused
+        hits = []
     return hits[0] if len(hits) == 1 else ERASURE
 
 
@@ -492,7 +496,7 @@ def test_decoder_matches_full_scan():
     model = bsc_wiretap(0.11)
     policy = uniform_input_policy(model)
     joint = assemble_joint(model, policy)
-    q_uvy = marginalize(joint, ("U", "V", "Y"))
+    flat = _uvy_pmf(marginalize(joint, ("U", "V", "Y")))
     law = CodeLaw.of(joint)
 
     rng = np.random.default_rng(RNG_SEED)
@@ -500,10 +504,11 @@ def test_decoder_matches_full_scan():
     for trial in range(60):
         seed = int(rng.integers(2**31))
         cb = sample_codebook(law.q_u, law.q_v_given_u, 6, 0.3, 0.3, 0.3, seed=seed)
+        words = _codewords(cb)
         for _ in range(5):
             y = tuple(rng.integers(0, 2, size=6).tolist())
             eps = float(rng.choice([0.2, 0.5, 0.9, 1.2]))
-            assert typicality_decode(y, cb, law, eps) == _scan_decode(y, cb, q_uvy, eps)
+            assert typicality_decode(y, cb, law, eps) == _scan_decode(y, words, flat, eps)
             agreements += 1
     assert agreements == 300
 
