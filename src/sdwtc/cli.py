@@ -16,7 +16,6 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
 from typing import NoReturn
 
 import numpy as np
@@ -53,47 +52,10 @@ from .simulate import (
     sample_codebook,
 )
 
-SUBCOMMANDS = (
-    "rate",
-    "optimize",
-    "example",
-    "softcov-exponent",
-    "softcov-sim",
-    "codec-sim",
-    "binning-sim",
-)
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A fully resolved invocation; hashing this reproduces the run."""
-
-    subcommand: str
-    channel: str | None = None
-    policy: str | None = None
-    functional: str | None = None
-    card_u: int = 1
-    card_v: int = 1
-    restarts: int = 16
-    iters: int = 400
-    seed: int = 0
-    n: tuple[int, ...] = ()
-    trials: int = 100
-    eps: float = simulate.DEFAULT_EPS
-    out: str | None = None
-    alpha: float | None = None
-    sigma: float | None = None
-    r1: float | None = None
-    r2: float | None = None
-    r: float = 0.0
-    ra: float | None = None
-    rbin: float | None = None
-    w_axis: str = "S"
-    leakage_trials: int = 0
-
-
-def config_hash(config: RunConfig) -> str:
-    blob = json.dumps(asdict(config), sort_keys=True).encode()
+def config_hash(args: argparse.Namespace) -> str:
+    """sha256 prefix of the subcommand and the options it reads, defaults included."""
+    blob = json.dumps(vars(args), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -188,54 +150,52 @@ def _covering_joint(joint: JointPmf, w_axis: str) -> JointPmf:
 # subcommand bodies; each returns (results dict, csv rows)
 
 
-def _cmd_rate(config: RunConfig) -> tuple[dict, list]:
-    model = load_channel_spec(config.channel)
-    policy = load_policy_spec(config.policy, model)
-    report = rate_report(config.functional, model, policy)
+def _cmd_rate(args: argparse.Namespace) -> tuple[dict, list]:
+    model = load_channel_spec(args.channel)
+    policy = load_policy_spec(args.policy, model)
+    report = rate_report(args.functional, model, policy)
     results = {
-        "functional": config.functional,
+        "functional": args.functional,
         "value": report.value,
         "active_term": report.active_term,
         "terms": {label: value for label, value in report.terms},
         "feasible": report.feasible,
     }
-    rows = [(f"term:{label}", "", config.seed, value, None, None) for label, value in report.terms]
-    rows.insert(0, ("value", "", config.seed, report.value, None, None))
+    rows = [(f"term:{label}", "", args.seed, value, None, None) for label, value in report.terms]
+    rows.insert(0, ("value", "", args.seed, report.value, None, None))
     return results, rows
 
 
-def _cmd_optimize(config: RunConfig) -> tuple[dict, list]:
-    model = load_channel_spec(config.channel)
-    budget = OptBudget(restarts=config.restarts, iterations=config.iters, seed=config.seed)
-    result = maximize(config.functional, model, config.card_u, config.card_v, budget)
+def _cmd_optimize(args: argparse.Namespace) -> tuple[dict, list]:
+    model = load_channel_spec(args.channel)
+    budget = OptBudget(restarts=args.restarts, iterations=args.iters, seed=args.seed)
+    result = maximize(args.functional, model, args.card_u, args.card_v, budget)
     results = {
-        "functional": config.functional,
+        "functional": args.functional,
         "value": result.value,
         "evaluations": result.evaluations,
-        "restarts": config.restarts,
-        "iterations": config.iters,
+        "restarts": args.restarts,
+        "iterations": args.iters,
         "trace_max": max(result.trace),
         "trace_median": float(np.median(result.trace)),
     }
     rows = [
-        ("restart_best", k, config.seed, value, None, None)
+        ("restart_best", k, args.seed, value, None, None)
         for k, value in enumerate(result.trace)
     ]
     return results, rows
 
 
-def _cmd_example(config: RunConfig) -> tuple[dict, list]:
-    alpha = 0.25 if config.alpha is None else config.alpha
-    sigma = 0.5 if config.sigma is None else config.sigma
-    model = build_rln_example(alpha, sigma)
-    closed_form = (1.0 - sigma) * (1.0 - binary_entropy(alpha))
+def _cmd_example(args: argparse.Namespace) -> tuple[dict, list]:
+    model = build_rln_example(args.alpha, args.sigma)
+    closed_form = (1.0 - args.sigma) * (1.0 - binary_entropy(args.alpha))
     policy = achieving_rln_policy(model)
     achieved = rate_report("RLN", model, policy)
-    budget = OptBudget(restarts=config.restarts, iterations=config.iters, seed=config.seed)
+    budget = OptBudget(restarts=args.restarts, iterations=args.iters, seed=args.seed)
     optimized = maximize("RLN", model, len(model.s_symbols), 1, budget)
     results = {
-        "alpha": alpha,
-        "sigma": sigma,
+        "alpha": args.alpha,
+        "sigma": args.sigma,
         "capacity_closed_form": closed_form,
         "achieving_policy": "A = S, B = const, X uniform",
         "achieving_value": achieved.value,
@@ -245,26 +205,24 @@ def _cmd_example(config: RunConfig) -> tuple[dict, list]:
         "optimizer_reaches_fraction": optimized.value / closed_form if closed_form else None,
     }
     rows = [
-        ("capacity_closed_form", "", config.seed, closed_form, None, None),
-        ("achieving_value", "", config.seed, achieved.value, None, None),
-        ("optimized_value", "", config.seed, optimized.value, None, None),
+        ("capacity_closed_form", "", args.seed, closed_form, None, None),
+        ("achieving_value", "", args.seed, achieved.value, None, None),
+        ("optimized_value", "", args.seed, optimized.value, None, None),
     ]
     return results, rows
 
 
-def _cmd_softcov_exponent(config: RunConfig) -> tuple[dict, list]:
-    model = load_channel_spec(config.channel)
-    policy = as_input_policy(model, load_policy_spec(config.policy, model))
-    joint = _covering_joint(assemble_joint(model, policy), config.w_axis)
-    if config.r1 is None or config.r2 is None:
-        raise ValueError("softcov-exponent needs --r1 and --r2")
-    result = best_gamma(joint, config.r1, config.r2)
+def _cmd_softcov_exponent(args: argparse.Namespace) -> tuple[dict, list]:
+    model = load_channel_spec(args.channel)
+    policy = as_input_policy(model, load_policy_spec(args.policy, model))
+    joint = _covering_joint(assemble_joint(model, policy), args.w_axis)
+    result = best_gamma(joint, args.r1, args.r2)
     i_uw = mutual_information(joint, ("U",), ("W",))
     i_uvw = mutual_information(joint, ("U", "V"), ("W",))
     results = {
-        "w_axis": config.w_axis,
-        "r1": config.r1,
-        "r2": config.r2,
+        "w_axis": args.w_axis,
+        "r1": args.r1,
+        "r2": args.r2,
         "i_uw": i_uw,
         "i_uvw": i_uvw,
         "gamma": result.gamma,
@@ -275,75 +233,67 @@ def _cmd_softcov_exponent(config: RunConfig) -> tuple[dict, list]:
         "degenerate": result.degenerate,
     }
     rows = [
-        ("gamma", "", config.seed, result.gamma, None, None),
-        ("alpha", "", config.seed, result.alpha, None, None),
-        ("d1", "", config.seed, result.d1, None, None),
-        ("d2", "", config.seed, result.d2, None, None),
-        ("c", "", config.seed, result.c, None, None),
+        ("gamma", "", args.seed, result.gamma, None, None),
+        ("alpha", "", args.seed, result.alpha, None, None),
+        ("d1", "", args.seed, result.d1, None, None),
+        ("d2", "", args.seed, result.d2, None, None),
+        ("c", "", args.seed, result.c, None, None),
     ]
     return results, rows
 
 
-def _cmd_softcov_sim(config: RunConfig) -> tuple[dict, list]:
-    model = load_channel_spec(config.channel)
-    policy = as_input_policy(model, load_policy_spec(config.policy, model))
-    if config.r1 is None or config.r2 is None:
-        raise ValueError("softcov-sim needs --r1 and --r2")
-    if not config.n:
-        raise ValueError("softcov-sim needs --n")
-    if config.trials < 1:
-        raise ValueError(f"trials must be positive, got {config.trials!r}")
+def _cmd_softcov_sim(args: argparse.Namespace) -> tuple[dict, list]:
+    model = load_channel_spec(args.channel)
+    policy = as_input_policy(model, load_policy_spec(args.policy, model))
+    if args.trials < 1:
+        raise ValueError(f"trials must be positive, got {args.trials!r}")
     joint = assemble_joint(model, policy)
     law = CodeLaw.of(joint)
-    cover = _covering_joint(joint, config.w_axis)
+    cover = _covering_joint(joint, args.w_axis)
     q_w = Pmf(cover.alphabet("W"), _marginal_mass(cover, ("W",)))
     q_w_given_uv = channel_from_joint(cover, ("U", "V"), ("W",))
 
     rows: list[tuple] = []
     medians: dict[str, float] = {}
-    for n in config.n:
-        seeds = derive_seeds(config.seed + n, config.trials)
+    for n in args.n:
+        seeds = derive_seeds(args.seed + n, args.trials)
         values = []
         for s in seeds:
-            cb = sample_codebook(law.q_u, law.q_v_given_u, n, config.r1, config.r2, 0.0, s)
+            cb = sample_codebook(law.q_u, law.q_v_given_u, n, args.r1, args.r2, 0.0, s)
             d = exact_output_divergence(cb, q_w_given_uv, q_w)
             values.append(d)
             rows.append(("divergence", n, s, d, None, None))
         medians[str(n)] = float(np.median(values))
-    return {"w_axis": config.w_axis, "median_divergence": medians}, rows
+    return {"w_axis": args.w_axis, "median_divergence": medians}, rows
 
 
-def _cmd_codec_sim(config: RunConfig) -> tuple[dict, list]:
-    model = load_channel_spec(config.channel)
-    policy = as_input_policy(model, load_policy_spec(config.policy, model))
-    if config.r1 is None or config.r2 is None:
-        raise ValueError("codec-sim needs --r1 and --r2")
-    if not config.n:
-        raise ValueError("codec-sim needs --n")
-    if config.leakage_trials < 0:
-        raise ValueError(f"leakage trials must be positive, got {config.leakage_trials!r}")
-    rate_triple = CodeRates(config.r1, config.r2, config.r)
+def _cmd_codec_sim(args: argparse.Namespace) -> tuple[dict, list]:
+    model = load_channel_spec(args.channel)
+    policy = as_input_policy(model, load_policy_spec(args.policy, model))
+    if args.leakage_trials < 0:
+        raise ValueError(f"leakage trials must be positive, got {args.leakage_trials!r}")
+    rate_triple = CodeRates(args.r1, args.r2, args.r)
     law = CodeLaw.of(assemble_joint(model, policy))
 
     rows: list[tuple] = []
     summary: dict[str, dict] = {}
-    for n in config.n:
+    for n in args.n:
         res = run_reliability_experiment(
-            model, policy, n, rate_triple, config.eps, config.trials, config.seed + n
+            model, policy, n, rate_triple, args.eps, args.trials, args.seed + n
         )
         lo, hi = res.average_interval
-        rows.append(("avg_error_rate", n, config.seed + n, res.average_error_rate, lo, hi))
-        rows.append(("max_error_rate", n, config.seed + n, res.max_error_rate, None, None))
-        rows.append(("erasure_rate", n, config.seed + n, res.erasures / res.trials, None, None))
+        rows.append(("avg_error_rate", n, args.seed + n, res.average_error_rate, lo, hi))
+        rows.append(("max_error_rate", n, args.seed + n, res.max_error_rate, None, None))
+        rows.append(("erasure_rate", n, args.seed + n, res.erasures / res.trials, None, None))
         summary[str(n)] = {
             "avg_error_rate": res.average_error_rate,
             "max_error_rate": res.max_error_rate,
             "erasure_rate": res.erasures / res.trials,
             "encoder_failures": res.encoder_failures,
         }
-        if config.leakage_trials > 0:
+        if args.leakage_trials > 0:
             leaks = []
-            for s in derive_seeds(config.seed + n, config.leakage_trials):
+            for s in derive_seeds(args.seed + n, args.leakage_trials):
                 cb = sample_codebook(law.q_u, law.q_v_given_u, n, *rate_triple, s)
                 cap = leakage_capacity(simulate._message_channel(model, law, cb))
                 leaks.append(cap.bits)
@@ -352,30 +302,24 @@ def _cmd_codec_sim(config: RunConfig) -> tuple[dict, list]:
     return summary, rows
 
 
-def _cmd_binning_sim(config: RunConfig) -> tuple[dict, list]:
-    if config.channel:
-        model = load_channel_spec(config.channel)
+def _cmd_binning_sim(args: argparse.Namespace) -> tuple[dict, list]:
+    if args.channel:
+        model = load_channel_spec(args.channel)
         if not isinstance(model, RlnModel):
             raise ValueError("binning-sim needs an rln channel spec")
     else:
-        alpha = 0.25 if config.alpha is None else config.alpha
-        sigma = 0.5 if config.sigma is None else config.sigma
-        model = build_rln_example(alpha, sigma)
-    if config.ra is None or config.rbin is None:
-        raise ValueError("binning-sim needs --ra and --rbin")
-    if not config.n:
-        raise ValueError("binning-sim needs --n")
+        model = build_rln_example(args.alpha, args.sigma)
 
     rows: list[tuple] = []
     summary: dict[str, dict] = {}
-    for n in config.n:
+    for n in args.n:
         res = simulate.binning_otp_protocol(
-            model, n, config.ra, config.rbin, config.r, config.trials, config.seed + n, config.eps
+            model, n, args.ra, args.rbin, args.r, args.trials, args.seed + n, args.eps
         )
         lo, hi = res.error_interval
-        rows.append(("error_rate", n, config.seed + n, res.error_rate, lo, hi))
-        rows.append(("key_tv_from_uniform", n, config.seed + n, res.key_tv_from_uniform, None, None))
-        rows.append(("csi_failure_rate", n, config.seed + n, res.csi_failures / res.trials, None, None))
+        rows.append(("error_rate", n, args.seed + n, res.error_rate, lo, hi))
+        rows.append(("key_tv_from_uniform", n, args.seed + n, res.key_tv_from_uniform, None, None))
+        rows.append(("csi_failure_rate", n, args.seed + n, res.csi_failures / res.trials, None, None))
         summary[str(n)] = {
             "error_rate": res.error_rate,
             "key_tv_from_uniform": res.key_tv_from_uniform,
@@ -387,14 +331,56 @@ def _cmd_binning_sim(config: RunConfig) -> tuple[dict, list]:
     return summary, rows
 
 
-_BODIES = {
-    "rate": _cmd_rate,
-    "optimize": _cmd_optimize,
-    "example": _cmd_example,
-    "softcov-exponent": _cmd_softcov_exponent,
-    "softcov-sim": _cmd_softcov_sim,
-    "codec-sim": _cmd_codec_sim,
-    "binning-sim": _cmd_binning_sim,
+def _parse_n_list(text: str) -> tuple[int, ...]:
+    try:
+        n = tuple(int(part) for part in text.split(",") if part)
+    except ValueError:
+        n = ()
+    if not n:
+        raise argparse.ArgumentTypeError(f"--n wants comma-separated integers, got {text!r}")
+    return n
+
+
+# every option's argparse keywords, written once
+_OPTIONS = {
+    "--channel": {"help": "channel spec JSON path"},
+    "--policy": {"help": "policy JSON path"},
+    "--functional": {"choices": tuple(FUNCTIONALS)},
+    "--card-u": {"type": int, "default": 1},
+    "--card-v": {"type": int, "default": 1},
+    "--restarts": {"type": int, "default": 16},
+    "--iters": {"type": int, "default": 400},
+    "--seed": {"type": int, "default": 0},
+    "--n": {"type": _parse_n_list, "help": "comma-separated blocklengths"},
+    "--trials": {"type": int, "default": 100},
+    "--eps": {"type": float, "default": simulate.DEFAULT_EPS},
+    "--out": {"help": "CSV output path"},
+    "--alpha": {"type": float, "default": 0.25},
+    "--sigma": {"type": float, "default": 0.5},
+    "--r1": {"type": float},
+    "--r2": {"type": float},
+    "--r": {"type": float, "default": 0.0},
+    "--ra": {"type": float},
+    "--rbin": {"type": float},
+    "--w-axis": {"default": "S", "choices": ("S", "Y", "Z")},
+    "--leakage-trials": {"type": int, "default": 0},
+}
+
+# each subcommand's body, the options it requires and the options it may
+# take; its parser refuses every other option
+_COMMANDS = {
+    "rate": (_cmd_rate, ("--channel", "--policy"), ("--functional", "--seed", "--out")),
+    "optimize": (_cmd_optimize, ("--channel",),
+                 ("--functional", "--card-u", "--card-v", "--restarts", "--iters", "--seed", "--out")),
+    "example": (_cmd_example, (), ("--alpha", "--sigma", "--restarts", "--iters", "--seed", "--out")),
+    "softcov-exponent": (_cmd_softcov_exponent, ("--channel", "--policy", "--r1", "--r2"),
+                         ("--w-axis", "--seed", "--out")),
+    "softcov-sim": (_cmd_softcov_sim, ("--channel", "--policy", "--r1", "--r2", "--n"),
+                    ("--w-axis", "--trials", "--seed", "--out")),
+    "codec-sim": (_cmd_codec_sim, ("--channel", "--policy", "--r1", "--r2", "--n"),
+                  ("--r", "--eps", "--trials", "--leakage-trials", "--seed", "--out")),
+    "binning-sim": (_cmd_binning_sim, ("--ra", "--rbin", "--n"),
+                    ("--channel", "--alpha", "--sigma", "--r", "--eps", "--trials", "--seed", "--out")),
 }
 
 
@@ -404,34 +390,6 @@ def _error_record(command: str | None, kind: str, message: str, **fields) -> int
               "error": {"type": kind, "message": message}}
     print(json.dumps(_round12(record), sort_keys=True, indent=2))
     return 1
-
-
-def run(config: RunConfig) -> int:
-    """Dispatch a config; print the summary; return the exit status."""
-    digest = config_hash(config)
-    try:
-        results, rows = _BODIES[config.subcommand](config)
-        if config.out:
-            _write_csv(config.out, rows)
-    except Exception as err:  # noqa: BLE001 - converted to a machine-readable record
-        return _error_record(config.subcommand, type(err).__name__, str(err), config_hash=digest)
-    summary = {
-        "command": config.subcommand,
-        "version": __version__,
-        "seed": config.seed,
-        "config_hash": digest,
-        "results": results,
-        "csv": config.out,
-    }
-    print(json.dumps(_round12(summary), sort_keys=True, indent=2))
-    return 0
-
-
-def _parse_n_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"--n wants comma-separated integers, got {text!r}")
 
 
 class _UsageError(Exception):
@@ -455,34 +413,17 @@ def build_parser() -> argparse.ArgumentParser:
         "for state-dependent wiretap channels.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--channel", help="channel spec JSON path")
-        p.add_argument("--policy", help="policy JSON path")
-        p.add_argument("--functional", choices=tuple(FUNCTIONALS))
-        p.add_argument("--card-u", type=int, default=1)
-        p.add_argument("--card-v", type=int, default=1)
-        p.add_argument("--restarts", type=int, default=16)
-        p.add_argument("--iters", type=int, default=400)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--n", type=_parse_n_list, default=())
-        p.add_argument("--trials", type=int, default=100)
-        p.add_argument("--eps", type=float, default=simulate.DEFAULT_EPS)
-        p.add_argument("--out", help="CSV output path")
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--sigma", type=float)
-        p.add_argument("--r1", type=float)
-        p.add_argument("--r2", type=float)
-        p.add_argument("--r", type=float, default=0.0)
-        p.add_argument("--ra", type=float)
-        p.add_argument("--rbin", type=float)
-        p.add_argument("--w-axis", default="S", choices=("S", "Y", "Z"))
-        p.add_argument("--leakage-trials", type=int, default=0)
+    for name, (_, required, optional) in _COMMANDS.items():
+        # no abbreviations: --r must not bind to example's --restarts
+        p = sub.add_parser(name, allow_abbrev=False)
+        for flag in required + optional:
+            p.add_argument(flag, required=flag in required, **_OPTIONS[flag])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command line; a line the parser refuses is a UsageError record."""
+    """Run one command line: print its JSON summary and return 0, or print
+    an error record (a UsageError if the parser refuses the line) and return 1."""
     try:
         args, extra = build_parser().parse_known_args(argv)
         if extra:
@@ -490,7 +431,23 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as err:
         command, message = err.args
         return _error_record(command, "UsageError", message)
-    return run(RunConfig(**vars(args)))
+    digest = config_hash(args)
+    try:
+        results, rows = _COMMANDS[args.subcommand][0](args)
+        if args.out:
+            _write_csv(args.out, rows)
+    except Exception as err:  # noqa: BLE001 - converted to a machine-readable record
+        return _error_record(args.subcommand, type(err).__name__, str(err), config_hash=digest)
+    summary = {
+        "command": args.subcommand,
+        "version": __version__,
+        "seed": args.seed,
+        "config_hash": digest,
+        "results": results,
+        "csv": args.out,
+    }
+    print(json.dumps(_round12(summary), sort_keys=True, indent=2))
+    return 0
 
 
 if __name__ == "__main__":

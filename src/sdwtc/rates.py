@@ -165,11 +165,12 @@ def plan(terms: Terms, names: tuple[str, ...],
         # take keeps p C-ordered; p[:, index] would not, and its run sums would round differently
         h = _run_entropy_bits(np.concatenate(flat, axis=1).take(index, axis=1), runs)
         v = np.full((len(mass), 1), -0.0)
-        for idx, sgn, clamp in stages:
-            h = np.concatenate([h, v], axis=1)
-            v = (h.take(idx, axis=1) * sgn).cumsum(axis=2)[..., -1]
-            if clamp:
-                v = np.maximum(0.0, v)
+        with np.errstate(invalid="ignore"):  # inf - inf from an infinite mass; named below
+            for idx, sgn, clamp in stages:
+                h = np.concatenate([h, v], axis=1)
+                v = (h.take(idx, axis=1) * sgn).cumsum(axis=2)[..., -1]
+                if clamp:
+                    v = np.maximum(0.0, v)
         if not np.isfinite(v).all():
             j = int(np.argmin(np.isfinite(v).all(axis=0)))
             raise ValueError(f"rate term {formulas[j]} is not finite: got {v[~np.isfinite(v[:, j]), j][0]}")

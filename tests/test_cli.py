@@ -17,12 +17,10 @@ from identities import random_model, random_rln_model
 import sdwtc
 from sdwtc import __version__, rates
 from sdwtc.cli import (
-    RunConfig,
     _fmt,
     _parse_n_list,
     _round12,
     build_parser,
-    config_hash,
     load_channel_spec,
     load_policy_spec,
     main,
@@ -76,22 +74,19 @@ def x_given_s_doc(q: float = 0.3) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# RunConfig and hashing
+# config hashing
 
 
-def test_config_rejects_unknown_fields():
-    with pytest.raises(TypeError):
-        RunConfig(subcommand="rate", bogus=1)
+def test_config_hash_follows_the_options_read(capsys):
+    def digest(*flags):
+        assert main(["example", "--restarts", "1", "--iters", "5", *flags]) == 0
+        return json.loads(capsys.readouterr().out)["config_hash"]
 
-
-def test_config_hash_is_stable_and_sensitive():
-    a = RunConfig(subcommand="optimize", seed=7, n=(4, 6))
-    b = RunConfig(subcommand="optimize", seed=7, n=(4, 6))
-    digest = config_hash(a)
-    assert digest == config_hash(b)
-    assert len(digest) == 16
-    assert set(digest) <= set("0123456789abcdef")
-    assert digest != config_hash(RunConfig(subcommand="optimize", seed=8, n=(4, 6)))
+    seven = digest("--seed", "7")
+    assert len(seven) == 16
+    assert set(seven) <= set("0123456789abcdef")
+    assert digest("--seed", "7", "--alpha", "0.25") == seven  # a default spelled out
+    assert digest("--seed", "8") != seven
 
 
 # ---------------------------------------------------------------------------
@@ -394,21 +389,89 @@ def test_missing_flags_produce_an_error_record(tmp_path, capsys):
     status = main(["softcov-exponent", "--channel", ch, "--policy", pol])
     record = json.loads(capsys.readouterr().out)
     assert status == 1
-    assert record["error"]["type"] == "ValueError"
-    assert "--r1" in record["error"]["message"]
+    assert record["error"] == {"type": "UsageError",
+                               "message": "the following arguments are required: --r1, --r2"}
     assert record["version"] == __version__
-    assert len(record["config_hash"]) == 16
+    assert "config_hash" not in record
     assert "results" not in record
+
+
+# a command line per subcommand that runs; {ch}, {gp} and {xs} name documents
+RUNNABLE = {
+    "rate": ["--channel", "{ch}", "--policy", "{gp}", "--functional", "RA"],
+    "optimize": ["--channel", "{ch}", "--functional", "CHV", "--restarts", "1", "--iters", "5"],
+    "example": ["--restarts", "1", "--iters", "5"],
+    "softcov-exponent": ["--channel", "{ch}", "--policy", "{xs}", "--r1", "0.6", "--r2", "0.6"],
+    "softcov-sim": ["--channel", "{ch}", "--policy", "{xs}", "--r1", "0.7", "--r2", "0.7",
+                    "--n", "3", "--trials", "1"],
+    "codec-sim": ["--channel", "{ch}", "--policy", "{xs}", "--r1", "0.25", "--r2", "0.25",
+                  "--n", "4", "--trials", "2"],
+    "binning-sim": ["--ra", "0.89", "--rbin", "0.64", "--n", "6", "--trials", "2"],
+}
+
+
+def runnable(tmp_path, subcommand: str) -> list[str]:
+    docs = {"ch": write_json(tmp_path / "ch.json", wiretap_doc()),
+            "gp": write_json(tmp_path / "gp.json", const_u_policy_doc()),
+            "xs": write_json(tmp_path / "xs.json", x_given_s_doc())}
+    return [subcommand, *(flag.format(**docs) for flag in RUNNABLE[subcommand])]
+
+
+@pytest.mark.parametrize("subcommand, unread", [
+    ("rate", ["--trials", "7", "--alpha", "3"]),
+    ("optimize", ["--policy", "pol.json"]),
+    ("example", ["--r", "5"]),  # not taken as an abbreviation of --restarts
+    ("softcov-exponent", ["--trials", "3"]),
+    ("softcov-sim", ["--eps", "1.0"]),
+    ("codec-sim", ["--w-axis", "Y"]),
+    ("binning-sim", ["--r1", "0.5"]),
+])
+def test_each_subcommand_refuses_an_option_it_does_not_read(tmp_path, capsys, subcommand, unread):
+    argv = runnable(tmp_path, subcommand)
+    assert main(argv) == 0
+    capsys.readouterr()
+    status = main(argv + unread)
+    record = json.loads(capsys.readouterr().out)
+    assert status == 1
+    assert record["command"] == subcommand
+    assert record["error"] == {"type": "UsageError",
+                               "message": f"unrecognized arguments: {' '.join(unread)}"}
+
+
+@pytest.mark.parametrize("subcommand, dropped", [
+    ("rate", "--channel"),
+    ("optimize", "--channel"),
+    ("softcov-exponent", "--policy"),
+    ("softcov-sim", "--n"),
+    ("codec-sim", "--r2"),
+    ("binning-sim", "--ra"),
+])
+def test_a_missing_required_option_is_a_usage_error(tmp_path, capsys, subcommand, dropped):
+    argv = runnable(tmp_path, subcommand)
+    at = argv.index(dropped)
+    status = main(argv[:at] + argv[at + 2:])
+    record = json.loads(capsys.readouterr().out)
+    assert status == 1
+    assert record["command"] == subcommand
+    assert record["error"] == {"type": "UsageError",
+                               "message": f"the following arguments are required: {dropped}"}
 
 
 @pytest.mark.parametrize("argv, command, message", [
     (["softcov-exponent", "--r1", "0.6", "--r2", "0.6", "--w-axis", "Q"], "softcov-exponent",
      "argument --w-axis: invalid choice: 'Q'"),
     (["codec-sim", "--n", "3,x"], "codec-sim", "argument --n: --n wants comma-separated integers"),
-    (["rate", "--trials", "7", "--no-such-option"], "rate", "unrecognized arguments: --no-such-option"),
+    (["codec-sim", "--n", ""], "codec-sim", "argument --n: --n wants comma-separated integers, got ''"),
+    (["example", "--trials", "7", "--no-such-option"], "example",
+     "unrecognized arguments: --trials 7 --no-such-option"),
+    (["rate", "--policy", "pol.json", "--functional", "RA"], "rate",
+     "the following arguments are required: --channel"),
+    (["softcov-exponent", "--channel", "ch.json", "--r1", "0.6", "--r2", "0.6"], "softcov-exponent",
+     "the following arguments are required: --policy"),
     (["no-such-command"], None, "argument subcommand: invalid choice: 'no-such-command'"),
     ([], None, "the following arguments are required: subcommand"),
-], ids=["bad-choice", "bad-n-list", "unknown-option", "unknown-command", "no-command"])
+], ids=["bad-choice", "bad-n-list", "empty-n-list", "unknown-option", "no-channel", "no-policy",
+        "unknown-command", "no-command"])
 def test_parser_errors_are_error_records(capsys, argv, command, message):
     status = main(argv)
     out, err = capsys.readouterr()
@@ -566,7 +629,8 @@ def test_nan_state_pmf_is_an_error_record(tmp_path, capsys, subcommand):
     ch = tmp_path / "nan.json"
     ch.write_text(json.dumps(doc))
     pol = write_json(tmp_path / "pol.json", const_u_policy_doc())
-    status = main([subcommand, "--channel", str(ch), "--policy", pol, "--functional", "RA"])
+    docs = ["--policy", pol] if subcommand == "rate" else []
+    status = main([subcommand, "--channel", str(ch), *docs, "--functional", "RA"])
     record = json.loads(capsys.readouterr().out)
     assert status == 1
     assert record["error"]["type"] == "ValueError"
@@ -667,8 +731,8 @@ def test_unreadable_channel_is_reported_not_raised(capsys):
     record = json.loads(capsys.readouterr().out)
     assert status == 1
     assert record["error"]["type"] == "FileNotFoundError"
-    # recorded when main still spelled out every RunConfig keyword
-    assert record["config_hash"] == "289f5f83f5486787"
+    # the subcommand and the five options rate reads, defaults included
+    assert record["config_hash"] == "8d9b4f68e932890e"
 
 
 # ---------------------------------------------------------------------------
@@ -693,6 +757,6 @@ def test_round12_walks_nested_structures():
 
 def test_n_list_parsing():
     assert _parse_n_list("4,6,8") == (4, 6, 8)
-    assert _parse_n_list("") == ()
-    with pytest.raises(Exception, match="comma-separated"):
-        _parse_n_list("4,x")
+    for text in ("4,x", "", ","):
+        with pytest.raises(Exception, match="comma-separated"):
+            _parse_n_list(text)
