@@ -428,6 +428,12 @@ def main(argv: list[str] | None = None) -> int:
         args, extra = build_parser().parse_known_args(argv)
         if extra:
             raise _UsageError(args.subcommand, f"unrecognized arguments: {' '.join(extra)}")
+        if args.subcommand == "binning-sim" and args.channel:
+            # --alpha and --sigma build the example channel that --channel replaces
+            flags = {tok.partition("=")[0] for tok in (sys.argv[1:] if argv is None else argv)}
+            for flag in ("--alpha", "--sigma"):
+                if flag in flags:
+                    raise _UsageError(args.subcommand, f"argument {flag}: not allowed with argument --channel")
     except _UsageError as err:
         command, message = err.args
         return _error_record(command, "UsageError", message)

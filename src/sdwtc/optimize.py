@@ -7,12 +7,12 @@ blocks into one and the joints of stacked blocks), the sizes of their
 auxiliary alphabets, and its terms (``rates.Terms``).  ``rate_report`` is
 the one way to evaluate a policy object: it builds the policy's joint and
 returns ``rates.report`` of it.  ``maximize`` and ``exhaustive_small``
-score stacks of raw blocks with a ``rates.plan`` evaluator (``maximize``
-looks it up once per search) and build no policy per candidate.  The
-search is random-restart coordinate ascent, its restarts advanced in
-lockstep: each iteration makes one stacked evaluation and one batched
-simplex projection per block, so each restart's generator draws are the
-only per-restart work.  A brute-force grid enumeration, in chunks,
+score stacks of raw blocks with a ``rates.plan`` evaluator (looked up once
+per search or grid) and build no policy per candidate.  The search is
+random-restart coordinate ascent, its restarts advanced in lockstep: each
+iteration makes one stacked evaluation and one batched simplex projection
+per row length, so each restart's generator draws are the only
+per-restart work.  A brute-force grid enumeration, in chunks,
 serves problems small enough to afford it.  Runs are deterministic given
 the budget seed (restart r draws from the r-th splitmix64 output of the
 master seed), and each restart walks the path it would walk alone.
@@ -35,7 +35,6 @@ from .models import (
     policy_blocks,
     policy_joint,
     policy_parts,
-    stacked_joint,
 )
 from .prob import Channel, Pmf
 from .rng import derive_seeds
@@ -202,13 +201,21 @@ def _lockstep(
     advanced together: each iteration scores every restart's candidate in one
     stack, then accepts or rejects each on its own.  Restart i draws only
     from its own generator, in the order a lone run would; the draws are the
-    only per-restart work, and each block's perturbed rows are projected in
-    one call.  Returns the best (R, rows, d) blocks, the (R,) best values and
-    the number of evaluations."""
+    only per-restart work.  Each restart's blocks are views of its row of one
+    (R, sum of rows * d) array, so a trial is one copy, an acceptance one
+    masked assignment, and the perturbed rows of each length are projected
+    in one call.  Returns the best (R, rows, d) blocks, the (R,) best values
+    and the number of evaluations."""
     entry = FUNCTIONALS[functional]
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    starts = [[g.dirichlet(np.ones(d), size=rows) for rows, d in shapes] for g in rngs]
-    blocks = [np.stack(block) for block in zip(*starts)]
+    flat = np.array([np.concatenate([g.dirichlet(np.ones(d), size=rows).ravel() for rows, d in shapes])
+                     for g in rngs])
+    offsets = np.cumsum([0] + [rows * d for rows, d in shapes])
+
+    def views(a: np.ndarray) -> list[np.ndarray]:
+        return [a[:, lo:lo + rows * d].reshape(len(a), rows, d) for lo, (rows, d) in zip(offsets, shapes)]
+
+    blocks = views(flat)
     axes, joint_mass = joint_plan(entry.policy_kinds[0], model, aux)
     score = _objective(entry, axes)
 
@@ -227,37 +234,37 @@ def _lockstep(
         blocks[0][fold] = k2.reshape(-1, *blocks[0].shape[1:])
         best[fold] = objective([b[fold] for b in blocks])
 
-    # the free slots, rows of length above 1, as (block, row) lookups
-    slots = np.array([(b, r) for b, (rows, d) in enumerate(shapes) for r in range(rows) if d > 1],
+    # the free slots, rows of length above 1: each one's length and first column
+    slots = np.array([(d, lo + r * d) for lo, (rows, d) in zip(offsets, shapes) for r in range(rows) if d > 1],
                      dtype=int).reshape(-1, 2)
     if not len(slots):
         return blocks, best, len(rngs) + len(fold)
-    slot_block, slot_row = slots.T
-    moved = [b for b, (_, d) in enumerate(shapes) if d > 1]
-    # each restart's noise row, drawn into the row of its slot's block
-    noise = [np.empty((len(rngs), d)) for _, d in shapes]
-    slot_noise = [noise[b] for b in slot_block]
+    slot_len, slot_start = slots.T
+    # each restart's noise row, drawn into the row of its slot's length
+    noise = {d: np.empty((len(rngs), d)) for d in np.unique(slot_len).tolist()}
+    slot_noise = [noise[d] for d in slot_len.tolist()]
 
     step = np.full(len(rngs), _INITIAL_STEP)
     rejects = np.zeros(len(rngs), dtype=int)
     picks = np.empty(len(rngs), dtype=int)
+    trial = np.empty_like(flat)
+    trial_blocks = views(trial)
     for _ in range(iterations):
         for i, g in enumerate(rngs):
             picks[i] = s = g.integers(len(slots))
             g.standard_normal(out=slot_noise[s][i])
-        trial = [b.copy() for b in blocks]
-        picked = slot_block[picks]
-        for b in moved:
-            who = np.flatnonzero(picked == b)
+        np.copyto(trial, flat)
+        picked = slot_len[picks]
+        for d, rows_noise in noise.items():
+            who = np.flatnonzero(picked == d)
             if len(who):
-                rows = slot_row[picks[who]]
-                trial[b][who, rows] = _project_rows(
-                    trial[b][who, rows] + step[who, None] * noise[b][who])
-        cand = objective(trial)
+                cols = slot_start[picks[who], None] + np.arange(d)
+                trial[who[:, None], cols] = _project_rows(
+                    trial[who[:, None], cols] + step[who, None] * rows_noise[who])
+        cand = objective(trial_blocks)
         up = cand > best
         best[up] = cand[up]
-        for blk, t in zip(blocks, trial):
-            blk[up] = t[up]
+        flat[up] = trial[up]
         rejects = np.where(up, 0, rejects + 1)
         halve = rejects >= _REJECTS_PER_HALVING
         step[halve] *= 0.5
@@ -319,7 +326,8 @@ def exhaustive_small(
     """Best value over all policies whose kernel rows lie on a 1/k grid.
 
     Only viable for tiny alphabets; refuses outright when the grid holds
-    more than ten million policies.  Evaluates them in memory-bounded chunks.
+    more than ten million policies.  Evaluates them in memory-bounded chunks,
+    with the joint plan and the objective built once per grid.
     """
     entry = _lookup(functional, model, card_u, card_v)
     k = round(1.0 / grid_step)
@@ -333,7 +341,8 @@ def exhaustive_small(
     if total > _MAX_GRID_EVALS:
         raise ValueError(f"grid has {total} policies; refusing more than {_MAX_GRID_EVALS}")
 
-    aux = _aux(entry, card_u, card_v)
+    axes, joint_mass = joint_plan(entry.policy_kinds[0], model, _aux(entry, card_u, card_v))
+    score = _objective(entry, axes)
     row_choices = [_grid_rows(k, d) for _, d in shapes]
     # one digit per kernel row, the last row's digit varying fastest
     radices = [len(c) for c, (rows, _) in zip(row_choices, shapes) for _ in range(rows)]
@@ -347,7 +356,7 @@ def exhaustive_small(
         for cand, (rows, _) in zip(row_choices, shapes):
             stacks.append(cand[np.stack(digits[i:i + rows], axis=1)])
             i += rows
-        axes, mass = stacked_joint(entry.policy_kinds[0], model, aux, stacks)
-        best = max(best, float(_stack_objective(entry, axes, mass).max()))
+        mass = joint_mass(stacks)
+        best = max(best, float(score(mass).max()))
         start, chunk = stop, max(1, _GRID_CHUNK_ENTRIES * len(mass) // mass.size)
     return best

@@ -71,6 +71,50 @@ SEMIDET = Terms(("H(Y|Z)", "H(Y|S)"),
 LN_ENCDEC = Terms(("I(X;Y|S)", "I(X;Y|S)-I(X;Z|S)+H(S|Z)"))
 
 _TOKEN = re.compile(r"([+-]?)(\[|\]\+|[IH]\([^()]*\))")
+# np.add.reduce sums a block of at least this many entries pairwise, a shorter one left to right
+_PAIRWISE = 8
+
+
+def _sum_gather(shape: tuple[int, ...], strides: tuple[int, ...], itemsize: int,
+                drop: tuple[int, ...]) -> np.ndarray | None:
+    """The element numbers (in C order of one joint) that sum a drop set of
+    a stack of this shape and layout as np.add.reduce does (see plan): an
+    (L, J, K) array, or (J, K) when L is 1, to take and reduce over its
+    leading axes; None where the plain reduce is kept (L >= _PAIRWISE, J = 1,
+    or a layout that is not dense with positive strides).  The batch axis 0
+    is a kept axis in the memory order but not in K."""
+    order = sorted((i for i, n in enumerate(shape) if n > 1), key=lambda i: -strides[i])
+    size = itemsize
+    for i in reversed(order):
+        if strides[i] != size:
+            return None
+        size *= shape[i]
+    cut = max((k + 1 for k, i in enumerate(order) if i not in drop), default=0)
+    run, outer = order[cut:], [i for i in order[:cut] if i in drop]
+    block = math.prod(shape[i] for i in run)
+    if block >= _PAIRWISE or not outer:
+        return None
+    keep = [i for i in range(1, len(shape)) if i not in drop]
+    ids = np.arange(math.prod(shape[1:])).reshape(shape[1:]).transpose([i - 1 for i in run + outer + keep])
+    combos, kept = math.prod(shape[i] for i in outer), math.prod(shape[i] for i in keep)
+    return ids.reshape((block, combos, kept) if run else (combos, kept))
+
+
+def _drop_sums(mass: np.ndarray, drops: Sequence[tuple[int, ...]],
+               gathers: Sequence[np.ndarray | None]) -> list[np.ndarray]:
+    """The (B, K) sum of a (B, *shape) stack over each drop set, by its
+    _sum_gather where it has one and by np.add.reduce where not."""
+    items = mass.reshape(len(mass), -1).T.copy()  # (entries of one joint in C order, B), B contiguous
+    sums = []
+    for drop, ids in zip(drops, gathers):
+        if ids is None:
+            sums.append((np.add.reduce(mass, axis=drop) if drop else mass).reshape(len(mass), -1))
+            continue
+        block = items.take(ids, axis=0)
+        for _ in range(ids.ndim - 1):
+            block = np.add.reduce(block, axis=0)
+        sums.append(block.T)
+    return sums
 
 
 @lru_cache(maxsize=256)
@@ -78,16 +122,29 @@ def plan(terms: Terms, names: tuple[str, ...],
          shape: tuple[int, ...]) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """The evaluator of a rate on (B, *shape) stacks of joints over the named
     axes, built once per rate and shape; evaluate calls it.  Its rounding is
-    fixed by: one sum per distinct set of summed-out axes, in the joint's
-    memory order and never over merged axes (axes of size 1 are left out of
-    the sets, which changes no bit); one gather of all marginals, equal
-    sizes side by side, each summed on its own (prob._run_entropy_bits);
-    each formula a row of (column, +-1.0) pairs folded left to right by
-    cumsum, as acc + v, padded with a column of -0.0, which changes no sum.
-    The rows are evaluated in stages, each into further columns: the
-    I(A;B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C) and H(A|C) = H(A,C) - H(C)
-    nodes, the [...]+ brackets deepest first (clamped at zero), then the
-    formulas."""
+    fixed by: one sum per distinct set of summed-out axes (a drop set, from
+    which axes of size 1 are left out, which changes no bit), never over
+    merged axes; one gather of all marginals, each summed on its own
+    (prob._run_entropy_bits), those under _PAIRWISE entries front-padded with
+    -0.0 to the widest of them and summed side by side; each formula a row
+    of (column, +-1.0) pairs folded left to right by cumsum, as acc + v,
+    padded with a column of -0.0, which changes no sum.  The rows are
+    evaluated in stages, each into further columns: the I(A;B|C) =
+    H(A,C) + H(B,C) - H(A,B,C) - H(C) and H(A|C) = H(A,C) - H(C) nodes, the
+    [...]+ brackets deepest first (clamped at zero), then the formulas.
+
+    A drop set's sum is np.add.reduce's, whose order follows the stack's
+    memory layout: each output starts at 0.0 and adds, left to right over
+    the other summed axes in memory order, the sum of one block, the
+    trailing run of summed axes in memory order (L entries), which numpy
+    adds pairwise when L >= _PAIRWISE and left to right otherwise.  A short
+    block (L < _PAIRWISE) behind more than one such combination is summed
+    instead by one gather into an (L, J, K, B) array (J combinations, K kept
+    entries) and one left-to-right reduce over L and one over J: the same
+    additions in the same order, so the same bits, sign bits included
+    (_sum_gather, built once per layout of the stacks the evaluator meets).
+    Other drop sets, and layouts that are not dense with positive strides,
+    keep the plain reduce."""
     formulas = tuple(filter(None, (*terms.labels, terms.feasible, terms.vanishing)))
     marginals: dict[tuple[str, ...], int] = {}
     # (clamp, ((sign, ref), ...)) -> number: a node over marginals, or a
@@ -134,6 +191,12 @@ def plan(terms: Terms, names: tuple[str, ...],
         block = sums[drop][tuple(slice(None) if n in keep else 0 for n in kept)]
         rest = [n for n in kept if n in keep]
         gathered.append(block.transpose([rest.index(n) for n in keep]).ravel())
+    # the marginals under _PAIRWISE entries come first (order is by size): pad
+    # them at the front, from a column of -0.0 after the sums (at offset), to
+    # the widest of them, so they make one run
+    small = sum(part.size < _PAIRWISE for part in gathered)
+    width = max((part.size for part in gathered[:small]), default=0)
+    gathered[:small] = [np.concatenate([np.full(width - part.size, offset), part]) for part in gathered[:small]]
     index = np.concatenate(gathered)
     runs = [(size, len(list(run))) for size, run in groupby(part.size for part in gathered)]
 
@@ -159,9 +222,13 @@ def plan(terms: Terms, names: tuple[str, ...],
             e_col[e] = pad + 1 + len(e_col)
     stages.append((*table([[(s, e_col[r]) for s, r in row] for row in tops]), False))
     drops, n_labels = list(sums), len(terms.labels)
+    layouts: dict[tuple, list] = {}  # (B > 1, strides, itemsize) -> each drop set's _sum_gather
 
     def evaluate_stack(mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        flat = [(np.add.reduce(mass, axis=drop) if drop else mass).reshape(len(mass), -1) for drop in drops]
+        key = (len(mass) > 1, mass.strides, mass.itemsize)
+        if key not in layouts:
+            layouts[key] = [_sum_gather(mass.shape, mass.strides, mass.itemsize, drop) for drop in drops]
+        flat = _drop_sums(mass, drops, layouts[key]) + [np.full((len(mass), 1), -0.0)]
         # take keeps p C-ordered; p[:, index] would not, and its run sums would round differently
         h = _run_entropy_bits(np.concatenate(flat, axis=1).take(index, axis=1), runs)
         v = np.full((len(mass), 1), -0.0)

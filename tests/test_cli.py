@@ -379,6 +379,29 @@ def test_binning_sim_summary_counts_indices(capsys):
     assert 0.0 <= block["error_rate"] <= 1.0
 
 
+@pytest.mark.parametrize("example", [["--alpha", "0.4"], ["--sigma=0.3"], ["--sigma", "0.5", "--alpha", "0.25"]])
+def test_binning_sim_refuses_example_options_beside_a_channel(tmp_path, capsys, example):
+    # --alpha and --sigma build the example channel; beside --channel they were ignored
+    ch = write_json(tmp_path / "ch.json", {"kind": "rln_example", "alpha": 0.25, "sigma": 0.5})
+    argv = ["binning-sim", "--ra", "0.89", "--rbin", "0.64", "--r", "0.2", "--n", "6", "--trials", "4"]
+    assert main(argv + ["--channel", ch]) == 0
+    capsys.readouterr()
+    status = main(argv + ["--channel", ch] + example)
+    record = json.loads(capsys.readouterr().out)
+    assert status == 1
+    assert record["command"] == "binning-sim"
+    flag = min(tok.partition("=")[0] for tok in example if tok.startswith("--"))  # --alpha first
+    assert record["error"] == {"type": "UsageError",
+                               "message": f"argument {flag}: not allowed with argument --channel"}
+    # without --channel they still build the example channel, and stdout is unchanged
+    assert main(argv + example) == 0
+    with_options = capsys.readouterr().out
+    assert json.loads(with_options)["results"]["6"]["num_keys"] == index_count(6, 0.89 - 0.64)
+    if example == ["--sigma", "0.5", "--alpha", "0.25"]:  # the defaults, given explicitly
+        assert main(argv) == 0
+        assert capsys.readouterr().out == with_options
+
+
 # ---------------------------------------------------------------------------
 # error records
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from identities import random_gp_policy, random_model, random_rln_model
-from sdwtc import rates
+from sdwtc import models, optimize, rates
 from sdwtc.models import (
     assemble_joint,
     build_rln_example,
@@ -24,6 +24,7 @@ from sdwtc.optimize import (
     OptBudget,
     OptResult,
     _aux,
+    _lockstep,
     _project_rows,
     _search_space,
     _stack_objective,
@@ -463,6 +464,49 @@ def test_lockstep_builds_the_evaluation_plan_once(monkeypatch):
         calls.clear()
         maximize(functional, model, card_u, card_v, budget)
         assert len(calls) == 1, functional
+
+
+def test_exhaustive_small_builds_the_joint_plan_once(monkeypatch):
+    calls = []
+
+    def counting(name, build):
+        def wrapper(*args):
+            calls.append(name)
+            return build(*args)
+        return wrapper
+
+    monkeypatch.setattr(rates, "plan", counting("plan", rates.plan))
+    # models.stacked_joint looks joint_plan up in models, the grid in optimize
+    monkeypatch.setattr(models, "joint_plan", counting("joint_plan", models.joint_plan))
+    monkeypatch.setattr(optimize, "joint_plan", counting("joint_plan", optimize.joint_plan))
+    model = random_model(np.random.default_rng(RNG_SEED + 27))
+    for functional, model, card_v, k in (("semidet", _xor_model(), 1, 64), ("CHV", model, 2, 4)):
+        entry = FUNCTIONALS[functional]
+        shapes, _ = _search_space(entry, model, 1, card_v)
+        axes, _ = models.joint_plan(entry.policy_kinds[0], model, _aux(entry, 1, card_v))
+        policies = math.prod(math.comb(k + d - 1, d - 1) ** rows for rows, d in shapes)
+        entries = math.prod(len(alphabet) for _, alphabet in axes)
+        assert policies * entries > 4 * optimize._GRID_CHUNK_ENTRIES  # several chunks
+        calls.clear()
+        exhaustive_small(functional, model, 1.0 / k, 1, card_v)
+        assert sorted(calls) == ["joint_plan", "plan"], functional
+
+
+def test_lockstep_projects_each_row_length_in_one_call(monkeypatch):
+    # RLN blocks have rows of lengths 2, 2 and 3: at most two projections per
+    # iteration, and the blocks are views of one array
+    calls = []
+    monkeypatch.setattr(optimize, "_project_rows", lambda v: calls.append(v.shape) or _project_rows(v))
+    model = build_rln_example(0.25, 0.5)
+    entry = FUNCTIONALS["RLN"]
+    shapes, _ = _search_space(entry, model, 2, 3)
+    assert sorted(d for _, d in shapes) == [2, 2, 3]
+    iterations, seeds = 40, derive_seeds(4, 8)
+    blocks, _, _ = _lockstep("RLN", model, _aux(entry, 2, 3), shapes, iterations, seeds)
+    assert {d for _, d in calls} == {2, 3}
+    assert len(calls) <= 2 * iterations
+    assert all(b.base is not None and b.base is blocks[0].base for b in blocks)
+    assert [b.shape for b in blocks] == [(8, rows, d) for rows, d in shapes]
 
 
 def test_maximize_matches_grid_oracle_on_xor_toy():

@@ -1,6 +1,8 @@
 """Rate functionals: minimand identities, feasibility, and the erasure repair."""
 from __future__ import annotations
 
+import itertools
+import math
 import re
 
 import numpy as np
@@ -37,14 +39,20 @@ from sdwtc.prob import (
     _entropy_bits,
     uniform,
 )
+from sdwtc import rates
 from sdwtc.rates import (
+    _PAIRWISE,
     _TOKEN,
     CEG,
     CHV,
     FEAS_TOL,
+    LN_ENCDEC,
     RA,
     RA_ALT,
     RLN,
+    Terms,
+    _drop_sums,
+    _sum_gather,
     constraint_gap,
     evaluate,
     report,
@@ -633,6 +641,123 @@ def test_stacked_evaluation_equals_row_by_row_evaluation(functional):
             one, one_feasible = evaluate(terms, names, mass[b:b + 1])
             assert _same_bits(one[0], values[b])
             assert one_feasible[0] == feasible[b]
+
+
+def _random_layout(rng, base, batch_first=False):
+    """base (B, *shape) as one of: itself (C order), a permuted copy with the
+    batch axis first or (unless batch_first) anywhere, or an einsum product
+    with ones (einsum picks its output layout from the operands'); the same
+    values, zero signs kept."""
+    kind = int(rng.choice([0, 1, 3] if batch_first else [0, 1, 2, 3]))
+    if kind == 0:
+        return base
+    perm = list(rng.permutation(base.ndim)) if kind == 2 else [0, *(1 + rng.permutation(base.ndim - 1))]
+    mass = np.ascontiguousarray(base.transpose(perm)).transpose(np.argsort(perm))
+    if kind == 3:
+        axis = int(rng.integers(base.ndim))
+        mass = np.einsum(mass, list(range(base.ndim)), np.ones(base.shape[axis]), [axis],
+                         list(range(base.ndim)))
+    return mass
+
+
+def _random_masses(rng, shape):
+    """Nonnegative masses over six decades with +0.0 and -0.0 entries."""
+    mass = rng.random(shape) * 10.0 ** rng.integers(-6, 1, size=shape)
+    mass[rng.random(shape) < 0.2] = 0.0
+    mass[rng.random(shape) < 0.1] = -0.0
+    return mass
+
+
+def test_gathered_drop_sums_equal_add_reduce():
+    # every drop set of random stacks: the gathered sums, where _sum_gather
+    # gives one, equal np.add.reduce on the same stack bit for bit
+    rng = np.random.default_rng(RNG_SEED + 24)
+    blocks, kept_pairwise = set(), 0
+    for case in range(1500):
+        nd = int(rng.integers(2, 7))
+        shape = tuple(int(n) for n in rng.integers(1, 6, size=nd))
+        if case % 5 == 0:  # a trailing run of 8 or more entries
+            shape = shape[:-2] + ((2, 4), (8,), (3, 3), (7,))[case // 5 % 4]
+        batch = int(rng.choice([1, 2, 3, 16, 512])) if math.prod(shape) <= 400 else 2
+        mass = _random_layout(rng, _random_masses(rng, (batch, *shape)))
+        axes = [1 + i for i, n in enumerate(shape) if n > 1]
+        drop = tuple(sorted(a for a in axes if rng.random() < 0.6))
+        ids = _sum_gather(mass.shape, mass.strides, mass.itemsize, drop)
+        want = np.add.reduce(mass, axis=drop).reshape(batch, -1) if drop else mass.reshape(batch, -1)
+        (got,) = _drop_sums(mass, [drop], [ids])
+        assert _same_bits(got, want), (shape, mass.strides, drop)
+        if ids is not None:
+            blocks.add(len(ids) if ids.ndim == 3 else 1)
+        elif drop:
+            ordered = sorted((a for a in range(mass.ndim) if mass.shape[a] > 1), key=lambda a: -mass.strides[a])
+            tail = list(itertools.takewhile(lambda a: a in drop, reversed(ordered)))
+            kept_pairwise += math.prod(mass.shape[a] for a in tail) >= _PAIRWISE and len(tail) < len(drop)
+    assert blocks == set(range(1, _PAIRWISE))  # every gathered block length occurs
+    assert kept_pairwise > 50  # pairwise blocks behind other summed axes keep the plain sum
+
+
+def _random_terms_sweep(rng):
+    """Seeded (names, mass) stacks over S, U, V, X, Y, Z with sizes 1 to 8,
+    random layouts, zero masses of both signs, and B from 1 to 512.  The
+    batch axis stays outermost, as in every stack the search builds: on
+    other layouts _evaluate_per_marginal's own entropy sums change order
+    (prob._entropy_bits sums a non-C-ordered (B, K) marginal along B)."""
+    names = ("S", "U", "V", "X", "Y", "Z")
+    for case in range(60):
+        shape = tuple(int(n) for n in rng.choice([1, 2, 2, 3, 4, 8], size=6))
+        batch = (1, 2, 7, 64, 512)[case % 5]
+        while batch > 1 and batch * math.prod(shape) > 200_000:
+            batch //= 2
+        yield names, _random_layout(rng, _random_masses(rng, (batch, *shape)), batch_first=True)
+
+
+def test_evaluate_matches_the_per_marginal_reference_on_random_layouts():
+    # gathered sums and the padded entropy reduce against plain sums and one
+    # entropy reduce per marginal, bit for bit
+    rng = np.random.default_rng(RNG_SEED + 25)
+    bracket = Terms(("H(S|X,Z)+[I(U,V;Y)-I(X;Z)]+-H(Y)", "I(U;Y|S)-[I(V;Z|U)-H(S)]+"),
+                    feasible="I(X;Y,Z)-I(S;U)")
+    for names, mass in _random_terms_sweep(rng):
+        for terms in (RA, RA_ALT, CHV, LN_ENCDEC, bracket):
+            values, feasible = evaluate(terms, names, mass)
+            want_values, want_feasible = _evaluate_per_marginal(terms, names, mass)
+            assert _same_bits(values, want_values), (terms.labels, mass.shape, mass.strides)
+            assert np.array_equal(feasible, want_feasible)
+        one, _ = evaluate(RA, names, mass[-1:])
+        assert _same_bits(one[0], evaluate(RA, names, mass)[0][-1])
+
+
+def test_ceg_stacks_sum_through_the_stride_keyed_gather(monkeypatch):
+    # the CEG joint is not C-contiguous: its drop sets are gathered in its own
+    # memory order, looked up once per layout, never from a C-order copy
+    rng = np.random.default_rng(RNG_SEED + 26)
+    model, card_u, card_v = _sweep_instances(rng)["CEG"]
+    names, mass = next(_sweep_stacks(rng, "CEG", model, card_u, card_v))
+    contiguous = np.ascontiguousarray(mass)
+    assert not mass.flags.c_contiguous and mass.strides != contiguous.strides
+    seen = []
+
+    def recording(shape, strides, itemsize, drop):
+        ids = _sum_gather(shape, strides, itemsize, drop)
+        seen.append((strides, drop, ids))
+        return ids
+
+    monkeypatch.setattr(rates, "_sum_gather", recording)
+    rates.plan.cache_clear()
+    for stack in (mass, contiguous, mass[2:], mass[:1]):
+        values, _ = evaluate(CEG, names, stack)
+        assert _same_bits(values, _evaluate_per_marginal(CEG, names, stack)[0])
+    # one lookup per drop set for each of three layout keys: mass[2:] shares mass's
+    by_key = {}
+    for strides, drop, ids in seen:
+        by_key.setdefault(strides, {}).setdefault(drop, []).append(ids)
+    ceg, c_order = by_key[mass.strides], by_key[contiguous.strides]
+    assert all(len(calls) == 2 for calls in ceg.values())  # B > 1, then B = 1
+    assert all(len(calls) == 1 for calls in c_order.values())
+    gathered = [drop for drop, (ids, _) in ceg.items() if ids is not None]
+    assert gathered
+    assert any(not np.array_equal(ceg[drop][0], c_order[drop][0]) for drop in gathered
+               if c_order[drop][0] is not None)
 
 
 def test_evaluate_refuses_non_finite_terms():

@@ -217,6 +217,52 @@ def test_inverse_cdf_matches_the_boolean_count(k):
                           _boolean_inverse_cdf(rows[0, 0, 0], draws[0, 0, 0]))
 
 
+def _inverse_cdf_by_element(rows, draws):
+    """The scalar reference: for each draw, walk its row's cumulative masses
+    as Python floats and count the first K - 1 that it exceeds."""
+    lead = np.broadcast_shapes(rows.shape[:-1], draws.shape)
+    rows = np.broadcast_to(rows, lead + rows.shape[-1:])
+    draws = np.broadcast_to(draws, lead)
+    out = np.empty(lead, dtype=np.int64)
+    for at in np.ndindex(*lead):
+        acc, idx = 0.0, 0
+        for mass in rows[at][:-1].tolist():
+            acc += mass
+            idx += float(draws[at]) > acc
+        out[at] = idx
+    return out
+
+
+def test_inverse_cdf_edge_sweep_matches_a_loop_over_elements():
+    rng = np.random.default_rng(RNG_SEED + 41)
+    short = 0
+    for case in range(300):
+        k = int(rng.integers(1, 11))
+        rows = rng.random((int(rng.integers(1, 5)), 1, k)) ** int(rng.integers(1, 4))
+        rows[:, :, rng.random(k) < 0.25] = 0.0  # zero-mass columns
+        if case % 3 == 0 and k > 1:
+            rows[:, :, :] = 1.0 / k  # a sum that can round below 1 (k = 10: 1 - 2^-53)
+        rows[rows.sum(axis=-1) == 0.0, -1] = 1.0
+        rows /= rows.sum(axis=-1, keepdims=True)
+        cdf = np.cumsum(rows, axis=-1)
+        draws = rng.random((rows.shape[0], int(rng.integers(1, 7))))
+        # draws exactly on cumulative masses below 1, at 0, and just below 1
+        at = np.take_along_axis(np.broadcast_to(cdf, draws.shape + (k,)),
+                                rng.integers(0, k, size=draws.shape)[..., None], -1)[..., 0]
+        on = (rng.random(draws.shape) < 0.5) & (at < 1.0)
+        draws[on] = at[on]
+        draws[0, 0] = 0.0
+        draws[-1, -1] = np.nextafter(1.0, 0.0)
+        got = _inverse_cdf(rows, draws)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _inverse_cdf_by_element(rows, draws)), case
+        # a row whose sum rounds below 1 gives the draws above its sum the last index
+        above = draws > cdf[..., -1]
+        assert np.all(got[above] == k - 1)
+        short += int(above.sum())
+    assert short > 0
+
+
 def _choice_laws(rng, k):
     """Seeded laws over k letters with zero-mass and trailing-zero entries."""
     p = rng.random(k)
@@ -673,6 +719,26 @@ def test_distinct_words_partition_matches_numpy_unique(p, width, rows):
     want, want_index = np.unique(codes, axis=0, return_inverse=True)
     assert words.shape == want.shape and np.array_equal(words, want)
     assert np.array_equal(index, want_index.ravel())
+
+
+def test_distinct_words_edge_sweep_matches_numpy_unique():
+    rng = np.random.default_rng(RNG_SEED + 42)
+    checked = 0
+    for p in (1, 2, 3, 5, 40, 2 ** 20, 2 ** 31):
+        letters = 0  # the most letters whose keys stay below 2^62 without re-ranking
+        while p > 1 and p ** (letters + 1) <= 2 ** 62:
+            letters += 1
+        widths = {1, 2, 70} if p == 1 else {letters, letters + 1, letters + 2, 2 * letters + 3}
+        for width in sorted(widths):
+            for rows in (1, 2, 50):
+                codes = rng.integers(0, p, size=(rows, width))
+                for case in (codes, codes[rng.integers(0, rows, size=rows)], np.repeat(codes[:1], rows, axis=0)):
+                    words, index = _distinct_words(case, p)
+                    want, want_index = np.unique(case, axis=0, return_inverse=True)
+                    assert words.shape == want.shape and np.array_equal(words, want), (p, width, rows)
+                    assert np.array_equal(index, want_index.ravel()), (p, width, rows)
+                    checked += 1
+    assert checked == 3 * 3 * (3 + 6 * 4)
 
 
 def _random_kernel(rng, shape):
