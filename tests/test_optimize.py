@@ -1,14 +1,17 @@
 """Restart/ascent maximizer and the tiny-instance grid oracle."""
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from identities import random_gp_policy, random_model, random_rln_model
 from sdwtc import models, optimize, rates
+from sdwtc.cli import load_channel_spec
 from sdwtc.models import (
     assemble_joint,
     build_rln_example,
@@ -178,6 +181,104 @@ def test_trajectories_are_pinned():
                    OptBudget(restarts=3, iterations=40, seed=1))
     assert rln.trace == (0.0494319960325551, 0.08926074908229764, 0.07641503298830243)
     assert rln.evaluations == 123
+
+
+_FIXTURES = Path(__file__).resolve().parents[1] / "bench" / "fixtures"
+
+# the six searches of the rate-search benchmark: name -> (functional, channel
+# document or None for the example model, card_u, card_v, restarts, iterations)
+_BENCH_SEARCHES = {
+    "example-RLN": ("RLN", None, 2, 1, 8, 200),
+    "CHV-lifted": ("CHV", "lifted_benchmark.json", 1, 4, 4, 150),
+    "RA-lifted": ("RA", "lifted_benchmark.json", 2, 4, 4, 150),
+    "RA-wiretap": ("RA", "wiretap.json", 2, 2, 4, 150),
+    "CEG-wiretap": ("CEG", "wiretap.json", 2, 1, 4, 150),
+    "LN_encdec-wiretap": ("LN_encdec", "wiretap.json", 1, 1, 4, 150),
+}
+
+# (search, seed) -> (evaluations, sha256 of the best policy's part arrays,
+# per-restart values as float.hex), recorded before the lockstep search
+# scored speculative windows
+_BENCH_GOLDEN = {
+    ('example-RLN', 1): (1608, '742ada90dadf278a757b1435374567acfa9788a4e705e6018990acf4957b40c1', (
+        '0x1.661a10ffbdec0p-4', '0x1.82809bcd40e80p-4', '0x1.82809d5986af0p-4', '0x1.82809d5bb29d0p-4',
+        '0x1.083eb4ae0ef88p-4', '0x1.e97aa4e318800p-5', '0x1.82809d03c90b0p-4', '0x1.82809d3fe7fd0p-4',
+    )),
+    ('CHV-lifted', 1): (604, '2ecde4455697cbd3046421597f184af7b01a742262c3b11da4f832d3118f26c7', (
+        '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
+    )),
+    ('RA-lifted', 1): (604, '0ece6f332e7b9da29113a3b1214ad0d38be0a26e93da28e550ad95b051605bf8', (
+        '0x1.433255ec7d9c0p-4', '0x1.2d83201694ac0p-5', '0x1.dd6a46696d400p-8', '0x0.0p+0',
+    )),
+    ('RA-wiretap', 1): (604, 'a3b68ae054e63da48f351191ae31f67c22ea17582a6b1ed15a4f3b422677ec74', (
+        '0x1.d00279569a6b0p-3', '0x1.23e1229608264p-2', '0x1.1d30c5784216cp-2', '0x1.b1169646fbd80p-3',
+    )),
+    ('CEG-wiretap', 1): (604, 'e37bc081be529d4159768ed25f153161b8f8648f6938533ff1e403b218272ed8', (
+        '0x1.76df525fbc92cp-2', '0x1.76df51837b36cp-2', '0x1.76df41f35c40cp-2', '0x1.76df25af52d5cp-2',
+    )),
+    ('LN_encdec-wiretap', 1): (604, '85f0b6000f1ffb4bf1b75d9e11a475aac92978ed8000544f59ff37a365e10166', (
+        '0x1.76df52a129a74p-2', '0x1.76df528a67704p-2', '0x1.76df5229b18c4p-2', '0x1.76df4cae86d64p-2',
+    )),
+    ('example-RLN', 2): (1608, 'fa26523ccedb168df6ca4aed2aaa4e8f8db157eb7e30e91ab39da0e94a63a7f5', (
+        '0x1.7dd28b78f7110p-4', '0x1.82809d267a2a0p-4', '0x1.7fcc9abcd0dd0p-4', '0x1.80c0cc1a5d3a0p-4',
+        '0x1.7e9f02af90240p-4', '0x1.82809d4b52650p-4', '0x1.82809d5b3fe70p-4', '0x1.73cd4db69d730p-4',
+    )),
+    ('CHV-lifted', 2): (604, '9c0629650ab2aeb3bcf8c7a2d324ec2896e3c41d0ee2b6e98a8ec2d485731058', (
+        '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
+    )),
+    ('RA-lifted', 2): (604, '3d7714bc5dbaf27152cbd0986503659f76f154ec75fe77b97fc14b809cb45115', (
+        '0x1.6bce2de6cdd00p-4', '0x0.0p+0', '0x1.2e9c3a53c3140p-5', '0x0.0p+0',
+    )),
+    ('RA-wiretap', 2): (604, 'a3a70d206ff243572011b939856b4650c459d401aeb442bbc4907f17a993f640', (
+        '0x1.fbe9fff5f2c10p-3', '0x1.1a7becffd36f0p-2', '0x1.0159e7d143a92p-2', '0x1.0b50b1b0cf450p-2',
+    )),
+    ('CEG-wiretap', 2): (604, 'd946a4cc55b107bc1f6e62cbeb7214ec3e7f8234afc6bd8164023d3dd5c6cd06', (
+        '0x1.754bcabb1c6bcp-2', '0x1.76deda0c70654p-2', '0x1.76df51ebc5b02p-2', '0x1.76df49b3bbc54p-2',
+    )),
+    ('LN_encdec-wiretap', 2): (604, '5d0d8661ed953dd2aba38031715ae236ff345829a570411387003eb35eaecacf', (
+        '0x1.76df5194a9314p-2', '0x1.76de5e1db1c2cp-2', '0x1.76df528f00b34p-2', '0x1.76df4f3f4945cp-2',
+    )),
+    ('example-RLN', 7): (1608, '397b60dcef8c56c0b3ce1d2ab020d5ac4b3daef36fb76356909689b0fb21383a', (
+        '0x1.82809d5bb8860p-4', '0x1.82809d5b66860p-4', '0x1.82809d5855da0p-4', '0x1.82809d5bdca64p-4',
+        '0x1.82809d5bc2050p-4', '0x1.82809d527afd0p-4', '0x1.5a937e7ec6020p-4', '0x1.82809d586afa0p-4',
+    )),
+    ('CHV-lifted', 7): (604, '27af0d669450c8f0ab2bad3bb62d44ea37e58bd3111ba6a493c9800a7c213a94', (
+        '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
+    )),
+    ('RA-lifted', 7): (604, 'd64342a84181be9ce1a7d022d5c938a6ea2c15260f741625cc985beebc14357e', (
+        '0x1.740d45cbad540p-4', '0x0.0p+0', '0x1.664a3afdf3520p-5', '0x0.0p+0',
+    )),
+    ('RA-wiretap', 7): (604, '31e3a2ef026a228de54213ecbf897bf6961a0488bf508e80f58583ffef0db408', (
+        '0x1.1452d51ca0030p-2', '0x1.1f3d6a8d840a0p-2', '0x0.0p+0', '0x1.09582cd7161b0p-2',
+    )),
+    ('CEG-wiretap', 7): (604, '952c4b6a6a18ce2f29fb002f7fcea7abc1aaa074dc4baab47db58b27c9886e3e', (
+        '0x1.76dee5d74b944p-2', '0x1.76df4db1c1864p-2', '0x1.76df525f83e44p-2', '0x1.3402a21b799d8p-2',
+    )),
+    ('LN_encdec-wiretap', 7): (604, '26eee958270dfa1832e89e12e5f4f13578a3c38d47cbdd082b32966cd99a8484', (
+        '0x1.76df5095074b4p-2', '0x1.76df5274723a4p-2', '0x1.76df4d793dcd4p-2', '0x1.76df4d844542cp-2',
+    )),
+}
+
+
+def _policy_digest(policy):
+    h = hashlib.sha256()
+    for part in policy_parts(policy):
+        h.update(np.ascontiguousarray(part.kernel if isinstance(part, Channel) else part.probs).tobytes())
+    return h.hexdigest()
+
+
+def test_bench_searches_are_pinned():
+    models_by_doc = {None: build_rln_example(0.25, 0.5)}
+    for name, (functional, doc, card_u, card_v, restarts, iterations) in _BENCH_SEARCHES.items():
+        if doc not in models_by_doc:
+            models_by_doc[doc] = load_channel_spec(str(_FIXTURES / doc))
+        for seed in (1, 2, 7):
+            res = maximize(functional, models_by_doc[doc], card_u, card_v,
+                           OptBudget(restarts, iterations, seed))
+            evaluations, digest, trace = _BENCH_GOLDEN[name, seed]
+            assert tuple(v.hex() for v in res.trace) == trace, (name, seed)
+            assert res.evaluations == evaluations, (name, seed)
+            assert _policy_digest(res.policy) == digest, (name, seed)
 
 
 def _project_simplex(v):
