@@ -457,13 +457,6 @@ def policy_blocks(
     )
 
 
-def stacked_joint(kind: str, model: SdWtcModel | RlnModel, aux, stacks) -> tuple[tuple, np.ndarray]:
-    """The joints' (name, alphabet) axes and (B, ...) masses for a stack of B
-    policies of this kind (see joint_plan)."""
-    axes, mass = joint_plan(kind, model, aux)
-    return axes, mass(stacks)
-
-
 def achieving_rln_policy(model: RlnModel) -> tuple:
     """The rln policy A = S, B constant, X uniform, which attains the closed
     form on build_rln_example."""

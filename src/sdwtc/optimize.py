@@ -9,13 +9,15 @@ the one way to evaluate a policy object: it builds the policy's joint and
 returns ``rates.report`` of it.  ``maximize`` and ``exhaustive_small``
 score stacks of raw blocks with a ``rates.plan`` evaluator (looked up once
 per search or grid) and build no policy per candidate.  The search is
-random-restart coordinate ascent, its restarts advanced in lockstep: each
-iteration makes one stacked evaluation and one batched simplex projection
-per row length, so each restart's generator draws are the only
-per-restart work.  A brute-force grid enumeration, in chunks,
-serves problems small enough to afford it.  Runs are deterministic given
-the budget seed (restart r draws from the r-th splitmix64 output of the
-master seed), and each restart walks the path it would walk alone.
+random-restart coordinate ascent, its restarts advanced in lockstep
+rounds: each round scores a window of every restart's next candidates in
+one stacked evaluation, after one batched simplex projection per row
+length, and each restart keeps its window's first improving candidate, so
+each restart's generator draws are the only per-restart work.  A
+brute-force grid enumeration, in chunks, serves problems small enough to
+afford it.  Runs are deterministic given the budget seed (restart r draws
+from the r-th splitmix64 output of the master seed), and each restart
+walks the path it would walk alone.
 """
 from __future__ import annotations
 
@@ -41,6 +43,10 @@ from .rng import derive_seeds
 
 _INITIAL_STEP = 0.5
 _REJECTS_PER_HALVING = 10
+# candidates per restart in a round of the search: the first window, and the
+# cap that doubling after a window without an acceptance stops at
+_WINDOW = 4
+_MAX_WINDOW = 16
 _MAX_GRID_EVALS = 10_000_000
 # joint-mass entries per chunk of grid policies evaluated together (8 bytes each)
 _GRID_CHUNK_ENTRIES = 1 << 12
@@ -134,11 +140,6 @@ def _objective(entry: Functional, axes: tuple) -> Callable[[np.ndarray], np.ndar
     return objective
 
 
-def _stack_objective(entry: Functional, axes: tuple, mass: np.ndarray) -> np.ndarray:
-    """The search objective (see _objective) of each joint in one stack."""
-    return _objective(entry, axes)(mass)
-
-
 def _lookup(
     functional: str, model: SdWtcModel | RlnModel, card_u: int = 1, card_v: int = 1
 ) -> Functional:
@@ -198,14 +199,22 @@ def _lockstep(
     iterations: int, seeds: list[int],
 ) -> tuple[list[np.ndarray], np.ndarray, int]:
     """Coordinate ascent from a Dirichlet(1) start per seed, all restarts
-    advanced together: each iteration scores every restart's candidate in one
-    stack, then accepts or rejects each on its own.  Restart i draws only
-    from its own generator, in the order a lone run would; the draws are the
-    only per-restart work.  Each restart's blocks are views of its row of one
-    (R, sum of rows * d) array, so a trial is one copy, an acceptance one
-    masked assignment, and the perturbed rows of each length are projected
-    in one call.  Returns the best (R, rows, d) blocks, the (R,) best values
-    and the number of evaluations."""
+    advanced together in rounds.  In a round each restart with iterations
+    left puts a window of its next w candidates into one stack, which is
+    projected once per row length and scored in one evaluation; each restart
+    then takes its window's first candidate that beats its best and drops
+    the rest.  That is the path it would walk alone: its draws (the slot,
+    then the noise) do not depend on acceptance, and until it accepts its
+    base point is fixed and candidate j's step is its step halved once per
+    _REJECTS_PER_HALVING rejects before j.  w starts at _WINDOW, doubles up
+    to _MAX_WINDOW after a window without an acceptance, falls back to
+    _WINDOW after one, and never exceeds the restart's iterations left.
+    Draws are made lazily, in each generator's order, into a buffer of
+    _MAX_WINDOW per restart; those after an acceptance wait there for the
+    next round.  Each restart's blocks are views of its row of one
+    (R, sum of rows * d) array.  Returns the best (R, rows, d) blocks, the
+    (R,) best values and the number of evaluations the restarts would make
+    alone."""
     entry = FUNCTIONALS[functional]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     flat = np.array([np.concatenate([g.dirichlet(np.ones(d), size=rows).ravel() for rows, d in shapes])
@@ -240,35 +249,59 @@ def _lockstep(
     if not len(slots):
         return blocks, best, len(rngs) + len(fold)
     slot_len, slot_start = slots.T
-    # each restart's noise row, drawn into the row of its slot's length
-    noise = {d: np.empty((len(rngs), d)) for d in np.unique(slot_len).tolist()}
+    # restart i's draw for its iteration t sits at [i, t % _MAX_WINDOW]: the
+    # slot in picks, the noise in the buffer of the slot's row length
+    picks = np.empty((len(rngs), _MAX_WINDOW), dtype=int)
+    noise = {d: np.empty((len(rngs), _MAX_WINDOW, d)) for d in np.unique(slot_len).tolist()}
     slot_noise = [noise[d] for d in slot_len.tolist()]
+    drawn = [0] * len(rngs)
 
     step = np.full(len(rngs), _INITIAL_STEP)
     rejects = np.zeros(len(rngs), dtype=int)
-    picks = np.empty(len(rngs), dtype=int)
-    trial = np.empty_like(flat)
-    trial_blocks = views(trial)
-    for _ in range(iterations):
-        for i, g in enumerate(rngs):
-            picks[i] = s = g.integers(len(slots))
-            g.standard_normal(out=slot_noise[s][i])
-        np.copyto(trial, flat)
-        picked = slot_len[picks]
+    done = np.zeros(len(rngs), dtype=int)
+    window = np.full(len(rngs), _WINDOW)
+    # column h of its running product is the step after h halvings: cumprod
+    # multiplies left to right, one *= 0.5 per halving as a lone run does (one
+    # multiplication by 0.5**h would round differently for a subnormal step)
+    halvings = np.full((len(rngs), 1 + (_REJECTS_PER_HALVING - 1 + _MAX_WINDOW) // _REJECTS_PER_HALVING), 0.5)
+    while (live := np.flatnonzero(done < iterations)).size:
+        w = np.minimum(window[live], iterations - done[live])
+        for i, end in zip(live.tolist(), (done[live] + w).tolist()):
+            g = rngs[i]
+            for t in range(drawn[i], end):
+                picks[i, t % _MAX_WINDOW] = s = g.integers(len(slots))
+                g.standard_normal(out=slot_noise[s][i, t % _MAX_WINDOW])
+            drawn[i] = max(drawn[i], end)
+        # candidate n is restart owner[n]'s pos[n]-th of this round
+        starts = np.cumsum(w) - w
+        owner = np.repeat(live, w)
+        pos = np.arange(len(owner)) - np.repeat(starts, w)
+        buf = (done[owner] + pos) % _MAX_WINDOW
+        pick = picks[owner, buf]
+        halvings[:, 0] = step
+        steps = np.cumprod(halvings, axis=1)
+        cand_step = steps[owner, (rejects[owner] + pos) // _REJECTS_PER_HALVING]
+        trial = flat[owner]
+        picked = slot_len[pick]
         for d, rows_noise in noise.items():
             who = np.flatnonzero(picked == d)
             if len(who):
-                cols = slot_start[picks[who], None] + np.arange(d)
+                cols = slot_start[pick[who], None] + np.arange(d)
                 trial[who[:, None], cols] = _project_rows(
-                    trial[who[:, None], cols] + step[who, None] * rows_noise[who])
-        cand = objective(trial_blocks)
-        up = cand > best
-        best[up] = cand[up]
-        flat[up] = trial[up]
-        rejects = np.where(up, 0, rejects + 1)
-        halve = rejects >= _REJECTS_PER_HALVING
-        step[halve] *= 0.5
-        rejects[halve] = 0
+                    trial[who[:, None], cols] + cand_step[who, None] * rows_noise[owner[who], buf[who]])
+        cand = objective(views(trial))
+        # each window's first candidate above its restart's best, or _MAX_WINDOW
+        first = np.minimum.reduceat(np.where(cand > best[owner], pos, _MAX_WINDOW), starts)
+        up = first < w
+        taken = starts[up] + first[up]
+        best[live[up]] = cand[taken]
+        flat[live[up]] = trial[taken]
+        rejected = np.where(up, first, w)
+        total = rejects[live] + rejected
+        step[live] = steps[live, total // _REJECTS_PER_HALVING]
+        rejects[live] = np.where(up, 0, total % _REJECTS_PER_HALVING)
+        done[live] += rejected + up
+        window[live] = np.where(up, _WINDOW, np.minimum(2 * window[live], _MAX_WINDOW))
     return blocks, best, len(rngs) * (1 + iterations) + len(fold)
 
 
@@ -284,9 +317,9 @@ def maximize(
     card_u / card_v size the auxiliary alphabets where the functional has
     them (U and V, or T for the causal-selection rate, or A and B for the
     rate-limited variant); they are ignored otherwise.  Restarts advance in
-    lockstep from their own seeds, one stacked evaluation per iteration, and
-    each walks the path it would walk alone; the first restart attaining the
-    best value wins.
+    lockstep rounds from their own seeds, one stacked evaluation of every
+    restart's window of next candidates per round, and each walks the path
+    it would walk alone; the first restart attaining the best value wins.
     """
     entry = _lookup(functional, model, card_u, card_v)
     shapes, build = _search_space(entry, model, card_u, card_v)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from sdwtc.models import InputPolicy, RlnModel, SdWtcModel, gp_policy, policy_joint
+from sdwtc.models import InputPolicy, RlnModel, SdWtcModel, gp_policy, joint_plan, policy_joint
 from sdwtc.prob import Channel, JointPmf, Pmf
 
 
@@ -96,3 +96,10 @@ def random_rln_joint(rng: np.random.Generator) -> JointPmf:
     rln = random_rln_model(rng)
     p_x, p_a, p_b = random_rln_policy(rng, rln)
     return policy_joint("rln", rln, (p_x, p_a, p_b))
+
+
+def stacked_joint(kind: str, model: SdWtcModel | RlnModel, aux, stacks) -> tuple[tuple, np.ndarray]:
+    """The joints' (name, alphabet) axes and (B, ...) masses for a stack of B
+    policies of this kind, by one models.joint_plan call."""
+    axes, mass = joint_plan(kind, model, aux)
+    return axes, mass(stacks)

@@ -4,12 +4,14 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from identities import random_gp_policy, random_model, random_rln_model
+from identities import random_gp_policy, random_model, random_rln_model, stacked_joint
 from sdwtc import models, optimize, rates
 from sdwtc.cli import load_channel_spec
 from sdwtc.models import (
@@ -17,20 +19,22 @@ from sdwtc.models import (
     build_rln_example,
     build_semideterministic,
     gp_policy,
+    lift_side_information,
     policy_parts,
-    stacked_joint,
 )
 from sdwtc.optimize import (
     _INITIAL_STEP,
+    _MAX_WINDOW,
     _REJECTS_PER_HALVING,
+    _WINDOW,
     FUNCTIONALS,
     OptBudget,
     OptResult,
     _aux,
     _lockstep,
+    _objective,
     _project_rows,
     _search_space,
-    _stack_objective,
     cardinality_caps,
     exhaustive_small,
     maximize,
@@ -332,7 +336,7 @@ def _sequential_maximize(functional, model, card_u, card_v, budget):
 
         def objective():
             axes, mass = stacked_joint(entry.policy_kinds[0], model, aux, [b[None] for b in blocks])
-            return float(_stack_objective(entry, axes, mass)[0])
+            return float(_objective(entry, axes)(mass)[0])
 
         best, evals = objective(), 1
         if functional == "RA_alt" and best == -math.inf:
@@ -406,6 +410,66 @@ def test_lockstep_matches_sequential_restarts():
     for search in (maximize, _sequential_maximize):
         with pytest.raises(ValueError, match="must be semi-deterministic"):
             search("semidet", noisy, 1, 1, budget)
+
+
+def test_speculative_windows_match_sequential_restarts(monkeypatch):
+    heights = []  # of every stack the search scores
+
+    def recording(entry, axes):
+        score = _objective(entry, axes)
+        return lambda mass: heights.append(len(mass)) or score(mass)
+
+    monkeypatch.setattr(optimize, "_objective", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        # budgets shorter than, equal to, just past and far past the first window
+        for offset, iterations in ((22, 1), (22, 3), (23, 4), (23, 5), (22, 37), (23, 131)):
+            budget = OptBudget(restarts=6, iterations=iterations, seed=3)
+            for functional, (model, card_u, card_v) in _instances(
+                    np.random.default_rng(RNG_SEED + offset)).items():
+                want = _sequential_maximize(functional, model, card_u, card_v, budget)
+                heights.clear()
+                _assert_same_result(maximize(functional, model, card_u, card_v, budget), want)
+                if functional == "RA_alt":
+                    folded = want.evaluations - budget.restarts * (iterations + 1)
+                    assert 0 < folded < budget.restarts
+                # rows a lone run never scores were scored, and none raised
+                # (CEG and semidet raise on a joint that breaks their requirement)
+                assert sum(heights) >= want.evaluations
+                if iterations > _WINDOW and functional in ("CEG", "semidet"):
+                    assert sum(heights) > want.evaluations
+
+        # lifted CHV at |V| = 4 accepts nothing: the windows reach the cap, and
+        # 300 iterations put step halvings on both sides of window boundaries
+        lifted = lift_side_information(build_rln_example(0.25, 0.5))
+        budget = OptBudget(restarts=2, iterations=300, seed=1)
+        want = _sequential_maximize("CHV", lifted, 1, 4, budget)
+        assert want.trace == (0.0, 0.0)
+        heights.clear()
+        _assert_same_result(maximize("CHV", lifted, 1, 4, budget), want)
+        assert max(heights) == budget.restarts * _MAX_WINDOW
+
+        # a search that accepts, long enough for several halvings
+        model, card_u, card_v = _instances(np.random.default_rng(RNG_SEED + 22))["RA"]
+        budget = OptBudget(restarts=3, iterations=320, seed=8)
+        _assert_same_result(maximize("RA", model, card_u, card_v, budget),
+                            _sequential_maximize("RA", model, card_u, card_v, budget))
+
+
+def test_draw_buffers_do_not_grow_with_iterations():
+    # the draws are made at most one window ahead, so the search's peak
+    # memory is set by the widest round, not by the budget; lifted CHV
+    # accepts nothing, so both budgets reach windows of _MAX_WINDOW
+    lifted = lift_side_information(build_rln_example(0.25, 0.5))
+    peaks = []
+    for iterations in (60, 60, 1200):  # the first run fills the plan caches
+        tracemalloc.start()
+        maximize("CHV", lifted, 1, 4, OptBudget(restarts=4, iterations=iterations, seed=2))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    # drawing all 1200 iterations up front would hold 4 x 1200 noise rows
+    # of 8 floats, 300 KiB
+    assert peaks[2] <= peaks[1] + 16 * 1024, peaks
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +641,7 @@ def test_exhaustive_small_builds_the_joint_plan_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(rates, "plan", counting("plan", rates.plan))
-    # models.stacked_joint looks joint_plan up in models, the grid in optimize
+    # models.policy_joint looks joint_plan up in models, the grid in optimize
     monkeypatch.setattr(models, "joint_plan", counting("joint_plan", models.joint_plan))
     monkeypatch.setattr(optimize, "joint_plan", counting("joint_plan", optimize.joint_plan))
     model = random_model(np.random.default_rng(RNG_SEED + 27))

@@ -16,6 +16,7 @@ from identities import (
     random_rln_joint,
     random_rln_model,
     random_rln_policy,
+    stacked_joint,
 )
 from sdwtc.models import (
     SdWtcModel,
@@ -25,7 +26,6 @@ from sdwtc.models import (
     gp_policy,
     lift_side_information,
     policy_joint,
-    stacked_joint,
     vx_policy,
 )
 from sdwtc.optimize import FUNCTIONALS, _aux, _search_space, rate_report
@@ -529,12 +529,13 @@ def test_ln_encdec_cross_checks_ceg_at_t_equals_x():
 
 def _evaluate_per_marginal(terms, names, mass):
     """rates.evaluate with each entropy summed out of the joints on its own
-    (one mass.sum per marginal), its formulas added left to right."""
+    (one mass.sum per marginal, laid out in C order as evaluate lays out its
+    marginals), its formulas added left to right."""
     def h(keep):
         kept = [n for n in names if n in keep]
         drop = tuple(1 + i for i, n in enumerate(names) if n not in keep)
         m = (mass.sum(axis=drop) if drop else mass).transpose(0, *(1 + kept.index(n) for n in keep))
-        return _entropy_bits([m], lead=1)[0]
+        return _entropy_bits([np.ascontiguousarray(m)], lead=1)[0]
 
     def add(acc, sign, v):
         v = -v if sign == "-" else v
@@ -643,12 +644,12 @@ def test_stacked_evaluation_equals_row_by_row_evaluation(functional):
             assert one_feasible[0] == feasible[b]
 
 
-def _random_layout(rng, base, batch_first=False):
+def _random_layout(rng, base):
     """base (B, *shape) as one of: itself (C order), a permuted copy with the
-    batch axis first or (unless batch_first) anywhere, or an einsum product
-    with ones (einsum picks its output layout from the operands'); the same
-    values, zero signs kept."""
-    kind = int(rng.choice([0, 1, 3] if batch_first else [0, 1, 2, 3]))
+    batch axis first or anywhere, or an einsum product with ones (einsum
+    picks its output layout from the operands'); the same values, zero signs
+    kept."""
+    kind = int(rng.choice([0, 1, 2, 3]))
     if kind == 0:
         return base
     perm = list(rng.permutation(base.ndim)) if kind == 2 else [0, *(1 + rng.permutation(base.ndim - 1))]
@@ -698,17 +699,15 @@ def test_gathered_drop_sums_equal_add_reduce():
 
 def _random_terms_sweep(rng):
     """Seeded (names, mass) stacks over S, U, V, X, Y, Z with sizes 1 to 8,
-    random layouts, zero masses of both signs, and B from 1 to 512.  The
-    batch axis stays outermost, as in every stack the search builds: on
-    other layouts _evaluate_per_marginal's own entropy sums change order
-    (prob._entropy_bits sums a non-C-ordered (B, K) marginal along B)."""
+    random layouts (the batch axis anywhere in memory), zero masses of both
+    signs, and B from 1 to 512."""
     names = ("S", "U", "V", "X", "Y", "Z")
     for case in range(60):
         shape = tuple(int(n) for n in rng.choice([1, 2, 2, 3, 4, 8], size=6))
         batch = (1, 2, 7, 64, 512)[case % 5]
         while batch > 1 and batch * math.prod(shape) > 200_000:
             batch //= 2
-        yield names, _random_layout(rng, _random_masses(rng, (batch, *shape)), batch_first=True)
+        yield names, _random_layout(rng, _random_masses(rng, (batch, *shape)))
 
 
 def test_evaluate_matches_the_per_marginal_reference_on_random_layouts():
@@ -717,14 +716,35 @@ def test_evaluate_matches_the_per_marginal_reference_on_random_layouts():
     rng = np.random.default_rng(RNG_SEED + 25)
     bracket = Terms(("H(S|X,Z)+[I(U,V;Y)-I(X;Z)]+-H(Y)", "I(U;Y|S)-[I(V;Z|U)-H(S)]+"),
                     feasible="I(X;Y,Z)-I(S;U)")
+    outermost = 0
     for names, mass in _random_terms_sweep(rng):
         for terms in (RA, RA_ALT, CHV, LN_ENCDEC, bracket):
             values, feasible = evaluate(terms, names, mass)
             want_values, want_feasible = _evaluate_per_marginal(terms, names, mass)
             assert _same_bits(values, want_values), (terms.labels, mass.shape, mass.strides)
             assert np.array_equal(feasible, want_feasible)
-        one, _ = evaluate(RA, names, mass[-1:])
-        assert _same_bits(one[0], evaluate(RA, names, mass)[0][-1])
+        if mass.strides[0] == max(mass.strides):
+            # a row scores alone as in its stack when the batch axis is
+            # outermost, as in every stack the search builds; with the batch
+            # axis inside, the stack's drop sums follow its own memory order
+            outermost += 1
+            one, _ = evaluate(RA, names, mass[-1:])
+            assert _same_bits(one[0], evaluate(RA, names, mass)[0][-1])
+    assert 20 < outermost < 60
+
+
+def test_formula_fold_pads_rows_with_negative_zero():
+    # the entropy of a point mass is -0.0 (minus a sum of +0.0 terms); the
+    # fold pads a row narrower than its stage's widest with -0.0, which
+    # keeps that sign, where a +0.0 pad would make it +0.0
+    names = ("S", "X", "Y", "Z")
+    mass = np.zeros((2, 2, 2, 2, 2))
+    mass[:, 0] = 1.0 / 8.0  # S = 0 surely, X, Y and Z uniform
+    alone, _ = evaluate(Terms(("H(S)",)), names, mass)
+    assert np.array_equal(alone, np.zeros((2, 1))) and np.signbit(alone).all()
+    for wider in ("I(X;Y)-I(X;Z)", "I(X;Y,Z)", "H(X|Y)+H(Y)"):
+        values, _ = evaluate(Terms(("H(S)", wider)), names, mass)
+        assert _same_bits(values[:, :1], alone), wider
 
 
 def test_ceg_stacks_sum_through_the_stride_keyed_gather(monkeypatch):
