@@ -1,9 +1,13 @@
 """Model containers, the benchmark builders, and spec round-trips."""
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from sdwtc.cli import load_channel_spec
 from sdwtc.models import (
     ERASURE,
     InputPolicy,
@@ -232,14 +236,38 @@ def test_rln_model_round_trip():
 
 
 def test_round_trip_survives_json():
-    import json
-
     ex = lift_side_information(build_rln_example(0.1, 0.8))
     doc = json.loads(json.dumps(model_to_dict(ex)))
     back = model_from_dict(doc)
     # tuple symbols come back as tuples, not lists
     assert back.y_symbols == ex.y_symbols
     assert np.allclose(back.channel.kernel, ex.channel.kernel, atol=0.0)
+
+
+_FIXTURES = Path(__file__).resolve().parents[1] / "bench" / "fixtures"
+
+
+@pytest.mark.parametrize(
+    "name", ["bsc_q010_copy_tap.json", "bsc_q011.json", "lifted_benchmark.json", "wiretap.json"]
+)
+def test_model_to_dict_writes_the_generic_fixture_back(name):
+    # the loader's inverse: field order, tuple symbols and float bits included
+    path = _FIXTURES / name
+    with open(path) as fh:
+        doc = json.load(fh)
+    out = model_to_dict(load_channel_spec(str(path)))
+    assert out == doc
+    assert json.dumps(out) == json.dumps(doc)
+
+
+def test_model_to_dict_writes_the_rln_document():
+    assert model_to_dict(build_rln_example(0.25, 0.5)) == {
+        "kind": "rln",
+        "alphabets": {"S": [0, 1], "S1": [0, 1, "?"], "S2": [0], "X": [0, 1], "Y": [0, 1], "Z": [0, 1]},
+        "state_pmf": [0.9711242907346787, 0.028875709265321348],
+        "state_kernel": [[[0.5], [0.0], [0.5]], [[0.0], [0.5], [0.5]]],
+        "main_kernel": [[[0.75, 0.0], [0.25, 0.0]], [[0.0, 0.25], [0.0, 0.75]]],
+    }
 
 
 def test_model_from_dict_rejects_unknown_kind():
