@@ -16,7 +16,6 @@ from .models import (
     lift_side_information,
     model_from_dict,
     model_to_dict,
-    vx_policy,
 )
 from .optimize import (
     OptBudget,
@@ -32,14 +31,11 @@ from .prob import (
     bernoulli,
     binary_entropy,
     channel_from_joint,
-    condition,
     entropy,
     inv_binary_entropy,
     is_letter_typical,
     marginalize,
     mutual_information,
-    point_mass,
-    product_pmf,
     relative_entropy,
     renyi_divergence,
     total_variation,

@@ -34,8 +34,6 @@ from .models import (
 from .optimize import FUNCTIONALS, OptBudget, maximize, rate_report
 from .prob import (
     JointPmf,
-    Pmf,
-    _marginal_mass,
     binary_entropy,
     channel_from_joint,
     marginalize,
@@ -139,8 +137,6 @@ def _write_csv(path: str, rows: list[tuple]) -> None:
 
 def _covering_joint(joint: JointPmf, w_axis: str) -> JointPmf:
     """The (U, V, W) marginal of a layered joint, W one of its axes S, Y, or Z."""
-    if w_axis not in ("S", "Y", "Z"):
-        raise ValueError(f"--w-axis must be S, Y, or Z, got {w_axis!r}")
     sub = marginalize(joint, ("U", "V", w_axis))
     axes = (sub.axes[0], sub.axes[1], ("W", sub.axes[2][1]))
     return JointPmf(axes, sub.mass)
@@ -250,7 +246,7 @@ def _cmd_softcov_sim(args: argparse.Namespace) -> tuple[dict, list]:
     joint = assemble_joint(model, policy)
     law = CodeLaw.of(joint)
     cover = _covering_joint(joint, args.w_axis)
-    q_w = Pmf(cover.alphabet("W"), _marginal_mass(cover, ("W",)))
+    q_w = marginalize(cover, ("W",)).as_pmf()
     q_w_given_uv = channel_from_joint(cover, ("U", "V"), ("W",))
 
     rows: list[tuple] = []

@@ -4,7 +4,8 @@ A model is the tuple (state distribution, broadcast kernel).  This module
 builds generic instances, the product-form reversely-less-noisy instances,
 the semi-deterministic family, the side-information lifting that folds the
 receivers' state observations into their channel outputs, (de)serializes
-all of them to a JSON channel-spec document, and describes each encoder
+all of them to a JSON channel-spec document, and describes each document
+kind that lists a model's tensors once, in MODEL_KINDS, and each encoder
 policy kind once, in POLICY_KINDS.
 """
 from __future__ import annotations
@@ -299,12 +300,6 @@ def as_input_policy(model: SdWtcModel, policy) -> InputPolicy:
     raise ValueError("expected a gp or x_given_s policy")
 
 
-def vx_policy(s_symbols: tuple, v_symbols: tuple, x_symbols: tuple, kernel: np.ndarray) -> InputPolicy:
-    """A policy P_{V,X|S} embedded with a degenerate (singleton) U axis."""
-    k = np.asarray(kernel, dtype=float)[:, None, :, :]
-    return gp_policy(s_symbols, (0,), v_symbols, x_symbols, k)
-
-
 # ---------------------------------------------------------------------------
 # policy kinds: the one description the policy loader and the search share
 
@@ -343,6 +338,33 @@ POLICY_KINDS: dict[str, PolicyKind] = {
 }
 
 
+@dataclass(frozen=True)
+class ModelKind:
+    """One kind of channel document that holds the model's own tensors.
+
+    alphabets names the axes whose symbols the document lists in its
+    "alphabets" object, in the order they are read.  Each part is (document
+    field, model attribute, input axes, output axes); a part without input
+    axes is a Pmf, any other a Channel.  The model is model_class called
+    with each part by its attribute.
+    """
+
+    model_class: type
+    alphabets: tuple[str, ...]
+    parts: tuple[tuple[str, str, tuple[str, ...], tuple[str, ...]], ...]
+
+
+MODEL_KINDS: dict[str, ModelKind] = {
+    "generic": ModelKind(SdWtcModel, ("S", "X", "Y", "Z"),
+                         (("state_pmf", "state_pmf", (), ("S",)),
+                          ("kernel", "channel", ("X", "S"), ("Y", "Z")))),
+    "rln": ModelKind(RlnModel, ("S", "S1", "S2", "X", "Y", "Z"),
+                     (("state_pmf", "state_pmf", (), ("S",)),
+                      ("state_kernel", "state_channel", ("S",), ("S1", "S2")),
+                      ("main_kernel", "main_channel", ("X",), ("Y", "Z")))),
+}
+
+
 def policy_kind(kind: str) -> PolicyKind:
     """The POLICY_KINDS record of a kind name."""
     spec = POLICY_KINDS.get(kind)
@@ -358,12 +380,16 @@ def policy_parts(policy) -> tuple:
     return policy if isinstance(policy, tuple) else (policy,)
 
 
+def _named(names: tuple[str, ...], alph: Mapping[str, tuple]) -> tuple:
+    """The (name, alphabet) axes of these axis names."""
+    return tuple((a, alph[a]) for a in names)
+
+
 def _part_axes(spec: PolicyKind, model: SdWtcModel | RlnModel, aux) -> list[tuple[tuple, tuple]]:
     """Each part's (input axes, output axes) as (name, alphabet) pairs."""
     alph = {"S": model.s_symbols, "X": model.x_symbols}
     alph.update((field.upper(), tuple(symbols)) for field, symbols in zip(spec.aux, aux, strict=True))
-    return [(tuple((a, alph[a]) for a in ins), tuple((a, alph[a]) for a in outs))
-            for _, ins, outs in spec.parts]
+    return [(_named(ins, alph), _named(outs, alph)) for _, ins, outs in spec.parts]
 
 
 def joint_plan(kind: str, model: SdWtcModel | RlnModel, aux) -> tuple[tuple, Callable[[list], np.ndarray]]:
@@ -430,30 +456,20 @@ def _part(ins: tuple, outs: tuple, arr) -> Channel | Pmf:
     return Channel(ins, outs, arr) if ins else Pmf(outs[0][1], arr)
 
 
-def _assemble(spec: PolicyKind, axes: list[tuple[tuple, tuple]], arrays) -> object:
-    return spec.wrap([_part(ins, outs, arr) for (ins, outs), arr in zip(axes, arrays, strict=True)])
-
-
-def build_policy(kind: str, model: SdWtcModel | RlnModel, aux, arrays) -> object:
-    """A policy of the given kind from its auxiliary alphabets (in the order
-    of the kind's aux fields) and one array per part, shaped like the part."""
-    spec = policy_kind(kind)
-    return _assemble(spec, _part_axes(spec, model, aux), arrays)
-
-
 def policy_blocks(
     kind: str, model: SdWtcModel | RlnModel, aux
 ) -> tuple[list[tuple[int, int]], Callable[[list[np.ndarray]], object]]:
     """The row-stochastic blocks (rows, row length) that parameterize a policy
-    of this kind, one per part, and the builder that turns such blocks into
-    the policy."""
+    of this kind with these auxiliary alphabets (in the order of the kind's
+    aux fields), one per part, and the builder that turns one array per
+    part, shaped like its block or like the part, into the policy."""
     spec = policy_kind(kind)
     axes = _part_axes(spec, model, aux)
     shapes = [tuple(len(a) for _, a in ins + outs) for ins, outs in axes]
     blocks = [(math.prod(len(a) for _, a in ins), math.prod(len(a) for _, a in outs))
               for ins, outs in axes]
-    return blocks, lambda arrays: _assemble(
-        spec, axes, [b.reshape(shape) for b, shape in zip(arrays, shapes)]
+    return blocks, lambda arrays: spec.wrap(
+        [_part(ins, outs, b.reshape(shape)) for (ins, outs), b, shape in zip(axes, arrays, shapes, strict=True)]
     )
 
 
@@ -461,9 +477,8 @@ def achieving_rln_policy(model: RlnModel) -> tuple:
     """The rln policy A = S, B constant, X uniform, which attains the closed
     form on build_rln_example."""
     n_s, n_x = len(model.s_symbols), len(model.x_symbols)
-    return build_policy(
-        "rln", model, (model.s_symbols, (0,)), [np.full(n_x, 1.0 / n_x), np.eye(n_s), np.ones((n_s, 1))]
-    )
+    _, build = policy_blocks("rln", model, (model.s_symbols, (0,)))
+    return build([np.full(n_x, 1.0 / n_x), np.eye(n_s), np.ones((n_s, 1))])
 
 
 # ---------------------------------------------------------------------------
@@ -519,58 +534,31 @@ def _part_from_json(doc: Mapping, field: str, ins: tuple, outs: tuple) -> Channe
 
 
 def model_to_dict(model: SdWtcModel | RlnModel) -> dict:
-    """Serialize a model to a channel-spec dict (kind generic or rln)."""
-    if isinstance(model, SdWtcModel):
-        return {
-            "kind": "generic",
-            "alphabets": {
-                "S": _to_jsonable(model.s_symbols),
-                "X": _to_jsonable(model.x_symbols),
-                "Y": _to_jsonable(model.y_symbols),
-                "Z": _to_jsonable(model.z_symbols),
-            },
-            "state_pmf": model.state_pmf.probs.tolist(),
-            "kernel": model.channel.kernel.tolist(),
-        }
-    return {
-        "kind": "rln",
-        "alphabets": {
-            "S": _to_jsonable(model.s_symbols),
-            "S1": _to_jsonable(model.s1_symbols),
-            "S2": _to_jsonable(model.s2_symbols),
-            "X": _to_jsonable(model.x_symbols),
-            "Y": _to_jsonable(model.y_symbols),
-            "Z": _to_jsonable(model.z_symbols),
-        },
-        "state_pmf": model.state_pmf.probs.tolist(),
-        "state_kernel": model.state_channel.kernel.tolist(),
-        "main_kernel": model.main_channel.kernel.tolist(),
-    }
+    """Serialize a model to a channel-spec dict, of the MODEL_KINDS kind
+    (generic or rln) whose class it is."""
+    kind = next(kind for kind, spec in MODEL_KINDS.items() if isinstance(model, spec.model_class))
+    spec = MODEL_KINDS[kind]
+    doc = {"kind": kind, "alphabets": {a: _to_jsonable(getattr(model, f"{a.lower()}_symbols"))
+                                       for a in spec.alphabets}}
+    for field, attr, _, _ in spec.parts:
+        part = getattr(model, attr)
+        doc[field] = (part.probs if isinstance(part, Pmf) else part.kernel).tolist()
+    return doc
 
 
 def model_from_dict(doc: Mapping) -> SdWtcModel | RlnModel:
     """Build a model from a channel-spec dict.
 
-    Supported kinds: generic (full wiretap kernel), rln (product-form
-    tensors), rln_example (alpha/sigma parameters), semideterministic
-    (a g-table plus an eavesdropper kernel).
+    Supported kinds: the MODEL_KINDS generic (full wiretap kernel) and rln
+    (product-form tensors), rln_example (alpha/sigma parameters), and
+    semideterministic (a g-table plus an eavesdropper kernel).
     """
     kind = doc.get("kind")
-    if kind == "generic":
-        alph = doc["alphabets"]
-        s, x, y, z = (_symbols_from_json(alph, a) for a in ("S", "X", "Y", "Z"))
-        return SdWtcModel(
-            state_pmf=_part_from_json(doc, "state_pmf", (), (("S", s),)),
-            channel=_part_from_json(doc, "kernel", (("X", x), ("S", s)), (("Y", y), ("Z", z))),
-        )
-    if kind == "rln":
-        alph = doc["alphabets"]
-        s, s1, s2, x, y, z = (_symbols_from_json(alph, a) for a in ("S", "S1", "S2", "X", "Y", "Z"))
-        return RlnModel(
-            state_pmf=_part_from_json(doc, "state_pmf", (), (("S", s),)),
-            state_channel=_part_from_json(doc, "state_kernel", (("S", s),), (("S1", s1), ("S2", s2))),
-            main_channel=_part_from_json(doc, "main_kernel", (("X", x),), (("Y", y), ("Z", z))),
-        )
+    spec = MODEL_KINDS.get(kind) if isinstance(kind, str) else None
+    if spec is not None:
+        alph = {a: _symbols_from_json(doc["alphabets"], a) for a in spec.alphabets}
+        return spec.model_class(**{attr: _part_from_json(doc, field, _named(ins, alph), _named(outs, alph))
+                                   for field, attr, ins, outs in spec.parts})
     if kind == "rln_example":
         alpha, sigma = (_floats_from_json(doc, field, scalar=True) for field in ("alpha", "sigma"))
         return build_rln_example(alpha, sigma)

@@ -195,7 +195,7 @@ def cardinality_caps(model: SdWtcModel | RlnModel) -> tuple[int, int]:
 
 
 def _lockstep(
-    functional: str, model: SdWtcModel | RlnModel, aux: tuple, shapes: list[tuple[int, int]],
+    entry: Functional, model: SdWtcModel | RlnModel, aux: tuple, shapes: list[tuple[int, int]],
     iterations: int, seeds: list[int],
 ) -> tuple[list[np.ndarray], np.ndarray, int]:
     """Coordinate ascent from a Dirichlet(1) start per seed, all restarts
@@ -215,7 +215,6 @@ def _lockstep(
     (R, sum of rows * d) array.  Returns the best (R, rows, d) blocks, the
     (R,) best values and the number of evaluations the restarts would make
     alone."""
-    entry = FUNCTIONALS[functional]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     flat = np.array([np.concatenate([g.dirichlet(np.ones(d), size=rows).ravel() for rows, d in shapes])
                      for g in rngs])
@@ -233,10 +232,11 @@ def _lockstep(
 
     best = objective(blocks)
 
-    fold = np.flatnonzero(best == -math.inf) if functional == "RA_alt" else ()
+    fold = np.flatnonzero(best == -math.inf) if entry.terms.feasible is not None else ()
     if len(fold):
-        # an uninformative U is always feasible (constraint gap exactly 0);
-        # fold the drawn U-mass onto the first symbol and restart from there
+        # the one feasibility formula, RA_alt's I(U;Y) - I(U;S), is exactly 0
+        # at an uninformative U: fold the drawn U-mass onto the first symbol
+        # and restart from there
         k = blocks[0][fold].reshape(len(fold), len(model.s_symbols), len(aux[0]), -1)
         k2 = np.zeros_like(k)
         k2[:, :, 0] = k.sum(axis=2)
@@ -324,7 +324,7 @@ def maximize(
     entry = _lookup(functional, model, card_u, card_v)
     shapes, build = _search_space(entry, model, card_u, card_v)
     blocks, values, evals = _lockstep(
-        functional, model, _aux(entry, card_u, card_v), shapes, budget.iterations,
+        entry, model, _aux(entry, card_u, card_v), shapes, budget.iterations,
         derive_seeds(budget.seed, budget.restarts),
     )
     k = int(np.argmax(values))

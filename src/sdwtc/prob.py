@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Hashable, Iterable, Mapping, Sequence
+from itertools import accumulate, product
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -58,9 +58,6 @@ class Pmf:
         if abs(total - 1.0) > MASS_ATOL:
             raise ValueError(f"Pmf mass sums to {float(total)!r}, expected 1")
         object.__setattr__(self, "probs", probs)
-
-    def support(self) -> tuple:
-        return tuple(s for s, p in zip(self.symbols, self.probs) if p > ZERO_MASS)
 
 
 @dataclass(frozen=True)
@@ -111,10 +108,7 @@ class JointPmf:
         """Flatten to a single-axis Pmf (tuple symbols for multi-axis joints)."""
         if len(self.axes) == 1:
             return Pmf(self.axes[0][1], self.mass.ravel())
-        import itertools
-
-        symbols = tuple(itertools.product(*self.alphabets))
-        return Pmf(symbols, self.mass.ravel())
+        return Pmf(tuple(product(*self.alphabets)), self.mass.ravel())
 
 
 @dataclass(frozen=True)
@@ -178,23 +172,10 @@ def uniform(symbols: Iterable[Hashable]) -> Pmf:
     return Pmf(symbols, np.full(len(symbols), 1.0 / len(symbols)))
 
 
-def point_mass(symbols: Iterable[Hashable], at: Hashable) -> Pmf:
-    symbols = tuple(symbols)
-    probs = np.zeros(len(symbols))
-    probs[symbols.index(at)] = 1.0
-    return Pmf(symbols, probs)
-
-
 def bernoulli(p: float) -> Pmf:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"Bernoulli parameter {p!r} outside [0, 1]")
     return Pmf((0, 1), np.array([1.0 - p, p]))
-
-
-def product_pmf(p: Pmf, q: Pmf) -> Pmf:
-    """The independent product of two Pmfs, on tuple symbols (a, b)."""
-    symbols = tuple((a, b) for a in p.symbols for b in q.symbols)
-    return Pmf(symbols, np.outer(p.probs, q.probs).ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -294,23 +275,6 @@ def marginalize(joint: JointPmf, keep: Sequence[str]) -> JointPmf:
         raise ValueError(f"duplicate axes in keep list {keep}")
     axes = tuple((n, joint.alphabet(n)) for n in keep)
     return JointPmf(axes, _marginal_mass(joint, keep))
-
-
-def condition(joint: JointPmf, on: Mapping[str, Hashable]) -> JointPmf:
-    """The conditional joint given an assignment of some axes to symbols."""
-    idx: list = [slice(None)] * len(joint.axes)
-    for name, symbol in on.items():
-        ax = joint.axis_index(name)
-        alphabet = joint.axes[ax][1]
-        if symbol not in alphabet:
-            raise ValueError(f"symbol {symbol!r} not in axis {name!r} alphabet")
-        idx[ax] = alphabet.index(symbol)
-    sliced = joint.mass[tuple(idx)]
-    total = sliced.sum()
-    if total <= ZERO_MASS:
-        raise ValueError(f"conditioning event {dict(on)!r} has zero probability")
-    axes = tuple((n, a) for n, a in joint.axes if n not in on)
-    return JointPmf(axes, sliced / total)
 
 
 def channel_from_joint(joint: JointPmf, inputs: Sequence[str], outputs: Sequence[str]) -> Channel:

@@ -144,7 +144,10 @@ def plan(terms: Terms, names: tuple[str, ...],
     additions in the same order, so the same bits, sign bits included
     (_sum_gather, built once per layout of the stacks the evaluator meets).
     Other drop sets, and layouts that are not dense with positive strides,
-    keep the plain reduce."""
+    keep the plain reduce.  So a row gets the bits it gets alone only in a
+    stack whose batch axis is outermost in memory (strides[0] the largest),
+    as in every stack models.joint_plan builds; with the batch axis inside,
+    the sums follow the stack's own memory order."""
     formulas = tuple(filter(None, (*terms.labels, terms.feasible, terms.vanishing)))
     marginals: dict[tuple[str, ...], int] = {}
     # (clamp, ((sign, ref), ...)) -> number: a node over marginals, or a
@@ -256,8 +259,10 @@ def plan(terms: Terms, names: tuple[str, ...],
 def evaluate(terms: Terms, names: Sequence[str], mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every term of a rate on a stack of joints, mass[b] over the named axes:
     the (B, terms) values and the (B,) feasibility flags, by the evaluator
-    plan(terms, names, shape) builds once per joint shape.  A term that is
-    not finite (a NaN or infinite mass) is a ValueError naming it."""
+    plan(terms, names, shape) builds once per joint shape.  Each row's bits
+    are those it gets alone where the batch axis is outermost in memory (see
+    plan).  A term that is not finite (a NaN or infinite mass) is a
+    ValueError naming it."""
     return plan(terms, tuple(names), mass.shape[1:])(mass)
 
 

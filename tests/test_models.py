@@ -20,7 +20,6 @@ from sdwtc.models import (
     lift_side_information,
     model_from_dict,
     model_to_dict,
-    vx_policy,
 )
 from sdwtc.prob import (
     Channel,
@@ -78,13 +77,6 @@ def test_policy_rejects_wrong_output_names():
     ch = Channel((("S", (0, 1)),), (("V", (0, 1)), ("X", (0, 1))), k)
     with pytest.raises(ValueError):
         InputPolicy(ch)
-
-
-def test_vx_policy_embeds_singleton_u():
-    k = np.full((2, 2, 2), 0.25)
-    pol = vx_policy((0, 1), (0, 1), (0, 1), k)
-    assert pol.u_symbols == (0,)
-    assert pol.kernel.kernel.shape == (2, 1, 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +263,9 @@ def test_model_to_dict_writes_the_rln_document():
 
 
 def test_model_from_dict_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        model_from_dict({"kind": "mystery"})
+    for kind in ("mystery", ["generic"]):
+        with pytest.raises(ValueError, match="unknown channel-spec kind"):
+            model_from_dict({"kind": kind})
 
 
 def test_model_from_dict_rejects_unnormalized_kernel():

@@ -667,7 +667,7 @@ def test_lockstep_projects_each_row_length_in_one_call(monkeypatch):
     shapes, _ = _search_space(entry, model, 2, 3)
     assert sorted(d for _, d in shapes) == [2, 2, 3]
     iterations, seeds = 40, derive_seeds(4, 8)
-    blocks, _, _ = _lockstep("RLN", model, _aux(entry, 2, 3), shapes, iterations, seeds)
+    blocks, _, _ = _lockstep(entry, model, _aux(entry, 2, 3), shapes, iterations, seeds)
     assert {d for _, d in calls} == {2, 3}
     assert len(calls) <= 2 * iterations
     assert all(b.base is not None and b.base is blocks[0].base for b in blocks)

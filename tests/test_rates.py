@@ -24,9 +24,9 @@ from sdwtc.models import (
     build_rln_example,
     build_semideterministic,
     gp_policy,
+    joint_plan,
     lift_side_information,
     policy_joint,
-    vx_policy,
 )
 from sdwtc.optimize import FUNCTIONALS, _aux, _search_space, rate_report
 from sdwtc.prob import (
@@ -273,7 +273,7 @@ def test_chv_state_revealing_policy_stays_below_capacity():
     k = np.zeros((ns, ns, nx))
     for s in range(ns):
         k[s, s, s] = 1.0
-    policy = vx_policy(lifted.s_symbols, lifted.s_symbols, lifted.x_symbols, k)
+    policy = gp_policy(lifted.s_symbols, (0,), lifted.s_symbols, lifted.x_symbols, k[:, None])
     j = assemble_joint(lifted, policy)
     assert report(CHV, j).value <= 0.094361
 
@@ -569,13 +569,17 @@ def _evaluate_per_marginal(terms, names, mass):
     return values, feasible
 
 
+def _functional_instances(rng):
+    """A (model, card_u, card_v) instance of each functional, seeded by rng."""
+    model = random_model(rng, ns=3, nx=2)
+    return {"RA": (model, 2, 3), "RA_alt": (model, 3, 2), "CHV": (model, 1, 3),
+            "CEG": (model, 2, 1), "RLN": (random_rln_model(rng), 2, 2),
+            "semidet": (_binary_xor_model(0.3), 1, 1), "LN_encdec": (model, 1, 1)}
+
+
 def test_evaluate_matches_a_per_marginal_reference():
     rng = np.random.default_rng(RNG_SEED + 21)
-    model = random_model(rng, ns=3, nx=2)
-    instances = {"RA": (model, 2, 3), "RA_alt": (model, 3, 2), "CHV": (model, 1, 3),
-                 "CEG": (model, 2, 1), "RLN": (random_rln_model(rng), 2, 2),
-                 "semidet": (_binary_xor_model(0.3), 1, 1), "LN_encdec": (model, 1, 1)}
-    for functional, (m, card_u, card_v) in instances.items():
+    for functional, (m, card_u, card_v) in _functional_instances(rng).items():
         entry = FUNCTIONALS[functional]
         shapes, _ = _search_space(entry, m, card_u, card_v)
         stacks = [rng.dirichlet(np.full(d, 0.5), size=(9, rows)) for rows, d in shapes]
@@ -731,6 +735,25 @@ def test_evaluate_matches_the_per_marginal_reference_on_random_layouts():
             one, _ = evaluate(RA, names, mass[-1:])
             assert _same_bits(one[0], evaluate(RA, names, mass)[0][-1])
     assert 20 < outermost < 60
+
+
+@pytest.mark.parametrize("batch", [1, 5])
+def test_search_stacks_have_the_batch_axis_outermost(batch):
+    # the layout under which a row scores alone as in its stack (rates.plan):
+    # joint_plan's builder makes it from the search's views of one array and
+    # from the grid's separate arrays, CEG's non-contiguous stack included
+    rng = np.random.default_rng(RNG_SEED + 29)
+    for functional, (m, card_u, card_v) in _functional_instances(rng).items():
+        entry = FUNCTIONALS[functional]
+        shapes, _ = _search_space(entry, m, card_u, card_v)
+        _, joint_mass = joint_plan(entry.policy_kinds[0], m, _aux(entry, card_u, card_v))
+        stacks = [rng.dirichlet(np.ones(d), size=(batch, rows)) for rows, d in shapes]
+        flat = np.concatenate([s.reshape(batch, -1) for s in stacks], axis=1)
+        offsets = np.cumsum([0] + [rows * d for rows, d in shapes])
+        views = [flat[:, lo:lo + rows * d].reshape(batch, rows, d) for lo, (rows, d) in zip(offsets, shapes)]
+        for blocks in (stacks, views):
+            mass = joint_mass(blocks)
+            assert mass.strides[0] == max(mass.strides), (functional, mass.shape, mass.strides)
 
 
 def test_formula_fold_pads_rows_with_negative_zero():
