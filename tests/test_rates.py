@@ -1,6 +1,7 @@
 """Rate functionals: minimand identities, feasibility, and the erasure repair."""
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import re
@@ -341,6 +342,40 @@ def test_ceg_substitution_identities_second_case():
         lhs2 = i_vys - mutual_information(j, ("T", "S*"), ("S",))
         rhs2 = mutual_information(j, ("T",), ("Y",), given=("S",))
         assert lhs2 == pytest.approx(rhs2, abs=1e-10)
+
+
+def _ceg_pin_hexes():
+    """float.hex of the CEG terms over a seeded sweep: rate_report on random
+    ceg policies of random models (|S|, |X|, |Y|, |Z| from 2 to 3, |T| from
+    1 to 3), then evaluate on joint_plan stacks of B = 1 and B = 7 policies
+    of each."""
+    rng = np.random.default_rng(RNG_SEED + 15)
+    hexes = []
+    for _ in range(40):
+        ns, nx, ny, nz = (int(n) for n in rng.integers(2, 4, size=4))
+        nt = int(rng.integers(1, 4))
+        model = random_model(rng, ns=ns, nx=nx, ny=ny, nz=nz)
+        t = tuple(range(nt))
+        p_t = Pmf(t, rng.dirichlet(np.full(nt, 0.5)))
+        kern = rng.dirichlet(np.full(nx, 0.5), size=(nt, ns))
+        kern[rng.random((nt, ns)) < 0.2] = np.eye(nx)[0]
+        ch = Channel((("T", t), ("S", model.s_symbols)), (("X", model.x_symbols),), kern)
+        hexes += [v.hex() for _, v in rate_report("CEG", model, (p_t, ch)).terms]
+        axes, joint_mass = joint_plan("ceg", model, (t,))
+        names = tuple(name for name, _ in axes)
+        for batch in (1, 7):
+            mass = joint_mass([rng.dirichlet(np.full(nt, 0.5), size=batch),
+                               rng.dirichlet(np.full(nx, 0.5), size=(batch, nt * ns))])
+            values, feasible = evaluate(CEG, names, mass)
+            hexes += [float(v).hex() for v in values.ravel()] + [str(f) for f in feasible]
+    return hexes
+
+
+def test_ceg_terms_are_pinned():
+    # recorded while the ceg joint's axes were S, T, X, Y, Z; listing T first
+    # reorders the axes, not the memory order, so no bit may move
+    digest = hashlib.sha256(" ".join(_ceg_pin_hexes()).encode()).hexdigest()
+    assert digest == "07babc5bee9ddf34201ddcb0b779dea97452019d6cbe2cd8f6220ffe42a46a2d"
 
 
 # ---------------------------------------------------------------------------
