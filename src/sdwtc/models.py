@@ -330,7 +330,7 @@ POLICY_KINDS: dict[str, PolicyKind] = {
     "x_given_s": PolicyKind((), (("kernel", ("S",), ("X",)),), lambda parts: parts[0],
                             ("state_pmf", "kernel", "channel")),
     "ceg": PolicyKind(("t",), (("p_t", (), ("T",)), ("kernel", ("T", "S"), ("X",))), tuple,
-                      ("state_pmf", "p_t", "kernel", "channel")),
+                      ("p_t", "state_pmf", "kernel", "channel")),
     "rln": PolicyKind(("a", "b"),
                       (("p_x", (), ("X",)), ("a_kernel", ("S",), ("A",)), ("b_kernel", ("A",), ("B",))),
                       tuple,
@@ -367,7 +367,7 @@ MODEL_KINDS: dict[str, ModelKind] = {
 
 def policy_kind(kind: str) -> PolicyKind:
     """The POLICY_KINDS record of a kind name."""
-    spec = POLICY_KINDS.get(kind)
+    spec = POLICY_KINDS.get(kind) if isinstance(kind, str) else None
     if spec is None:
         raise ValueError(f"unknown policy kind {kind!r}; expected one of {tuple(POLICY_KINDS)}")
     return spec
@@ -498,13 +498,21 @@ def _doc_name(doc: Mapping) -> str:
 
 
 def _symbols_from_json(doc: Mapping, field: str) -> tuple:
-    """The alphabet a document lists under field; list entries become tuples."""
+    """The alphabet a document lists under field; list entries become tuples
+    (and must then be hashable)."""
     values = doc[field]
     if not isinstance(values, list):
         raise ValueError(
             f"{_doc_name(doc)} field {field!r} must list the symbols, got {type(values).__name__}"
         )
-    return tuple(tuple(v) if isinstance(v, list) else v for v in values)
+    symbols = tuple(tuple(v) if isinstance(v, list) else v for v in values)
+    try:
+        hash(symbols)
+    except TypeError:
+        raise ValueError(
+            f"{_doc_name(doc)} field {field!r} must list numbers, strings or flat lists of them"
+        ) from None
+    return symbols
 
 
 def _floats_from_json(doc: Mapping, field: str, scalar: bool = False) -> float | np.ndarray:
@@ -555,16 +563,19 @@ def model_from_dict(doc: Mapping) -> SdWtcModel | RlnModel:
     """
     kind = doc.get("kind")
     spec = MODEL_KINDS.get(kind) if isinstance(kind, str) else None
+    if spec is not None or kind == "semideterministic":
+        alphabets = doc["alphabets"]
+        if not isinstance(alphabets, dict):
+            raise ValueError(f"{_doc_name(doc)} field 'alphabets' must be an object, got {type(alphabets).__name__}")
     if spec is not None:
-        alph = {a: _symbols_from_json(doc["alphabets"], a) for a in spec.alphabets}
+        alph = {a: _symbols_from_json(alphabets, a) for a in spec.alphabets}
         return spec.model_class(**{attr: _part_from_json(doc, field, _named(ins, alph), _named(outs, alph))
                                    for field, attr, ins, outs in spec.parts})
     if kind == "rln_example":
         alpha, sigma = (_floats_from_json(doc, field, scalar=True) for field in ("alpha", "sigma"))
         return build_rln_example(alpha, sigma)
     if kind == "semideterministic":
-        alph = doc["alphabets"]
-        s, x, z = (_symbols_from_json(alph, a) for a in ("S", "X", "Z"))
+        s, x, z = (_symbols_from_json(alphabets, a) for a in ("S", "X", "Z"))
         state_pmf = _part_from_json(doc, "state_pmf", (), (("S", s),))
         z_kernel = _part_from_json(doc, "z_kernel", (("X", x), ("S", s)), (("Z", z),))
         g_rows = doc["g"]

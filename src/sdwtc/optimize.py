@@ -363,7 +363,7 @@ def exhaustive_small(
     with the joint plan and the objective built once per grid.
     """
     entry = _lookup(functional, model, card_u, card_v)
-    k = round(1.0 / grid_step)
+    k = round(1.0 / grid_step) if grid_step > 0.0 else 0  # refuses 0.0, -0.0 and NaN below
     if k < 1 or abs(grid_step - 1.0 / k) > 1e-12:
         raise ValueError(f"grid_step must be a reciprocal integer, got {grid_step!r}")
 
@@ -380,16 +380,14 @@ def exhaustive_small(
     # one digit per kernel row, the last row's digit varying fastest
     radices = [len(c) for c, (rows, _) in zip(row_choices, shapes) for _ in range(rows)]
 
-    # the first chunk is one policy; its joint sizes the chunks after it
-    best, start, chunk = -math.inf, 0, 1
-    while start < total:
-        stop = min(start + chunk, total)
-        digits = np.unravel_index(np.arange(start, stop), radices)
+    chunk = max(1, _GRID_CHUNK_ENTRIES // math.prod(len(a) for _, a in axes))
+    best = -math.inf
+    for start in range(0, total, chunk):
+        digits = np.unravel_index(np.arange(start, min(start + chunk, total)), radices)
         stacks, i = [], 0
         for cand, (rows, _) in zip(row_choices, shapes):
             stacks.append(cand[np.stack(digits[i:i + rows], axis=1)])
             i += rows
         mass = joint_mass(stacks)
         best = max(best, float(score(mass).max()))
-        start, chunk = stop, max(1, _GRID_CHUNK_ENTRIES * len(mass) // mass.size)
     return best

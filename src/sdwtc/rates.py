@@ -59,7 +59,7 @@ RA = Terms(("I(V;Y|U)-I(V;Z|U)", "I(U,V;Y)-I(U,V;S)", "I(U,V;Y)-I(U;S)-I(V;Z|U)"
 RA_ALT = Terms(RA.labels[:2], feasible="I(U;Y)-I(U;S)")
 # joint axes S, V, Y, Z (a gp policy whose U it ignores)
 CHV = Terms(("I(V;Y)-I(V;Z)", "I(V;Y)-I(V;S)"))
-# joint axes S, T, X, Y, Z (a ceg policy); T must be independent of S
+# joint axes T, S, X, Y, Z (a ceg policy); T must be independent of S
 CEG = Terms(("I(T;Y|S)", "H(S|T,Z)+[I(T;Y,S)-I(T;Z)]+"),
             vanishing="I(T;S)", requirement="T must be independent of S")
 # joint axes S, A, B, X, S1, S2, Y, Z (an rln policy on an RlnModel)
@@ -75,28 +75,22 @@ _TOKEN = re.compile(r"([+-]?)(\[|\]\+|[IH]\([^()]*\))")
 _PAIRWISE = 8
 
 
-def _sum_gather(shape: tuple[int, ...], strides: tuple[int, ...], itemsize: int,
-                drop: tuple[int, ...]) -> np.ndarray | None:
-    """The element numbers (in C order of one joint) that sum a drop set of
-    a stack of this shape and layout as np.add.reduce does (see plan): an
-    (L, J, K) array, or (J, K) when L is 1, to take and reduce over its
-    leading axes; None where the plain reduce is kept (L >= _PAIRWISE, J = 1,
-    or a layout that is not dense with positive strides).  The batch axis 0
-    is a kept axis in the memory order but not in K."""
-    order = sorted((i for i, n in enumerate(shape) if n > 1), key=lambda i: -strides[i])
-    size = itemsize
-    for i in reversed(order):
-        if strides[i] != size:
-            return None
-        size *= shape[i]
+def _sum_gather(shape: tuple[int, ...], drop: tuple[int, ...]) -> np.ndarray | None:
+    """The element numbers (in C order of one joint of this shape) that sum
+    a drop set (axes of the C-ordered (B, *shape) stack) as np.add.reduce
+    does (see plan): an (L, J, K) array, or (J, K) when L is 1, to take and
+    reduce over its leading axes; None where the plain reduce is kept
+    (L >= _PAIRWISE or J = 1)."""
+    size = dict(enumerate(shape, start=1))  # stack axis -> its size
+    order = [i for i in size if size[i] > 1]
     cut = max((k + 1 for k, i in enumerate(order) if i not in drop), default=0)
     run, outer = order[cut:], [i for i in order[:cut] if i in drop]
-    block = math.prod(shape[i] for i in run)
+    block = math.prod(size[i] for i in run)
     if block >= _PAIRWISE or not outer:
         return None
-    keep = [i for i in range(1, len(shape)) if i not in drop]
-    ids = np.arange(math.prod(shape[1:])).reshape(shape[1:]).transpose([i - 1 for i in run + outer + keep])
-    combos, kept = math.prod(shape[i] for i in outer), math.prod(shape[i] for i in keep)
+    keep = [i for i in size if i not in drop]
+    ids = np.arange(math.prod(shape)).reshape(shape).transpose([i - 1 for i in run + outer + keep])
+    combos, kept = math.prod(size[i] for i in outer), math.prod(size[i] for i in keep)
     return ids.reshape((block, combos, kept) if run else (combos, kept))
 
 
@@ -133,21 +127,19 @@ def plan(terms: Terms, names: tuple[str, ...],
     H(A,C) + H(B,C) - H(A,B,C) - H(C) and H(A|C) = H(A,C) - H(C) nodes, the
     [...]+ brackets deepest first (clamped at zero), then the formulas.
 
-    A drop set's sum is np.add.reduce's, whose order follows the stack's
-    memory layout: each output starts at 0.0 and adds, left to right over
-    the other summed axes in memory order, the sum of one block, the
-    trailing run of summed axes in memory order (L entries), which numpy
-    adds pairwise when L >= _PAIRWISE and left to right otherwise.  A short
-    block (L < _PAIRWISE) behind more than one such combination is summed
-    instead by one gather into an (L, J, K, B) array (J combinations, K kept
-    entries) and one left-to-right reduce over L and one over J: the same
-    additions in the same order, so the same bits, sign bits included
-    (_sum_gather, built once per layout of the stacks the evaluator meets).
-    Other drop sets, and layouts that are not dense with positive strides,
-    keep the plain reduce.  So a row gets the bits it gets alone only in a
-    stack whose batch axis is outermost in memory (strides[0] the largest),
-    as in every stack models.joint_plan builds; with the batch axis inside,
-    the sums follow the stack's own memory order."""
+    Every stack is summed in C order of (B, *shape): evaluate_stack takes a
+    C-ordered copy of a stack in any other layout (models.joint_plan builds
+    every stack C-ordered, so it copies none of them).  A drop set's sum is
+    then np.add.reduce's: each output starts at 0.0 and adds, left to right
+    over the other summed axes, the sum of one block, the trailing run of
+    summed axes (L entries), which numpy adds pairwise when L >= _PAIRWISE
+    and left to right otherwise.  A short block (L < _PAIRWISE) behind more
+    than one such combination is summed instead by one gather into an
+    (L, J, K, B) array (J combinations, K kept entries) and one left-to-right
+    reduce over L and one over J: the same additions in the same order, so
+    the same bits, sign bits included (_sum_gather, built once per drop
+    set).  Other drop sets keep the plain reduce.  So a row gets the bits it
+    gets alone in any stack, whatever its layout."""
     formulas = tuple(filter(None, (*terms.labels, terms.feasible, terms.vanishing)))
     marginals: dict[tuple[str, ...], int] = {}
     # (clamp, ((sign, ref), ...)) -> number: a node over marginals, or a
@@ -225,13 +217,11 @@ def plan(terms: Terms, names: tuple[str, ...],
             e_col[e] = pad + 1 + len(e_col)
     stages.append((*table([[(s, e_col[r]) for s, r in row] for row in tops]), False))
     drops, n_labels = list(sums), len(terms.labels)
-    layouts: dict[tuple, list] = {}  # (B > 1, strides, itemsize) -> each drop set's _sum_gather
+    gathers = [_sum_gather(shape, drop) for drop in drops]
 
     def evaluate_stack(mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        key = (len(mass) > 1, mass.strides, mass.itemsize)
-        if key not in layouts:
-            layouts[key] = [_sum_gather(mass.shape, mass.strides, mass.itemsize, drop) for drop in drops]
-        flat = _drop_sums(mass, drops, layouts[key]) + [np.full((len(mass), 1), -0.0)]
+        mass = np.ascontiguousarray(mass)
+        flat = _drop_sums(mass, drops, gathers) + [np.full((len(mass), 1), -0.0)]
         # take keeps p C-ordered; p[:, index] would not, and its run sums would round differently
         h = _run_entropy_bits(np.concatenate(flat, axis=1).take(index, axis=1), runs)
         v = np.full((len(mass), 1), -0.0)
@@ -259,10 +249,10 @@ def plan(terms: Terms, names: tuple[str, ...],
 def evaluate(terms: Terms, names: Sequence[str], mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every term of a rate on a stack of joints, mass[b] over the named axes:
     the (B, terms) values and the (B,) feasibility flags, by the evaluator
-    plan(terms, names, shape) builds once per joint shape.  Each row's bits
-    are those it gets alone where the batch axis is outermost in memory (see
-    plan).  A term that is not finite (a NaN or infinite mass) is a
-    ValueError naming it."""
+    plan(terms, names, shape) builds once per joint shape.  The sums run in
+    C order of (B, *shape) whatever the stack's layout, so each row's bits
+    are those it gets alone (see plan).  A term that is not finite (a NaN or
+    infinite mass) is a ValueError naming it."""
     return plan(terms, tuple(names), mass.shape[1:])(mass)
 
 

@@ -736,6 +736,19 @@ def test_rate_without_functional_lists_the_names(tmp_path, capsys):
          "pol.json field 'kernel': kernel shape (2, 3) does not match axes (2, 2)"),
         (wiretap_doc(), {"kind": "x_given_s", "kernel": [[0.6, 0.3], [0.5, 0.5]]},
          "pol.json field 'kernel': Channel row (0,) sums to 0.8999999999999999, expected 1"),
+        (wiretap_doc(), {**x_given_s_doc(), "kind": ["x_given_s"]},
+         "unknown policy kind ['x_given_s']; expected one of ('gp', 'x_given_s', 'ceg', 'rln')"),
+        (wiretap_doc(), {**x_given_s_doc(), "kind": {"kind": "gp"}},
+         "unknown policy kind {'kind': 'gp'}; expected one of ('gp', 'x_given_s', 'ceg', 'rln')"),
+        ({**wiretap_doc(), "alphabets": [[0, 1], [0, 1], [0, 1], [0, 1]]}, x_given_s_doc(),
+         "ch.json field 'alphabets' must be an object, got list"),
+        ({"kind": "semideterministic", "alphabets": [[0, 1], [0, 1], [0]],
+          "state_pmf": [0.5, 0.5], "g": [[0, 1], [1, 0]], "z_kernel": [[[1.0], [1.0]], [[1.0], [1.0]]]},
+         x_given_s_doc(), "ch.json field 'alphabets' must be an object, got list"),
+        ({**wiretap_doc(), "alphabets": {"S": [[0, [1]], 2], "X": [0, 1], "Y": [0, 1], "Z": [0, 1]}},
+         x_given_s_doc(), "ch.json field 'S' must list numbers, strings or flat lists of them"),
+        ({**wiretap_doc(), "alphabets": {"S": [{"a": 1}, 2], "X": [0, 1], "Y": [0, 1], "Z": [0, 1]}},
+         x_given_s_doc(), "ch.json field 'S' must list numbers, strings or flat lists of them"),
     ],
 )
 def test_malformed_documents_are_error_records(tmp_path, capsys, channel, policy, message):

@@ -537,8 +537,9 @@ def test_every_functional_runs_and_types_policies():
 
 def test_grid_step_must_be_reciprocal_integer():
     model = _xor_model()
-    with pytest.raises(ValueError):
-        exhaustive_small("semidet", model, 0.3)
+    for step in (0.3, 0.0, -0.0, math.nan):
+        with pytest.raises(ValueError, match="grid_step must be a reciprocal integer"):
+            exhaustive_small("semidet", model, step)
 
 
 def test_grid_overflow_guard():

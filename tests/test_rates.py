@@ -655,7 +655,7 @@ def _sweep_stacks(rng, functional, model, card_u, card_v, size=8):
 
 def _sweep_instances(rng):
     """functional -> (model, card_u, card_v); CHV's U and the RLN example's
-    B and S2 are axes of size 1, and the CEG joint is not C-contiguous."""
+    B and S2 are axes of size 1."""
     model = random_model(rng, ns=3, nx=2)
     return {"RA": (model, 2, 3), "RA_alt": (model, 3, 2), "CHV": (model, 1, 3),
             "CEG": (model, 2, 1), "RLN": (build_rln_example(0.25, 0.5), 2, 1),
@@ -670,8 +670,6 @@ def test_stacked_evaluation_equals_row_by_row_evaluation(functional):
     for names, mass in _sweep_stacks(rng, functional, model, card_u, card_v):
         if functional in ("CHV", "RLN"):
             assert 1 in mass.shape[1:]
-        if functional == "CEG":
-            assert not mass.flags.c_contiguous
         values, feasible = evaluate(terms, names, mass)
         assert np.isfinite(values).all()
         want_values, want_feasible = _evaluate_per_marginal(terms, names, mass)
@@ -709,8 +707,8 @@ def _random_masses(rng, shape):
 
 
 def test_gathered_drop_sums_equal_add_reduce():
-    # every drop set of random stacks: the gathered sums, where _sum_gather
-    # gives one, equal np.add.reduce on the same stack bit for bit
+    # every drop set of random C-ordered stacks: the gathered sums, where
+    # _sum_gather gives one, equal np.add.reduce on the same stack bit for bit
     rng = np.random.default_rng(RNG_SEED + 24)
     blocks, kept_pairwise = set(), 0
     for case in range(1500):
@@ -719,18 +717,17 @@ def test_gathered_drop_sums_equal_add_reduce():
         if case % 5 == 0:  # a trailing run of 8 or more entries
             shape = shape[:-2] + ((2, 4), (8,), (3, 3), (7,))[case // 5 % 4]
         batch = int(rng.choice([1, 2, 3, 16, 512])) if math.prod(shape) <= 400 else 2
-        mass = _random_layout(rng, _random_masses(rng, (batch, *shape)))
+        mass = _random_masses(rng, (batch, *shape))
         axes = [1 + i for i, n in enumerate(shape) if n > 1]
         drop = tuple(sorted(a for a in axes if rng.random() < 0.6))
-        ids = _sum_gather(mass.shape, mass.strides, mass.itemsize, drop)
+        ids = _sum_gather(shape, drop)
         want = np.add.reduce(mass, axis=drop).reshape(batch, -1) if drop else mass.reshape(batch, -1)
         (got,) = _drop_sums(mass, [drop], [ids])
-        assert _same_bits(got, want), (shape, mass.strides, drop)
+        assert _same_bits(got, want), (shape, batch, drop)
         if ids is not None:
             blocks.add(len(ids) if ids.ndim == 3 else 1)
         elif drop:
-            ordered = sorted((a for a in range(mass.ndim) if mass.shape[a] > 1), key=lambda a: -mass.strides[a])
-            tail = list(itertools.takewhile(lambda a: a in drop, reversed(ordered)))
+            tail = list(itertools.takewhile(lambda a: a in drop, reversed(axes)))
             kept_pairwise += math.prod(mass.shape[a] for a in tail) >= _PAIRWISE and len(tail) < len(drop)
     assert blocks == set(range(1, _PAIRWISE))  # every gathered block length occurs
     assert kept_pairwise > 50  # pairwise blocks behind other summed axes keep the plain sum
@@ -752,31 +749,31 @@ def _random_terms_sweep(rng):
 def test_evaluate_matches_the_per_marginal_reference_on_random_layouts():
     # gathered sums and the padded entropy reduce against plain sums and one
     # entropy reduce per marginal, bit for bit
+    # of the C-ordered copy of each stack; whatever the layout, the first
+    # and last rows score alone as in their stack
     rng = np.random.default_rng(RNG_SEED + 25)
     bracket = Terms(("H(S|X,Z)+[I(U,V;Y)-I(X;Z)]+-H(Y)", "I(U;Y|S)-[I(V;Z|U)-H(S)]+"),
                     feasible="I(X;Y,Z)-I(S;U)")
-    outermost = 0
+    other_layouts = 0
     for names, mass in _random_terms_sweep(rng):
+        other_layouts += not mass.flags.c_contiguous
         for terms in (RA, RA_ALT, CHV, LN_ENCDEC, bracket):
             values, feasible = evaluate(terms, names, mass)
-            want_values, want_feasible = _evaluate_per_marginal(terms, names, mass)
+            want_values, want_feasible = _evaluate_per_marginal(terms, names, np.ascontiguousarray(mass))
             assert _same_bits(values, want_values), (terms.labels, mass.shape, mass.strides)
             assert np.array_equal(feasible, want_feasible)
-        if mass.strides[0] == max(mass.strides):
-            # a row scores alone as in its stack when the batch axis is
-            # outermost, as in every stack the search builds; with the batch
-            # axis inside, the stack's drop sums follow its own memory order
-            outermost += 1
-            one, _ = evaluate(RA, names, mass[-1:])
-            assert _same_bits(one[0], evaluate(RA, names, mass)[0][-1])
-    assert 20 < outermost < 60
+            for b in (0, len(mass) - 1):
+                one, one_feasible = evaluate(terms, names, mass[b:b + 1])
+                assert _same_bits(one[0], values[b]), (terms.labels, mass.shape, mass.strides)
+                assert one_feasible[0] == feasible[b]
+    assert other_layouts > 20
 
 
-@pytest.mark.parametrize("batch", [1, 5])
+@pytest.mark.parametrize("batch", [1, 5, 64])
 def test_search_stacks_have_the_batch_axis_outermost(batch):
-    # the layout under which a row scores alone as in its stack (rates.plan):
-    # joint_plan's builder makes it from the search's views of one array and
-    # from the grid's separate arrays, CEG's non-contiguous stack included
+    # joint_plan's builder makes every kind's stack C-ordered, from the
+    # search's views of one array and from the grid's separate arrays, so
+    # rates.plan sums none of them through a copy
     rng = np.random.default_rng(RNG_SEED + 29)
     for functional, (m, card_u, card_v) in _functional_instances(rng).items():
         entry = FUNCTIONALS[functional]
@@ -788,7 +785,7 @@ def test_search_stacks_have_the_batch_axis_outermost(batch):
         views = [flat[:, lo:lo + rows * d].reshape(batch, rows, d) for lo, (rows, d) in zip(offsets, shapes)]
         for blocks in (stacks, views):
             mass = joint_mass(blocks)
-            assert mass.strides[0] == max(mass.strides), (functional, mass.shape, mass.strides)
+            assert mass.flags.c_contiguous, (functional, mass.shape, mass.strides)
 
 
 def test_formula_fold_pads_rows_with_negative_zero():
@@ -805,37 +802,32 @@ def test_formula_fold_pads_rows_with_negative_zero():
         assert _same_bits(values[:, :1], alone), wider
 
 
-def test_ceg_stacks_sum_through_the_stride_keyed_gather(monkeypatch):
-    # the CEG joint is not C-contiguous: its drop sets are gathered in its own
-    # memory order, looked up once per layout, never from a C-order copy
+def test_sum_gathers_are_built_once_per_plan(monkeypatch):
+    # plan builds each drop set's _sum_gather from the shape; evaluate calls
+    # at B > 1, at B = 1 and on a stack in another layout build none
     rng = np.random.default_rng(RNG_SEED + 26)
     model, card_u, card_v = _sweep_instances(rng)["CEG"]
     names, mass = next(_sweep_stacks(rng, "CEG", model, card_u, card_v))
-    contiguous = np.ascontiguousarray(mass)
-    assert not mass.flags.c_contiguous and mass.strides != contiguous.strides
     seen = []
 
-    def recording(shape, strides, itemsize, drop):
-        ids = _sum_gather(shape, strides, itemsize, drop)
-        seen.append((strides, drop, ids))
+    def recording(shape, drop):
+        ids = _sum_gather(shape, drop)
+        seen.append((shape, drop, ids))
         return ids
 
     monkeypatch.setattr(rates, "_sum_gather", recording)
     rates.plan.cache_clear()
-    for stack in (mass, contiguous, mass[2:], mass[:1]):
+    rates.plan(CEG, names, mass.shape[1:])
+    drops = [drop for _, drop, _ in seen]
+    assert len(set(drops)) == len(drops) > 0
+    assert all(shape == mass.shape[1:] for shape, _, _ in seen)
+    assert any(ids is not None for _, _, ids in seen)
+    other = np.asfortranarray(mass)
+    assert not other.flags.c_contiguous
+    for stack in (mass, mass[:1], other):
         values, _ = evaluate(CEG, names, stack)
-        assert _same_bits(values, _evaluate_per_marginal(CEG, names, stack)[0])
-    # one lookup per drop set for each of three layout keys: mass[2:] shares mass's
-    by_key = {}
-    for strides, drop, ids in seen:
-        by_key.setdefault(strides, {}).setdefault(drop, []).append(ids)
-    ceg, c_order = by_key[mass.strides], by_key[contiguous.strides]
-    assert all(len(calls) == 2 for calls in ceg.values())  # B > 1, then B = 1
-    assert all(len(calls) == 1 for calls in c_order.values())
-    gathered = [drop for drop, (ids, _) in ceg.items() if ids is not None]
-    assert gathered
-    assert any(not np.array_equal(ceg[drop][0], c_order[drop][0]) for drop in gathered
-               if c_order[drop][0] is not None)
+        assert _same_bits(values, _evaluate_per_marginal(CEG, names, np.ascontiguousarray(stack))[0])
+    assert len(seen) == len(drops)
 
 
 def test_evaluate_refuses_non_finite_terms():
