@@ -2,16 +2,19 @@
 enumerations, and the Monte Carlo experiments."""
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 import tracemalloc
 from itertools import product as iter_product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from identities import random_gp_policy, random_model
 from sdwtc import simulate
+from sdwtc.cli import load_channel_spec, load_policy_spec
 from sdwtc.models import (
     ERASURE,
     SdWtcModel,
@@ -1196,6 +1199,42 @@ def test_monte_carlo_outcomes_are_pinned():
         assert (res.errors, res.csi_failures, res.x_decode_failures,
                 res.key_decode_failures) == counts
         assert res.key_tv_from_uniform == tv
+
+
+_FIXTURES = Path(__file__).resolve().parents[1] / "bench" / "fixtures"
+
+
+def test_bench_size_monte_carlo_outcomes_are_pinned():
+    # the code-montecarlo jobs' settings: binning-sim at n = 12 searches 205 bins
+    ex = build_rln_example(0.0289, 0.05)
+    pinned = {
+        (8, 1): (34, 4, 3, 15, 5, 9, 1, "0x1.ddddddddddddep-3"),
+        (8, 2): (34, 4, 3, 15, 9, 5, 1, "0x1.45d1745d1745cp-3"),
+        (8, 7): (34, 4, 3, 15, 7, 6, 2, "0x1.d89d89d89d89cp-5"),
+        (12, 1): (205, 8, 5, 13, 9, 3, 1, "0x1.c5d1745d1745dp-2"),
+        (12, 2): (205, 8, 5, 14, 6, 5, 3, "0x1.4924924924924p-3"),
+        (12, 7): (205, 8, 5, 13, 8, 2, 3, "0x1.5555555555555p-2"),
+    }
+    for (n, seed), (bins, keys, messages, errors, csi, x_fail, key_fail, tv) in pinned.items():
+        res = binning_otp_protocol(ex, n, 0.89, 0.64, 0.2, trials=20, seed=seed, eps=1.25)
+        assert res == BinningResult(n, 20, bins, keys, messages, errors, csi, x_fail, key_fail,
+                                    float.fromhex(tv)), (n, seed)
+
+    model = load_channel_spec(str(_FIXTURES / "bsc_q011.json"))
+    policy = load_policy_spec(str(_FIXTURES / "uniform_v_is_x.json"), model)
+    per_message = (4, 4, 4, 4, 3, 3, 3, 3, 3, 3, 3, 3)
+    pinned = {
+        1: (40, "bd3263661897c5b55db70b5a1096344fe619d9c7658d057f8ace29c7777b2b7a"),
+        2: (37, "3c3df1a884092a19839d3c529e491809d232eb47bd98cb586885d6bf18604248"),
+        7: (40, "62404543ebe3f9549b9e91a441a8876fe17723fe1490fbc05d0201400f36d6b4"),
+    }
+    for seed, (erasures, records_sha256) in pinned.items():
+        res = run_reliability_experiment(model, policy, 12, (0.2, 0.2, 0.3), 1.0, 40, seed,
+                                         keep_records=True)
+        assert (res.n, res.trials, res.num_messages) == (12, 40, 12), seed
+        assert (res.message_trials, res.message_errors) == (per_message, per_message), seed
+        assert (res.erasures, res.encoder_failures) == (erasures, 0), seed
+        assert hashlib.sha256(repr(res.records).encode()).hexdigest() == records_sha256, seed
 
 
 # ---------------------------------------------------------------------------
