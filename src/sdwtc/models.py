@@ -497,10 +497,10 @@ def _doc_name(doc: Mapping) -> str:
     return getattr(doc, "path", "the document")
 
 
-def _symbols_from_json(doc: Mapping, field: str) -> tuple:
-    """The alphabet a document lists under field; list entries become tuples
-    (and must then be hashable)."""
-    values = doc[field]
+def _symbols_from_json(doc: Mapping, field: str, values: object = None) -> tuple:
+    """The alphabet a document lists under field, or the given values of that
+    field; list entries become tuples (and must then be hashable)."""
+    values = doc[field] if values is None else values
     if not isinstance(values, list):
         raise ValueError(
             f"{_doc_name(doc)} field {field!r} must list the symbols, got {type(values).__name__}"
@@ -585,11 +585,8 @@ def model_from_dict(doc: Mapping) -> SdWtcModel | RlnModel:
                 f"{_doc_name(doc)} field 'g' must hold {len(x)} rows "
                 f"(one per X symbol) of {len(s)} entries (one per S symbol)"
             )
-        g_map = {}
-        for xi, xv in enumerate(x):
-            for si, sv in enumerate(s):
-                entry = g_rows[xi][si]
-                g_map[(xv, sv)] = tuple(entry) if isinstance(entry, list) else entry
+        entries = iter(_symbols_from_json(doc, "g", [entry for row in g_rows for entry in row]))
+        g_map = {(xv, sv): next(entries) for xv in x for sv in s}
         return build_semideterministic(g_map, z_kernel, state_pmf)
     raise ValueError(
         f"unknown channel-spec kind {kind!r}; expected one of "

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Hashable, NamedTuple, Sequence
+from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,6 +30,8 @@ _MAX_ENUM_OPS = 10 ** 8
 # codebook letters (N1 N2 M n per trial) stacked in one Monte Carlo chunk: 2^14
 # ran 35% slower, and without chunking 40 trials at n = 12 added 5 MB of RSS
 _TRIAL_CHUNK = 2 ** 15
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit multiplier
 
 
 class EncoderFailure(RuntimeError):
@@ -83,11 +85,58 @@ def _typical_rows(codes: np.ndarray, probs: np.ndarray, eps: float, n: int) -> n
     return ~np.any(np.abs(freq - probs) > eps * probs, axis=1)
 
 
-def _fill(seeds: Sequence[int], *buffers: np.ndarray) -> None:
-    """Row k of each buffer in turn with the uniforms np.random.default_rng(seeds[k])
-    draws, so each trial sees its own generator in a lone run's order."""
-    for k, seed in enumerate(seeds):
-        gen = np.random.default_rng(seed)
+def _seed_words(seeds: Sequence[int]) -> np.ndarray:
+    """SeedSequence(seed).generate_state(4, np.uint64) for each seed in
+    [0, 2^64), the words np.random.PCG64(seed) seeds from, as (len(seeds), 4)
+    uint64 in one array pass.
+
+    The seed's two 32-bit words, zero-padded to the pool of four, are hashed
+    into the pool and mixed, and the pool is hashed out into eight words.
+    That runs here as uint32 arithmetic over all seeds at once; the hash
+    constants follow one sequence whatever the seed.
+    """
+    s = np.asarray(seeds, dtype=np.uint64)
+    const, mult = 0x43B0D7E5, 0x931E8875  # SeedSequence's INIT_A, MULT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    zero = np.zeros(s.size, dtype=np.uint32)
+    pool = [hashmix(w) for w in ((s & _MASK32).astype(np.uint32), (s >> 32).astype(np.uint32),
+                                 zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:  # mix(x, y) with MIX_MULT_L, MIX_MULT_R
+                mixed = (np.uint32(0xCA01F9DD) * pool[dst]
+                         - np.uint32(0x4973F715) * hashmix(pool[src]))
+                pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    const, mult = 0x8B51F9DD, 0x58F38DED  # INIT_B, MULT_B
+    words = np.array([hashmix(pool[k % 4]) for k in range(8)], dtype=np.uint64)
+    return (words[0::2] | words[1::2] << 32).T
+
+
+def _reseeded(gen: np.random.Generator, words: np.ndarray) -> Iterator[np.random.Generator]:
+    """gen set to each row of _seed_words in turn, so it draws what
+    np.random.default_rng(seed) does.  PCG64 reads a row as 128-bit initstate
+    and initseq and sets inc = 2 initseq + 1 and state = (initstate + inc)
+    MULT + inc modulo 2^128; has_uint32 = 0 drops any 32-bit half-word the
+    previous trial left buffered."""
+    for s_hi, s_lo, i_hi, i_lo in words.tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc & _MASK128
+        gen.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        yield gen
+
+
+def _fill(gens: Iterable[np.random.Generator], *buffers: np.ndarray) -> None:
+    """Row k of each buffer in turn with the uniforms the k-th of gens draws, so
+    each trial sees its own generator in a lone run's order."""
+    for k, gen in enumerate(gens):
         for buf in buffers:
             gen.random(out=buf[k])
 
@@ -182,7 +231,7 @@ def sample_codebook(
         raise ValueError("codebook kernel U alphabet does not match the U pmf")
     n1, n2, m = _codebook_shape(n, r1, r2, r)
     u_draws, v_draws = np.empty((1, n1, n)), np.empty((1, n1, n2, m, n))
-    _fill([seed], u_draws, v_draws)
+    _fill([np.random.default_rng(seed)], u_draws, v_draws)
     u_words, v_words = _draw_words(q_u.probs, q_v_given_u.kernel, u_draws, v_draws)
     return Codebook(
         n=n, r1=r1, r2=r2, r=r, u_symbols=q_u.symbols, v_symbols=q_v_given_u.out_axes[0][1],
@@ -255,7 +304,7 @@ def likelihood_encode(
         raise ValueError("state sequence contains symbols outside the S alphabet")
 
     pick_draws, x_draws = np.empty((1, 1)), np.empty((1, cb.n))
-    _fill([seed], pick_draws, x_draws)
+    _fill([np.random.default_rng(seed)], pick_draws, x_draws)
     ok, i, j, x_idx = _encode(
         law, cb.u_words[None], cb.v_words[None, :, :, m], s_idx[None], pick_draws, x_draws
     )
@@ -625,9 +674,12 @@ def run_reliability_experiment(
     (erasures included); encoder failures are folded in as errors.
 
     Trials run in index space, stacked in chunks of about 2^15 codebook
-    letters.  Each trial's generators fill its rows of the chunk's uniforms
-    in a lone run's order, every Generator.choice draw is replayed on them,
-    and the codebooks, encoder, channel and decoder run as arrays per chunk.
+    letters.  The run's seeds are hashed in one array pass (_seed_words);
+    one Generator, set to each trial's seed words for each role in turn,
+    fills the trial's rows of the chunk's uniforms with what
+    np.random.default_rng(seed) would draw, in a lone run's order.  Every
+    Generator.choice draw is replayed on them, and the codebooks, encoder,
+    channel and decoder run as arrays per chunk.
     """
     r1, r2, r = rates
     if n < 1 or not 0.0 <= eps < math.inf:
@@ -641,7 +693,8 @@ def run_reliability_experiment(
 
     yz_rows = model.channel.kernel.reshape(len(model.x_symbols), len(model.s_symbols), -1)
     n_z = len(model.z_symbols)
-    seeds = derive_seeds(seed, 3 * trials)
+    words = _seed_words(derive_seeds(seed, 3 * trials))
+    gen = np.random.default_rng(0)  # its state is replaced before each trial's draws
     messages = np.arange(trials) % num_messages
     wrong = np.ones(trials, dtype=bool)
     erasures = encoder_failures = 0
@@ -653,9 +706,9 @@ def run_reliability_experiment(
     for start in range(0, trials, chunk):
         c = min(chunk, trials - start)
         stop = start + c
-        _fill(seeds[3 * start : 3 * stop : 3], u_draws, v_draws)
-        _fill(seeds[3 * start + 1 : 3 * stop : 3], pick_draws, x_draws)
-        _fill(seeds[3 * start + 2 : 3 * stop : 3], s_draws, yz_draws)
+        _fill(_reseeded(gen, words[3 * start : 3 * stop : 3]), u_draws, v_draws)
+        _fill(_reseeded(gen, words[3 * start + 1 : 3 * stop : 3]), pick_draws, x_draws)
+        _fill(_reseeded(gen, words[3 * start + 2 : 3 * stop : 3]), s_draws, yz_draws)
         u_words, v_words = _draw_words(
             law.q_u.probs, law.q_v_given_u.kernel, u_draws[:c], v_draws[:c]
         )
@@ -725,8 +778,13 @@ def binning_otp_protocol(
     The reported key TV measures how far the selected keys are from
     uniform — the pad leaks nothing exactly when the key is uniform.
 
-    Each trial runs as its own pass on its own two generators; the draws from
-    the state law replay Generator.choice's rule on random() uniforms.
+    Each trial runs as its own pass (stacking the trials measured no faster:
+    the stacked arrays are memory-bound).  Its two generators are reused
+    ones set to the trial's seed words, hashed for the whole run in one
+    array pass, so they draw what np.random.default_rng(seed) draws; the
+    draws from the state law replay Generator.choice's rule on random()
+    uniforms.  The CSI search takes the first description word equal to the
+    state sequence: the word a typicality scan of all B K words finds first.
     """
     if len(rln_example.s2_symbols) != 1:
         raise ValueError("protocol needs a constant S2 (eavesdropper side information)")
@@ -761,20 +819,22 @@ def binning_otp_protocol(
 
     wrong = csi_failures = x_failures = key_failures = 0
     key_counts = np.zeros(num_keys, dtype=np.int64)
-    seeds = derive_seeds(seed, 2 * trials)
-    for t in range(trials):
-        book_rng = np.random.default_rng(seeds[2 * t])
-        noise = np.random.default_rng(seeds[2 * t + 1])
+    words = _seed_words(derive_seeds(seed, 2 * trials))
+    for book_rng, noise in zip(_reseeded(np.random.default_rng(0), words[0::2]),
+                               _reseeded(np.random.default_rng(0), words[1::2])):
         a_words = _replay_choice(ws, book_rng.random((num_bins, num_keys, n)))
         x_words = book_rng.integers(0, n_x, size=(num_messages, num_bins, n))
 
+        # p_sa is zero off its diagonal: a word is typical with s exactly when it
+        # equals s and the (s, s) codes of s itself are typical, so the first
+        # equal word is the full scan's first hit
         s_idx = _replay_choice(ws, noise.random(n))
-        sa_codes = (s_idx[None, None, :] * n_s + a_words).reshape(-1, n)
-        hits = np.nonzero(_typical_rows(sa_codes, p_sa, eps, n))[0]
-        if hits.size == 0:
+        match = (a_words == s_idx).all(axis=2).ravel()
+        hit = int(match.argmax())
+        if not (match[hit] and _typical_rows(s_idx[None] * (n_s + 1), p_sa, eps, n)[0]):
             csi_failures += 1
             continue
-        b, k = divmod(int(hits[0]), num_keys)
+        b, k = divmod(hit, num_keys)
         key_counts[k] += 1
 
         m = int(noise.integers(num_messages))

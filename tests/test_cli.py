@@ -749,6 +749,10 @@ def test_rate_without_functional_lists_the_names(tmp_path, capsys):
          x_given_s_doc(), "ch.json field 'S' must list numbers, strings or flat lists of them"),
         ({**wiretap_doc(), "alphabets": {"S": [{"a": 1}, 2], "X": [0, 1], "Y": [0, 1], "Z": [0, 1]}},
          x_given_s_doc(), "ch.json field 'S' must list numbers, strings or flat lists of them"),
+        ({"kind": "semideterministic", "alphabets": {"S": [0, 1], "X": [0, 1], "Z": [0]},
+          "state_pmf": [0.5, 0.5], "g": [[{"a": 1}, 1], [[0, [1]], 0]],
+          "z_kernel": [[[1.0], [1.0]], [[1.0], [1.0]]]},
+         x_given_s_doc(), "ch.json field 'g' must list numbers, strings or flat lists of them"),
     ],
 )
 def test_malformed_documents_are_error_records(tmp_path, capsys, channel, policy, message):

@@ -21,6 +21,7 @@ from sdwtc.models import (
     assemble_joint,
     build_rln_example,
     gp_policy,
+    model_from_dict,
 )
 from sdwtc.prob import (
     Channel,
@@ -53,6 +54,8 @@ from sdwtc.simulate import (
     _message_channel,
     _product_chain,
     _replay_choice,
+    _reseeded,
+    _seed_words,
     _typical_rows,
     approximation_gap,
     binning_otp_protocol,
@@ -266,6 +269,35 @@ def test_inverse_cdf_edge_sweep_matches_a_loop_over_elements():
     assert short > 0
 
 
+def _trial_gens(seeds):
+    """One generator re-seeded to each seed in turn, as the Monte Carlo runs draw."""
+    return _reseeded(np.random.default_rng(0), _seed_words(seeds))
+
+
+def test_reseeded_states_are_numpys_own_seeding():
+    # every Monte Carlo draw rests on this: a numpy that seeds PCG64 otherwise
+    # fails here instead of silently moving the outcomes
+    edge = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1]
+    for seeds in (edge, derive_seeds(RNG_SEED, 3000)):
+        words = _seed_words(seeds)
+        assert words.dtype == np.uint64 and words.shape == (len(seeds), 4)
+        for seed, row in zip(seeds, words):
+            assert np.array_equal(row, np.random.SeedSequence(seed).generate_state(4, np.uint64))
+        got = [gen.bit_generator.state for gen in _trial_gens(seeds)]
+        assert got == [np.random.PCG64(seed).state for seed in seeds]
+
+
+def test_reseeded_generator_draws_what_default_rng_draws():
+    seeds = derive_seeds(RNG_SEED + 1, 40)
+    for seed, gen in zip(seeds, _trial_gens(seeds)):
+        lone = np.random.default_rng(seed)
+        assert gen.random() == lone.random()
+        assert gen.integers(3) == lone.integers(3)
+        assert gen.random() == lone.random()
+        # a buffered 32-bit half-word, which the next trial's state must drop
+        assert gen.bit_generator.state["has_uint32"] == 1
+
+
 def _choice_laws(rng, k):
     """Seeded laws over k letters with zero-mass and trailing-zero entries."""
     p = rng.random(k)
@@ -296,7 +328,7 @@ def test_choice_replay_matches_generator_choice(k):
     rows = np.stack([_choice_laws(rng, k) for _ in range(6)])
     seeds = [int(s) for s in rng.integers(2 ** 63, size=6)]
     draws = np.empty((6, 1))
-    _fill(seeds, draws)
+    _fill(_trial_gens(seeds), draws)
     want = [np.random.default_rng(s).choice(k, p=row) for s, row in zip(seeds, rows)]
     assert _replay_choice(rows, draws[:, 0]).tolist() == want
 
@@ -449,7 +481,7 @@ def test_encoder_selection_frequencies_match_exact_law():
 
     draws = 100_000
     pick_draws, x_draws = np.empty((draws, 1)), np.empty((draws, 3))
-    _fill([77_000 + k for k in range(draws)], pick_draws, x_draws)
+    _fill(_trial_gens([77_000 + k for k in range(draws)]), pick_draws, x_draws)
     stack = lambda a: np.broadcast_to(a, (draws, *a.shape))
     ok, i, j, x_idx = _encode(law, stack(cb.u_words), stack(cb.v_words[:, :, 0]),
                               stack(np.array(s_seq)), pick_draws, x_draws)
@@ -477,7 +509,7 @@ def test_one_trial_encoder_and_decoder_are_rows_of_the_core():
     y = rng.integers(2, size=(trials, n))
     seeds = [500 + t for t in range(trials)]
     pick_draws, x_draws = np.empty((trials, 1)), np.empty((trials, n))
-    _fill(seeds, pick_draws, x_draws)
+    _fill(_trial_gens(seeds), pick_draws, x_draws)
     ok, i, j, x_idx = _encode(law, u, v[np.arange(trials), :, :, m], s, pick_draws, x_draws)
     assert 0 < ok.sum() < trials  # some states have no likelihood under any pair
     flat = _decode(law, u, v, y, 1.0)
@@ -1412,6 +1444,88 @@ def test_binning_oracle_cases_reach_every_failure_kind():
     ex, _ = _surrogate_example()
     got = binning_otp_protocol(ex, 8, 1.1 * binary_entropy(0.25), 0.3, 0.2, 30, 5, 1.25)
     assert min(got.csi_failures, got.x_decode_failures, got.key_decode_failures) > 0
+
+
+def _full_search_binning(ex, n, r_a, r_bin, r, trials, seed, eps):
+    """The protocol's per-trial body before its CSI search became an equality
+    test: a default_rng per trial and role, and _typical_rows over all B K
+    description words."""
+    num_bins, num_keys, num_messages = (index_count(n, q) for q in (r_bin, r_a - r_bin, r))
+    ws = ex.state_pmf.probs
+    n_s, n_x, n_s1, n_y, n_z = (len(a) for a in (ex.s_symbols, ex.x_symbols, ex.s1_symbols,
+                                                  ex.y_symbols, ex.z_symbols))
+    p_sa = (np.eye(n_s) * ws[:, None]).ravel()
+    p_as1 = (ws[:, None] * ex.state_channel.kernel.sum(axis=2)).ravel()
+    p_xy = (ex.main_channel.kernel.sum(axis=2) / n_x).ravel()
+    yz_rows = ex.main_channel.kernel.reshape(n_x, -1)
+    s1_rows = ex.state_channel.kernel.reshape(n_s, -1)
+    wrong = csi_failures = x_failures = key_failures = 0
+    key_counts = np.zeros(num_keys, dtype=np.int64)
+    seeds = derive_seeds(seed, 2 * trials)
+    for t in range(trials):
+        book_rng = np.random.default_rng(seeds[2 * t])
+        noise = np.random.default_rng(seeds[2 * t + 1])
+        a_words = _replay_choice(ws, book_rng.random((num_bins, num_keys, n)))
+        x_words = book_rng.integers(0, n_x, size=(num_messages, num_bins, n))
+        s_idx = _replay_choice(ws, noise.random(n))
+        sa_codes = (s_idx[None, None, :] * n_s + a_words).reshape(-1, n)
+        hits = np.nonzero(_typical_rows(sa_codes, p_sa, eps, n))[0]
+        if hits.size == 0:
+            csi_failures += 1
+            continue
+        b, k = divmod(int(hits[0]), num_keys)
+        key_counts[k] += 1
+        m = int(noise.integers(num_messages))
+        x_idx = x_words[(m + k) % num_messages, b]
+        y_idx = _inverse_cdf(yz_rows[x_idx], noise.random(n)) // n_z
+        s1_idx = _inverse_cdf(s1_rows[s_idx], noise.random(n))
+        xy_codes = (x_words * n_y + y_idx[None, None, :]).reshape(-1, n)
+        xy_hits = np.nonzero(_typical_rows(xy_codes, p_xy, eps, n))[0]
+        if xy_hits.size != 1:
+            x_failures += 1
+            continue
+        m_tilde_hat, b_hat = divmod(int(xy_hits[0]), num_bins)
+        key_hits = np.nonzero(_typical_rows(a_words[b_hat] * n_s1 + s1_idx[None, :], p_as1, eps, n))[0]
+        if key_hits.size != 1:
+            key_failures += 1
+            continue
+        wrong += (m_tilde_hat - int(key_hits[0])) % num_messages != m
+    picks = int(key_counts.sum())
+    key_tv = float(0.5 * np.abs(key_counts / picks - 1.0 / num_keys).sum()) if picks else 1.0
+    return BinningResult(n, trials, num_bins, num_keys, num_messages,
+                         csi_failures + x_failures + key_failures + wrong, csi_failures,
+                         x_failures, key_failures, key_tv)
+
+
+def _zero_state_rln():
+    """An rln document whose state law gives its middle state no mass."""
+    return model_from_dict({
+        "kind": "rln",
+        "alphabets": {"S": [0, 1, 2], "S1": [0, 1], "S2": [0], "X": [0, 1], "Y": [0, 1],
+                      "Z": [0, 1]},
+        "state_pmf": [0.5, 0.0, 0.5],
+        "state_kernel": [[[0.9], [0.1]], [[0.5], [0.5]], [[0.2], [0.8]]],
+        "main_kernel": [[[0.85, 0.05], [0.05, 0.05]], [[0.05, 0.05], [0.1, 0.8]]],
+    })
+
+
+def test_equality_csi_search_equals_the_full_search():
+    rng = np.random.default_rng(RNG_SEED + 19)
+    examples = (_surrogate_example()[0], build_rln_example(0.0289, 0.05), _zero_state_rln())
+    picked_at_eps0 = failed = 0
+    for case in range(210):
+        ex = examples[case % 3]
+        n, eps = case % 12 + 1, (0.0, 0.2, 0.6, 1.25, 2.5)[case % 5]
+        r_a = 1.1 * rng.random()
+        r_bin = r_a * rng.random()
+        r = (r_a - r_bin) * rng.random()
+        seed, trials = int(rng.integers(2 ** 63)), int(rng.integers(1, 9))
+        got = binning_otp_protocol(ex, n, r_a, r_bin, r, trials, seed, eps)
+        assert got == _full_search_binning(ex, n, r_a, r_bin, r, trials, seed, eps), case
+        picked_at_eps0 += eps == 0.0 and got.csi_failures < trials
+        failed += got.csi_failures
+    # the cases reach both branches, including exact-type picks at eps = 0
+    assert picked_at_eps0 > 0 and failed > 0
 
 
 def test_reliability_memory_is_bounded_by_the_chunk():
