@@ -44,6 +44,7 @@ from .softcover import best_gamma
 from .simulate import (
     CodeLaw,
     CodeRates,
+    exact_message_channel,
     exact_output_divergence,
     leakage_capacity,
     run_reliability_experiment,
@@ -291,7 +292,7 @@ def _cmd_codec_sim(args: argparse.Namespace) -> tuple[dict, list]:
             leaks = []
             for s in derive_seeds(args.seed + n, args.leakage_trials):
                 cb = sample_codebook(law.q_u, law.q_v_given_u, n, *rate_triple, s)
-                cap = leakage_capacity(simulate._message_channel(model, law, cb))
+                cap = leakage_capacity(exact_message_channel(model, policy, cb))
                 leaks.append(cap.bits)
                 rows.append(("leakage_bits", n, s, cap.bits, None, None))
             summary[str(n)]["median_leakage_bits"] = float(np.median(leaks))

@@ -10,10 +10,10 @@ returns ``rates.report`` of it.  ``maximize`` and ``exhaustive_small``
 score stacks of raw blocks with a ``rates.plan`` evaluator (looked up once
 per search or grid) and build no policy per candidate.  The search is
 random-restart coordinate ascent, its restarts advanced in lockstep
-rounds: each round scores a window of every restart's next candidates in
-one stacked evaluation, after one batched simplex projection per row
-length, and each restart keeps its window's first improving candidate, so
-each restart's generator draws are the only per-restart work.  A
+rounds: each round scores every restart's next 8 candidates in one
+stacked evaluation, after one batched simplex projection per row length,
+and each restart keeps the first of them that improves, so each
+restart's generator draws are the only per-restart work.  A
 brute-force grid enumeration, in chunks, serves problems small enough to
 afford it.  Runs are deterministic given the budget seed (restart r draws
 from the r-th splitmix64 output of the master seed), and each restart
@@ -43,10 +43,9 @@ from .rng import derive_seeds
 
 _INITIAL_STEP = 0.5
 _REJECTS_PER_HALVING = 10
-# candidates per restart in a round of the search: the first window, and the
-# cap that doubling after a window without an acceptance stops at
-_WINDOW = 4
-_MAX_WINDOW = 16
+# candidates per restart in a round of the search; at most _REJECTS_PER_HALVING,
+# so a round crosses at most one step halving
+_WINDOW = 8
 _MAX_GRID_EVALS = 10_000_000
 # joint-mass entries per chunk of grid policies evaluated together (8 bytes each)
 _GRID_CHUNK_ENTRIES = 1 << 12
@@ -200,18 +199,16 @@ def _lockstep(
 ) -> tuple[list[np.ndarray], np.ndarray, int]:
     """Coordinate ascent from a Dirichlet(1) start per seed, all restarts
     advanced together in rounds.  In a round each restart with iterations
-    left puts a window of its next w candidates into one stack, which is
-    projected once per row length and scored in one evaluation; each restart
-    then takes its window's first candidate that beats its best and drops
-    the rest.  That is the path it would walk alone: its draws (the slot,
-    then the noise) do not depend on acceptance, and until it accepts its
-    base point is fixed and candidate j's step is its step halved once per
-    _REJECTS_PER_HALVING rejects before j.  w starts at _WINDOW, doubles up
-    to _MAX_WINDOW after a window without an acceptance, falls back to
-    _WINDOW after one, and never exceeds the restart's iterations left.
-    Draws are made lazily, in each generator's order, into a buffer of
-    _MAX_WINDOW per restart; those after an acceptance wait there for the
-    next round.  Each restart's blocks are views of its row of one
+    left puts its next w = min(_WINDOW, iterations left) candidates into
+    one stack, which is projected once per row length and scored in one
+    evaluation; each restart then takes the first of its candidates that
+    beats its best and drops the rest.  That is the path it would walk
+    alone: its draws (the slot, then the noise) do not depend on
+    acceptance, and until it accepts its base point is fixed and candidate
+    j's step is its step, halved once if its rejects before j reach
+    _REJECTS_PER_HALVING.  Draws are made lazily, in each generator's order,
+    into a ring of _WINDOW per restart; those after an acceptance wait there
+    for the next round.  Each restart's blocks are views of its row of one
     (R, sum of rows * d) array.  Returns the best (R, rows, d) blocks, the
     (R,) best values and the number of evaluations the restarts would make
     alone."""
@@ -249,38 +246,31 @@ def _lockstep(
     if not len(slots):
         return blocks, best, len(rngs) + len(fold)
     slot_len, slot_start = slots.T
-    # restart i's draw for its iteration t sits at [i, t % _MAX_WINDOW]: the
+    # restart i's draw for its iteration t sits at [i, t % _WINDOW]: the
     # slot in picks, the noise in the buffer of the slot's row length
-    picks = np.empty((len(rngs), _MAX_WINDOW), dtype=int)
-    noise = {d: np.empty((len(rngs), _MAX_WINDOW, d)) for d in np.unique(slot_len).tolist()}
+    picks = np.empty((len(rngs), _WINDOW), dtype=int)
+    noise = {d: np.empty((len(rngs), _WINDOW, d)) for d in np.unique(slot_len).tolist()}
     slot_noise = [noise[d] for d in slot_len.tolist()]
     drawn = [0] * len(rngs)
 
     step = np.full(len(rngs), _INITIAL_STEP)
     rejects = np.zeros(len(rngs), dtype=int)
     done = np.zeros(len(rngs), dtype=int)
-    window = np.full(len(rngs), _WINDOW)
-    # column h of its running product is the step after h halvings: cumprod
-    # multiplies left to right, one *= 0.5 per halving as a lone run does (one
-    # multiplication by 0.5**h would round differently for a subnormal step)
-    halvings = np.full((len(rngs), 1 + (_REJECTS_PER_HALVING - 1 + _MAX_WINDOW) // _REJECTS_PER_HALVING), 0.5)
     while (live := np.flatnonzero(done < iterations)).size:
-        w = np.minimum(window[live], iterations - done[live])
+        w = np.minimum(_WINDOW, iterations - done[live])
         for i, end in zip(live.tolist(), (done[live] + w).tolist()):
             g = rngs[i]
             for t in range(drawn[i], end):
-                picks[i, t % _MAX_WINDOW] = s = g.integers(len(slots))
-                g.standard_normal(out=slot_noise[s][i, t % _MAX_WINDOW])
-            drawn[i] = max(drawn[i], end)
+                picks[i, t % _WINDOW] = s = g.integers(len(slots))
+                g.standard_normal(out=slot_noise[s][i, t % _WINDOW])
+            drawn[i] = end
         # candidate n is restart owner[n]'s pos[n]-th of this round
         starts = np.cumsum(w) - w
         owner = np.repeat(live, w)
         pos = np.arange(len(owner)) - np.repeat(starts, w)
-        buf = (done[owner] + pos) % _MAX_WINDOW
+        buf = (done[owner] + pos) % _WINDOW
         pick = picks[owner, buf]
-        halvings[:, 0] = step
-        steps = np.cumprod(halvings, axis=1)
-        cand_step = steps[owner, (rejects[owner] + pos) // _REJECTS_PER_HALVING]
+        cand_step = np.where(rejects[owner] + pos < _REJECTS_PER_HALVING, step[owner], step[owner] * 0.5)
         trial = flat[owner]
         picked = slot_len[pick]
         for d, rows_noise in noise.items():
@@ -290,18 +280,17 @@ def _lockstep(
                 trial[who[:, None], cols] = _project_rows(
                     trial[who[:, None], cols] + cand_step[who, None] * rows_noise[owner[who], buf[who]])
         cand = objective(views(trial))
-        # each window's first candidate above its restart's best, or _MAX_WINDOW
-        first = np.minimum.reduceat(np.where(cand > best[owner], pos, _MAX_WINDOW), starts)
+        # each restart's first candidate above its best, or _WINDOW
+        first = np.minimum.reduceat(np.where(cand > best[owner], pos, _WINDOW), starts)
         up = first < w
         taken = starts[up] + first[up]
         best[live[up]] = cand[taken]
         flat[live[up]] = trial[taken]
         rejected = np.where(up, first, w)
         total = rejects[live] + rejected
-        step[live] = steps[live, total // _REJECTS_PER_HALVING]
+        step[live] = np.where(total < _REJECTS_PER_HALVING, step[live], step[live] * 0.5)
         rejects[live] = np.where(up, 0, total % _REJECTS_PER_HALVING)
         done[live] += rejected + up
-        window[live] = np.where(up, _WINDOW, np.minimum(2 * window[live], _MAX_WINDOW))
     return blocks, best, len(rngs) * (1 + iterations) + len(fold)
 
 
@@ -318,7 +307,7 @@ def maximize(
     them (U and V, or T for the causal-selection rate, or A and B for the
     rate-limited variant); they are ignored otherwise.  Restarts advance in
     lockstep rounds from their own seeds, one stacked evaluation of every
-    restart's window of next candidates per round, and each walks the path
+    restart's next _WINDOW candidates per round, and each walks the path
     it would walk alone; the first restart attaining the best value wins.
     """
     entry = _lookup(functional, model, card_u, card_v)

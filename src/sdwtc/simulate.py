@@ -526,12 +526,6 @@ def approximation_gap(model: SdWtcModel, policy: InputPolicy, cb: Codebook) -> I
 
 
 def exact_message_channel(model: SdWtcModel, policy: InputPolicy, cb: Codebook) -> Channel:
-    """The exact channel from the message to the eavesdropper's sequence
-    (see _message_channel) under the policy's code law."""
-    return _message_channel(model, CodeLaw.of(assemble_joint(model, policy)), cb)
-
-
-def _message_channel(model: SdWtcModel, law: CodeLaw, cb: Codebook) -> Channel:
     """The exact channel from the message to the eavesdropper's sequence.
 
     P(z^n | m) = sum_s W_S^n(s) sum_{i,j} P_hat(i,j|m,s) prod_t K(z_t | ...),
@@ -545,9 +539,9 @@ def _message_channel(model: SdWtcModel, law: CodeLaw, cb: Codebook) -> Channel:
     steps the axes are z_1..z_n in lexicographic order and the pairs are
     summed out.  That is M N1 N2 sum_t |S|^(n-t+1) |Z|^t multiply-adds, the
     count the guard bounds before any table is built, and N1 N2
-    max(|S|, |Z|)^n floats at a time.  law is the policy's
-    CodeLaw.of(assemble_joint(model, policy)).
+    max(|S|, |Z|)^n floats at a time, under the policy's code law.
     """
+    law = CodeLaw.of(assemble_joint(model, policy))
     n_s, n_z = len(model.s_symbols), len(model.z_symbols)
     pairs = cb.num_u * cb.num_v
     letter_ops = sum(n_s ** (cb.n - t + 1) * n_z ** t for t in range(1, cb.n + 1))
@@ -809,7 +803,6 @@ def binning_otp_protocol(
     n_z = len(rln_example.z_symbols)
 
     # A = S, X uniform: the typicality targets collapse to these joints.
-    p_sa = (np.eye(n_s) * ws[:, None]).ravel()  # (s, a) combined codes s*n_s + a
     w_s1 = rln_example.state_channel.kernel.sum(axis=2)  # (|S|, |S1|)
     p_as1 = (ws[:, None] * w_s1).ravel()  # (a, s1)
     p_xy = (rln_example.main_channel.kernel.sum(axis=2) / n_x).ravel()  # (x, y)
@@ -825,13 +818,13 @@ def binning_otp_protocol(
         a_words = _replay_choice(ws, book_rng.random((num_bins, num_keys, n)))
         x_words = book_rng.integers(0, n_x, size=(num_messages, num_bins, n))
 
-        # p_sa is zero off its diagonal: a word is typical with s exactly when it
-        # equals s and the (s, s) codes of s itself are typical, so the first
-        # equal word is the full scan's first hit
+        # the joint type of (s, a) is zero off its diagonal: a word is typical
+        # with s exactly when it equals s and s is typical under W_S, so the
+        # first equal word is the full scan's first hit
         s_idx = _replay_choice(ws, noise.random(n))
         match = (a_words == s_idx).all(axis=2).ravel()
         hit = int(match.argmax())
-        if not (match[hit] and _typical_rows(s_idx[None] * (n_s + 1), p_sa, eps, n)[0]):
+        if not (match[hit] and _typical_rows(s_idx[None], ws, eps, n)[0]):
             csi_failures += 1
             continue
         b, k = divmod(hit, num_keys)

@@ -24,7 +24,6 @@ from sdwtc.models import (
 )
 from sdwtc.optimize import (
     _INITIAL_STEP,
-    _MAX_WINDOW,
     _REJECTS_PER_HALVING,
     _WINDOW,
     FUNCTIONALS,
@@ -413,6 +412,9 @@ def test_lockstep_matches_sequential_restarts():
 
 
 def test_speculative_windows_match_sequential_restarts(monkeypatch):
+    # so a window crosses at most one step halving, which the single
+    # halving of a candidate's step and of the carried step relies on
+    assert _WINDOW <= _REJECTS_PER_HALVING
     heights = []  # of every stack the search scores
 
     def recording(entry, axes):
@@ -422,8 +424,9 @@ def test_speculative_windows_match_sequential_restarts(monkeypatch):
     monkeypatch.setattr(optimize, "_objective", recording)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        # budgets shorter than, equal to, just past and far past the first window
-        for offset, iterations in ((22, 1), (22, 3), (23, 4), (23, 5), (22, 37), (23, 131)):
+        # budgets shorter than, equal to, just past and far past the window
+        for offset, iterations in ((22, 1), (22, 3), (23, 4), (23, 5), (22, 7), (23, 8), (22, 9),
+                                   (22, 37), (23, 131)):
             budget = OptBudget(restarts=6, iterations=iterations, seed=3)
             for functional, (model, card_u, card_v) in _instances(
                     np.random.default_rng(RNG_SEED + offset)).items():
@@ -439,7 +442,7 @@ def test_speculative_windows_match_sequential_restarts(monkeypatch):
                 if iterations > _WINDOW and functional in ("CEG", "semidet"):
                     assert sum(heights) > want.evaluations
 
-        # lifted CHV at |V| = 4 accepts nothing: the windows reach the cap, and
+        # lifted CHV at |V| = 4 accepts nothing: every round is a full window, and
         # 300 iterations put step halvings on both sides of window boundaries
         lifted = lift_side_information(build_rln_example(0.25, 0.5))
         budget = OptBudget(restarts=2, iterations=300, seed=1)
@@ -447,7 +450,7 @@ def test_speculative_windows_match_sequential_restarts(monkeypatch):
         assert want.trace == (0.0, 0.0)
         heights.clear()
         _assert_same_result(maximize("CHV", lifted, 1, 4, budget), want)
-        assert max(heights) == budget.restarts * _MAX_WINDOW
+        assert max(heights) == budget.restarts * _WINDOW
 
         # a search that accepts, long enough for several halvings
         model, card_u, card_v = _instances(np.random.default_rng(RNG_SEED + 22))["RA"]
@@ -459,7 +462,7 @@ def test_speculative_windows_match_sequential_restarts(monkeypatch):
 def test_draw_buffers_do_not_grow_with_iterations():
     # the draws are made at most one window ahead, so the search's peak
     # memory is set by the widest round, not by the budget; lifted CHV
-    # accepts nothing, so both budgets reach windows of _MAX_WINDOW
+    # accepts nothing, so both budgets score full windows of _WINDOW
     lifted = lift_side_information(build_rln_example(0.25, 0.5))
     peaks = []
     for iterations in (60, 60, 1200):  # the first run fills the plan caches

@@ -51,7 +51,6 @@ from sdwtc.simulate import (
     _encoder_tables,
     _fill,
     _inverse_cdf,
-    _message_channel,
     _product_chain,
     _replay_choice,
     _reseeded,
@@ -866,7 +865,6 @@ def test_exact_enumerations_match_the_dense_chain(n, n_s, n_z):
     assert (cb.num_u, cb.num_v, cb.num_messages) == (2, 3, 2)
 
     kernel = exact_message_channel(model, policy, cb).kernel
-    assert np.array_equal(_message_channel(model, law, cb).kernel, kernel)
     assert kernel.shape == (2, n_z ** n)
     np.testing.assert_allclose(kernel, dense_message_channel(model, policy, cb), rtol=0, atol=1e-12)
     np.testing.assert_allclose(kernel.sum(axis=1), 1.0, rtol=0, atol=1e-12)
