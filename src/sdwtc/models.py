@@ -3,17 +3,19 @@
 A model is the tuple (state distribution, broadcast kernel).  This module
 builds generic instances, the product-form reversely-less-noisy instances,
 the semi-deterministic family, the side-information lifting that folds the
-receivers' state observations into their channel outputs, (de)serializes
-all of them to a JSON channel-spec document, and describes each document
-kind that lists a model's tensors once, in MODEL_KINDS, and each encoder
-policy kind once, in POLICY_KINDS.
+receivers' state observations into their channel outputs, and
+(de)serializes all of them to a JSON channel-spec document.  Each model and policy record
+declares its parts once (_Record.PARTS), which the document kinds that list
+a model's tensors (MODEL_KINDS) read, and each encoder policy kind is
+described once, in POLICY_KINDS.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping
+from functools import cached_property
+from typing import Callable, ClassVar, Hashable, Mapping
 
 import numpy as np
 
@@ -29,116 +31,101 @@ from .prob import (
 ERASURE = "?"
 
 
+# A record part: (attribute, document field, input axes, output axes).
+Part = tuple[str, str, tuple[str, ...], tuple[str, ...]]
+
+
+def part_fits(part: object, ins: tuple[str, ...], outs: tuple[str, ...]) -> bool:
+    """Whether a part has these axes: a Pmf (over its one output axis) when
+    there are no input axes, else a Channel with exactly these axis names."""
+    if ins:
+        return isinstance(part, Channel) and (part.in_names, part.out_names) == (ins, outs)
+    return isinstance(part, Pmf)
+
+
+def _axes_of(part: Channel | Pmf, outs: tuple[str, ...]) -> tuple:
+    """A part's (name, alphabet) axes, inputs first; a Pmf's one axis takes
+    its declared name."""
+    return part.in_axes + part.out_axes if isinstance(part, Channel) else ((outs[0], part.symbols),)
+
+
+def _check_part(what: str, part: object, ins: tuple[str, ...], outs: tuple[str, ...]) -> None:
+    """Refuse, naming it as what, a part that does not fit these axes."""
+    if not part_fits(part, ins, outs):
+        want = f"a Channel from {ins} to {outs}" if ins else "a Pmf"
+        got = (f"a Channel from {part.in_names} to {part.out_names}" if isinstance(part, Channel)
+               else f"a {type(part).__name__}")
+        raise ValueError(f"{what} must be {want}, got {got}")
+
+
+def _axis_names(parts) -> tuple[str, ...]:
+    """The axes that parts (..., input axes, output axes) name, in the order
+    they first appear."""
+    return tuple(dict.fromkeys(a for *_, ins, outs in parts for a in ins + outs))
+
+
+class _Record:
+    """A record whose class declares its parts once, in PARTS.
+
+    Construction checks each part against its declaration (part_fits) and
+    that parts naming one axis agree on its alphabet; each axis A gets an
+    a_symbols property (lower-cased) that reads that alphabet.
+    """
+
+    PARTS: ClassVar[tuple[Part, ...]] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        for axis in _axis_names(cls.PARTS):
+            setattr(cls, f"{axis.lower()}_symbols", property(lambda self, axis=axis: self._alphabets[axis]))
+
+    def __post_init__(self) -> None:
+        alphabets: dict[str, tuple] = {}
+        for attr, _, ins, outs in self.PARTS:
+            part = getattr(self, attr)
+            _check_part(f"{type(self).__name__} {attr}", part, ins, outs)
+            for name, symbols in _axes_of(part, outs):
+                if alphabets.setdefault(name, symbols) != symbols:
+                    raise ValueError(f"{type(self).__name__} parts disagree on the {name} alphabet")
+        object.__setattr__(self, "_alphabets", alphabets)
+
+
+def _record(cls: type, alphabets: Mapping[str, tuple], **arrays: np.ndarray):
+    """The record of this class whose parts, by attribute, hold these arrays
+    over these axis alphabets, by axis name."""
+    return cls(**{attr: _part(_named(ins, alphabets), _named(outs, alphabets), arrays[attr])
+                  for attr, _, ins, outs in cls.PARTS})
+
+
 @dataclass(frozen=True)
-class SdWtcModel:
+class SdWtcModel(_Record):
     """A state-dependent wiretap channel: W_S and W_{Y,Z|X,S}."""
 
+    PARTS = (("state_pmf", "state_pmf", (), ("S",)), ("channel", "kernel", ("X", "S"), ("Y", "Z")))
     state_pmf: Pmf
-    channel: Channel  # inputs (X, S), outputs (Y, Z)
-
-    def __post_init__(self) -> None:
-        if self.channel.in_names != ("X", "S") or self.channel.out_names != ("Y", "Z"):
-            raise ValueError(
-                f"wiretap kernel must map (X, S) to (Y, Z), got "
-                f"{self.channel.in_names} to {self.channel.out_names}"
-            )
-        if self.channel.in_axes[1][1] != self.state_pmf.symbols:
-            raise ValueError("kernel S alphabet does not match the state pmf alphabet")
-
-    @property
-    def s_symbols(self) -> tuple:
-        return self.state_pmf.symbols
-
-    @property
-    def x_symbols(self) -> tuple:
-        return self.channel.in_axes[0][1]
-
-    @property
-    def y_symbols(self) -> tuple:
-        return self.channel.out_axes[0][1]
-
-    @property
-    def z_symbols(self) -> tuple:
-        return self.channel.out_axes[1][1]
+    channel: Channel
 
 
 @dataclass(frozen=True)
-class InputPolicy:
+class InputPolicy(_Record):
     """An encoder input policy Q_{U,V,X|S} with auxiliary alphabets U and V."""
 
-    kernel: Channel  # input (S,), outputs (U, V, X)
-
-    def __post_init__(self) -> None:
-        if self.kernel.in_names != ("S",) or self.kernel.out_names != ("U", "V", "X"):
-            raise ValueError(
-                f"policy kernel must map (S,) to (U, V, X), got "
-                f"{self.kernel.in_names} to {self.kernel.out_names}"
-            )
-
-    @property
-    def s_symbols(self) -> tuple:
-        return self.kernel.in_axes[0][1]
-
-    @property
-    def u_symbols(self) -> tuple:
-        return self.kernel.out_axes[0][1]
-
-    @property
-    def v_symbols(self) -> tuple:
-        return self.kernel.out_axes[1][1]
-
-    @property
-    def x_symbols(self) -> tuple:
-        return self.kernel.out_axes[2][1]
+    PARTS = (("kernel", "kernel", ("S",), ("U", "V", "X")),)
+    kernel: Channel
 
 
 @dataclass(frozen=True)
-class RlnModel:
+class RlnModel(_Record):
     """A product-form model: the state drives the two side observations
     (S1 to the receiver, S2 to the eavesdropper) while the transmission
     channel X -> (Y, Z) is state independent."""
 
+    PARTS = (("state_pmf", "state_pmf", (), ("S",)),
+             ("state_channel", "state_kernel", ("S",), ("S1", "S2")),
+             ("main_channel", "main_kernel", ("X",), ("Y", "Z")))
     state_pmf: Pmf
-    state_channel: Channel  # input (S,), outputs (S1, S2)
-    main_channel: Channel  # input (X,), outputs (Y, Z)
-
-    def __post_init__(self) -> None:
-        if self.state_channel.in_names != ("S",) or self.state_channel.out_names != ("S1", "S2"):
-            raise ValueError(
-                f"state channel must map (S,) to (S1, S2), got "
-                f"{self.state_channel.in_names} to {self.state_channel.out_names}"
-            )
-        if self.main_channel.in_names != ("X",) or self.main_channel.out_names != ("Y", "Z"):
-            raise ValueError(
-                f"main channel must map (X,) to (Y, Z), got "
-                f"{self.main_channel.in_names} to {self.main_channel.out_names}"
-            )
-        if self.state_channel.in_axes[0][1] != self.state_pmf.symbols:
-            raise ValueError("state channel S alphabet does not match the state pmf alphabet")
-
-    @property
-    def s_symbols(self) -> tuple:
-        return self.state_pmf.symbols
-
-    @property
-    def s1_symbols(self) -> tuple:
-        return self.state_channel.out_axes[0][1]
-
-    @property
-    def s2_symbols(self) -> tuple:
-        return self.state_channel.out_axes[1][1]
-
-    @property
-    def x_symbols(self) -> tuple:
-        return self.main_channel.in_axes[0][1]
-
-    @property
-    def y_symbols(self) -> tuple:
-        return self.main_channel.out_axes[0][1]
-
-    @property
-    def z_symbols(self) -> tuple:
-        return self.main_channel.out_axes[1][1]
+    state_channel: Channel
+    main_channel: Channel
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +158,8 @@ def lift_side_information(rln: RlnModel) -> SdWtcModel:
         len(y_lift),
         len(z_lift),
     )
-    channel = Channel(
-        in_axes=(("X", rln.x_symbols), ("S", rln.s_symbols)),
-        out_axes=(("Y", y_lift), ("Z", z_lift)),
-        kernel=k,
-    )
-    return SdWtcModel(state_pmf=rln.state_pmf, channel=channel)
+    return _record(SdWtcModel, {"S": rln.s_symbols, "X": rln.x_symbols, "Y": y_lift, "Z": z_lift},
+                   state_pmf=rln.state_pmf.probs, channel=k)
 
 
 # ---------------------------------------------------------------------------
@@ -197,29 +180,18 @@ def build_rln_example(alpha_cross: float, sigma: float) -> RlnModel:
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"sigma must lie strictly inside (0, 1), got {sigma!r}")
     p = inv_binary_entropy(1.0 - binary_entropy(alpha_cross))
-    state_pmf = bernoulli(p)
-
-    s1_symbols = (0, 1, ERASURE)
     state_kernel = np.zeros((2, 3, 1))
     for s in (0, 1):
         state_kernel[s, s, 0] = 1.0 - sigma
         state_kernel[s, 2, 0] = sigma
-    state_channel = Channel(
-        in_axes=(("S", (0, 1)),),
-        out_axes=(("S1", s1_symbols), ("S2", (0,))),
-        kernel=state_kernel,
-    )
-
     main_kernel = np.zeros((2, 2, 2))
     for x in (0, 1):
         for y in (0, 1):
             main_kernel[x, y, x] = alpha_cross if y != x else 1.0 - alpha_cross
-    main_channel = Channel(
-        in_axes=(("X", (0, 1)),),
-        out_axes=(("Y", (0, 1)), ("Z", (0, 1))),
-        kernel=main_kernel,
-    )
-    return RlnModel(state_pmf=state_pmf, state_channel=state_channel, main_channel=main_channel)
+    b = (0, 1)
+    alphabets = {"S": b, "S1": (0, 1, ERASURE), "S2": (0,), "X": b, "Y": b, "Z": b}
+    return _record(RlnModel, alphabets, state_pmf=bernoulli(p).probs, state_channel=state_kernel,
+                   main_channel=main_kernel)
 
 
 def build_semideterministic(
@@ -232,16 +204,10 @@ def build_semideterministic(
     The eavesdropper kernel W_{Z|X,S} is arbitrary; the Y-marginal of the
     assembled kernel is a point mass at g(x, s) for every input pair.
     """
-    if w_z_given_xs.in_names != ("X", "S") or w_z_given_xs.out_names != ("Z",):
-        raise ValueError(
-            f"eavesdropper kernel must map (X, S) to (Z,), got "
-            f"{w_z_given_xs.in_names} to {w_z_given_xs.out_names}"
-        )
-    x_symbols = w_z_given_xs.in_axes[0][1]
-    s_symbols = w_z_given_xs.in_axes[1][1]
+    _check_part("eavesdropper kernel", w_z_given_xs, ("X", "S"), ("Z",))
+    (_, x_symbols), (_, s_symbols), (_, z_symbols) = w_z_given_xs.in_axes + w_z_given_xs.out_axes
     if s_symbols != w_s.symbols:
         raise ValueError("eavesdropper kernel S alphabet does not match the state pmf")
-    z_symbols = w_z_given_xs.out_axes[0][1]
 
     lookup = g if callable(g) else lambda x, s: g[(x, s)]
     y_symbols: list = []
@@ -260,12 +226,8 @@ def build_semideterministic(
     for xi in range(len(x_symbols)):
         for si in range(len(s_symbols)):
             kernel[xi, si, g_table[xi, si], :] = w_z_given_xs.kernel[xi, si, :]
-    channel = Channel(
-        in_axes=(("X", x_symbols), ("S", s_symbols)),
-        out_axes=(("Y", tuple(y_symbols)), ("Z", z_symbols)),
-        kernel=kernel,
-    )
-    return SdWtcModel(state_pmf=w_s, channel=channel)
+    return _record(SdWtcModel, {"S": s_symbols, "X": x_symbols, "Y": tuple(y_symbols), "Z": z_symbols},
+                   state_pmf=w_s.probs, channel=kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +242,7 @@ def gp_policy(
     kernel: np.ndarray,
 ) -> InputPolicy:
     """An InputPolicy from a raw tensor indexed [s, u, v, x]."""
-    return InputPolicy(
-        Channel(
-            in_axes=(("S", s_symbols),),
-            out_axes=(("U", u_symbols), ("V", v_symbols), ("X", x_symbols)),
-            kernel=kernel,
-        )
-    )
+    return _record(InputPolicy, {"S": s_symbols, "U": u_symbols, "V": v_symbols, "X": x_symbols}, kernel=kernel)
 
 
 def as_input_policy(model: SdWtcModel, policy) -> InputPolicy:
@@ -308,61 +264,40 @@ def as_input_policy(model: SdWtcModel, policy) -> InputPolicy:
 class PolicyKind:
     """One kind of encoder policy.
 
-    aux lists the document fields that hold its auxiliary alphabets; the
-    field's upper-cased name is the axis (u -> U).  Each part is (document
-    field, input axes, output axes) over S, X and those auxiliaries; a part
-    without input axes is a Pmf, any other a Channel.  wrap turns the list
-    of built parts into the policy object.  product names the factors of
-    the induced joint, parts by their field and model factors by their
+    Each part is (document field, input axes, output axes) over S, X and
+    auxiliary axes, and must fit them (part_fits).  wrap turns the list of
+    built parts into the policy object.  product names the factors of the
+    induced joint, parts by their field and model factors by their
     attribute, in the order they are multiplied; the joint's axes come in
     the order they first appear there.
     """
 
-    aux: tuple[str, ...]
     parts: tuple[tuple[str, tuple[str, ...], tuple[str, ...]], ...]
     wrap: Callable[[list], object]
     product: tuple[str, ...]
 
+    @cached_property
+    def aux(self) -> tuple[str, ...]:
+        """The document fields that list the auxiliary alphabets: each axis
+        the parts name other than S and X, lower-cased (U -> u)."""
+        return tuple(a.lower() for a in _axis_names(self.parts) if a not in ("S", "X"))
+
 
 POLICY_KINDS: dict[str, PolicyKind] = {
-    "gp": PolicyKind(("u", "v"), (("kernel", ("S",), ("U", "V", "X")),),
-                     lambda parts: InputPolicy(parts[0]), ("state_pmf", "kernel", "channel")),
-    "x_given_s": PolicyKind((), (("kernel", ("S",), ("X",)),), lambda parts: parts[0],
+    "gp": PolicyKind(tuple(part[1:] for part in InputPolicy.PARTS), lambda parts: InputPolicy(*parts),
+                     ("state_pmf", "kernel", "channel")),
+    "x_given_s": PolicyKind((("kernel", ("S",), ("X",)),), lambda parts: parts[0],
                             ("state_pmf", "kernel", "channel")),
-    "ceg": PolicyKind(("t",), (("p_t", (), ("T",)), ("kernel", ("T", "S"), ("X",))), tuple,
+    "ceg": PolicyKind((("p_t", (), ("T",)), ("kernel", ("T", "S"), ("X",))), tuple,
                       ("p_t", "state_pmf", "kernel", "channel")),
-    "rln": PolicyKind(("a", "b"),
-                      (("p_x", (), ("X",)), ("a_kernel", ("S",), ("A",)), ("b_kernel", ("A",), ("B",))),
+    "rln": PolicyKind((("p_x", (), ("X",)), ("a_kernel", ("S",), ("A",)), ("b_kernel", ("A",), ("B",))),
                       tuple,
                       ("state_pmf", "a_kernel", "b_kernel", "p_x", "state_channel", "main_channel")),
 }
 
-
-@dataclass(frozen=True)
-class ModelKind:
-    """One kind of channel document that holds the model's own tensors.
-
-    alphabets names the axes whose symbols the document lists in its
-    "alphabets" object, in the order they are read.  Each part is (document
-    field, model attribute, input axes, output axes); a part without input
-    axes is a Pmf, any other a Channel.  The model is model_class called
-    with each part by its attribute.
-    """
-
-    model_class: type
-    alphabets: tuple[str, ...]
-    parts: tuple[tuple[str, str, tuple[str, ...], tuple[str, ...]], ...]
-
-
-MODEL_KINDS: dict[str, ModelKind] = {
-    "generic": ModelKind(SdWtcModel, ("S", "X", "Y", "Z"),
-                         (("state_pmf", "state_pmf", (), ("S",)),
-                          ("kernel", "channel", ("X", "S"), ("Y", "Z")))),
-    "rln": ModelKind(RlnModel, ("S", "S1", "S2", "X", "Y", "Z"),
-                     (("state_pmf", "state_pmf", (), ("S",)),
-                      ("state_kernel", "state_channel", ("S",), ("S1", "S2")),
-                      ("main_kernel", "main_channel", ("X",), ("Y", "Z")))),
-}
+# each kind of channel document that lists a model's tensors, by the model
+# class whose PARTS name its alphabets and part fields
+MODEL_KINDS: dict[str, type[_Record]] = {"generic": SdWtcModel, "rln": RlnModel}
 
 
 def policy_kind(kind: str) -> PolicyKind:
@@ -438,13 +373,15 @@ def policy_joint(kind: str, model: SdWtcModel | RlnModel, policy) -> JointPmf:
     and X alphabets its parts must use (with shared auxiliary alphabets)."""
     spec = policy_kind(kind)
     parts = policy_parts(policy)
-    have = [(p.in_axes, p.out_axes) if isinstance(p, Channel) else ((), ((outs[0], p.symbols),))
-            for p, (_, _, outs) in zip(parts, spec.parts, strict=True)]
-    alph = dict(axis for ins, outs in have for axis in ins + outs)
+    have = []
+    for p, (field, ins, outs) in zip(parts, spec.parts, strict=True):
+        _check_part(f"{kind} policy part {field}", p, ins, outs)
+        have.append(_axes_of(p, outs))
+    alph = dict(axis for axes in have for axis in axes)
     aux = [alph.get(field.upper(), ()) for field in spec.aux]
-    axes = _part_axes(spec, model, aux)
-    if have != axes:
-        raise ValueError(f"{kind} policy parts have axes {have}; the model needs {axes}")
+    want = [ins + outs for ins, outs in _part_axes(spec, model, aux)]
+    if have != want:
+        raise ValueError(f"{kind} policy parts have axes {have}; the model needs {want}")
     joint_axes, mass = joint_plan(kind, model, aux)
     return JointPmf(joint_axes, mass([p.kernel[None] if isinstance(p, Channel) else p.probs[None]
                                       for p in parts])[0])
@@ -497,22 +434,24 @@ def _doc_name(doc: Mapping) -> str:
     return getattr(doc, "path", "the document")
 
 
+def _is_symbol(value: object) -> bool:
+    """Whether a JSON value is a number or a string (not null or a boolean)."""
+    return isinstance(value, (int, float, str)) and not isinstance(value, bool)
+
+
 def _symbols_from_json(doc: Mapping, field: str, values: object = None) -> tuple:
     """The alphabet a document lists under field, or the given values of that
-    field; list entries become tuples (and must then be hashable)."""
+    field: numbers, strings or flat lists of them, lists read as tuples."""
     values = doc[field] if values is None else values
     if not isinstance(values, list):
         raise ValueError(
             f"{_doc_name(doc)} field {field!r} must list the symbols, got {type(values).__name__}"
         )
-    symbols = tuple(tuple(v) if isinstance(v, list) else v for v in values)
-    try:
-        hash(symbols)
-    except TypeError:
+    if not all(_is_symbol(v) or isinstance(v, list) and all(map(_is_symbol, v)) for v in values):
         raise ValueError(
             f"{_doc_name(doc)} field {field!r} must list numbers, strings or flat lists of them"
-        ) from None
-    return symbols
+        )
+    return tuple(tuple(v) if isinstance(v, list) else v for v in values)
 
 
 def _floats_from_json(doc: Mapping, field: str, scalar: bool = False) -> float | np.ndarray:
@@ -544,11 +483,10 @@ def _part_from_json(doc: Mapping, field: str, ins: tuple, outs: tuple) -> Channe
 def model_to_dict(model: SdWtcModel | RlnModel) -> dict:
     """Serialize a model to a channel-spec dict, of the MODEL_KINDS kind
     (generic or rln) whose class it is."""
-    kind = next(kind for kind, spec in MODEL_KINDS.items() if isinstance(model, spec.model_class))
-    spec = MODEL_KINDS[kind]
+    kind = next(kind for kind, cls in MODEL_KINDS.items() if isinstance(model, cls))
     doc = {"kind": kind, "alphabets": {a: _to_jsonable(getattr(model, f"{a.lower()}_symbols"))
-                                       for a in spec.alphabets}}
-    for field, attr, _, _ in spec.parts:
+                                       for a in _axis_names(model.PARTS)}}
+    for attr, field, _, _ in model.PARTS:
         part = getattr(model, attr)
         doc[field] = (part.probs if isinstance(part, Pmf) else part.kernel).tolist()
     return doc
@@ -562,15 +500,15 @@ def model_from_dict(doc: Mapping) -> SdWtcModel | RlnModel:
     semideterministic (a g-table plus an eavesdropper kernel).
     """
     kind = doc.get("kind")
-    spec = MODEL_KINDS.get(kind) if isinstance(kind, str) else None
-    if spec is not None or kind == "semideterministic":
+    cls = MODEL_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is not None or kind == "semideterministic":
         alphabets = doc["alphabets"]
         if not isinstance(alphabets, dict):
             raise ValueError(f"{_doc_name(doc)} field 'alphabets' must be an object, got {type(alphabets).__name__}")
-    if spec is not None:
-        alph = {a: _symbols_from_json(alphabets, a) for a in spec.alphabets}
-        return spec.model_class(**{attr: _part_from_json(doc, field, _named(ins, alph), _named(outs, alph))
-                                   for field, attr, ins, outs in spec.parts})
+    if cls is not None:
+        alph = {a: _symbols_from_json(alphabets, a) for a in _axis_names(cls.PARTS)}
+        return cls(**{attr: _part_from_json(doc, field, _named(ins, alph), _named(outs, alph))
+                      for attr, field, ins, outs in cls.PARTS})
     if kind == "rln_example":
         alpha, sigma = (_floats_from_json(doc, field, scalar=True) for field in ("alpha", "sigma"))
         return build_rln_example(alpha, sigma)

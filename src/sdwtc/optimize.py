@@ -34,11 +34,11 @@ from .models import (
     SdWtcModel,
     as_input_policy,
     joint_plan,
+    part_fits,
     policy_blocks,
     policy_joint,
     policy_parts,
 )
-from .prob import Channel, Pmf
 from .rng import derive_seeds
 
 _INITIAL_STEP = 0.5
@@ -155,14 +155,12 @@ def _lookup(
 
 
 def _policy_kind(policy: Any) -> str:
-    """The POLICY_KINDS entry whose parts (Pmf, or Channel with the same axis
-    names) this policy has; its type name when none fits."""
+    """The POLICY_KINDS entry whose parts this policy's parts fit (see
+    models.part_fits); its type name when none fits."""
     parts = policy_parts(policy)
     for kind, spec in POLICY_KINDS.items():
         if len(parts) == len(spec.parts) and all(
-            isinstance(p, Channel) and (p.in_names, p.out_names) == (ins, outs) if ins
-            else isinstance(p, Pmf)
-            for p, (_, ins, outs) in zip(parts, spec.parts)
+            part_fits(p, ins, outs) for p, (_, ins, outs) in zip(parts, spec.parts)
         ):
             return kind
     return type(policy).__name__

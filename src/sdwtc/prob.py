@@ -37,6 +37,19 @@ def _clean_mass(mass: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
+def _unique_axes(axes: Iterable[tuple[str, Iterable[Hashable]]]) -> tuple[tuple[str, tuple], ...]:
+    """Named axes as (name, alphabet) tuples, refused if two share a name or
+    an alphabet repeats a label."""
+    axes = tuple((str(n), tuple(a)) for n, a in axes)
+    names = [n for n, _ in axes]
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate axis names in {names}")
+    for name, alphabet in axes:
+        if len(set(alphabet)) != len(alphabet):
+            raise ValueError(f"axis {name} alphabet labels must be unique, got {alphabet}")
+    return axes
+
+
 @dataclass(frozen=True)
 class Pmf:
     """A probability mass function over a finite ordered alphabet."""
@@ -73,11 +86,8 @@ class JointPmf:
     mass: np.ndarray
 
     def __post_init__(self) -> None:
-        axes = tuple((str(n), tuple(a)) for n, a in self.axes)
+        axes = _unique_axes(self.axes)
         object.__setattr__(self, "axes", axes)
-        names = [n for n, _ in axes]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate axis names in {names}")
         mass = _clean_mass(self.mass, "JointPmf")
         want = tuple(len(a) for _, a in axes)
         if mass.shape != want:
@@ -124,18 +134,14 @@ class Channel:
     kernel: np.ndarray
 
     def __post_init__(self) -> None:
-        in_axes = tuple((str(n), tuple(a)) for n, a in self.in_axes)
-        out_axes = tuple((str(n), tuple(a)) for n, a in self.out_axes)
-        object.__setattr__(self, "in_axes", in_axes)
-        object.__setattr__(self, "out_axes", out_axes)
-        names = [n for n, _ in in_axes + out_axes]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate axis names in {names}")
+        n_in = len(self.in_axes)
+        axes = _unique_axes((*self.in_axes, *self.out_axes))
+        object.__setattr__(self, "in_axes", axes[:n_in])
+        object.__setattr__(self, "out_axes", axes[n_in:])
         kernel = _clean_mass(self.kernel, "Channel")
-        want = tuple(len(a) for _, a in in_axes) + tuple(len(a) for _, a in out_axes)
+        want = tuple(len(a) for _, a in axes)
         if kernel.shape != want:
             raise ValueError(f"kernel shape {kernel.shape} does not match axes {want}")
-        n_in = len(in_axes)
         rows = kernel.reshape(int(np.prod(kernel.shape[:n_in], initial=1)), -1)
         sums = rows.sum(axis=1)
         bad = np.nonzero(np.abs(sums - 1.0) > MASS_ATOL)[0]

@@ -119,13 +119,12 @@ def plan(terms: Terms, names: tuple[str, ...],
     fixed by: one sum per distinct set of summed-out axes (a drop set, from
     which axes of size 1 are left out, which changes no bit), never over
     merged axes; one gather of all marginals, each summed on its own
-    (prob._run_entropy_bits), those under _PAIRWISE entries front-padded with
-    -0.0 to the widest of them and summed side by side; each formula a row
-    of (column, +-1.0) pairs folded left to right by cumsum, as acc + v,
-    padded with a column of -0.0, which changes no sum.  The rows are
-    evaluated in stages, each into further columns: the I(A;B|C) =
-    H(A,C) + H(B,C) - H(A,B,C) - H(C) and H(A|C) = H(A,C) - H(C) nodes, the
-    [...]+ brackets deepest first (clamped at zero), then the formulas.
+    (prob._run_entropy_bits); each formula a row of (column, +-1.0) pairs
+    folded left to right by cumsum, as acc + v, padded with a column of
+    -0.0, which changes no sum.  The rows are evaluated in stages, each
+    into further columns: the I(A;B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C)
+    and H(A|C) = H(A,C) - H(C) nodes, the [...]+ brackets deepest first
+    (clamped at zero), then the formulas.
 
     Every stack is summed in C order of (B, *shape): evaluate_stack takes a
     C-ordered copy of a stack in any other layout (models.joint_plan builds
@@ -186,12 +185,6 @@ def plan(terms: Terms, names: tuple[str, ...],
         block = sums[drop][tuple(slice(None) if n in keep else 0 for n in kept)]
         rest = [n for n in kept if n in keep]
         gathered.append(block.transpose([rest.index(n) for n in keep]).ravel())
-    # the marginals under _PAIRWISE entries come first (order is by size): pad
-    # them at the front, from a column of -0.0 after the sums (at offset), to
-    # the widest of them, so they make one run
-    small = sum(part.size < _PAIRWISE for part in gathered)
-    width = max((part.size for part in gathered[:small]), default=0)
-    gathered[:small] = [np.concatenate([np.full(width - part.size, offset), part]) for part in gathered[:small]]
     index = np.concatenate(gathered)
     runs = [(size, len(list(run))) for size, run in groupby(part.size for part in gathered)]
 
@@ -221,7 +214,7 @@ def plan(terms: Terms, names: tuple[str, ...],
 
     def evaluate_stack(mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mass = np.ascontiguousarray(mass)
-        flat = _drop_sums(mass, drops, gathers) + [np.full((len(mass), 1), -0.0)]
+        flat = _drop_sums(mass, drops, gathers)
         # take keeps p C-ordered; p[:, index] would not, and its run sums would round differently
         h = _run_entropy_bits(np.concatenate(flat, axis=1).take(index, axis=1), runs)
         v = np.full((len(mass), 1), -0.0)

@@ -753,6 +753,32 @@ def test_rate_without_functional_lists_the_names(tmp_path, capsys):
           "state_pmf": [0.5, 0.5], "g": [[{"a": 1}, 1], [[0, [1]], 0]],
           "z_kernel": [[[1.0], [1.0]], [[1.0], [1.0]]]},
          x_given_s_doc(), "ch.json field 'g' must list numbers, strings or flat lists of them"),
+        ({**wiretap_doc(), "alphabets": {"S": [0, 1], "X": [0, 1], "Y": [0, 0], "Z": [0, 1]}},
+         x_given_s_doc(), "ch.json field 'kernel': axis Y alphabet labels must be unique, got (0, 0)"),
+        (wiretap_doc(), {**const_u_policy_doc(), "u": [0, 0],
+                         "kernel": [[[[0.25, 0.0], [0.0, 0.25]]] * 2] * 2},
+         "pol.json field 'kernel': axis U alphabet labels must be unique, got (0, 0)"),
+        ({"kind": "rln", "alphabets": {"S": [0, 1], "S1": [0, 0, "?"], "S2": [0], "X": [0, 1],
+                                        "Y": [0, 1], "Z": [0, 1]},
+          "state_pmf": [0.5, 0.5], "state_kernel": [[[0.5], [0.0], [0.5]], [[0.0], [0.5], [0.5]]],
+          "main_kernel": [[[0.75, 0.0], [0.25, 0.0]], [[0.0, 0.25], [0.0, 0.75]]]},
+         x_given_s_doc(), "ch.json field 'state_kernel': axis S1 alphabet labels must be unique, "
+         "got (0, 0, '?')"),
+        ({**wiretap_doc(), "alphabets": {"S": [0, 1], "X": [0, 1], "Y": [None, True], "Z": [0, 1]}},
+         x_given_s_doc(), "ch.json field 'Y' must list numbers, strings or flat lists of them"),
+        ({**wiretap_doc(), "alphabets": {"S": [0, 1], "X": [0, 1], "Y": [0, 1], "Z": [0, False]}},
+         x_given_s_doc(), "ch.json field 'Z' must list numbers, strings or flat lists of them"),
+        ({**wiretap_doc(), "alphabets": {"S": [[0, None], [1, 0]], "X": [0, 1], "Y": [0, 1], "Z": [0, 1]}},
+         x_given_s_doc(), "ch.json field 'S' must list numbers, strings or flat lists of them"),
+        (wiretap_doc(), {**const_u_policy_doc(), "u": [None]},
+         "pol.json field 'u' must list numbers, strings or flat lists of them"),
+        ({"kind": "semideterministic", "alphabets": {"S": [0, 1], "X": [0, 1], "Z": [0]},
+          "state_pmf": [0.5, 0.5], "g": [[0, None], [1, 0]], "z_kernel": [[[1.0], [1.0]], [[1.0], [1.0]]]},
+         x_given_s_doc(), "ch.json field 'g' must list numbers, strings or flat lists of them"),
+        ({"kind": "semideterministic", "alphabets": {"S": [0, 1], "X": [0, 1], "Z": [0]},
+          "state_pmf": [0.5, 0.5], "g": [[0, [1, True]], [1, 0]],
+          "z_kernel": [[[1.0], [1.0]], [[1.0], [1.0]]]},
+         x_given_s_doc(), "ch.json field 'g' must list numbers, strings or flat lists of them"),
     ],
 )
 def test_malformed_documents_are_error_records(tmp_path, capsys, channel, policy, message):

@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sdwtc.cli import load_channel_spec
+from identities import random_rln_model
+from identities import random_model as identities_random_model
+from sdwtc.cli import load_channel_spec, load_policy_spec
 from sdwtc.models import (
     ERASURE,
     InputPolicy,
@@ -70,6 +72,29 @@ def test_model_rejects_alphabet_mismatch():
     ch = Channel((("X", (0, 1)), ("S", (0, 1, 2))), (("Y", (0, 1)), ("Z", (0, 1))), k)
     with pytest.raises(ValueError):
         SdWtcModel(state_pmf=bernoulli(0.5), channel=ch)
+
+
+def test_records_refuse_a_wrong_part_type():
+    pmf, ch = bernoulli(0.5), random_model(np.random.default_rng(RNG_SEED)).channel
+    with pytest.raises(ValueError, match="SdWtcModel state_pmf must be a Pmf, got a Channel"):
+        SdWtcModel(state_pmf=ch, channel=ch)
+    with pytest.raises(ValueError, match="SdWtcModel channel must be a Channel from"):
+        SdWtcModel(state_pmf=pmf, channel=pmf)
+    with pytest.raises(ValueError, match="InputPolicy kernel must be a Channel from"):
+        InputPolicy(np.full((2, 1, 1, 2), 0.5))
+    ex = build_rln_example(0.25, 0.5)
+    with pytest.raises(ValueError, match="RlnModel main_channel must be a Channel from"):
+        RlnModel(state_pmf=ex.state_pmf, state_channel=ex.state_channel, main_channel=ex.state_channel)
+
+
+def test_records_refuse_parts_that_disagree_on_an_alphabet():
+    ex = build_rln_example(0.25, 0.5)
+    relabelled = Pmf(("a", "b"), ex.state_pmf.probs)
+    with pytest.raises(ValueError, match="RlnModel parts disagree on the S alphabet"):
+        RlnModel(state_pmf=relabelled, state_channel=ex.state_channel, main_channel=ex.main_channel)
+    model = random_model(np.random.default_rng(RNG_SEED))
+    with pytest.raises(ValueError, match="SdWtcModel parts disagree on the S alphabet"):
+        SdWtcModel(state_pmf=relabelled, channel=model.channel)
 
 
 def test_policy_rejects_wrong_output_names():
@@ -250,6 +275,54 @@ def test_model_to_dict_writes_the_generic_fixture_back(name):
     out = model_to_dict(load_channel_spec(str(path)))
     assert out == doc
     assert json.dumps(out) == json.dumps(doc)
+
+
+# each class's *_symbols accessors as they read before the classes declared
+# their parts: the part and axis position each one took its alphabet from
+HAND_WRITTEN_ACCESSORS = {
+    SdWtcModel: {
+        "s": lambda m: m.state_pmf.symbols,
+        "x": lambda m: m.channel.in_axes[0][1],
+        "y": lambda m: m.channel.out_axes[0][1],
+        "z": lambda m: m.channel.out_axes[1][1],
+    },
+    RlnModel: {
+        "s": lambda m: m.state_pmf.symbols,
+        "s1": lambda m: m.state_channel.out_axes[0][1],
+        "s2": lambda m: m.state_channel.out_axes[1][1],
+        "x": lambda m: m.main_channel.in_axes[0][1],
+        "y": lambda m: m.main_channel.out_axes[0][1],
+        "z": lambda m: m.main_channel.out_axes[1][1],
+    },
+    InputPolicy: {
+        "s": lambda p: p.kernel.in_axes[0][1],
+        "u": lambda p: p.kernel.out_axes[0][1],
+        "v": lambda p: p.kernel.out_axes[1][1],
+        "x": lambda p: p.kernel.out_axes[2][1],
+    },
+}
+
+
+def _records():
+    """Every model in bench/fixtures, the gp policy there, the rln example
+    and its lifting, and seeded random generic and rln models."""
+    models = [load_channel_spec(str(path)) for path in sorted(_FIXTURES.glob("*.json"))
+              if json.loads(path.read_text())["kind"] in ("generic", "rln", "rln_example", "semideterministic")]
+    policy = load_policy_spec(str(_FIXTURES / "uniform_v_is_x.json"), models[0])
+    rng = np.random.default_rng(RNG_SEED + 5)
+    return [*models, policy, build_rln_example(0.25, 0.5), lift_side_information(build_rln_example(0.1, 0.8)),
+            *(identities_random_model(rng, ns=3, nx=2, ny=3, nz=2) for _ in range(3)),
+            *(random_rln_model(rng, ns=3, ns1=2, ns2=3) for _ in range(3))]
+
+
+def test_symbol_accessors_read_what_the_hand_written_ones_read():
+    records = _records()
+    assert {type(r) for r in records} == set(HAND_WRITTEN_ACCESSORS)
+    for record in records:
+        accessors = HAND_WRITTEN_ACCESSORS[type(record)]
+        assert {a[:-len("_symbols")] for a in dir(record) if a.endswith("_symbols")} == set(accessors)
+        for axis, read in accessors.items():
+            assert getattr(record, f"{axis}_symbols") == read(record), (record, axis)
 
 
 def test_model_to_dict_writes_the_rln_document():

@@ -75,6 +75,16 @@ def test_joint_rejects_duplicate_axis_names():
         JointPmf((("X", (0, 1)), ("X", (0, 1))), w)
 
 
+def test_axes_refuse_duplicate_labels():
+    # the arithmetic runs on indices, so two equal labels would name two cells
+    with pytest.raises(ValueError, match="axis B alphabet labels must be unique, got \\(0, 0\\)"):
+        JointPmf((("A", (0, 1)), ("B", (0, 0))), np.full((2, 2), 0.25))
+    with pytest.raises(ValueError, match="axis X alphabet labels must be unique"):
+        Channel((("X", ("a", "a")),), (("Y", (0, 1)),), np.full((2, 2), 0.5))
+    with pytest.raises(ValueError, match="axis Y alphabet labels must be unique"):
+        Channel((("X", (0, 1)),), (("Y", (1, 1.0)),), np.full((2, 2), 0.5))
+
+
 def test_channel_rejects_nonstochastic_rows():
     k = np.array([[0.5, 0.4], [0.5, 0.5]])
     with pytest.raises(ValueError):
