@@ -347,9 +347,7 @@ def joint_plan(kind: str, model: SdWtcModel | RlnModel, aux) -> tuple[tuple, Cal
             f_axes, arr, batch = part_axes[name], None, [0]
         else:  # a model factor: its state law over S, or one of its channels
             f = getattr(model, name)
-            f_axes, arr = ((("S", f.symbols),), f.probs) if isinstance(f, Pmf) else (
-                f.in_axes + f.out_axes, f.kernel)
-            batch = []
+            f_axes, arr, batch = _axes_of(f, ("S",)), f.probs if isinstance(f, Pmf) else f.kernel, []
         for axis in f_axes:
             if axis[0] not in index:
                 index[axis[0]] = len(index) + 1
