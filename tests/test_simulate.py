@@ -367,6 +367,37 @@ def test_codebook_seed_determinism():
     assert not (np.array_equal(a.u_words, c.u_words) and np.array_equal(a.v_words, c.v_words))
 
 
+_PIN_LAWS = {
+    2: (Pmf((0, 1), np.array([0.4, 0.6])),
+        Channel((("U", (0, 1)),), (("V", (0, 1)),), np.array([[0.7, 0.3], [0.1, 0.9]]))),
+    3: (Pmf(("a", "b", "c"), np.array([0.2, 0.5, 0.3])),
+        Channel((("U", ("a", "b", "c")),), (("V", (0, 1, 2)),),
+                np.array([[0.6, 0.3, 0.1], [0.2, 0.2, 0.6], [1 / 3, 1 / 3, 1 / 3]]))),
+}
+
+
+@pytest.mark.parametrize("card, n, rates, seed, shape, digest", [
+    (2, 6, (0.4, 0.3, 0.2), 99, (5, 3, 2, 6),
+     "ab80d02a8fd0cfbb91ab8ec0586cd20cdc69b8f32d1cc60a3e2ff96646962cd0"),
+    (2, 1, (0.0, 0.0, 0.0), 3, (1, 1, 1, 1),
+     "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb"),
+    (3, 8, (0.25, 0.5, 0.125), 7, (4, 16, 2, 8),
+     "b654cffbe72d7d0ffaa3180f39cbc2ce15454f55fea25920e3879f30189d01f1"),
+    # 40 960 and 393 216 outer letters: more than one _TRIAL_CHUNK of draws
+    (3, 10, (0.3, 0.6, 0.3), 12345, (8, 64, 8, 10),
+     "accb4aa79a52ab3409ff056a497acfb34705ce402cd5ea9a1fb54d57554e762b"),
+    (2, 12, (0.5, 0.5, 0.25), 2 ** 40 + 1, (64, 64, 8, 12),
+     "7ba84f50770354c68c950efb5c7463edf8c9e6e78dbc42e035a570c59b31b269"),
+])
+def test_codebook_words_are_pinned(card, n, rates, seed, shape, digest):
+    # sha256 of the int64 inner then outer words, as one random((N1, n)) and
+    # one random((N1, N2, M, n)) draw from default_rng(seed) gave them
+    cb = sample_codebook(*_PIN_LAWS[card], n, *rates, seed)
+    assert cb.v_words.shape == shape and cb.u_words.shape == (shape[0], n)
+    words = cb.u_words.astype("<i8").tobytes() + cb.v_words.astype("<i8").tobytes()
+    assert hashlib.sha256(words).hexdigest() == digest
+
+
 def test_codebook_inner_word_frequencies():
     # n=8, R1=0.5 -> 16 inner words; per-seed chi-square never rejects at 1e-3
     q_u = Pmf((0, 1), np.array([0.3, 0.7]))
