@@ -255,9 +255,10 @@ def _cmd_softcov_sim(args: argparse.Namespace) -> tuple[dict, list]:
     for n in args.n:
         seeds = derive_seeds(args.seed + n, args.trials)
         values = []
-        for s in seeds:
+        for s in seeds:  # no codebook outlives its divergence
             cb = sample_codebook(law.q_u, law.q_v_given_u, n, args.r1, args.r2, 0.0, s)
             d = exact_output_divergence(cb, q_w_given_uv, q_w)
+            del cb
             values.append(d)
             rows.append(("divergence", n, s, d, None, None))
         medians[str(n)] = float(np.median(values))
@@ -290,9 +291,10 @@ def _cmd_codec_sim(args: argparse.Namespace) -> tuple[dict, list]:
         }
         if args.leakage_trials > 0:
             leaks = []
-            for s in derive_seeds(args.seed + n, args.leakage_trials):
+            for s in derive_seeds(args.seed + n, args.leakage_trials):  # no codebook outlives its channel
                 cb = sample_codebook(law.q_u, law.q_v_given_u, n, *rate_triple, s)
                 cap = leakage_capacity(exact_message_channel(model, policy, cb))
+                del cb
                 leaks.append(cap.bits)
                 rows.append(("leakage_bits", n, s, cap.bits, None, None))
             summary[str(n)]["median_leakage_bits"] = float(np.median(leaks))

@@ -58,6 +58,19 @@ def _check_part(what: str, part: object, ins: tuple[str, ...], outs: tuple[str, 
         raise ValueError(f"{what} must be {want}, got {got}")
 
 
+def check_parts(owner: str, parts) -> dict[str, tuple]:
+    """Refuse, naming owner, parts (attribute, part, input axes, output axes)
+    that do not fit their axes (part_fits) or that disagree on the alphabet
+    of an axis they share; returns the alphabets by axis name."""
+    alphabets: dict[str, tuple] = {}
+    for attr, part, ins, outs in parts:
+        _check_part(f"{owner} {attr}", part, ins, outs)
+        for name, symbols in _axes_of(part, outs):
+            if alphabets.setdefault(name, symbols) != symbols:
+                raise ValueError(f"{owner} parts disagree on the {name} alphabet")
+    return alphabets
+
+
 def _axis_names(parts) -> tuple[str, ...]:
     """The axes that parts (..., input axes, output axes) name, in the order
     they first appear."""
@@ -80,14 +93,8 @@ class _Record:
             setattr(cls, f"{axis.lower()}_symbols", property(lambda self, axis=axis: self._alphabets[axis]))
 
     def __post_init__(self) -> None:
-        alphabets: dict[str, tuple] = {}
-        for attr, _, ins, outs in self.PARTS:
-            part = getattr(self, attr)
-            _check_part(f"{type(self).__name__} {attr}", part, ins, outs)
-            for name, symbols in _axes_of(part, outs):
-                if alphabets.setdefault(name, symbols) != symbols:
-                    raise ValueError(f"{type(self).__name__} parts disagree on the {name} alphabet")
-        object.__setattr__(self, "_alphabets", alphabets)
+        parts = ((attr, getattr(self, attr), ins, outs) for attr, _, ins, outs in self.PARTS)
+        object.__setattr__(self, "_alphabets", check_parts(type(self).__name__, parts))
 
 
 def _record(cls: type, alphabets: Mapping[str, tuple], **arrays: np.ndarray):

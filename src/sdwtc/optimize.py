@@ -47,13 +47,20 @@ _REJECTS_PER_HALVING = 10
 # so a round crosses at most one step halving
 _WINDOW = 8
 _MAX_GRID_EVALS = 10_000_000
+# restarts per search: each has its own seed, generator and row in every
+# round's stack of _WINDOW candidates, built before the first round
+_MAX_RESTARTS = 10_000
 # joint-mass entries per chunk of grid policies evaluated together (8 bytes each)
 _GRID_CHUNK_ENTRIES = 1 << 12
 
 
 @dataclass(frozen=True)
 class OptBudget:
-    """Search effort: random restarts, ascent steps per restart, master seed."""
+    """Search effort: random restarts, ascent steps per restart, master seed.
+
+    More than _MAX_RESTARTS restarts are refused here, before any seed or
+    generator is built for them.
+    """
 
     restarts: int = 16
     iterations: int = 400
@@ -62,6 +69,8 @@ class OptBudget:
     def __post_init__(self) -> None:
         if self.restarts < 1 or self.iterations < 1:
             raise ValueError(f"restarts and iterations must be positive, got {self!r}")
+        if self.restarts > _MAX_RESTARTS:
+            raise ValueError(f"{self.restarts} restarts; refusing more than {_MAX_RESTARTS}")
 
 
 @dataclass(frozen=True)

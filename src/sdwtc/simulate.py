@@ -20,7 +20,7 @@ from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .models import ERASURE, InputPolicy, RlnModel, SdWtcModel, assemble_joint
+from .models import ERASURE, InputPolicy, RlnModel, SdWtcModel, assemble_joint, check_parts
 from .prob import ZERO_MASS, Channel, JointPmf, Pmf, _marginal_mass, channel_from_joint
 from .rng import derive_seeds
 
@@ -151,17 +151,19 @@ def _replay_choice(p: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return (cdf[..., :-1] <= draws[..., None]).sum(axis=-1)
 
 
-def _inverse_cdf(rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
+def _inverse_cdf(rows: np.ndarray, draws: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Sample one index per row of a row-stochastic (..., K) array given
     uniforms in [0, 1) broadcast against its leading axes: the number of the
     first K - 1 cumulative masses each draw exceeds, counted one column at a
-    time into int64, so the last index takes whatever mass rounding leaves
-    above the final sum."""
+    time into int64 (into out when given), so the last index takes whatever
+    mass rounding leaves above the final sum."""
     cdf = np.cumsum(rows, axis=-1)
-    idx = np.zeros(np.broadcast_shapes(cdf.shape[:-1], draws.shape), dtype=np.int64)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(cdf.shape[:-1], draws.shape), dtype=np.int64)
+    out[...] = 0
     for j in range(rows.shape[-1] - 1):
-        idx += draws > cdf[..., j]
-    return idx
+        out += draws > cdf[..., j]
+    return out
 
 
 def _product_chain(rows: np.ndarray, combine: np.ufunc = np.multiply) -> np.ndarray:
@@ -220,22 +222,28 @@ def sample_codebook(
 ) -> Codebook:
     """Draw a layered codebook; reproducible from the seed: random((N1, n))
     read by a replay of Generator.choice against Q_U, then random((N1, N2, M, n))
-    for the outer words (the one-codebook case of the stacked Monte Carlo draw)."""
+    for the outer words, drawn in runs of about _TRIAL_CHUNK letters so that
+    no array but the words grows with the codebook."""
     if n < 1:
         raise ValueError(f"blocklength must be positive, got {n!r}")
-    if q_v_given_u.in_names != ("U",) or q_v_given_u.out_names != ("V",):
-        raise ValueError(
-            f"need a kernel (U,) -> (V,), got {q_v_given_u.in_names} -> {q_v_given_u.out_names}"
-        )
-    if q_v_given_u.in_axes[0][1] != q_u.symbols:
-        raise ValueError("codebook kernel U alphabet does not match the U pmf")
+    alphabets = check_parts("codebook", (("q_u", q_u, (), ("U",)),
+                                         ("q_v_given_u", q_v_given_u, ("U",), ("V",))))
     n1, n2, m = _codebook_shape(n, r1, r2, r)
-    u_draws, v_draws = np.empty((1, n1, n)), np.empty((1, n1, n2, m, n))
-    _fill([np.random.default_rng(seed)], u_draws, v_draws)
-    u_words, v_words = _draw_words(q_u.probs, q_v_given_u.kernel, u_draws, v_draws)
+    gen = np.random.default_rng(seed)
+    u_words = _replay_choice(q_u.probs, gen.random((n1, n)))
+    rows = q_v_given_u.kernel[u_words][:, None]  # (N1, 1, n, |V|)
+    v_words = np.empty((n1, n2, m, n), dtype=np.int64)
+    outer = v_words.reshape(n1, n2 * m, n)
+    # a chunk is k whole inner words' outer words, or w of one inner word's
+    w = min(n2 * m, max(1, _TRIAL_CHUNK // n))
+    k = max(1, _TRIAL_CHUNK // (n * n2 * m))
+    for i in range(0, n1, k):
+        for j in range(0, n2 * m, w):
+            block = outer[i:i + k, j:j + w]
+            _inverse_cdf(rows[i:i + k], gen.random(block.shape), out=block)
     return Codebook(
-        n=n, r1=r1, r2=r2, r=r, u_symbols=q_u.symbols, v_symbols=q_v_given_u.out_axes[0][1],
-        u_words=u_words[0], v_words=v_words[0], seed=seed,
+        n=n, r1=r1, r2=r2, r=r, u_symbols=alphabets["U"], v_symbols=alphabets["V"],
+        u_words=u_words, v_words=v_words, seed=seed,
     )
 
 
@@ -413,21 +421,20 @@ def exact_output_divergence(cb: Codebook, q_w_given_uv: Channel, q_w: Pmf) -> fl
     differs from the per-codeword average only in rounding, by at most
     1e-12 bits.
     """
-    if q_w_given_uv.in_names != ("U", "V"):
-        raise ValueError(f"need a kernel with inputs (U, V), got {q_w_given_uv.in_names}")
-    if len(q_w_given_uv.out_axes) != 1:
-        raise ValueError("output kernel must have a single output axis")
-    if q_w_given_uv.out_axes[0][1] != q_w.symbols:
-        raise ValueError("reference pmf alphabet does not match the kernel output")
+    w = q_w_given_uv.out_names[:1] or ("W",)  # the one output axis, by whatever name
+    check_parts("exact_output_divergence", (("q_w_given_uv", q_w_given_uv, ("U", "V"), w),
+                                            ("q_w", q_w, (), w)))
     n_w = len(q_w.symbols)
     n_cw = cb.num_u * cb.num_v * cb.num_messages
     ops = n_w ** cb.n * n_cw
     if ops > _MAX_ENUM_OPS:
         raise ValueError(f"enumeration needs ~{ops} operations; guard is {_MAX_ENUM_OPS}")
 
-    n_v = len(cb.v_symbols)
-    uv = (cb.u_words[:, None, None, :] * n_v + cb.v_words).reshape(-1, cb.n)  # (Ncw, n)
     rows = q_w_given_uv.kernel.reshape(-1, n_w)  # (|U||V|, |W|)
+    n_v = len(cb.v_symbols)
+    uv = cb.v_words.astype(np.min_scalar_type(len(cb.u_symbols) * n_v - 1))
+    uv += (cb.u_words * n_v).astype(uv.dtype)[:, None, None, :]
+    uv = uv.reshape(-1, cb.n)  # (Ncw, n) letter codes u |V| + v
     h = cb.n // 2
     first, ia = _distinct_words(uv[:, :h], rows.shape[0])
     second, ib = _distinct_words(uv[:, h:], rows.shape[0])
@@ -446,6 +453,16 @@ def exact_output_divergence(cb: Codebook, q_w_given_uv: Channel, q_w: Pmf) -> fl
     return max(0.0, div)
 
 
+def _log_state_law(model: SdWtcModel, law: CodeLaw, cb: Codebook) -> np.ndarray:
+    """ln W_S^n of all state sequences, lexicographic, for a codebook over
+    the law's U and V alphabets."""
+    if cb.u_symbols != law.joint.alphabet("U") or cb.v_symbols != law.joint.alphabet("V"):
+        raise ValueError("codebook alphabets do not match the policy")
+    with np.errstate(divide="ignore"):
+        log_ws = np.log(model.state_pmf.probs)
+    return _product_chain(log_ws[None, None, :].repeat(cb.n, axis=1), np.add)[:, 0]
+
+
 def _encoder_tables(
     model: SdWtcModel, law: CodeLaw, cb: Codebook
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -456,17 +473,13 @@ def _encoder_tables(
     lexicographic order; p_hat rows with no support fall back to uniform so
     the induced joint stays normalized.
     """
-    if cb.u_symbols != law.joint.alphabet("U") or cb.v_symbols != law.joint.alphabet("V"):
-        raise ValueError("codebook alphabets do not match the policy")
     n_s = len(model.s_symbols)
     num_seqs = n_s ** cb.n
     ops = cb.num_messages * cb.num_u * cb.num_v * num_seqs * cb.n
     if ops > _MAX_ENUM_OPS:
         raise ValueError(f"enumeration needs ~{ops} operations; guard is {_MAX_ENUM_OPS}")
 
-    with np.errstate(divide="ignore"):
-        log_ws = np.log(model.state_pmf.probs)
-    ln_ws = _product_chain(log_ws[None, None, :].repeat(cb.n, axis=1), np.add)[:, 0]
+    ln_ws = _log_state_law(model, law, cb)
     letters = law.log_q_s_given_uv[cb.u_words[:, None, None, :], cb.v_words]  # (N1, N2, M, n, |S|)
     loglik = _product_chain(
         np.moveaxis(letters, 2, 0).reshape(-1, cb.n, n_s), np.add
@@ -532,14 +545,16 @@ def exact_message_channel(model: SdWtcModel, policy: InputPolicy, cb: Codebook) 
     where K marginalizes the input sampling step: K(z | u,v,s) =
     sum_x Q_{X|U,V,S}(x|u,v,s) W_Z(z|x,s).
 
-    For each message the weight tensor T[c, s_1..s_n] = P_hat(c|m,s) W_S^n(s)
-    over the codeword pairs c = (i, j) is contracted one letter at a time:
-    step t turns the leading s_t axis into a trailing z_t axis with the
-    per-pair |S| x |Z| kernel of letter t (an n-mode product), so after n
-    steps the axes are z_1..z_n in lexicographic order and the pairs are
-    summed out.  That is M N1 N2 sum_t |S|^(n-t+1) |Z|^t multiply-adds, the
-    count the guard bounds before any table is built, and N1 N2
-    max(|S|, |Z|)^n floats at a time, under the policy's code law.
+    For each message the N1 N2 pairs c = (i, j) are grouped into their D
+    distinct (u, v) words, each weighed by its count; a state sequence no
+    pair supports gives a word count / (N1 N2).  The weight tensor
+    T[d, s_1..s_n] = P_hat(d|m,s) W_S^n(s) is contracted one letter at a
+    time: step t turns the leading s_t axis into a trailing z_t axis with
+    the word's |S| x |Z| kernel of letter t (an n-mode product), so after n
+    steps the axes are z_1..z_n in lexicographic order and the words are
+    summed out.  That is D sum_t |S|^(n-t+1) |Z|^t multiply-adds and two
+    D max(|S|, |Z|)^n tables per message; the guard counts
+    M N1 N2 sum_t |S|^(n-t+1) |Z|^t before any table is built.
     """
     law = CodeLaw.of(assemble_joint(model, policy))
     n_s, n_z = len(model.s_symbols), len(model.z_symbols)
@@ -549,19 +564,33 @@ def exact_message_channel(model: SdWtcModel, policy: InputPolicy, cb: Codebook) 
     if ops > _MAX_ENUM_OPS:
         raise ValueError(f"enumeration needs ~{ops} operations; guard is {_MAX_ENUM_OPS}")
 
-    ln_ws, _, p_hat = _encoder_tables(model, law, cb)
+    ws = np.exp(_log_state_law(model, law, cb))[:, None]
     w_z = model.channel.kernel.sum(axis=2)  # (|X|, |S|, |Z|)
-    k_z = np.einsum("uvsx,xsz->uvsz", law.q_x_given_uvs.kernel, w_z)
+    k_z = np.einsum("uvsx,xsz->uvsz", law.q_x_given_uvs.kernel, w_z).reshape(-1, n_s, n_z)
+    log_k = law.log_q_s_given_uv.reshape(-1, n_s)  # rows by (u, v) letter code u |V| + v
 
-    ws = np.exp(ln_ws)
+    n_v = len(cb.v_symbols)
     kernel = np.empty((cb.num_messages, n_z ** cb.n))
     for m in range(cb.num_messages):
-        letters = k_z[cb.u_words[:, None, :], cb.v_words[:, :, m, :]].reshape(pairs, cb.n, n_s, n_z)
-        cur = p_hat[m].reshape(pairs, -1) * ws[None, :]  # (pairs, s_1..s_n)
-        # letter t: (pairs, s_t, rest) -> (pairs, rest, z_t), rest = s_t+1..s_n z_1..z_t-1
+        codes = (cb.u_words[:, None, :] * n_v + cb.v_words[:, :, m, :]).reshape(pairs, cb.n)
+        words, inverse = _distinct_words(codes, len(log_k))
+        counts = np.bincount(inverse, minlength=len(words))
+        lik = _product_chain(log_k[words], np.add)  # (s_1..s_n, D) log-likelihoods
+        top = lik.max(axis=1, keepdims=True)
+        supported = top > -np.inf
+        lik -= np.where(supported, top, 0.0)
+        np.exp(lik, out=lik)
+        lik *= counts
+        lik *= ws / np.where(supported, lik.sum(axis=1, keepdims=True), 1.0)
+        unsupported = ~supported[:, 0]
+        lik[unsupported] = ws[unsupported] * (counts / pairs)
+        cur = np.ascontiguousarray(lik.T)  # (D, s_1..s_n)
+        del lik
+        letters = k_z[words]  # (D, n, |S|, |Z|)
+        # letter t: (D, s_t, rest) -> (D, rest, z_t), rest = s_t+1..s_n z_1..z_t-1
         for t in range(cb.n):
-            cur = cur.reshape(pairs, n_s, -1).transpose(0, 2, 1) @ letters[:, t]
-        kernel[m] = cur.reshape(pairs, -1).sum(axis=0)
+            cur = cur.reshape(len(words), n_s, -1).transpose(0, 2, 1) @ letters[:, t]
+        kernel[m] = cur.reshape(len(words), -1).sum(axis=0)
 
     z_seqs = tuple(iter_product(model.z_symbols, repeat=cb.n))
     return Channel(

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -340,6 +341,24 @@ def test_softcov_sim_emits_per_seed_divergences(tmp_path, capsys):
     assert median == pytest.approx(float(np.median(values)), rel=1e-9)
 
 
+def test_softcov_sim_holds_one_codebook_at_a_time(tmp_path, capsys):
+    # a codebook at n = 10 holds (128, 128, 1, 10) int64 outer words, 1.25 MiB;
+    # a second trial must not keep the first one's while it draws its own
+    ch = write_json(tmp_path / "ch.json", wiretap_doc())
+    pol = write_json(tmp_path / "pol.json", x_given_s_doc())
+    peaks = []
+    for trials in (1, 1, 2):  # the first run warms the caches
+        tracemalloc.start()
+        try:
+            assert main(["softcov-sim", "--channel", ch, "--policy", pol, "--r1", "0.7", "--r2", "0.7",
+                         "--n", "10", "--trials", str(trials), "--seed", "1"]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+    assert peaks[2] - peaks[1] < 128 * 128 * 10 * 8 // 10
+
+
 def test_codec_sim_reruns_are_byte_identical(tmp_path, capsys):
     ch = write_json(tmp_path / "ch.json", wiretap_doc())
     pol = write_json(tmp_path / "pol.json", x_given_s_doc())
@@ -601,6 +620,21 @@ def test_uncountable_rates_are_error_records(tmp_path, capsys, subcommand, flags
     assert record["error"]["type"] == "ValueError"
     assert message in record["error"]["message"]
     assert captured.err == ""
+
+
+def test_optimize_refuses_restarts_above_the_bound_before_allocating(tmp_path, capsys):
+    ch = write_json(tmp_path / "ch.json", wiretap_doc())
+    tracemalloc.start()
+    try:
+        status = main(["optimize", "--channel", ch, "--functional", "RA", "--restarts", str(10 ** 8)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    record = json.loads(capsys.readouterr().out)
+    assert status == 1
+    assert record["error"]["type"] == "ValueError"
+    assert "100000000 restarts" in record["error"]["message"]
+    assert peak < 2 ** 20
 
 
 PINNED_LEAKAGE = {"4": 0.0164762588102, "6": 0.0231424938517}

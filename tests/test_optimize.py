@@ -24,6 +24,7 @@ from sdwtc.models import (
 )
 from sdwtc.optimize import (
     _INITIAL_STEP,
+    _MAX_RESTARTS,
     _REJECTS_PER_HALVING,
     _WINDOW,
     FUNCTIONALS,
@@ -71,6 +72,12 @@ def test_budget_rejects_nonpositive_fields():
         OptBudget(restarts=0)
     with pytest.raises(ValueError):
         OptBudget(iterations=0)
+
+
+def test_budget_refuses_restarts_above_the_bound():
+    assert OptBudget(restarts=_MAX_RESTARTS).restarts == _MAX_RESTARTS
+    with pytest.raises(ValueError, match=f"{_MAX_RESTARTS + 1} restarts"):
+        OptBudget(restarts=_MAX_RESTARTS + 1)
 
 
 def test_unknown_functional_rejected():

@@ -858,7 +858,8 @@ def _dense_chain(rows):
 
 
 def dense_message_channel(model, policy, cb):
-    """P(z^n | m) as one chain per (pair, state sequence); positive kernels only."""
+    """P(z^n | m) as one chain per (pair, state sequence); a state sequence
+    no pair supports weighs every pair alike."""
     joint = assemble_joint(model, policy)
     k_s = channel_from_joint(joint, ("U", "V"), ("S",)).kernel
     k_x = channel_from_joint(joint, ("U", "V", "S"), ("X",)).kernel
@@ -871,7 +872,9 @@ def dense_message_channel(model, policy, cb):
     for m in range(cb.num_messages):
         v = cb.v_words[:, :, None, m, :]
         lik = k_s[u, v, s_seqs].prod(axis=-1)  # (N1, N2, Ns)
-        weights = (lik / lik.sum(axis=(0, 1)) * ws).ravel()
+        norm = lik.sum(axis=(0, 1))
+        p_hat = np.where(norm > 0.0, lik / np.where(norm > 0.0, norm, 1.0), 1.0 / lik[..., 0].size)
+        weights = (p_hat * ws).ravel()
         kernel.append(weights @ _dense_chain(k_z[u, v, s_seqs].reshape(-1, cb.n, n_z)))
     return np.array(kernel)
 
@@ -949,6 +952,36 @@ def test_encoder_weights_match_the_masked_normalisation():
     want = np.where(norm > 0.0, w / np.where(norm > 0.0, norm, 1.0), 0.25)
     assert np.isneginf(top).sum() == 2 * 4  # s_1 = 1 in both messages
     assert np.array_equal(p_hat, want)
+
+
+def test_message_channel_over_repeated_words_matches_the_dense_chain():
+    # 12 pairs per message over at most 6 distinct (u, v) words (2 inner words,
+    # 3 outer rows); where u = 0, V copies S, so most state sequences match no
+    # pair and fall back to uniform weights
+    model = bsc_wiretap(0.1, tap="copy")
+    k = np.zeros((2, 2, 2, 2))
+    for s in (0, 1):
+        k[s, 0, s] = 0.5 * np.array([0.8, 0.2] if s == 0 else [0.2, 0.8])
+        for v in (0, 1):
+            k[s, 1, v] = 0.5 * (0.7 if v == s else 0.3) * np.array([0.5, 0.5])
+    policy = gp_policy((0, 1), (0, 1), (0, 1), (0, 1), k)
+    law = CodeLaw.of(assemble_joint(model, policy))
+    pool = np.array([[0, 0, 1, 1], [1, 0, 1, 0], [1, 1, 1, 1]])
+    pick = np.random.default_rng(RNG_SEED).integers(0, 3, size=(2, 6, 2))
+    cb = Codebook(
+        n=4, r1=0.25, r2=math.log2(6) / 4, r=0.25, u_symbols=(0, 1), v_symbols=(0, 1),
+        u_words=np.array([[0, 0, 0, 0], [0, 1, 0, 1]]), v_words=pool[pick], seed=0,
+    )
+    _, loglik, _ = _encoder_tables(model, law, cb)
+    unsupported = np.isneginf(loglik.max(axis=(1, 2))).sum(axis=1)
+    assert np.all(unsupported >= 8)  # at least half of the 16 state sequences, per message
+    for m in range(2):
+        codes = cb.u_words[:, None, :] * 2 + cb.v_words[:, :, m]
+        assert len(np.unique(codes.reshape(-1, 4), axis=0)) <= 6
+
+    kernel = exact_message_channel(model, policy, cb).kernel
+    np.testing.assert_allclose(kernel, dense_message_channel(model, policy, cb), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(kernel.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -1263,6 +1296,27 @@ def test_monte_carlo_outcomes_are_pinned():
 
 
 _FIXTURES = Path(__file__).resolve().parents[1] / "bench" / "fixtures"
+
+
+def test_message_channel_memory_on_the_bench_codebook():
+    # the code-exact job's n = 8 codebook: 588 pairs per message over 234
+    # distinct words; the dense (M, N1, N2, |S|^n) tables alone were 4.6 MiB
+    model = load_channel_spec(str(_FIXTURES / "bsc_q010_copy_tap.json"))
+    policy = load_policy_spec(str(_FIXTURES / "uniform_v_is_x.json"), model)
+    joint = assemble_joint(model, policy)
+    law = CodeLaw.of(joint)
+    r2 = mutual_information(joint, ("V",), ("Z",), ("U",)) + 0.15
+    cb = sample_codebook(law.q_u, law.q_v_given_u, 8, 0.0, r2, 1.0 / 8, 7100)
+    assert (cb.num_u, cb.num_v, cb.num_messages) == (1, 588, 2)
+    exact_message_channel(model, policy, cb)
+    tracemalloc.start()
+    try:
+        kernel = exact_message_channel(model, policy, cb).kernel
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2 ** 20
+    np.testing.assert_allclose(kernel.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_bench_size_monte_carlo_outcomes_are_pinned():
