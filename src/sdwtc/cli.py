@@ -62,6 +62,17 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _median(values) -> float:
+    """float(np.median(values)) in the same IEEE arithmetic, without the
+    numpy.ma import np.median makes: the middle value after sorting, or
+    (a + b) / 2 of the two middle values, and NaN if any value is NaN."""
+    xs = sorted(map(float, values))
+    if any(x != x for x in xs):
+        return math.nan
+    mid = len(xs) // 2
+    return xs[mid] if len(xs) % 2 else (xs[mid - 1] + xs[mid]) / 2
+
+
 def _round12(obj):
     if isinstance(obj, float):
         return float(_fmt(obj)) if math.isfinite(obj) else repr(obj)
@@ -174,7 +185,7 @@ def _cmd_optimize(args: argparse.Namespace) -> tuple[dict, list]:
         "restarts": args.restarts,
         "iterations": args.iters,
         "trace_max": max(result.trace),
-        "trace_median": float(np.median(result.trace)),
+        "trace_median": _median(result.trace),
     }
     rows = [
         ("restart_best", k, args.seed, value, None, None)
@@ -261,7 +272,7 @@ def _cmd_softcov_sim(args: argparse.Namespace) -> tuple[dict, list]:
             del cb
             values.append(d)
             rows.append(("divergence", n, s, d, None, None))
-        medians[str(n)] = float(np.median(values))
+        medians[str(n)] = _median(values)
     return {"w_axis": args.w_axis, "median_divergence": medians}, rows
 
 
@@ -297,7 +308,7 @@ def _cmd_codec_sim(args: argparse.Namespace) -> tuple[dict, list]:
                 del cb
                 leaks.append(cap.bits)
                 rows.append(("leakage_bits", n, s, cap.bits, None, None))
-            summary[str(n)]["median_leakage_bits"] = float(np.median(leaks))
+            summary[str(n)]["median_leakage_bits"] = _median(leaks)
     return summary, rows
 
 

@@ -256,7 +256,7 @@ def _lockstep(
     # restart i's draw for its iteration t sits at [i, t % _WINDOW]: the
     # slot in picks, the noise in the buffer of the slot's row length
     picks = np.empty((len(rngs), _WINDOW), dtype=int)
-    noise = {d: np.empty((len(rngs), _WINDOW, d)) for d in np.unique(slot_len).tolist()}
+    noise = {d: np.empty((len(rngs), _WINDOW, d)) for d in sorted(set(slot_len.tolist()))}
     slot_noise = [noise[d] for d in slot_len.tolist()]
     drawn = [0] * len(rngs)
 

@@ -30,6 +30,10 @@ _MAX_ENUM_OPS = 10 ** 8
 # codebook letters (N1 N2 M n per trial) stacked in one Monte Carlo chunk: 2^14
 # ran 35% slower, and without chunking 40 trials at n = 12 added 5 MB of RSS
 _TRIAL_CHUNK = 2 ** 15
+# trials whose seeds are derived and hashed at once: a Monte Carlo run holds
+# one block's seed words (about 0.5 KB a trial while hashed), and a draw chunk
+# holds at most one block's trials
+_SEED_BLOCK = 4096
 _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit multiplier
 
@@ -117,6 +121,20 @@ def _seed_words(seeds: Sequence[int]) -> np.ndarray:
     const, mult = 0x8B51F9DD, 0x58F38DED  # INIT_B, MULT_B
     words = np.array([hashmix(pool[k % 4]) for k in range(8)], dtype=np.uint64)
     return (words[0::2] | words[1::2] << 32).T
+
+
+def _seed_chunks(seed: int, roles: int, trials: int, chunk: int) -> Iterator[np.ndarray]:
+    """The trials' _seed_words, (trials in the chunk, roles, 4) for each chunk
+    of chunk trials in turn: trial t's role r is seeded by
+    derive_seeds(seed, roles * trials)[roles * t + r].  The seeds are derived
+    and hashed a block of whole chunks, at least _SEED_BLOCK trials, at a time."""
+    block = chunk * -(-_SEED_BLOCK // chunk)
+    for first in range(0, trials, block):
+        count = min(block, trials - first)
+        words = _seed_words(derive_seeds(seed, roles * count, start=roles * first))
+        words = words.reshape(count, roles, 4)
+        for lo in range(0, count, chunk):
+            yield words[lo:lo + chunk]
 
 
 def _reseeded(gen: np.random.Generator, words: np.ndarray) -> Iterator[np.random.Generator]:
@@ -524,8 +542,11 @@ def approximation_gap(model: SdWtcModel, policy: InputPolicy, cb: Codebook) -> I
     m_count = cb.num_messages
     pairs = cb.num_u * cb.num_v
 
-    induced = (p_hat * ws[None, None, None, :]) / m_count
-    idealized = np.exp(loglik) / (pairs * m_count)
+    induced = p_hat  # both joints are built in place of the tables they come from
+    induced *= ws
+    induced /= m_count
+    idealized = np.exp(loglik, out=loglik)
+    idealized /= pairs * m_count
     per_message = tuple(
         float(0.5 * np.abs(induced[m] - idealized[m]).sum() * m_count) for m in range(m_count)
     )
@@ -622,21 +643,20 @@ def leakage_capacity(induced_channel: Channel) -> CapacityResult:
     rows, _ = k.shape
     p = np.full(rows, 1.0 / rows)
     support = k > ZERO_MASS
-    with np.errstate(divide="ignore"):
-        log_k = np.where(support, np.log2(np.where(support, k, 1.0)), 0.0)
+    # masses at or below ZERO_MASS take log2(1.0), which is exactly +0.0
+    log_k = np.log2(np.where(support, k, 1.0))
 
     gap = math.inf
     for it in range(1, 10_001):
         q = p @ k
-        with np.errstate(divide="ignore"):
-            log_q = np.where(q > ZERO_MASS, np.log2(np.where(q > ZERO_MASS, q, 1.0)), 0.0)
+        log_q = np.log2(np.where(q > ZERO_MASS, q, 1.0))
         d = np.where(support, k * (log_k - log_q[None, :]), 0.0).sum(axis=1)
         lower = float(p @ d)
         upper = float(d.max())
         gap = upper - lower
         if gap <= 1e-9:
             return CapacityResult(bits=lower, lower=lower, upper=upper, iterations=it)
-        p = p * np.exp2(d - d.max())
+        p = p * np.exp2(d - upper)
         p /= p.sum()
     raise RuntimeError(f"capacity iteration did not converge; residual gap {gap!r} bits")
 
@@ -697,12 +717,15 @@ def run_reliability_experiment(
     (erasures included); encoder failures are folded in as errors.
 
     Trials run in index space, stacked in chunks of about 2^15 codebook
-    letters.  The run's seeds are hashed in one array pass (_seed_words);
-    one Generator, set to each trial's seed words for each role in turn,
-    fills the trial's rows of the chunk's uniforms with what
+    letters and at most _SEED_BLOCK trials.  The seeds are derived and
+    hashed one block of whole chunks at a time (_seed_chunks); one
+    Generator, set to each trial's seed words for each role in turn, fills
+    the trial's rows of the chunk's uniforms with what
     np.random.default_rng(seed) would draw, in a lone run's order.  Every
-    Generator.choice draw is replayed on them, and the codebooks, encoder,
-    channel and decoder run as arrays per chunk.
+    Generator.choice draw is replayed on them, the codebooks, encoder,
+    channel and decoder run as arrays per chunk, and each chunk adds its
+    trials and errors to per-message tallies, so memory does not grow with
+    the trial count unless keep_records is set.
     """
     r1, r2, r = rates
     if n < 1 or not 0.0 <= eps < math.inf:
@@ -716,32 +739,33 @@ def run_reliability_experiment(
 
     yz_rows = model.channel.kernel.reshape(len(model.x_symbols), len(model.s_symbols), -1)
     n_z = len(model.z_symbols)
-    words = _seed_words(derive_seeds(seed, 3 * trials))
     gen = np.random.default_rng(0)  # its state is replaced before each trial's draws
-    messages = np.arange(trials) % num_messages
-    wrong = np.ones(trials, dtype=bool)
+    message_trials = np.zeros(num_messages, dtype=np.int64)
+    message_errors = np.zeros(num_messages, dtype=np.int64)
     erasures = encoder_failures = 0
     records: list[TrialRecord] = []
 
-    chunk = min(trials, max(1, _TRIAL_CHUNK // (n1 * n2 * num_messages * n)))
+    chunk = min(trials, _SEED_BLOCK, max(1, _TRIAL_CHUNK // (n1 * n2 * num_messages * n)))
     u_draws, v_draws = np.empty((chunk, n1, n)), np.empty((chunk, n1, n2, num_messages, n))
     s_draws, yz_draws, pick_draws, x_draws = (np.empty((chunk, w)) for w in (n, n, 1, n))
-    for start in range(0, trials, chunk):
-        c = min(chunk, trials - start)
-        stop = start + c
-        _fill(_reseeded(gen, words[3 * start : 3 * stop : 3]), u_draws, v_draws)
-        _fill(_reseeded(gen, words[3 * start + 1 : 3 * stop : 3]), pick_draws, x_draws)
-        _fill(_reseeded(gen, words[3 * start + 2 : 3 * stop : 3]), s_draws, yz_draws)
+    for start, words in zip(range(0, trials, chunk), _seed_chunks(seed, 3, trials, chunk)):
+        c = len(words)
+        _fill(_reseeded(gen, words[:, 0]), u_draws, v_draws)
+        _fill(_reseeded(gen, words[:, 1]), pick_draws, x_draws)
+        _fill(_reseeded(gen, words[:, 2]), s_draws, yz_draws)
         u_words, v_words = _draw_words(
             law.q_u.probs, law.q_v_given_u.kernel, u_draws[:c], v_draws[:c]
         )
         s_idx = _replay_choice(model.state_pmf.probs, s_draws[:c])
-        m = messages[start:stop]
+        m = np.arange(start, start + c) % num_messages
         ok, i, j, x_idx = _encode(law, u_words, v_words[np.arange(c), :, :, m], s_idx,
                                   pick_draws[:c], x_draws[:c])
         yz = _inverse_cdf(yz_rows[x_idx, s_idx[ok]], yz_draws[:c][ok])
         flat = _decode(law, u_words[ok], v_words[ok], yz // n_z, eps)
-        wrong[start:stop][ok] = (flat < 0) | (flat % num_messages != m[ok])
+        wrong = np.ones(c, dtype=bool)
+        wrong[ok] = (flat < 0) | (flat % num_messages != m[ok])
+        message_trials += np.bincount(m, minlength=num_messages)
+        message_errors += np.bincount(m[wrong], minlength=num_messages)
         encoder_failures += c - int(ok.sum())
         erasures += int((flat < 0).sum())
         if keep_records:
@@ -755,8 +779,7 @@ def run_reliability_experiment(
 
     return ReliabilityResult(
         n=n, trials=trials, num_messages=num_messages,
-        message_trials=tuple(np.bincount(messages, minlength=num_messages).tolist()),
-        message_errors=tuple(np.bincount(messages[wrong], minlength=num_messages).tolist()),
+        message_trials=tuple(message_trials.tolist()), message_errors=tuple(message_errors.tolist()),
         erasures=erasures, encoder_failures=encoder_failures,
         records=tuple(records) if keep_records else None,
     )
@@ -803,8 +826,8 @@ def binning_otp_protocol(
 
     Each trial runs as its own pass (stacking the trials measured no faster:
     the stacked arrays are memory-bound).  Its two generators are reused
-    ones set to the trial's seed words, hashed for the whole run in one
-    array pass, so they draw what np.random.default_rng(seed) draws; the
+    ones set to the trial's seed words, hashed a block of _SEED_BLOCK trials
+    at a time, so they draw what np.random.default_rng(seed) draws; the
     draws from the state law replay Generator.choice's rule on random()
     uniforms.  The CSI search takes the first description word equal to the
     state sequence: the word a typicality scan of all B K words finds first.
@@ -841,9 +864,10 @@ def binning_otp_protocol(
 
     wrong = csi_failures = x_failures = key_failures = 0
     key_counts = np.zeros(num_keys, dtype=np.int64)
-    words = _seed_words(derive_seeds(seed, 2 * trials))
-    for book_rng, noise in zip(_reseeded(np.random.default_rng(0), words[0::2]),
-                               _reseeded(np.random.default_rng(0), words[1::2])):
+    book_gen, noise_gen = np.random.default_rng(0), np.random.default_rng(0)
+    trial_gens = (pair for words in _seed_chunks(seed, 2, trials, _SEED_BLOCK)
+                  for pair in zip(_reseeded(book_gen, words[:, 0]), _reseeded(noise_gen, words[:, 1])))
+    for book_rng, noise in trial_gens:
         a_words = _replay_choice(ws, book_rng.random((num_bins, num_keys, n)))
         x_words = book_rng.integers(0, n_x, size=(num_messages, num_bins, n))
 

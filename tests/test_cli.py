@@ -19,6 +19,7 @@ import sdwtc
 from sdwtc import __version__, rates
 from sdwtc.cli import (
     _fmt,
+    _median,
     _parse_n_list,
     _round12,
     build_parser,
@@ -860,3 +861,57 @@ def test_n_list_parsing():
     for text in ("4,x", "", ","):
         with pytest.raises(Exception, match="comma-separated"):
             _parse_n_list(text)
+
+
+def test_median_is_numpys_median_bit_for_bit():
+    rng = np.random.default_rng(RNG_SEED + 7)
+    cases = [[1.5e308, 1.7e308], [5e-324, 5e-324]]  # a sum past the range; halves that underflow
+    for case in range(360):
+        values = (rng.normal(size=case % 9 + 1) * 10.0 ** rng.integers(-300, 300)).tolist()
+        for k in rng.integers(len(values), size=rng.integers(3)):  # repeats
+            values[k] = values[rng.integers(len(values))]
+        for k in rng.integers(len(values), size=rng.integers(3)):
+            values[k] = (-math.inf, math.inf)[rng.integers(2)]
+        cases.append(values)
+    for values in cases:
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or a sum past the range
+            want = np.float64(np.median(values))
+        got = _median(values)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == want.tobytes(), values
+    for values in ([math.nan, 3.0, 1.0], [2.0, 1.0, math.nan, 0.0, 5.0]):  # NaN sorts nowhere
+        assert math.isnan(_median(values)) and math.isnan(np.median(values))
+
+
+def test_commands_do_not_import_numpy_ma(tmp_path):
+    # np.median and the 1-D np.unique make numpy 2.x import numpy.ma for a
+    # handful of floats or ints; compared with the modules present after the
+    # imports, so this also holds where numpy imports ma eagerly
+    ch = write_json(tmp_path / "ch.json", wiretap_doc())
+    pol = write_json(tmp_path / "pol.json", x_given_s_doc())
+    runs = [
+        ["optimize", "--channel", ch, "--functional", "RA", "--card-u", "2", "--card-v", "2",
+         "--restarts", "2", "--iters", "20"],
+        ["example", "--restarts", "2", "--iters", "20"],
+        ["softcov-sim", "--channel", ch, "--policy", pol, "--r1", "0.7", "--r2", "0.7", "--n", "3",
+         "--trials", "3"],
+        ["codec-sim", "--channel", ch, "--policy", pol, "--r1", "0.25", "--r2", "0.25", "--r", "0.25",
+         "--n", "4", "--trials", "4", "--eps", "1.0", "--leakage-trials", "2"],
+    ]
+    script = "\n".join([
+        "import contextlib, io, json, sys",
+        "import numpy, sdwtc.cli",
+        "before, added = set(sys.modules), {}",
+        "for argv in json.loads(sys.argv[1]):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        assert sdwtc.cli.main(argv) == 0, argv",
+        "    added[argv[0]] = sorted(set(sys.modules) - before)",
+        "print(json.dumps(added))",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(sdwtc.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    added = json.loads(out)
+    assert list(added) == [argv[0] for argv in runs]
+    for command, modules in added.items():
+        assert not [m for m in modules if m.split(".")[:2] == ["numpy", "ma"]], command

@@ -25,3 +25,9 @@ def test_closed_form_seeds_equal_the_stepped_stream(master, count):
     seeds = derive_seeds(master, count)
     assert seeds == _stepped_seeds(master, count)
     assert all(type(s) is int for s in seeds)
+
+
+@pytest.mark.parametrize("master", [0, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("a, b", [(0, 5), (3, 0), (7, 1000), (1000, 7)])
+def test_an_offset_continues_the_stream(master, a, b):
+    assert derive_seeds(master, a + b) == derive_seeds(master, a) + derive_seeds(master, b, start=a)

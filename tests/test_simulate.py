@@ -1628,3 +1628,49 @@ def test_reliability_memory_is_bounded_by_the_chunk():
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < per_chunk * letters * 8
+
+
+@pytest.mark.parametrize("block", [1, 2, 5])
+def test_seed_blocks_leave_the_outcomes_unchanged(monkeypatch, block):
+    # chunks of 3 trials: blocks of 1 and 2 trials cap the chunk, and a block
+    # of 5 rounds up to two chunks, with a part block at the end
+    monkeypatch.setattr(simulate, "_SEED_BLOCK", block)
+    model, policy = _two_layer_case()
+    n, rates, eps, trials, seed = 6, (0.2, 0.3, 0.4), 1.0, 23, 7
+    monkeypatch.setattr(simulate, "_TRIAL_CHUNK", 3 * math.prod(index_count(n, r) for r in rates) * n)
+    got = run_reliability_experiment(model, policy, n, rates, eps, trials, seed, keep_records=True)
+    assert got == _lone_reliability(model, policy, n, rates, eps, trials, seed)
+    ex, _ = _surrogate_example()
+    r_a = 1.1 * binary_entropy(0.25)
+    got = binning_otp_protocol(ex, 8, r_a, 0.3, 0.2, 11, 5, 1.25)
+    assert got == _lone_binning(ex, 8, r_a, 0.3, 0.2, 11, 5, 1.25)
+
+
+@pytest.mark.parametrize("protocol", ["reliability", "binning"])
+def test_monte_carlo_memory_does_not_follow_the_trial_count(monkeypatch, protocol):
+    # n = 1 at zero rates, where a trial's seeds (about 0.5 KB while hashed)
+    # outweigh its draws: with blocks of 32 trials, the peak at 16 T trials
+    # exceeds the peak at T by less than 16 bytes per added trial
+    monkeypatch.setattr(simulate, "_SEED_BLOCK", 32)
+    if protocol == "reliability":
+        model = bsc_wiretap(0.1)
+        policy = uniform_input_policy(model)
+
+        def run(trials):
+            run_reliability_experiment(model, policy, 1, (0.0, 0.0, 0.0), 1.0, trials, seed=1)
+    else:
+        ex = build_rln_example(0.0289, 0.05)
+
+        def run(trials):
+            binning_otp_protocol(ex, 1, 0.0, 0.0, 0.0, trials, seed=1, eps=1.0)
+    t = 128
+    run(t)  # first-call allocations are not the run's
+    peaks = []
+    for trials in (t, 16 * t):
+        tracemalloc.start()
+        try:
+            run(trials)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 15 * t * 16
