@@ -134,17 +134,14 @@ def _write_csv(path: str, rows: list[tuple]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("metric", "n", "seed", "value", "lower_ci", "upper_ci"))
-        for metric, n, seed, value, lo, hi in rows:
-            writer.writerow(
-                (
-                    metric,
-                    n,
-                    seed,
-                    _fmt(value),
-                    "" if lo is None else _fmt(lo),
-                    "" if hi is None else _fmt(hi),
-                )
-            )
+        for metric, n, seed, *values in rows:  # value, lower_ci, upper_ci; no bound is ""
+            writer.writerow((metric, n, seed, *("" if v is None else _fmt(v) for v in values)))
+
+
+def _rows(record: dict, metrics, n="", seed: int = 0, intervals: dict | None = None) -> list[tuple]:
+    """The CSV rows of record's metrics, in order, read by key; intervals maps
+    a metric to its (lower, upper) confidence bounds."""
+    return [(k, n, seed, record[k], *(intervals or {}).get(k, (None, None))) for k in metrics]
 
 
 def _covering_joint(joint: JointPmf, w_axis: str) -> JointPmf:
@@ -169,9 +166,8 @@ def _cmd_rate(args: argparse.Namespace) -> tuple[dict, list]:
         "terms": {label: value for label, value in report.terms},
         "feasible": report.feasible,
     }
-    rows = [(f"term:{label}", "", args.seed, value, None, None) for label, value in report.terms]
-    rows.insert(0, ("value", "", args.seed, report.value, None, None))
-    return results, rows
+    terms = {f"term:{label}": value for label, value in results["terms"].items()}
+    return results, _rows(results, ("value",), seed=args.seed) + _rows(terms, terms, seed=args.seed)
 
 
 def _cmd_optimize(args: argparse.Namespace) -> tuple[dict, list]:
@@ -212,12 +208,8 @@ def _cmd_example(args: argparse.Namespace) -> tuple[dict, list]:
         "optimized_value": optimized.value,
         "optimizer_reaches_fraction": optimized.value / closed_form if closed_form else None,
     }
-    rows = [
-        ("capacity_closed_form", "", args.seed, closed_form, None, None),
-        ("achieving_value", "", args.seed, achieved.value, None, None),
-        ("optimized_value", "", args.seed, optimized.value, None, None),
-    ]
-    return results, rows
+    return results, _rows(results, ("capacity_closed_form", "achieving_value", "optimized_value"),
+                          seed=args.seed)
 
 
 def _cmd_softcov_exponent(args: argparse.Namespace) -> tuple[dict, list]:
@@ -240,21 +232,13 @@ def _cmd_softcov_exponent(args: argparse.Namespace) -> tuple[dict, list]:
         "c": result.c,
         "degenerate": result.degenerate,
     }
-    rows = [
-        ("gamma", "", args.seed, result.gamma, None, None),
-        ("alpha", "", args.seed, result.alpha, None, None),
-        ("d1", "", args.seed, result.d1, None, None),
-        ("d2", "", args.seed, result.d2, None, None),
-        ("c", "", args.seed, result.c, None, None),
-    ]
-    return results, rows
+    return results, _rows(results, ("gamma", "alpha", "d1", "d2", "c"), seed=args.seed)
 
 
 def _cmd_softcov_sim(args: argparse.Namespace) -> tuple[dict, list]:
     model = load_channel_spec(args.channel)
     policy = as_input_policy(model, load_policy_spec(args.policy, model))
-    if args.trials < 1:
-        raise ValueError(f"trials must be positive, got {args.trials!r}")
+    simulate.check_trials(args.trials)
     joint = assemble_joint(model, policy)
     law = CodeLaw.of(joint)
     cover = _covering_joint(joint, args.w_axis)
@@ -264,9 +248,9 @@ def _cmd_softcov_sim(args: argparse.Namespace) -> tuple[dict, list]:
     rows: list[tuple] = []
     medians: dict[str, float] = {}
     for n in args.n:
-        seeds = derive_seeds(args.seed + n, args.trials)
         values = []
-        for s in seeds:  # no codebook outlives its divergence
+        for k in range(args.trials):  # each seed derived when reached; no codebook outlives its divergence
+            s = derive_seeds(args.seed + n, 1, start=k)[0]
             cb = sample_codebook(law.q_u, law.q_v_given_u, n, args.r1, args.r2, 0.0, s)
             d = exact_output_divergence(cb, q_w_given_uv, q_w)
             del cb
@@ -279,8 +263,7 @@ def _cmd_softcov_sim(args: argparse.Namespace) -> tuple[dict, list]:
 def _cmd_codec_sim(args: argparse.Namespace) -> tuple[dict, list]:
     model = load_channel_spec(args.channel)
     policy = as_input_policy(model, load_policy_spec(args.policy, model))
-    if args.leakage_trials < 0:
-        raise ValueError(f"leakage trials must be positive, got {args.leakage_trials!r}")
+    simulate.check_trials(args.leakage_trials, "leakage trials", least=0)
     rate_triple = CodeRates(args.r1, args.r2, args.r)
     law = CodeLaw.of(assemble_joint(model, policy))
 
@@ -290,19 +273,18 @@ def _cmd_codec_sim(args: argparse.Namespace) -> tuple[dict, list]:
         res = run_reliability_experiment(
             model, policy, n, rate_triple, args.eps, args.trials, args.seed + n
         )
-        lo, hi = res.average_interval
-        rows.append(("avg_error_rate", n, args.seed + n, res.average_error_rate, lo, hi))
-        rows.append(("max_error_rate", n, args.seed + n, res.max_error_rate, None, None))
-        rows.append(("erasure_rate", n, args.seed + n, res.erasures / res.trials, None, None))
         summary[str(n)] = {
             "avg_error_rate": res.average_error_rate,
             "max_error_rate": res.max_error_rate,
             "erasure_rate": res.erasures / res.trials,
             "encoder_failures": res.encoder_failures,
         }
+        rows += _rows(summary[str(n)], ("avg_error_rate", "max_error_rate", "erasure_rate"), n,
+                      args.seed + n, {"avg_error_rate": res.average_interval})
         if args.leakage_trials > 0:
             leaks = []
-            for s in derive_seeds(args.seed + n, args.leakage_trials):  # no codebook outlives its channel
+            for k in range(args.leakage_trials):  # each seed derived when reached, as above
+                s = derive_seeds(args.seed + n, 1, start=k)[0]
                 cb = sample_codebook(law.q_u, law.q_v_given_u, n, *rate_triple, s)
                 cap = leakage_capacity(exact_message_channel(model, policy, cb))
                 del cb
@@ -326,10 +308,6 @@ def _cmd_binning_sim(args: argparse.Namespace) -> tuple[dict, list]:
         res = simulate.binning_otp_protocol(
             model, n, args.ra, args.rbin, args.r, args.trials, args.seed + n, args.eps
         )
-        lo, hi = res.error_interval
-        rows.append(("error_rate", n, args.seed + n, res.error_rate, lo, hi))
-        rows.append(("key_tv_from_uniform", n, args.seed + n, res.key_tv_from_uniform, None, None))
-        rows.append(("csi_failure_rate", n, args.seed + n, res.csi_failures / res.trials, None, None))
         summary[str(n)] = {
             "error_rate": res.error_rate,
             "key_tv_from_uniform": res.key_tv_from_uniform,
@@ -338,6 +316,8 @@ def _cmd_binning_sim(args: argparse.Namespace) -> tuple[dict, list]:
             "num_keys": res.num_keys,
             "num_messages": res.num_messages,
         }
+        rows += _rows(summary[str(n)], ("error_rate", "key_tv_from_uniform", "csi_failure_rate"), n,
+                      args.seed + n, {"error_rate": res.error_interval})
     return summary, rows
 
 

@@ -27,6 +27,7 @@ from .rng import derive_seeds
 DEFAULT_EPS = 0.15  # loose typicality for n <= 12
 _MAX_CODEWORDS = 2 ** 24
 _MAX_ENUM_OPS = 10 ** 8
+_MAX_TRIALS = 10 ** 7  # trials in one run, as the grid bounds its policies: a bound on running time
 # codebook letters (N1 N2 M n per trial) stacked in one Monte Carlo chunk: 2^14
 # ran 35% slower, and without chunking 40 trials at n = 12 added 5 MB of RSS
 _TRIAL_CHUNK = 2 ** 15
@@ -70,6 +71,13 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     centre = (p_hat + z * z / (2 * trials)) / denom
     half = z * math.sqrt(p_hat * (1.0 - p_hat) / trials + z * z / (4.0 * trials * trials)) / denom
     return max(0.0, centre - half), min(1.0, centre + half)
+
+
+def check_trials(trials: int, name: str = "trials", least: int = 1) -> None:
+    """Refuse a trial count below least or above _MAX_TRIALS, where it enters."""
+    if not least <= trials <= _MAX_TRIALS:
+        bound = "positive" if trials < least else f"at most {_MAX_TRIALS}"
+        raise ValueError(f"{name} must be {bound}, got {trials!r}")
 
 
 def _symbol_indices(seq: Sequence[Hashable], alphabet: tuple) -> np.ndarray | None:
@@ -399,6 +407,22 @@ def _decode(
 # exact enumerations
 
 
+def _uv_codes(cb: Codebook) -> np.ndarray:
+    """Every codeword's letters as u |V| + v, (N1, N2, M, n), in the
+    narrowest unsigned dtype: the one codeword table of the exact
+    enumerations."""
+    n_v = len(cb.v_symbols)
+    uv = cb.v_words.astype(np.min_scalar_type(len(cb.u_symbols) * n_v - 1))
+    uv += (cb.u_words * n_v).astype(uv.dtype)[:, None, None, :]
+    return uv
+
+
+def _check_work(ops: int) -> None:
+    """Refuse an enumeration of more than _MAX_ENUM_OPS multiply-adds."""
+    if ops > _MAX_ENUM_OPS:
+        raise ValueError(f"enumeration needs ~{ops} operations; guard is {_MAX_ENUM_OPS}")
+
+
 def _distinct_words(codes: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of (C, w) letter codes in [0, p), in lexicographic
     order, and the index of each row among them.
@@ -435,33 +459,27 @@ def exact_output_divergence(cb: Codebook, q_w_given_uv: Channel, q_w: Pmf) -> fl
     the second halves that follow first half a, each as often as it does.
     That costs |W|^n n_a + |W|^(n-h) n_p multiply-adds for the n_p distinct
     (first, second) pairs, where n_a <= min(Ncw, (|U||V|)^h) and
-    n_p <= Ncw, against the Ncw |W|^n that the guard still counts.  It
-    differs from the per-codeword average only in rounding, by at most
-    1e-12 bits.
+    n_p <= Ncw; the guard counts them once the halves are known, before any
+    |W|^n table is built.  It differs from the per-codeword average only in
+    rounding, by at most 1e-12 bits.
     """
     w = q_w_given_uv.out_names[:1] or ("W",)  # the one output axis, by whatever name
     check_parts("exact_output_divergence", (("q_w_given_uv", q_w_given_uv, ("U", "V"), w),
                                             ("q_w", q_w, (), w)))
     n_w = len(q_w.symbols)
-    n_cw = cb.num_u * cb.num_v * cb.num_messages
-    ops = n_w ** cb.n * n_cw
-    if ops > _MAX_ENUM_OPS:
-        raise ValueError(f"enumeration needs ~{ops} operations; guard is {_MAX_ENUM_OPS}")
-
     rows = q_w_given_uv.kernel.reshape(-1, n_w)  # (|U||V|, |W|)
-    n_v = len(cb.v_symbols)
-    uv = cb.v_words.astype(np.min_scalar_type(len(cb.u_symbols) * n_v - 1))
-    uv += (cb.u_words * n_v).astype(uv.dtype)[:, None, None, :]
-    uv = uv.reshape(-1, cb.n)  # (Ncw, n) letter codes u |V| + v
+    uv = _uv_codes(cb).reshape(-1, cb.n)  # (Ncw, n)
     h = cb.n // 2
-    first, ia = _distinct_words(uv[:, :h], rows.shape[0])
-    second, ib = _distinct_words(uv[:, h:], rows.shape[0])
+    first, ia = _distinct_words(uv[:, :h], len(rows))
+    second, ib = _distinct_words(uv[:, h:], len(rows))
     pairs, counts = np.unique(ia * len(second) + ib, return_counts=True)  # sorted by first half
+    _check_work(n_w ** cb.n * len(first) + n_w ** (cb.n - h) * len(pairs))
+
     starts = np.searchsorted(pairs, np.arange(len(first)) * len(second))
     weighted = _product_chain(rows[second]).T[pairs % len(second)]
     weighted *= counts[:, None]
     g = np.add.reduceat(weighted, starts, axis=0)  # (n_a, |W|^(n-h))
-    induced = (_product_chain(rows[first]) @ g).ravel() / n_cw
+    induced = (_product_chain(rows[first]) @ g).ravel() / len(uv)
     reference = _product_chain(q_w.probs[None, None, :].repeat(cb.n, axis=1))[:, 0]
 
     mask = induced > ZERO_MASS
@@ -493,12 +511,10 @@ def _encoder_tables(
     """
     n_s = len(model.s_symbols)
     num_seqs = n_s ** cb.n
-    ops = cb.num_messages * cb.num_u * cb.num_v * num_seqs * cb.n
-    if ops > _MAX_ENUM_OPS:
-        raise ValueError(f"enumeration needs ~{ops} operations; guard is {_MAX_ENUM_OPS}")
+    _check_work(cb.num_messages * cb.num_u * cb.num_v * num_seqs * cb.n)
 
     ln_ws = _log_state_law(model, law, cb)
-    letters = law.log_q_s_given_uv[cb.u_words[:, None, None, :], cb.v_words]  # (N1, N2, M, n, |S|)
+    letters = law.log_q_s_given_uv.reshape(-1, n_s)[_uv_codes(cb)]  # (N1, N2, M, n, |S|)
     loglik = _product_chain(
         np.moveaxis(letters, 2, 0).reshape(-1, cb.n, n_s), np.add
     ).T.reshape(cb.num_messages, cb.num_u, cb.num_v, num_seqs)
@@ -575,27 +591,27 @@ def exact_message_channel(model: SdWtcModel, policy: InputPolicy, cb: Codebook) 
     steps the axes are z_1..z_n in lexicographic order and the words are
     summed out.  That is D sum_t |S|^(n-t+1) |Z|^t multiply-adds and two
     D max(|S|, |Z|)^n tables per message; the guard counts
-    M N1 N2 sum_t |S|^(n-t+1) |Z|^t before any table is built.
+    sum_m D_m sum_t |S|^(n-t+1) |Z|^t once every message's words are known,
+    before any table is built.
     """
     law = CodeLaw.of(assemble_joint(model, policy))
     n_s, n_z = len(model.s_symbols), len(model.z_symbols)
     pairs = cb.num_u * cb.num_v
+    log_k = law.log_q_s_given_uv.reshape(-1, n_s)  # rows by (u, v) letter code u |V| + v
+    uv = _uv_codes(cb)
+    distinct = []  # each message's distinct words and how many pairs share each
+    for m in range(cb.num_messages):
+        words, inverse = _distinct_words(uv[:, :, m].reshape(pairs, cb.n), len(log_k))
+        distinct.append((words, np.bincount(inverse, minlength=len(words))))
     letter_ops = sum(n_s ** (cb.n - t + 1) * n_z ** t for t in range(1, cb.n + 1))
-    ops = cb.num_messages * pairs * letter_ops
-    if ops > _MAX_ENUM_OPS:
-        raise ValueError(f"enumeration needs ~{ops} operations; guard is {_MAX_ENUM_OPS}")
+    _check_work(letter_ops * sum(len(words) for words, _ in distinct))
 
     ws = np.exp(_log_state_law(model, law, cb))[:, None]
     w_z = model.channel.kernel.sum(axis=2)  # (|X|, |S|, |Z|)
     k_z = np.einsum("uvsx,xsz->uvsz", law.q_x_given_uvs.kernel, w_z).reshape(-1, n_s, n_z)
-    log_k = law.log_q_s_given_uv.reshape(-1, n_s)  # rows by (u, v) letter code u |V| + v
 
-    n_v = len(cb.v_symbols)
     kernel = np.empty((cb.num_messages, n_z ** cb.n))
-    for m in range(cb.num_messages):
-        codes = (cb.u_words[:, None, :] * n_v + cb.v_words[:, :, m, :]).reshape(pairs, cb.n)
-        words, inverse = _distinct_words(codes, len(log_k))
-        counts = np.bincount(inverse, minlength=len(words))
+    for m, (words, counts) in enumerate(distinct):
         lik = _product_chain(log_k[words], np.add)  # (s_1..s_n, D) log-likelihoods
         top = lik.max(axis=1, keepdims=True)
         supported = top > -np.inf
@@ -730,8 +746,7 @@ def run_reliability_experiment(
     r1, r2, r = rates
     if n < 1 or not 0.0 <= eps < math.inf:
         raise ValueError(f"need blocklength n >= 1 and eps >= 0 finite, got n={n!r}, eps={eps!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials!r}")
+    check_trials(trials)
     law = CodeLaw.of(assemble_joint(model, policy))
     n1, n2, num_messages = _codebook_shape(n, r1, r2, r)
     for name, symbols in (("S", model.s_symbols), ("X", model.x_symbols), ("Y", model.y_symbols)):
@@ -840,8 +855,7 @@ def binning_otp_protocol(
         raise ValueError("rates must be nonnegative")
     if r > r_a - r_bin + 1e-12:
         raise ValueError(f"message rate {r} exceeds the key rate {r_a} - {r_bin}; pad impossible")
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials!r}")
+    check_trials(trials)
 
     num_bins, num_keys, num_messages = (index_count(n, q) for q in (r_bin, r_a - r_bin, r))
     if num_bins * num_keys + num_messages * num_bins > _MAX_CODEWORDS:

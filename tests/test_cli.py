@@ -599,6 +599,45 @@ def test_bad_trial_counts_are_error_records(tmp_path, capsys, subcommand, flags)
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("subcommand, flags", [
+    ("softcov-sim", ["--trials", str(10 ** 12)]),
+    ("codec-sim", ["--trials", str(10 ** 12)]),
+    ("codec-sim", ["--leakage-trials", str(10 ** 12)]),
+    ("binning-sim", ["--trials", str(10 ** 12)]),
+])
+def test_trial_counts_above_the_bound_are_error_records(tmp_path, capsys, subcommand, flags):
+    # a count no run could finish is refused where it enters, before any seed is derived
+    ch = write_json(tmp_path / "ch.json", wiretap_doc())
+    pol = write_json(tmp_path / "pol.json", x_given_s_doc())
+    docs = (["--ra", "0.5", "--rbin", "0.25"] if subcommand == "binning-sim"
+            else ["--channel", ch, "--policy", pol, "--r1", "0.25", "--r2", "0.25"])
+    tracemalloc.start()
+    try:
+        status = main([subcommand, *docs, "--n", "3", "--seed", "2", *flags])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    record = json.loads(capsys.readouterr().out)
+    assert status == 1
+    assert record["error"]["type"] == "ValueError"
+    assert f"trials must be at most 10000000, got {10 ** 12}" in record["error"]["message"]
+    assert peak < 2 ** 20
+
+
+def test_softcov_sim_runs_at_n12(tmp_path, capsys):
+    # 113 569 codewords: counting each gave 4.65e8 and was refused; the
+    # distinct halves are admitted
+    fixtures = Path(__file__).resolve().parents[1] / "bench" / "fixtures"
+    out_csv = tmp_path / "cov.csv"
+    assert main(["softcov-sim", "--channel", str(fixtures / "wiretap.json"), "--policy",
+                 str(fixtures / "x_given_s.json"), "--r1", "0.7", "--r2", "0.7", "--n", "12",
+                 "--trials", "2", "--seed", "1", "--out", str(out_csv)]) == 0
+    median = json.loads(capsys.readouterr().out)["results"]["median_divergence"]["12"]
+    values = [float(row.split(",")[3]) for row in out_csv.read_text().splitlines()[1:]]
+    assert len(values) == 2 and all(0.0 < v < 1e-3 for v in values)
+    assert median == pytest.approx(sum(values) / 2, rel=1e-9)
+
+
 @pytest.mark.parametrize("subcommand, flags, message", [
     ("softcov-sim", ["--r1", "1100", "--r2", "0.7", "--n", "1"], "n*rate = 1100.0"),
     ("softcov-sim", ["--r1", "0.7", "--r2", "inf", "--n", "3"],

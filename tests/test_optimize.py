@@ -4,12 +4,16 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from identities import random_gp_policy, random_model, random_rln_model, stacked_joint
 from sdwtc import models, optimize, rates
@@ -206,6 +210,10 @@ _BENCH_SEARCHES = {
     "LN_encdec-wiretap": ("LN_encdec", "wiretap.json", 1, 1, 4, 150),
 }
 
+# numpy's AVX-512 kernels (dispatch level X86_V4) round np.log and np.exp
+# differently in the last bit; the one value that shows it is keyed by level
+_AVX512 = __cpu_features__.get("X86_V4", False)
+
 # (search, seed) -> (evaluations, sha256 of the best policy's part arrays,
 # per-restart values as float.hex), recorded before the lockstep search
 # scored speculative windows
@@ -221,7 +229,8 @@ _BENCH_GOLDEN = {
         '0x1.433255ec7d9c0p-4', '0x1.2d83201694ac0p-5', '0x1.dd6a46696d400p-8', '0x0.0p+0',
     )),
     ('RA-wiretap', 1): (604, 'a3b68ae054e63da48f351191ae31f67c22ea17582a6b1ed15a4f3b422677ec74', (
-        '0x1.d00279569a6b0p-3', '0x1.23e1229608264p-2', '0x1.1d30c5784216cp-2', '0x1.b1169646fbd80p-3',
+        '0x1.d00279569a6b0p-3', '0x1.23e1229608264p-2' if _AVX512 else '0x1.23e122960825cp-2',
+        '0x1.1d30c5784216cp-2', '0x1.b1169646fbd80p-3',
     )),
     ('CEG-wiretap', 1): (604, 'e37bc081be529d4159768ed25f153161b8f8648f6938533ff1e403b218272ed8', (
         '0x1.76df525fbc92cp-2', '0x1.76df51837b36cp-2', '0x1.76df41f35c40cp-2', '0x1.76df25af52d5cp-2',
@@ -289,6 +298,25 @@ def test_bench_searches_are_pinned():
             assert tuple(v.hex() for v in res.trace) == trace, (name, seed)
             assert res.evaluations == evaluations, (name, seed)
             assert _policy_digest(res.policy) == digest, (name, seed)
+
+
+def test_pinned_searches_hold_with_avx512_dispatch_off():
+    # the pins again on the path a host without AVX-512 takes, so a bit that
+    # belongs to the dispatch level fails here and not by chance on another host
+    off = " ".join(t for t in __cpu_dispatch__ if t == "X86_V4" or t.startswith("AVX512"))
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=off,
+               PYTHONPATH=os.pathsep.join([str(Path(optimize.__file__).parents[1]),
+                                           os.environ.get("PYTHONPATH", "")]))
+    probe = "from numpy._core._multiarray_umath import __cpu_features__ as f; print(f.get('X86_V4', False))"
+    assert subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True).stdout.strip() == "False"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-W", "error::RuntimeWarning",
+         f"{__file__}::test_bench_searches_are_pinned", f"{__file__}::test_trajectories_are_pinned"],
+        cwd=root, env=env, capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stdout[-3000:]
 
 
 def _project_simplex(v):

@@ -1298,15 +1298,21 @@ def test_monte_carlo_outcomes_are_pinned():
 _FIXTURES = Path(__file__).resolve().parents[1] / "bench" / "fixtures"
 
 
-def test_message_channel_memory_on_the_bench_codebook():
-    # the code-exact job's n = 8 codebook: 588 pairs per message over 234
-    # distinct words; the dense (M, N1, N2, |S|^n) tables alone were 4.6 MiB
+def bench_code(n: int, seed: int):
+    """The code-exact job's model, policy and codebook at n: outer rate 0.15
+    above I(V;Z|U), two messages."""
     model = load_channel_spec(str(_FIXTURES / "bsc_q010_copy_tap.json"))
     policy = load_policy_spec(str(_FIXTURES / "uniform_v_is_x.json"), model)
     joint = assemble_joint(model, policy)
     law = CodeLaw.of(joint)
     r2 = mutual_information(joint, ("V",), ("Z",), ("U",)) + 0.15
-    cb = sample_codebook(law.q_u, law.q_v_given_u, 8, 0.0, r2, 1.0 / 8, 7100)
+    return model, policy, sample_codebook(law.q_u, law.q_v_given_u, n, 0.0, r2, 1.0 / n, seed)
+
+
+def test_message_channel_memory_on_the_bench_codebook():
+    # the code-exact job's n = 8 codebook: 588 pairs per message over 234
+    # distinct words; the dense (M, N1, N2, |S|^n) tables alone were 4.6 MiB
+    model, policy, cb = bench_code(8, 7100)
     assert (cb.num_u, cb.num_v, cb.num_messages) == (1, 588, 2)
     exact_message_channel(model, policy, cb)
     tracemalloc.start()
@@ -1317,6 +1323,80 @@ def test_message_channel_memory_on_the_bench_codebook():
         tracemalloc.stop()
     assert peak < 2.5 * 2 ** 20
     np.testing.assert_allclose(kernel.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+def test_message_channel_at_n10_on_the_bench_codebook():
+    # 2 896 pairs per message over 981 and 956 distinct words: 4.0e7
+    # multiply-adds, where counting every pair gave 1.19e8 and was refused
+    model, policy, cb = bench_code(10, 7000)
+    assert (cb.num_u, cb.num_v, cb.num_messages) == (1, 2896, 2)
+    codes = simulate._uv_codes(cb)
+    assert [len(_distinct_words(codes[0, :, m], 2)[0]) for m in range(2)] == [981, 956]
+    tracemalloc.start()
+    try:
+        channel = exact_message_channel(model, policy, cb)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    np.testing.assert_allclose(channel.kernel.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    assert leakage_capacity(channel).bits.hex() == "0x1.259dfd4341863p-3"
+
+
+def repeated_word_codebook(n: int, words: np.ndarray, pick: np.ndarray) -> Codebook:
+    """A codebook over U = {0}, V = {0, 1} whose (1, N2, M) outer words are
+    rows of words chosen by pick."""
+    return Codebook(
+        n=n, r1=0.0, r2=math.log2(pick.shape[0]) / n, r=math.log2(pick.shape[1]) / n,
+        u_symbols=(0,), v_symbols=(0, 1), u_words=np.zeros((1, n), dtype=np.int64),
+        v_words=words[pick][None], seed=0,
+    )
+
+
+def test_message_channel_guard_counts_distinct_words():
+    model = bsc_wiretap(0.1, tap="copy")
+    policy = uniform_input_policy(model)
+    # n 2^(n+1) multiply-adds a word; 32 pairs per message over 2 distinct
+    # words are admitted, though the pairs' count is above the bound
+    n = 16
+    assert 2 * 2 * n * 2 ** (n + 1) <= 10 ** 8 < 2 * 32 * n * 2 ** (n + 1)
+    words = np.array([np.arange(n) % 2, np.arange(n) // 3 % 2])
+    cb = repeated_word_codebook(n, words, np.arange(64).reshape(32, 2) // 2 % 2)
+    assert [len(np.unique(cb.v_words[0, :, m], axis=0)) for m in range(2)] == [2, 2]
+    kernel = exact_message_channel(model, policy, cb).kernel
+    assert kernel.shape == (2, 2 ** n)
+    np.testing.assert_allclose(kernel.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    # 3 distinct words among 4 pairs trip it, refused before any table is built
+    n = 20
+    words = np.array([np.arange(n) % 2, np.arange(n) // 3 % 2, np.arange(n) // 5 % 2])
+    cb = repeated_word_codebook(n, words, np.array([[0], [1], [2], [1]]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"enumeration needs ~{3 * n * 2 ** (n + 1)} operations"):
+            exact_message_channel(model, policy, cb)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_divergence_guard_counts_distinct_halves():
+    # |W|^n n_a + |W|^(n-h) n_p: two distinct first halves and three pairs
+    q_w = Pmf((0, 1), np.array([0.5, 0.5]))
+    copy_v = Channel(
+        (("U", (0,)), ("V", (0, 1))), (("W", (0, 1)),), np.eye(2)[None, :, :].copy()
+    )
+    n = 26
+    words = np.array([np.zeros(n), np.r_[np.zeros(13), np.ones(13)], np.ones(n)], dtype=np.int64)
+    cb = repeated_word_codebook(n, words, np.array([[0], [1], [2], [2]]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"enumeration needs ~{2 ** n * 2 + 2 ** 13 * 3} operations"):
+            exact_output_divergence(cb, copy_v, q_w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_bench_size_monte_carlo_outcomes_are_pinned():
