@@ -329,6 +329,7 @@ def likelihood_encode(
 ) -> tuple[int, int, tuple]:
     """Sample (i, j) with probability proportional to Q^n_{S|U,V}(s | u(i), v(i,j,m)),
     then draw the channel input x from Q^n_{X|U,V,S}."""
+    _check_alphabets(cb, law.joint.alphabet("U"), law.joint.alphabet("V"))
     if not 0 <= m < cb.num_messages:
         raise ValueError(f"message {m!r} outside [0, {cb.num_messages})")
     if len(s) != cb.n:
@@ -376,8 +377,7 @@ def typicality_decode(
 ) -> tuple[int, int, int] | str:
     """The unique triple (i, j, m) with (u(i), v(i,j,m), y) letter-typical for
     Q_{U,V,Y}; the erasure symbol when zero or several triples qualify."""
-    if law.joint.alphabet("U") != cb.u_symbols or law.joint.alphabet("V") != cb.v_symbols:
-        raise ValueError("joint alphabets do not match the codebook")
+    _check_alphabets(cb, law.joint.alphabet("U"), law.joint.alphabet("V"))
     if len(y) != cb.n:
         raise ValueError(f"output sequence has length {len(y)}, codebook has n={cb.n}")
     if not 0.0 <= eps < math.inf:
@@ -405,6 +405,13 @@ def _decode(
 
 # ---------------------------------------------------------------------------
 # exact enumerations
+
+
+def _check_alphabets(cb: Codebook, u_symbols: tuple, v_symbols: tuple) -> None:
+    """Refuse a codebook whose U or V alphabet is not its consumer's."""
+    if (cb.u_symbols, cb.v_symbols) != (u_symbols, v_symbols):
+        raise ValueError(f"codebook alphabets U {cb.u_symbols!r}, V {cb.v_symbols!r} do not match "
+                         f"U {u_symbols!r}, V {v_symbols!r}")
 
 
 def _uv_codes(cb: Codebook) -> np.ndarray:
@@ -464,8 +471,9 @@ def exact_output_divergence(cb: Codebook, q_w_given_uv: Channel, q_w: Pmf) -> fl
     rounding, by at most 1e-12 bits.
     """
     w = q_w_given_uv.out_names[:1] or ("W",)  # the one output axis, by whatever name
-    check_parts("exact_output_divergence", (("q_w_given_uv", q_w_given_uv, ("U", "V"), w),
-                                            ("q_w", q_w, (), w)))
+    alphabets = check_parts("exact_output_divergence", (("q_w_given_uv", q_w_given_uv, ("U", "V"), w),
+                                                        ("q_w", q_w, (), w)))
+    _check_alphabets(cb, alphabets["U"], alphabets["V"])
     n_w = len(q_w.symbols)
     rows = q_w_given_uv.kernel.reshape(-1, n_w)  # (|U||V|, |W|)
     uv = _uv_codes(cb).reshape(-1, cb.n)  # (Ncw, n)
@@ -489,43 +497,32 @@ def exact_output_divergence(cb: Codebook, q_w_given_uv: Channel, q_w: Pmf) -> fl
     return max(0.0, div)
 
 
-def _log_state_law(model: SdWtcModel, law: CodeLaw, cb: Codebook) -> np.ndarray:
-    """ln W_S^n of all state sequences, lexicographic, for a codebook over
-    the law's U and V alphabets."""
-    if cb.u_symbols != law.joint.alphabet("U") or cb.v_symbols != law.joint.alphabet("V"):
-        raise ValueError("codebook alphabets do not match the policy")
+def _state_law(model: SdWtcModel, n: int) -> np.ndarray:
+    """W_S^n of all state sequences, lexicographic, as a column: the exp of
+    their log-mass sums."""
     with np.errstate(divide="ignore"):
         log_ws = np.log(model.state_pmf.probs)
-    return _product_chain(log_ws[None, None, :].repeat(cb.n, axis=1), np.add)[:, 0]
+    return np.exp(_product_chain(log_ws[None, None, :].repeat(n, axis=1), np.add))
 
 
-def _encoder_tables(
-    model: SdWtcModel, law: CodeLaw, cb: Codebook
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Enumerate all state sequences and the exact per-(m,i,j) likelihoods.
+def _encoder_weights(lik: np.ndarray, counts: np.ndarray, ws: np.ndarray, pairs: int) -> np.ndarray:
+    """The exact encoder law W_S^n(s) P_hat(d | m, s), in place of lik.
 
-    law is CodeLaw.of(assemble_joint(model, policy)).  Returns (ln_ws, loglik, p_hat)
-    with loglik and p_hat of shape (M, N1, N2, Ns), state sequences in
-    lexicographic order; p_hat rows with no support fall back to uniform so
-    the induced joint stays normalized.
+    lik holds the (|S|^n, D) log-likelihoods ln Q^n_{S|U,V}(s | d) of D
+    words, word d standing for counts[d] of a message's pairs (pairs in all);
+    ws is W_S^n as a column.  P_hat(d | m, s) is proportional to
+    counts[d] Q^n(s | d); a state sequence no pair supports gives each word
+    counts[d] / pairs.
     """
-    n_s = len(model.s_symbols)
-    num_seqs = n_s ** cb.n
-    _check_work(cb.num_messages * cb.num_u * cb.num_v * num_seqs * cb.n)
-
-    ln_ws = _log_state_law(model, law, cb)
-    letters = law.log_q_s_given_uv.reshape(-1, n_s)[_uv_codes(cb)]  # (N1, N2, M, n, |S|)
-    loglik = _product_chain(
-        np.moveaxis(letters, 2, 0).reshape(-1, cb.n, n_s), np.add
-    ).T.reshape(cb.num_messages, cb.num_u, cb.num_v, num_seqs)
-
-    top = loglik.max(axis=(1, 2), keepdims=True)
-    supported = ~np.isneginf(top)
-    p_hat = loglik - np.where(supported, top, 0.0)
-    np.exp(p_hat, out=p_hat)
-    p_hat /= np.where(supported, p_hat.sum(axis=(1, 2), keepdims=True), 1.0)
-    np.copyto(p_hat, 1.0 / (cb.num_u * cb.num_v), where=~supported)
-    return ln_ws, loglik, p_hat
+    top = lik.max(axis=1, keepdims=True)
+    supported = top > -np.inf
+    lik -= np.where(supported, top, 0.0)
+    np.exp(lik, out=lik)
+    lik *= counts
+    lik *= ws / np.where(supported, lik.sum(axis=1, keepdims=True), 1.0)
+    unsupported = ~supported[:, 0]
+    lik[unsupported] = ws[unsupported] * (counts / pairs)
+    return lik
 
 
 @dataclass(frozen=True)
@@ -546,33 +543,42 @@ class InducedVsIdealized:
     def tv_under(self, p_m: Sequence[float]) -> float:
         """Total variation when the message is drawn from p_m."""
         weights = np.asarray(p_m, dtype=float)
-        if weights.shape != (len(self.per_message),) or abs(weights.sum() - 1.0) > 1e-9:
+        # a NaN or negative weight fails weights >= 0, an infinite one the sum
+        if (weights.shape != (len(self.per_message),) or not np.all(weights >= 0.0)
+                or abs(weights.sum() - 1.0) > 1e-9):
             raise ValueError("p_m must be a distribution over the message set")
         return float(weights @ np.array(self.per_message))
 
 
 def approximation_gap(model: SdWtcModel, policy: InputPolicy, cb: Codebook) -> InducedVsIdealized:
-    """Exact TV between the scheme-induced joint and its idealized stand-in."""
-    ln_ws, loglik, p_hat = _encoder_tables(model, CodeLaw.of(assemble_joint(model, policy)), cb)
-    ws = np.exp(ln_ws)  # (Ns,)
-    m_count = cb.num_messages
-    pairs = cb.num_u * cb.num_v
+    """Exact TV between the scheme-induced joint and its idealized stand-in.
 
-    induced = p_hat  # both joints are built in place of the tables they come from
-    induced *= ws
-    induced /= m_count
-    idealized = np.exp(loglik, out=loglik)
+    One chain gives every pair's log-likelihood of every state sequence, in
+    M N1 N2 |S|^n n additions, the count the guard bounds before any table is
+    built; the induced joint is _encoder_weights over each message's pairs,
+    each counted once.
+    """
+    law = CodeLaw.of(assemble_joint(model, policy))
+    _check_alphabets(cb, law.joint.alphabet("U"), law.joint.alphabet("V"))
+    n_s, m_count, pairs = len(model.s_symbols), cb.num_messages, cb.num_u * cb.num_v
+    _check_work(m_count * pairs * n_s ** cb.n * cb.n)
+
+    codes = np.moveaxis(_uv_codes(cb), 2, 0).reshape(-1, cb.n)  # (M N1 N2, n), by (m, i, j)
+    loglik = _product_chain(law.log_q_s_given_uv.reshape(-1, n_s)[codes], np.add)  # (Ns, M N1 N2)
+    induced = np.stack(np.split(loglik, m_count, axis=1))  # (M, Ns, N1 N2): a block a message
+    del loglik
+    idealized = np.exp(induced)
     idealized /= pairs * m_count
-    per_message = tuple(
-        float(0.5 * np.abs(induced[m] - idealized[m]).sum() * m_count) for m in range(m_count)
-    )
-    total = float(sum(per_message) / m_count)
-    return InducedVsIdealized(
-        induced=induced,
-        idealized=idealized,
-        per_message=per_message,
-        total_variation=total,
-    )
+    ws, ones = _state_law(model, cb.n), np.ones(pairs)
+    for lik in induced:
+        _encoder_weights(lik, ones, ws, pairs)
+    induced /= m_count
+    diff = np.empty_like(induced[0])  # one message's |induced - idealized|, reused
+    per_message = tuple(float(0.5 * np.abs(np.subtract(a, b, out=diff), out=diff).sum() * m_count)
+                        for a, b in zip(induced, idealized))
+    shape = (m_count, cb.num_u, cb.num_v, len(ws))  # both joints as (M, N1, N2, Ns) views
+    induced, idealized = (a.transpose(0, 2, 1).reshape(shape) for a in (induced, idealized))
+    return InducedVsIdealized(induced, idealized, per_message, float(sum(per_message) / m_count))
 
 
 def exact_message_channel(model: SdWtcModel, policy: InputPolicy, cb: Codebook) -> Channel:
@@ -583,18 +589,18 @@ def exact_message_channel(model: SdWtcModel, policy: InputPolicy, cb: Codebook) 
     sum_x Q_{X|U,V,S}(x|u,v,s) W_Z(z|x,s).
 
     For each message the N1 N2 pairs c = (i, j) are grouped into their D
-    distinct (u, v) words, each weighed by its count; a state sequence no
-    pair supports gives a word count / (N1 N2).  The weight tensor
-    T[d, s_1..s_n] = P_hat(d|m,s) W_S^n(s) is contracted one letter at a
-    time: step t turns the leading s_t axis into a trailing z_t axis with
-    the word's |S| x |Z| kernel of letter t (an n-mode product), so after n
-    steps the axes are z_1..z_n in lexicographic order and the words are
-    summed out.  That is D sum_t |S|^(n-t+1) |Z|^t multiply-adds and two
+    distinct (u, v) words, each weighed by its count.  The weight tensor
+    T[d, s_1..s_n] = P_hat(d|m,s) W_S^n(s), from _encoder_weights, is
+    contracted one letter at a time: step t turns the leading s_t axis into
+    a trailing z_t axis with the word's |S| x |Z| kernel of letter t (an
+    n-mode product), so after n steps the axes are z_1..z_n in lexicographic
+    order and the words are summed out.  That is D sum_t |S|^(n-t+1) |Z|^t multiply-adds and two
     D max(|S|, |Z|)^n tables per message; the guard counts
     sum_m D_m sum_t |S|^(n-t+1) |Z|^t once every message's words are known,
     before any table is built.
     """
     law = CodeLaw.of(assemble_joint(model, policy))
+    _check_alphabets(cb, law.joint.alphabet("U"), law.joint.alphabet("V"))
     n_s, n_z = len(model.s_symbols), len(model.z_symbols)
     pairs = cb.num_u * cb.num_v
     log_k = law.log_q_s_given_uv.reshape(-1, n_s)  # rows by (u, v) letter code u |V| + v
@@ -606,22 +612,14 @@ def exact_message_channel(model: SdWtcModel, policy: InputPolicy, cb: Codebook) 
     letter_ops = sum(n_s ** (cb.n - t + 1) * n_z ** t for t in range(1, cb.n + 1))
     _check_work(letter_ops * sum(len(words) for words, _ in distinct))
 
-    ws = np.exp(_log_state_law(model, law, cb))[:, None]
+    ws = _state_law(model, cb.n)
     w_z = model.channel.kernel.sum(axis=2)  # (|X|, |S|, |Z|)
     k_z = np.einsum("uvsx,xsz->uvsz", law.q_x_given_uvs.kernel, w_z).reshape(-1, n_s, n_z)
 
     kernel = np.empty((cb.num_messages, n_z ** cb.n))
     for m, (words, counts) in enumerate(distinct):
         lik = _product_chain(log_k[words], np.add)  # (s_1..s_n, D) log-likelihoods
-        top = lik.max(axis=1, keepdims=True)
-        supported = top > -np.inf
-        lik -= np.where(supported, top, 0.0)
-        np.exp(lik, out=lik)
-        lik *= counts
-        lik *= ws / np.where(supported, lik.sum(axis=1, keepdims=True), 1.0)
-        unsupported = ~supported[:, 0]
-        lik[unsupported] = ws[unsupported] * (counts / pairs)
-        cur = np.ascontiguousarray(lik.T)  # (D, s_1..s_n)
+        cur = np.ascontiguousarray(_encoder_weights(lik, counts, ws, pairs).T)  # (D, s_1..s_n)
         del lik
         letters = k_z[words]  # (D, n, |S|, |Z|)
         # letter t: (D, s_t, rest) -> (D, rest, z_t), rest = s_t+1..s_n z_1..z_t-1

@@ -2,6 +2,7 @@
 enumerations, and the Monte Carlo experiments."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import re
@@ -48,7 +49,7 @@ from sdwtc.simulate import (
     _decode,
     _distinct_words,
     _encode,
-    _encoder_tables,
+    _encoder_weights,
     _fill,
     _inverse_cdf,
     _product_chain,
@@ -911,8 +912,8 @@ def test_exact_enumerations_match_the_dense_chain(n, n_s, n_z):
 
 
 def test_message_channel_guard_counts_the_letter_contraction():
-    # sum_t 2^(n-t+1) 2^t = n 2^(n+1) operations trip the guard, while the
-    # encoder tables' n 2^n would not; the check comes before any allocation
+    # sum_t 2^(n-t+1) 2^t = n 2^(n+1) operations trip the guard, while
+    # approximation_gap's count, n 2^n, would not; the check comes before any allocation
     model = bsc_wiretap(0.1, tap="copy")
     n = 22
     cb = Codebook(
@@ -945,13 +946,19 @@ def test_encoder_weights_match_the_masked_normalisation():
         u_words=np.zeros((1, 3), dtype=np.int64),
         v_words=np.stack([v, v[::-1]], axis=1)[None], seed=0,
     )
-    _, loglik, p_hat = _encoder_tables(model, law, cb)
-    top = loglik.max(axis=(1, 2), keepdims=True)
-    w = np.exp(loglik - np.where(np.isneginf(top), 0.0, top))
-    norm = w.sum(axis=(1, 2), keepdims=True)
-    want = np.where(norm > 0.0, w / np.where(norm > 0.0, norm, 1.0), 0.25)
-    assert np.isneginf(top).sum() == 2 * 4  # s_1 = 1 in both messages
-    assert np.array_equal(p_hat, want)
+    ws, codes = simulate._state_law(model, 3), simulate._uv_codes(cb)
+    unsupported = 0
+    # the second message's words stand for 1, 2, 3 and 2 of eight pairs
+    for m, counts in ((0, np.ones(4)), (1, np.array([1.0, 2.0, 3.0, 2.0]))):
+        lik = _product_chain(law.log_q_s_given_uv.reshape(-1, 2)[codes[0, :, m]], np.add)  # (8, 4)
+        top = lik.max(axis=1, keepdims=True)
+        w = np.exp(lik - np.where(np.isneginf(top), 0.0, top)) * counts
+        norm = w.sum(axis=1, keepdims=True)
+        want = np.where(norm > 0.0, w * (ws / np.where(norm > 0.0, norm, 1.0)),
+                        ws * (counts / counts.sum()))
+        unsupported += np.isneginf(top).sum()
+        assert np.array_equal(_encoder_weights(lik, counts, ws, int(counts.sum())), want)
+    assert unsupported == 2 * 4  # s_1 = 1 in both messages
 
 
 def test_message_channel_over_repeated_words_matches_the_dense_chain():
@@ -972,12 +979,12 @@ def test_message_channel_over_repeated_words_matches_the_dense_chain():
         n=4, r1=0.25, r2=math.log2(6) / 4, r=0.25, u_symbols=(0, 1), v_symbols=(0, 1),
         u_words=np.array([[0, 0, 0, 0], [0, 1, 0, 1]]), v_words=pool[pick], seed=0,
     )
-    _, loglik, _ = _encoder_tables(model, law, cb)
-    unsupported = np.isneginf(loglik.max(axis=(1, 2))).sum(axis=1)
-    assert np.all(unsupported >= 8)  # at least half of the 16 state sequences, per message
+    codes = simulate._uv_codes(cb)
     for m in range(2):
-        codes = cb.u_words[:, None, :] * 2 + cb.v_words[:, :, m]
-        assert len(np.unique(codes.reshape(-1, 4), axis=0)) <= 6
+        lik = _product_chain(law.log_q_s_given_uv.reshape(-1, 2)[codes[:, :, m].reshape(-1, 4)], np.add)
+        # at least half of the 16 state sequences match no pair
+        assert np.isneginf(lik.max(axis=1)).sum() >= 8
+        assert len(np.unique(codes[:, :, m].reshape(-1, 4), axis=0)) <= 6
 
     kernel = exact_message_channel(model, policy, cb).kernel
     np.testing.assert_allclose(kernel, dense_message_channel(model, policy, cb), rtol=0, atol=1e-12)
@@ -1016,6 +1023,10 @@ def test_approximation_gap_normalization_and_structure():
         res.tv_under([1.0] * (m + 1))
     with pytest.raises(ValueError):
         res.tv_under([0.7] * m)
+    assert m == 2
+    for bad in ([1.5, -0.5], [math.nan, math.nan], [math.inf, -math.inf], [math.inf, 0.0]):
+        with pytest.raises(ValueError, match="p_m must be a distribution"):
+            res.tv_under(bad)
 
 
 def test_approximation_gap_single_pair_oracle():
@@ -1031,6 +1042,67 @@ def test_approximation_gap_single_pair_oracle():
     expected *= 0.5
     assert res.total_variation == pytest.approx(expected, rel=1e-10)
     assert res.total_variation > 0.25
+
+
+def dense_approximation_gap(model, policy, cb):
+    """The induced and idealized (M, N1, N2, Ns) joints and the per-message
+    TVs from one chain per (pair, state sequence); a state sequence no pair
+    supports weighs every pair alike."""
+    k_s = channel_from_joint(assemble_joint(model, policy), ("U", "V"), ("S",)).kernel
+    s_seqs = np.array(list(iter_product(range(k_s.shape[2]), repeat=cb.n)))  # (Ns, n)
+    ws = model.state_pmf.probs[s_seqs].prod(axis=1)
+    u = np.broadcast_to(cb.u_words[:, None, None, :], cb.v_words.shape[:2] + (1, cb.n))
+    m_count, pairs = cb.num_messages, cb.num_u * cb.num_v
+    induced, idealized = [], []
+    for m in range(m_count):
+        lik = k_s[u, cb.v_words[:, :, None, m, :], s_seqs].prod(axis=-1)  # (N1, N2, Ns)
+        norm = lik.sum(axis=(0, 1))
+        p_hat = np.where(norm > 0.0, lik / np.where(norm > 0.0, norm, 1.0), 1.0 / pairs)
+        induced.append(p_hat * ws / m_count)
+        idealized.append(lik / (pairs * m_count))
+    induced, idealized = np.array(induced), np.array(idealized)
+    return induced, idealized, 0.5 * np.abs(induced - idealized).sum(axis=(1, 2, 3)) * m_count
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("n_s", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_approximation_gap_matches_the_dense_chain(n, n_s, sparse):
+    # four pairs per message over three words; a sparse policy leaves state
+    # sequences that no pair supports
+    rng = np.random.default_rng(RNG_SEED + 10 * n + n_s + 100 * sparse)
+    model = random_model(rng, ns=n_s, nx=2, ny=2, nz=2)
+    k = rng.dirichlet(np.ones(4), size=n_s).reshape(n_s, 1, 2, 2)
+    if sparse:
+        k[np.arange(n_s), 0, (np.arange(n_s) + 1) % 2] = 0.0  # V is never the parity flip of S
+        k /= k.sum(axis=(1, 2, 3), keepdims=True)
+    policy = gp_policy(model.s_symbols, (0,), (0, 1), model.x_symbols, k)
+    cb = repeated_word_codebook(n, rng.integers(0, 2, size=(3, n)), rng.integers(0, 3, size=(4, 2)))
+    res = approximation_gap(model, policy, cb)
+    induced, idealized, per_message = dense_approximation_gap(model, policy, cb)
+    assert res.induced.shape == induced.shape == (2, 1, 4, n_s ** n)
+    np.testing.assert_allclose(res.induced, induced, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(res.idealized, idealized, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(res.per_message, per_message, rtol=0, atol=1e-15)
+    assert res.total_variation == pytest.approx(per_message.mean(), rel=0, abs=1e-15)
+
+
+def test_approximation_gap_guard_counts_every_pair():
+    # M N1 N2 |S|^n n over every pair, though the five pairs share two words;
+    # refused before any table is built
+    model = bsc_wiretap(0.1, tap="copy")
+    n = 20
+    assert 4 * n * 2 ** n <= 10 ** 8 < 5 * n * 2 ** n
+    words = np.array([np.arange(n) % 2, np.arange(n) // 3 % 2])
+    cb = repeated_word_codebook(n, words, np.array([[0], [1], [0], [1], [0]]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"enumeration needs ~{5 * n * 2 ** n} operations"):
+            approximation_gap(model, uniform_input_policy(model), cb)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_approximation_gap_shrinks_with_huge_rates():
@@ -1341,6 +1413,42 @@ def test_message_channel_at_n10_on_the_bench_codebook():
     assert peak < 32 * 2 ** 20
     np.testing.assert_allclose(channel.kernel.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     assert leakage_capacity(channel).bits.hex() == "0x1.259dfd4341863p-3"
+
+
+@pytest.mark.parametrize("v_symbols", [("a", "b"), (0, 1, 2)])
+def test_codebook_consumers_refuse_other_alphabets(v_symbols):
+    # relabelled, a codebook encoded silently; over three symbols, it raised IndexError
+    model = load_channel_spec(str(_FIXTURES / "bsc_q011.json"))
+    policy = load_policy_spec(str(_FIXTURES / "uniform_v_is_x.json"), model)
+    joint = assemble_joint(model, policy)
+    law = CodeLaw.of(joint)
+    q_z_given_uv = channel_from_joint(joint, ("U", "V"), ("Z",))
+    q_z = Pmf(joint.alphabet("Z"), marginalize(joint, ("Z",)).mass)
+    consumers = (
+        lambda c: likelihood_encode(0, (0, 1, 1, 0), c, law, seed=0),
+        lambda c: typicality_decode((0, 1, 1, 0), c, law, 1.0),
+        lambda c: exact_message_channel(model, policy, c),
+        lambda c: approximation_gap(model, policy, c),
+        lambda c: exact_output_divergence(c, q_z_given_uv, q_z),
+    )
+    cb = sample_codebook(law.q_u, law.q_v_given_u, 4, 0.25, 0.25, 0.25, seed=1)
+    other = dataclasses.replace(cb, v_symbols=v_symbols)
+    for call in consumers:
+        call(cb)
+        with pytest.raises(ValueError, match="codebook alphabets"):
+            call(other)
+
+
+def test_output_divergence_refuses_a_kernel_over_other_alphabets():
+    # the kernel's V holds three symbols, the codebook's two: letter codes
+    # u |V| + v would read the kernel's rows with the codebook's |V|
+    q_w = Pmf((0, 1), np.array([0.5, 0.5]))
+    kernel = Channel((("U", (0,)), ("V", (0, 1, 2))), (("W", (0, 1)),),
+                     np.array([[[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]]]))
+    cb = repeated_word_codebook(4, np.array([[0, 1, 1, 0], [1, 1, 0, 0]]), np.array([[0], [1]]))
+    cb = dataclasses.replace(cb, v_symbols=("a", "b"))
+    with pytest.raises(ValueError, match="codebook alphabets"):
+        exact_output_divergence(cb, kernel, q_w)
 
 
 def repeated_word_codebook(n: int, words: np.ndarray, pick: np.ndarray) -> Codebook:
