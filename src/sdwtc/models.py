@@ -340,35 +340,52 @@ def joint_plan(kind: str, model: SdWtcModel | RlnModel, aux) -> tuple[tuple, Cal
     the (B, ...) masses of a stack of B policies from one array per part
     holding B of its entries (any shape that reshapes to (B, *part shape),
     such as stacked blocks); it builds no policy or joint object.  The
-    factors are multiplied in the kind's product order, which fixes the
-    rounding."""
+    factors are multiplied in the kind's product order, left to right,
+    which fixes the rounding: each factor is a view over the joint's axes
+    (its own in joint order, size 1 on the others), so the products
+    broadcast, and each joint entry is the product its factors' entries
+    give in that order.  The masses come C-ordered, every zero as +0.0."""
     spec = policy_kind(kind)
     part_axes = {field: ins + outs for (field, _, _), (ins, outs)
                  in zip(spec.parts, _part_axes(spec, model, aux), strict=True)}
     shapes = {field: tuple(len(a) for _, a in f_axes) for field, f_axes in part_axes.items()}
-    index: dict[str, int] = {}  # axis name -> einsum subscript; 0 is the batch axis
+    index: dict[str, int] = {}  # axis name -> its place among the joint's axes
     joint_axes: list[tuple[str, tuple]] = []
     factors: list[tuple[str, np.ndarray | None, list[int]]] = []  # a part's array is None
     for name in spec.product:
         if name in part_axes:
-            f_axes, arr, batch = part_axes[name], None, [0]
+            f_axes, arr = part_axes[name], None
         else:  # a model factor: its state law over S, or one of its channels
             f = getattr(model, name)
-            f_axes, arr, batch = _axes_of(f, ("S",)), f.probs if isinstance(f, Pmf) else f.kernel, []
+            f_axes, arr = _axes_of(f, ("S",)), f.probs if isinstance(f, Pmf) else f.kernel
         for axis in f_axes:
             if axis[0] not in index:
-                index[axis[0]] = len(index) + 1
+                index[axis[0]] = len(index)
                 joint_axes.append(axis)
-        factors.append((name, arr, batch + [index[a] for a, _ in f_axes]))
-    out = list(range(len(index) + 1))
+        factors.append((name, arr, [index[a] for a, _ in f_axes]))
+    sizes = tuple(len(a) for _, a in joint_axes)
+    # each factor's axis order and its shape over the joint's axes; a model
+    # factor is put in that form here, once, a part at each call
+    chain: list[tuple[str, np.ndarray | None, list[int], tuple[int, ...]]] = []
+    for name, arr, places in factors:
+        order = sorted(range(len(places)), key=places.__getitem__)
+        shape = tuple(size if k in places else 1 for k, size in enumerate(sizes))
+        if arr is not None:
+            arr = np.transpose(arr, order).reshape(1, *shape)
+        chain.append((name, arr, [0] + [k + 1 for k in order], shape))
 
     def mass(arrays) -> np.ndarray:
-        parts = {field: arr.reshape(len(arr), *shape)
+        b = len(arrays[0])
+        parts = {field: arr.reshape(b, *shape)
                  for (field, shape), arr in zip(shapes.items(), arrays, strict=True)}
-        operands: list = []
-        for name, arr, subscripts in factors:
-            operands += [parts[name] if arr is None else arr, subscripts]
-        return np.einsum(*operands, out)
+        views = [parts[name].transpose(order).reshape(b, *shape) if arr is None else arr
+                 for name, arr, order, shape in chain]
+        product = views[0]
+        for view in views[1:-1]:
+            product = product * view
+        joint = np.multiply(product, views[-1], out=np.empty((b, *sizes)))
+        # + 0.0 makes a -0.0 product, from a -0.0 entry of a part, +0.0
+        return np.add(joint, 0.0, out=joint)
 
     return tuple(joint_axes), mass
 

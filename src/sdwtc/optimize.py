@@ -10,10 +10,12 @@ returns ``rates.report`` of it.  ``maximize`` and ``exhaustive_small``
 score stacks of raw blocks with a ``rates.plan`` evaluator (looked up once
 per search or grid) and build no policy per candidate.  The search is
 random-restart coordinate ascent, its restarts advanced in lockstep
-rounds: each round scores every restart's next 8 candidates in one
+rounds: each round scores every restart's next 16 candidates in one
 stacked evaluation, after one batched simplex projection per row length,
 and each restart keeps the first of them that improves, so each
-restart's generator draws are the only per-restart work.  A
+restart's generator draws are the only per-restart work; its slot picks
+are read from raw PCG64 words (``rng.bounded_draws``), exactly as
+``Generator.integers`` would draw them.  A
 brute-force grid enumeration, in chunks, serves problems small enough to
 afford it.  Runs are deterministic given the budget seed (restart r draws
 from the r-th splitmix64 output of the master seed), and each restart
@@ -39,13 +41,14 @@ from .models import (
     policy_joint,
     policy_parts,
 )
-from .rng import derive_seeds
+from .rng import bounded_draws, derive_seeds
 
 _INITIAL_STEP = 0.5
 _REJECTS_PER_HALVING = 10
-# candidates per restart in a round of the search; at most _REJECTS_PER_HALVING,
-# so a round crosses at most one step halving
-_WINDOW = 8
+# candidates per restart in a round of the search; a round may cross more
+# than one step halving, each candidate's step counting the halvings before it
+_WINDOW = 16
+# policies in a grid, and candidates in a search (restarts x iterations)
 _MAX_GRID_EVALS = 10_000_000
 # restarts per search: each has its own seed, generator and row in every
 # round's stack of _WINDOW candidates, built before the first round
@@ -58,8 +61,9 @@ _GRID_CHUNK_ENTRIES = 1 << 12
 class OptBudget:
     """Search effort: random restarts, ascent steps per restart, master seed.
 
-    More than _MAX_RESTARTS restarts are refused here, before any seed or
-    generator is built for them.
+    More than _MAX_RESTARTS restarts, or more than _MAX_GRID_EVALS
+    candidates in all (restarts x iterations), are refused here, before any
+    seed or generator is built for them.
     """
 
     restarts: int = 16
@@ -71,6 +75,9 @@ class OptBudget:
             raise ValueError(f"restarts and iterations must be positive, got {self!r}")
         if self.restarts > _MAX_RESTARTS:
             raise ValueError(f"{self.restarts} restarts; refusing more than {_MAX_RESTARTS}")
+        if self.restarts * self.iterations > _MAX_GRID_EVALS:
+            raise ValueError(f"{self.restarts} restarts x {self.iterations} iterations; "
+                             f"refusing more than {_MAX_GRID_EVALS} candidates")
 
 
 @dataclass(frozen=True)
@@ -212,13 +219,14 @@ def _lockstep(
     beats its best and drops the rest.  That is the path it would walk
     alone: its draws (the slot, then the noise) do not depend on
     acceptance, and until it accepts its base point is fixed and candidate
-    j's step is its step, halved once if its rejects before j reach
-    _REJECTS_PER_HALVING.  Draws are made lazily, in each generator's order,
-    into a ring of _WINDOW per restart; those after an acceptance wait there
-    for the next round.  Each restart's blocks are views of its row of one
-    (R, sum of rows * d) array.  Returns the best (R, rows, d) blocks, the
-    (R,) best values and the number of evaluations the restarts would make
-    alone."""
+    j's step is its step, halved once per _REJECTS_PER_HALVING rejects
+    before it.  Draws are made lazily, in each generator's order, into a
+    ring of _WINDOW per restart; those after an acceptance wait there for
+    the next round.  The slot picks are rng.bounded_draws of the
+    generator's bit generator, the noise its standard_normal.  Each
+    restart's blocks are views of its row of one (R, sum of rows * d)
+    array.  Returns the best (R, rows, d) blocks, the (R,) best values and
+    the number of evaluations the restarts would make alone."""
     rngs = [np.random.default_rng(seed) for seed in seeds]
     flat = np.array([np.concatenate([g.dirichlet(np.ones(d), size=rows).ravel() for rows, d in shapes])
                      for g in rngs])
@@ -253,6 +261,7 @@ def _lockstep(
     if not len(slots):
         return blocks, best, len(rngs) + len(fold)
     slot_len, slot_start = slots.T
+    pickers = [bounded_draws(g.bit_generator, len(slots)) for g in rngs]
     # restart i's draw for its iteration t sits at [i, t % _WINDOW]: the
     # slot in picks, the noise in the buffer of the slot's row length
     picks = np.empty((len(rngs), _WINDOW), dtype=int)
@@ -266,10 +275,10 @@ def _lockstep(
     while (live := np.flatnonzero(done < iterations)).size:
         w = np.minimum(_WINDOW, iterations - done[live])
         for i, end in zip(live.tolist(), (done[live] + w).tolist()):
-            g = rngs[i]
+            normal, pick_slot = rngs[i].standard_normal, pickers[i]
             for t in range(drawn[i], end):
-                picks[i, t % _WINDOW] = s = g.integers(len(slots))
-                g.standard_normal(out=slot_noise[s][i, t % _WINDOW])
+                picks[i, t % _WINDOW] = s = pick_slot()
+                normal(out=slot_noise[s][i, t % _WINDOW])
             drawn[i] = end
         # candidate n is restart owner[n]'s pos[n]-th of this round
         starts = np.cumsum(w) - w
@@ -277,7 +286,8 @@ def _lockstep(
         pos = np.arange(len(owner)) - np.repeat(starts, w)
         buf = (done[owner] + pos) % _WINDOW
         pick = picks[owner, buf]
-        cand_step = np.where(rejects[owner] + pos < _REJECTS_PER_HALVING, step[owner], step[owner] * 0.5)
+        # the step is a power of two, so each product is the repeated halving
+        cand_step = step[owner] * 0.5 ** ((rejects[owner] + pos) // _REJECTS_PER_HALVING)
         trial = flat[owner]
         picked = slot_len[pick]
         for d, rows_noise in noise.items():
@@ -295,7 +305,7 @@ def _lockstep(
         flat[live[up]] = trial[taken]
         rejected = np.where(up, first, w)
         total = rejects[live] + rejected
-        step[live] = np.where(total < _REJECTS_PER_HALVING, step[live], step[live] * 0.5)
+        step[live] = step[live] * 0.5 ** (total // _REJECTS_PER_HALVING)
         rejects[live] = np.where(up, 0, total % _REJECTS_PER_HALVING)
         done[live] += rejected + up
     return blocks, best, len(rngs) * (1 + iterations) + len(fold)

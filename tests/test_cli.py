@@ -677,6 +677,18 @@ def test_optimize_refuses_restarts_above_the_bound_before_allocating(tmp_path, c
     assert peak < 2 ** 20
 
 
+def test_optimize_refuses_a_search_that_cannot_finish(tmp_path, capsys):
+    # refused by the budget's candidate bound before any seed or generator exists
+    ch = write_json(tmp_path / "ch.json", wiretap_doc())
+    status = main(["optimize", "--channel", ch, "--functional", "RA", "--restarts", "1",
+                   "--iters", str(10 ** 12)])
+    record = json.loads(capsys.readouterr().out)
+    assert status == 1
+    assert record["error"]["type"] == "ValueError"
+    assert "1 restarts x 1000000000000 iterations" in record["error"]["message"]
+    assert "refusing more than 10000000 candidates" in record["error"]["message"]
+
+
 PINNED_LEAKAGE = {"4": 0.0164762588102, "6": 0.0231424938517}
 
 

@@ -12,6 +12,7 @@ from identities import random_model as identities_random_model
 from sdwtc.cli import load_channel_spec, load_policy_spec
 from sdwtc.models import (
     ERASURE,
+    POLICY_KINDS,
     InputPolicy,
     RlnModel,
     SdWtcModel,
@@ -19,10 +20,13 @@ from sdwtc.models import (
     build_rln_example,
     build_semideterministic,
     gp_policy,
+    joint_plan,
     lift_side_information,
     model_from_dict,
     model_to_dict,
+    policy_blocks,
 )
+from sdwtc.models import _axes_of, _part_axes
 from sdwtc.prob import (
     Channel,
     Pmf,
@@ -141,6 +145,52 @@ def test_assemble_joint_rejects_foreign_policy():
 
 # ---------------------------------------------------------------------------
 # the binary benchmark family
+
+
+def _einsum_joint(kind, model, aux, stacks) -> np.ndarray:
+    """The (B, ...) joints of a stack of policies as one np.einsum of the
+    kind's factors in its product order, each joint axis placed where it
+    first appears: the reference joint_plan's products must match."""
+    spec = POLICY_KINDS[kind]
+    fields = [field for field, _, _ in spec.parts]
+    part_axes = {field: ins + outs for field, (ins, outs) in zip(fields, _part_axes(spec, model, aux))}
+    index: dict[str, int] = {}
+    operands: list = []
+    for name in spec.product:
+        if name in part_axes:
+            axes, batch = part_axes[name], [0]
+            arr = stacks[fields.index(name)]
+            arr = arr.reshape(len(arr), *(len(a) for _, a in axes))
+        else:
+            f = getattr(model, name)
+            axes, batch = _axes_of(f, ("S",)), []
+            arr = f.probs if isinstance(f, Pmf) else f.kernel
+        for a, _ in axes:
+            index.setdefault(a, len(index) + 1)
+        operands += [arr, batch + [index[a] for a, _ in axes]]
+    return np.einsum(*operands, list(range(len(index) + 1)))
+
+
+@pytest.mark.parametrize("kind", sorted(POLICY_KINDS))
+def test_joint_plan_masses_are_the_einsum_of_the_factors(kind):
+    rng = np.random.default_rng(RNG_SEED + 40)
+    for _ in range(15):
+        sizes = [int(k) for k in rng.integers(1, 4, size=4)]
+        if kind == "rln":
+            model, aux = random_rln_model(rng, *sizes), ((0, 1), (0, 1, 2))
+        else:
+            model = random_model(rng, *sizes)
+            aux = {"gp": ((0, 1), (0, 1, 2)), "x_given_s": (), "ceg": ((0, 1, 2),)}[kind]
+        shapes, _ = policy_blocks(kind, model, aux)
+        _, mass = joint_plan(kind, model, aux)
+        for b in (1, 7):
+            stacks = [rng.dirichlet(np.ones(d), size=(b, rows)) for rows, d in shapes]
+            for s in stacks:  # exact zeros of both signs, as projected rows can hold
+                s[rng.random(s.shape) < 0.2] = 0.0
+                s[rng.random(s.shape) < 0.1] = -0.0
+            got, want = mass(stacks), _einsum_joint(kind, model, aux, stacks)
+            assert got.flags.c_contiguous
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_rln_example_state_entropy_complements_channel():

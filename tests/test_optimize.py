@@ -28,6 +28,7 @@ from sdwtc.models import (
 )
 from sdwtc.optimize import (
     _INITIAL_STEP,
+    _MAX_GRID_EVALS,
     _MAX_RESTARTS,
     _REJECTS_PER_HALVING,
     _WINDOW,
@@ -82,6 +83,12 @@ def test_budget_refuses_restarts_above_the_bound():
     assert OptBudget(restarts=_MAX_RESTARTS).restarts == _MAX_RESTARTS
     with pytest.raises(ValueError, match=f"{_MAX_RESTARTS + 1} restarts"):
         OptBudget(restarts=_MAX_RESTARTS + 1)
+    # restarts x iterations is bounded as the grid's policy count is
+    assert OptBudget(restarts=10, iterations=_MAX_GRID_EVALS // 10).iterations == _MAX_GRID_EVALS // 10
+    with pytest.raises(ValueError, match=f"refusing more than {_MAX_GRID_EVALS} candidates"):
+        OptBudget(restarts=10, iterations=_MAX_GRID_EVALS // 10 + 1)
+    with pytest.raises(ValueError, match="1000000000000 iterations"):
+        OptBudget(restarts=1, iterations=10**12)
 
 
 def test_unknown_functional_rejected():
@@ -447,9 +454,6 @@ def test_lockstep_matches_sequential_restarts():
 
 
 def test_speculative_windows_match_sequential_restarts(monkeypatch):
-    # so a window crosses at most one step halving, which the single
-    # halving of a candidate's step and of the carried step relies on
-    assert _WINDOW <= _REJECTS_PER_HALVING
     heights = []  # of every stack the search scores
 
     def recording(entry, axes):
@@ -461,7 +465,7 @@ def test_speculative_windows_match_sequential_restarts(monkeypatch):
         warnings.simplefilter("error", RuntimeWarning)
         # budgets shorter than, equal to, just past and far past the window
         for offset, iterations in ((22, 1), (22, 3), (23, 4), (23, 5), (22, 7), (23, 8), (22, 9),
-                                   (22, 37), (23, 131)):
+                                   (23, 15), (22, 16), (23, 17), (22, 33), (22, 37), (23, 131)):
             budget = OptBudget(restarts=6, iterations=iterations, seed=3)
             for functional, (model, card_u, card_v) in _instances(
                     np.random.default_rng(RNG_SEED + offset)).items():
@@ -478,7 +482,10 @@ def test_speculative_windows_match_sequential_restarts(monkeypatch):
                     assert sum(heights) > want.evaluations
 
         # lifted CHV at |V| = 4 accepts nothing: every round is a full window, and
-        # 300 iterations put step halvings on both sides of window boundaries
+        # 300 iterations put step halvings on both sides of window boundaries;
+        # with up to 9 rejects carried into a window of 16, some windows cross
+        # two halvings
+        assert _WINDOW > _REJECTS_PER_HALVING
         lifted = lift_side_information(build_rln_example(0.25, 0.5))
         budget = OptBudget(restarts=2, iterations=300, seed=1)
         want = _sequential_maximize("CHV", lifted, 1, 4, budget)
@@ -492,6 +499,14 @@ def test_speculative_windows_match_sequential_restarts(monkeypatch):
         budget = OptBudget(restarts=3, iterations=320, seed=8)
         _assert_same_result(maximize("RA", model, card_u, card_v, budget),
                             _sequential_maximize("RA", model, card_u, card_v, budget))
+
+        # one state, so one free slot: the slot pick draws nothing
+        one_state = random_model(np.random.default_rng(RNG_SEED + 26), ns=1)
+        shapes, _ = _search_space(FUNCTIONALS["LN_encdec"], one_state, 1, 1)
+        assert shapes == [(1, 2)]
+        budget = OptBudget(restarts=3, iterations=40, seed=5)
+        _assert_same_result(maximize("LN_encdec", one_state, 1, 1, budget),
+                            _sequential_maximize("LN_encdec", one_state, 1, 1, budget))
 
 
 def test_draw_buffers_do_not_grow_with_iterations():
