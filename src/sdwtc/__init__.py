@@ -70,7 +70,6 @@ from .softcover import (
     GammaResult,
     SoftCoverSpec,
     best_gamma,
-    beta_exponents,
     failure_probability_bound,
     gamma_exponent,
 )

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .models import ERASURE, InputPolicy, SdWtcModel, assemble_joint, gp_policy
+from .models import ERASURE, InputPolicy, gp_policy
 from .prob import JointPmf, _run_entropy_bits
 
 FEAS_TOL = 1e-10
@@ -293,37 +293,17 @@ def _erasure_augmented_policy(policy: InputPolicy, eps: float) -> InputPolicy:
     return gp_policy(policy.s_symbols, u_lift, policy.v_symbols, policy.x_symbols, k)
 
 
-def transform_to_alt(joint: JointPmf, model: SdWtcModel, policy: InputPolicy) -> InputPolicy:
+def transform_to_alt(joint: JointPmf, policy: InputPolicy) -> InputPolicy:
     """Repair an infeasible policy for RA_ALT without losing rate.
 
-    When the three-term rate is positive but I(U;Y) < I(U;S), augmenting the
-    inner auxiliary with an erased copy of V restores the constraint: the
-    margin is linear in the erasure probability, positive at eps = 0 and
-    negative at eps = 1, so bisection pins the zero crossing.  The returned
-    policy sits at the bracket endpoint where the margin is still >= 0, and
-    its two-term value is no worse than the original three-term value (up
-    to the bisection tolerance).  Feasible policies are returned unchanged.
+    With g0 = I(U,V;Y) - I(U,V;S), RA's second term, and g1 = I(U;Y) -
+    I(U;S), augmenting the inner auxiliary with a copy of V erased with
+    probability eps gives the margin g1 + (1 - eps)(g0 - g1), linear in eps.
+    Where RA > 0 and g1 < 0, g0 > 0, so the margin vanishes at eps = g0 /
+    (g0 - g1) in (0, 1), and there the two-term value is no worse than the
+    original three-term value.  Other policies are returned unchanged.
     """
-    if report(RA, joint).value <= 0.0 or constraint_gap(joint) >= 0.0:
+    (_, a), (_, g0), (_, c), (_, g1) = report(Terms((*RA.labels, RA_ALT.feasible)), joint).terms
+    if min(a, g0, c) <= 0.0 or g1 >= 0.0:
         return policy
-
-    def margin(eps: float) -> tuple[float, InputPolicy]:
-        cand = _erasure_augmented_policy(policy, eps)
-        return constraint_gap(assemble_joint(model, cand)), cand
-
-    lo, hi = 0.0, 1.0
-    gap_lo, cand_lo = margin(lo)
-    gap_hi, _ = margin(hi)
-    if gap_lo < 0.0 or gap_hi >= 0.0:
-        raise ValueError(
-            f"erasure bisection bracket failed: margin({lo}) = {gap_lo!r}, "
-            f"margin({hi}) = {gap_hi!r}"
-        )
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        gap_mid, cand_mid = margin(mid)
-        if gap_mid >= 0.0:
-            lo, gap_lo, cand_lo = mid, gap_mid, cand_mid
-        else:
-            hi = mid
-    return cand_lo
+    return _erasure_augmented_policy(policy, g0 / (g0 - g1))

@@ -104,19 +104,6 @@ def _betas(
     )
 
 
-def beta_exponents(spec: SoftCoverSpec, order: float) -> tuple[float, float]:
-    """The two exponent candidates at a given Renyi order alpha > 1.
-
-    beta1 = ((a-1)/(2a-1)) (r1 - d1 - d_a(Q_UW || Q_U Q_W))
-    beta2 = ((a-1)/(2a-1)) (r1 + r2 - d2 - d_a(Q_UVW || Q_UV Q_W))
-    """
-    if not order > 1.0:
-        raise ValueError(f"order must exceed 1, got {order!r}")
-    b1, b2 = _betas(_divergence_tables(spec.joint), np.array([order]),
-                    spec.r1, spec.r2, spec.d1, spec.d2)
-    return float(b1[0]), float(b2[0])
-
-
 def _gamma(spec: SoftCoverSpec, tables) -> GammaResult:
     """gamma_exponent on the spec's precomputed _divergence_tables.
 

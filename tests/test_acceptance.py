@@ -236,7 +236,7 @@ def test_criterion_05_erasure_repair_recovers_rate():
         if constraint_gap(j) >= 0.0 or before.value <= 1e-6:
             continue
         repaired += 1
-        new_policy = transform_to_alt(j, model, policy)
+        new_policy = transform_to_alt(j, policy)
         alt = report(RA_ALT, assemble_joint(model, new_policy))
         ok &= alt.feasible and alt.value >= before.value - 1e-6
     dt = time.perf_counter() - t0

@@ -195,7 +195,7 @@ def test_repair_returns_feasible_policy_unchanged():
     policy = random_gp_policy(rng, model, cu=1, cv=2)
     j = assemble_joint(model, policy)
     assert constraint_gap(j) >= -1e-10
-    out = transform_to_alt(j, model, policy)
+    out = transform_to_alt(j, policy)
     assert out is policy
 
 
@@ -235,12 +235,54 @@ def test_repair_recovers_rate_on_infeasible_family():
         if constraint_gap(j) >= 0.0 or before.value <= 1e-6:
             continue
         repaired += 1
-        new_policy = transform_to_alt(j, model, policy)
+        new_policy = transform_to_alt(j, policy)
         new_joint = assemble_joint(model, new_policy)
         alt = report(RA_ALT, new_joint)
         assert alt.feasible
         assert alt.value >= before.value - 1e-6
     assert repaired >= 15
+
+
+def test_repair_margin_is_linear_in_the_erasure_probability():
+    # the premise of the closed form: the margin of the eps-augmented policy
+    # interpolates its eps = 0 and eps = 1 values
+    from sdwtc.rates import _erasure_augmented_policy
+
+    rng = np.random.default_rng(RNG_SEED + 31)
+    cases = [(_repair_family_model(), q) for q in (0.25, 0.35, 0.45)]
+    cases += [(random_model(rng), None) for _ in range(10)]
+    for model, q in cases:
+        policy = (random_gp_policy(rng, model) if q is None
+                  else _noisy_state_tracker_policy(model, q, rng))
+
+        def gap(eps):
+            return constraint_gap(assemble_joint(model, _erasure_augmented_policy(policy, eps)))
+
+        g0, g1 = gap(0.0), gap(1.0)
+        for eps in (0.25, 0.5, 0.75):
+            assert abs(gap(eps) - ((1.0 - eps) * g0 + eps * g1)) <= 1e-12
+
+
+def test_repair_lands_on_the_constraint():
+    # the draws of criterion 5 (test_acceptance's seed) and of
+    # test_repair_recovers_rate_on_infeasible_family
+    repaired = 0
+    for seed in (20240824 + 5, RNG_SEED + 8):
+        rng = np.random.default_rng(seed)
+        for _ in range(25):
+            model = _repair_family_model()
+            policy = _noisy_state_tracker_policy(model, float(rng.uniform(0.25, 0.45)), rng)
+            j = assemble_joint(model, policy)
+            before = report(RA, j)
+            if constraint_gap(j) >= 0.0 or before.value <= 0.0:
+                continue
+            repaired += 1
+            new_joint = assemble_joint(model, transform_to_alt(j, policy))
+            alt = report(RA_ALT, new_joint)
+            assert abs(constraint_gap(new_joint)) <= 1e-12
+            assert alt.feasible
+            assert alt.value >= before.value - 1e-12
+    assert repaired >= 30
 
 
 # ---------------------------------------------------------------------------

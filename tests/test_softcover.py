@@ -20,7 +20,6 @@ from sdwtc.softcover import (
     _betas,
     _divergence_tables,
     best_gamma,
-    beta_exponents,
     failure_probability_bound,
     gamma_exponent,
 )
@@ -100,15 +99,22 @@ def test_rate_margins_values():
 # beta exponents
 
 
+def beta_pair(spec: SoftCoverSpec, order: float) -> tuple[float, float]:
+    """beta1 and beta2 of the spec at one Renyi order alpha > 1."""
+    b1, b2 = _betas(_divergence_tables(spec.joint), np.array([order]),
+                    spec.r1, spec.r2, spec.d1, spec.d2)
+    return float(b1[0]), float(b2[0])
+
+
 def test_betas_vanish_as_order_drops_to_one():
     rng = np.random.default_rng(RNG_SEED + 1)
     spec = spec_with_margins(random_uvw(rng), 0.5, 0.6, 0.26, 0.45)
     for order in (1.1, 1.01, 1.001, 1.0001):
-        b1, b2 = beta_exponents(spec, order)
+        b1, b2 = beta_pair(spec, order)
         scale = (order - 1.0) / (2.0 * order - 1.0)
         assert abs(b1) <= scale * 4.0
         assert abs(b2) <= scale * 4.0
-    b1, b2 = beta_exponents(spec, 1.0 + 1e-9)
+    b1, b2 = beta_pair(spec, 1.0 + 1e-9)
     assert b1 == pytest.approx(0.0, abs=1e-8)
     assert b2 == pytest.approx(0.0, abs=1e-8)
 
@@ -117,7 +123,7 @@ def test_beta_independence_closed_form():
     spec = SoftCoverSpec(independent_uvw(), 1.0, 1.0, 0.2, 0.3)
     for order in (1.5, 2.0, 8.0):
         scale = (order - 1.0) / (2.0 * order - 1.0)
-        b1, b2 = beta_exponents(spec, order)
+        b1, b2 = beta_pair(spec, order)
         assert b1 == pytest.approx(scale * (1.0 - 0.2), abs=1e-12)
         assert b2 == pytest.approx(scale * (2.0 - 0.3), abs=1e-12)
 
@@ -131,7 +137,7 @@ def test_beta_uses_renyi_of_joint_vs_product():
     prod = np.outer(mass.sum(axis=1), mass.sum(axis=0))
     flat_prod = Pmf(tuple(range(4)), prod.ravel())
     d2 = renyi_divergence(flat_joint, flat_prod, 2.0)
-    b1, _ = beta_exponents(spec, 2.0)
+    b1, _ = beta_pair(spec, 2.0)
     assert b1 == pytest.approx((1.0 / 3.0) * (2.0 - 0.2 - d2), abs=1e-10)
 
 
@@ -180,7 +186,7 @@ def test_gamma_line_search_matches_dense_alpha_grid():
     res = gamma_exponent(spec)
     grid = np.arange(1.01, 64.005, 0.01)
     best = max(
-        min(*beta_exponents(spec, float(a)), spec.d1 / 4.0) for a in grid
+        min(*beta_pair(spec, float(a)), spec.d1 / 4.0) for a in grid
     )
     assert res.gamma >= best - 1e-6
     assert res.gamma == pytest.approx(best, abs=1e-6)
