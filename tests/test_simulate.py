@@ -15,10 +15,11 @@ import pytest
 
 from identities import random_gp_policy, random_model
 from sdwtc import simulate
-from sdwtc.cli import load_channel_spec, load_policy_spec
+from sdwtc.cli import _covering_joint, load_channel_spec, load_policy_spec
 from sdwtc.models import (
     ERASURE,
     SdWtcModel,
+    as_input_policy,
     assemble_joint,
     build_rln_example,
     gp_policy,
@@ -37,6 +38,7 @@ from sdwtc.prob import (
     mutual_information,
 )
 from sdwtc.rng import derive_seeds
+from sdwtc.softcover import best_gamma
 from sdwtc.simulate import (
     BinningResult,
     CodeLaw,
@@ -1413,6 +1415,54 @@ def test_message_channel_at_n10_on_the_bench_codebook():
     assert peak < 32 * 2 ** 20
     np.testing.assert_allclose(channel.kernel.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     assert leakage_capacity(channel).bits.hex() == "0x1.259dfd4341863p-3"
+
+
+def test_code_exact_bench_outputs_are_pinned():
+    # the code-exact jobs' settings, recorded before the distinct words were
+    # ranked by counting and the golden sections scored a tree at a time;
+    # these values read the same with numpy's AVX-512 dispatch on and off
+    model = load_channel_spec(str(_FIXTURES / "wiretap.json"))
+    policy = as_input_policy(model, load_policy_spec(str(_FIXTURES / "x_given_s.json"), model))
+    joint = assemble_joint(model, policy)
+    cover = _covering_joint(joint, "S")
+    exponents = {  # gamma, alpha, d1, d2, c
+        (0.6, 0.6): ("0x1.98718c5360c59p-4", "0x1.e18c6e68623b3p+5", "0x1.98718c5360c59p-2",
+                     "0x1.987c0119f0a0bp-2", "0x1.54f9f8815b209p+3"),
+        (0.7, 0.7): ("0x1.dc84790bf0e67p-4", "0x1.e18c6e68623b3p+5", "0x1.dc84790bf0e67p-2",
+                     "0x1.dc90abf398bb7p-2", "0x1.593bc18c54f1cp+3"),
+        (0.3, 0.4): ("0x1.8ce48916539b3p-5", "0x1.8d283b42c6cc0p+2", "0x1.8ce48916539b3p-3",
+                     "0x1.8ceeb229cf77ap-3", "0x1.47e5dcc88356bp+3"),
+    }
+    for (r1, r2), want in exponents.items():
+        res = best_gamma(cover, r1, r2)
+        assert tuple(float.hex(x) for x in (res.gamma, res.alpha, res.d1, res.d2, res.c)) == want
+        assert not res.degenerate
+
+    # softcov-sim --r1 0.7 --r2 0.7 --seed 1, two trials at each n
+    law = CodeLaw.of(joint)
+    q_w = marginalize(cover, ("W",)).as_pmf()
+    q_w_given_uv = channel_from_joint(cover, ("U", "V"), ("W",))
+    divergences = {
+        8: ("0x1.d48a748353fbcp-11", "0x1.b3bdabf048324p-11"),
+        10: ("0x1.7920f0f95f470p-14", "0x1.659de9c44fe78p-13"),
+        12: ("0x1.c27d754840818p-16", "0x1.39a176419c440p-15"),
+    }
+    for n, want in divergences.items():
+        got = []
+        for k in range(2):
+            cb = sample_codebook(law.q_u, law.q_v_given_u, n, 0.7, 0.7, 0.0, derive_seeds(1 + n, 1, start=k)[0])
+            got.append(exact_output_divergence(cb, q_w_given_uv, q_w).hex())
+        assert tuple(got) == want, n
+
+    kernels = {  # sha256 of the message-channel kernel bytes
+        (6, 7100): "c7ac158f50b84a186a822212279ff1cdf7eaff9e0a3538e9cc82f3101a391ed4",
+        (6, 7101): "b5e3d95e31daf62bc2e755ae7c13284a16754b42ee8b6da88cce14ca59130012",
+        (8, 7100): "fb5ca24380ea50606d17b68474400ba947ce03d27c790ae1eaed263dc6577263",
+    }
+    for (n, seed), digest in kernels.items():
+        model, policy, cb = bench_code(n, seed)
+        kernel = exact_message_channel(model, policy, cb).kernel
+        assert hashlib.sha256(kernel.tobytes()).hexdigest() == digest, (n, seed)
 
 
 @pytest.mark.parametrize("v_symbols", [("a", "b"), (0, 1, 2)])
