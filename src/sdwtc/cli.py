@@ -37,7 +37,6 @@ from .prob import (
     binary_entropy,
     channel_from_joint,
     marginalize,
-    mutual_information,
 )
 from .rng import derive_seeds
 from .softcover import best_gamma
@@ -217,14 +216,12 @@ def _cmd_softcov_exponent(args: argparse.Namespace) -> tuple[dict, list]:
     policy = as_input_policy(model, load_policy_spec(args.policy, model))
     joint = _covering_joint(assemble_joint(model, policy), args.w_axis)
     result = best_gamma(joint, args.r1, args.r2)
-    i_uw = mutual_information(joint, ("U",), ("W",))
-    i_uvw = mutual_information(joint, ("U", "V"), ("W",))
     results = {
         "w_axis": args.w_axis,
         "r1": args.r1,
         "r2": args.r2,
-        "i_uw": i_uw,
-        "i_uvw": i_uvw,
+        "i_uw": result.i_uw,
+        "i_uvw": result.i_uvw,
         "gamma": result.gamma,
         "alpha": result.alpha,
         "d1": result.d1,
@@ -312,6 +309,8 @@ def _cmd_binning_sim(args: argparse.Namespace) -> tuple[dict, list]:
             "error_rate": res.error_rate,
             "key_tv_from_uniform": res.key_tv_from_uniform,
             "csi_failure_rate": res.csi_failures / res.trials,
+            "x_decode_failures": res.x_decode_failures,
+            "key_decode_failures": res.key_decode_failures,
             "num_bins": res.num_bins,
             "num_keys": res.num_keys,
             "num_messages": res.num_messages,

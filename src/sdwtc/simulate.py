@@ -35,6 +35,7 @@ _TRIAL_CHUNK = 2 ** 15
 # one block's seed words (about 0.5 KB a trial while hashed), and a draw chunk
 # holds at most one block's trials
 _SEED_BLOCK = 4096
+_RANK_TABLE = 8  # keys per row up to which _distinct_words ranks by counting, not sorting
 _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit multiplier
 
@@ -434,24 +435,30 @@ def _distinct_words(codes: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of (C, w) letter codes in [0, p), in lexicographic
     order, and the index of each row among them.
 
-    Rows are keyed letter by letter as key * p + code; before a letter could
-    push a key past 2^62 the keys are replaced by their ranks, which keeps
-    their order, so any width fits in int64.  Each distinct row is copied
-    from one row that has its key (return_index would force a stable sort,
-    three times slower here).
+    Rows are keyed letter by letter as key * p + code.  Before a letter could
+    push the key space past _RANK_TABLE C, and after the last, the keys are
+    replaced by their ranks, which keep their order: counted in a presence
+    table over the key space, or sorted where it is larger, as only a p above
+    _RANK_TABLE makes it.  Each distinct row is copied from one row with its key.
     """
-    key = np.zeros(codes.shape[0], dtype=np.int64)
-    bound = 1  # every key is below bound
-    for t in range(codes.shape[1]):
-        if bound * p > 2 ** 62:
-            ranks, key = np.unique(key, return_inverse=True)
-            bound = ranks.size
-        key = key * p + codes[:, t]
-        bound *= p
-    distinct, inverse = np.unique(key, return_inverse=True)
-    first = np.empty(distinct.size, dtype=np.intp)
-    first[inverse] = np.arange(key.size)
-    return codes[first], inverse
+    rows, width = codes.shape
+    limit = _RANK_TABLE * rows
+    key, bound = np.zeros(rows, dtype=np.int64), 1  # every key is below bound
+    for t in range(width + 1):
+        if t == width or bound * p > limit:
+            if bound > limit:
+                distinct, key = np.unique(key, return_inverse=True)
+                bound = distinct.size
+            else:
+                present = np.zeros(bound, dtype=bool)
+                present[key] = True
+                ranks = np.cumsum(present)
+                bound, key = int(ranks[-1]), ranks[key] - 1
+        if t < width:
+            key, bound = key * p + codes[:, t], bound * p
+    first = np.empty(bound, dtype=np.intp)
+    first[key] = np.arange(rows)
+    return codes[first], key
 
 
 def exact_output_divergence(cb: Codebook, q_w_given_uv: Channel, q_w: Pmf) -> float:
@@ -480,12 +487,12 @@ def exact_output_divergence(cb: Codebook, q_w_given_uv: Channel, q_w: Pmf) -> fl
     h = cb.n // 2
     first, ia = _distinct_words(uv[:, :h], len(rows))
     second, ib = _distinct_words(uv[:, h:], len(rows))
-    pairs, counts = np.unique(ia * len(second) + ib, return_counts=True)  # sorted by first half
+    pairs, ip = _distinct_words(np.stack((ia, ib), axis=1), max(len(first), len(second)))  # sorted by first half
     _check_work(n_w ** cb.n * len(first) + n_w ** (cb.n - h) * len(pairs))
 
-    starts = np.searchsorted(pairs, np.arange(len(first)) * len(second))
-    weighted = _product_chain(rows[second]).T[pairs % len(second)]
-    weighted *= counts[:, None]
+    starts = np.searchsorted(pairs[:, 0], np.arange(len(first)))
+    weighted = _product_chain(rows[second]).T[pairs[:, 1]]
+    weighted *= np.bincount(ip)[:, None]  # each pair's count
     g = np.add.reduceat(weighted, starts, axis=0)  # (n_a, |W|^(n-h))
     induced = (_product_chain(rows[first]) @ g).ravel() / len(uv)
     reference = _product_chain(q_w.probs[None, None, :].repeat(cb.n, axis=1))[:, 0]

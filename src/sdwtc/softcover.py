@@ -12,7 +12,7 @@ All rates, divergences, and exponents are in bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -29,6 +29,7 @@ from .prob import (
 _ALPHA_GRID = 1.0 + np.geomspace(1e-9, 63.0, 400)
 _T_GRID = np.log(_ALPHA_GRID - 1.0)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_DEPTH = 4  # golden-section steps per _betas call: a tree of 2 + 4 + 8 + 16 probes
 
 
 def _log_ratio_terms(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -63,8 +64,11 @@ class SoftCoverSpec:
 
     def is_valid(self) -> bool:
         """Whether (d1, d2) sit inside the region where the tail bound bites."""
-        m1, m2 = self.rate_margins
-        return 0.0 < self.d1 < m1 and 0.0 < self.d2 < m2 and self.d1 < self.d2 < 2.0 * self.d1
+        return _inside(self.rate_margins, self.d1, self.d2)
+
+
+def _inside(margins: tuple[float, float], d1: float, d2: float) -> bool:
+    return 0.0 < d1 < margins[0] and 0.0 < d2 < margins[1] and d1 < d2 < 2.0 * d1
 
 
 @dataclass(frozen=True)
@@ -77,9 +81,9 @@ class GammaResult:
     degenerate: bool
 
 
-def _divergence_tables(joint: JointPmf) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray], float]:
-    """Log-mass pairs for d_alpha(Q_UW || Q_U Q_W) and d_alpha(Q_UVW || Q_UV Q_W),
-    plus log2 of the inverse smallest supported W mass (for the coefficient c)."""
+def _divergence_tables(joint: JointPmf) -> tuple:
+    """Log-mass pairs for d_alpha(Q_UW || Q_U Q_W) and d_alpha(Q_UVW || Q_UV Q_W), log2 of the
+    inverse smallest supported W mass (for the coefficient c), and both d_alpha on _ALPHA_GRID."""
     m_uw = _marginal_mass(joint, ("U", "W"))
     m_u = m_uw.sum(axis=1)
     m_w = m_uw.sum(axis=0)
@@ -88,30 +92,31 @@ def _divergence_tables(joint: JointPmf) -> tuple[tuple[np.ndarray, np.ndarray], 
     pair1 = _log_ratio_terms(m_uw, np.multiply.outer(m_u, m_w))
     pair2 = _log_ratio_terms(m_uvw, np.multiply.outer(m_uv, m_w))
     qw_min = m_w[m_w > ZERO_MASS].min()
-    return pair1, pair2, float(np.log2(1.0 / qw_min))
+    grid = (_renyi_from_logs(*pair1, _ALPHA_GRID), _renyi_from_logs(*pair2, _ALPHA_GRID))
+    return pair1, pair2, float(np.log2(1.0 / qw_min)), grid
 
 
 def _betas(
     tables, orders: np.ndarray, r1: float, r2: float, d1: float, d2: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """beta1 and beta2 at each order: ((a-1)/(2a-1)) (r - d - d_a) for the two
-    divergences of the _divergence_tables."""
-    (lp1, lq1), (lp2, lq2), _ = tables
+    divergences of the _divergence_tables; at _ALPHA_GRID itself, the tables'
+    divergences on it."""
+    div1, div2 = tables[3] if orders is _ALPHA_GRID else (_renyi_from_logs(*pair, orders) for pair in tables[:2])
     factor = (orders - 1.0) / (2.0 * orders - 1.0)
-    return (
-        factor * (r1 - d1 - _renyi_from_logs(lp1, lq1, orders)),
-        factor * (r1 + r2 - d2 - _renyi_from_logs(lp2, lq2, orders)),
-    )
+    return factor * (r1 - d1 - div1), factor * (r1 + r2 - d2 - div2)
 
 
-def _gamma(spec: SoftCoverSpec, tables) -> GammaResult:
-    """gamma_exponent on the spec's precomputed _divergence_tables.
+def _gamma(spec: SoftCoverSpec, tables, valid: bool) -> GammaResult:
+    """gamma_exponent on the spec's precomputed _divergence_tables and validity.
 
     Two lanes maximize min(beta1, beta2, cap) over t = ln(alpha - 1): cap d1/4
     gives gamma, no cap the c of the tail bound on D >= c n 2^{-n gamma}.  Each
-    lane runs its own golden section from its best _ALPHA_GRID point; a step
-    scores the open lanes' probes in one _betas call, whose rows numpy reduces
-    one by one, so a lane reads what it would read alone.
+    lane runs its own golden section from its best _ALPHA_GRID point.  A probe
+    depends only on which way the steps before it went, so one _betas call
+    scores each open lane's tree of probes for its next _DEPTH steps, and the
+    lane walks it.  numpy reduces the rows one by one, so a lane reads what
+    it would read scoring one probe per call.
     """
     caps = np.array([spec.d1 / 4.0, math.inf])
 
@@ -129,22 +134,28 @@ def _gamma(spec: SoftCoverSpec, tables) -> GammaResult:
     xb = [lo + _GOLDEN * (hi - lo) for lo, hi in zip(a, b)]
     fa, fb = objective(xa + xb, [0, 1, 0, 1])[1].reshape(2, 2).tolist()
     while live := [i for i in (0, 1) if b[i] - a[i] > 1e-9]:
-        ups = [fa[i] < fb[i] for i in live]
-        for i, up in zip(live, ups):
-            if up:
-                a[i], xa[i], fa[i] = xa[i], xb[i], fb[i]
-                xb[i] = a[i] + _GOLDEN * (b[i] - a[i])
-            else:
-                b[i], xb[i], fb[i] = xb[i], xa[i], fa[i]
-                xa[i] = a[i] + (1.0 - _GOLDEN) * (b[i] - a[i])
-        f = objective([(xb if up else xa)[i] for i, up in zip(live, ups)], live)[1]
-        for i, up, v in zip(live, ups, f.tolist()):
-            (fb if up else fa)[i] = v
+        tree, ts, lanes = {}, [], []  # (lane, path) -> (bracket after it, its probe's index in ts)
+        for i in live:
+            level = [((), a[i], b[i], xa[i], xb[i])]
+            for _ in range(_DEPTH):
+                level = [node for path, lo, hi, pa, pb in level if hi - lo > 1e-9 for node in (
+                    (path + (True,), pa, hi, pb, pa + _GOLDEN * (hi - pa)),
+                    (path + (False,), lo, pb, lo + (1.0 - _GOLDEN) * (pb - lo), pa))]
+                for path, *bracket in level:
+                    tree[i, path] = bracket, len(ts)
+                    ts.append(bracket[3] if path[-1] else bracket[2])
+                    lanes.append(i)
+        f = objective(ts, lanes)[1].tolist()
+        for i in live:
+            path = ()
+            while len(path) < _DEPTH and b[i] - a[i] > 1e-9:
+                path += (fa[i] < fb[i],)
+                (a[i], b[i], xa[i], xb[i]), j = tree[i, path]
+                fa[i], fb[i] = (fb[i], f[j]) if path[-1] else (f[j], fa[i])
     alphas, values = objective([0.5 * (lo + hi) for lo, hi in zip(a, b)], [0, 1])
     on_grid = curves[[0, 1], k]
     worse = values < on_grid
     alphas, values = np.where(worse, _ALPHA_GRID[k], alphas), np.where(worse, on_grid, values)
-    valid = spec.is_valid()
     gamma = max(0.0, float(values[0])) if valid else 0.0
     log2_e = 1.0 / LN2
     return GammaResult(
@@ -163,12 +174,12 @@ def gamma_exponent(spec: SoftCoverSpec) -> GammaResult:
     whose confidence parameters fall outside the valid region or whose
     exponent is zero.
     """
-    return _gamma(spec, _divergence_tables(spec.joint))
+    return _gamma(spec, _divergence_tables(spec.joint), spec.is_valid())
 
 
 @dataclass(frozen=True)
 class BestGammaResult:
-    """The exponent optimized over the confidence parameters (d1, d2)."""
+    """The exponent optimized over (d1, d2); I(U;W) and I(U,V;W), uncompared."""
 
     gamma: float
     alpha: float
@@ -176,6 +187,8 @@ class BestGammaResult:
     d2: float
     c: float
     degenerate: bool
+    i_uw: float = field(default=math.nan, compare=False)
+    i_uvw: float = field(default=math.nan, compare=False)
 
 
 def best_gamma(joint: JointPmf, r1: float, r2: float) -> BestGammaResult:
@@ -189,7 +202,10 @@ def best_gamma(joint: JointPmf, r1: float, r2: float) -> BestGammaResult:
     stays near n ln|W| (log2_bound is about n at n = 10, 100 and 1000 on the
     bench wiretap fixture at r1 = r2 = 0.6).
     """
-    m1, m2 = SoftCoverSpec(joint, r1, r2, 1.0, 1.5).rate_margins
+    SoftCoverSpec(joint, r1, r2, 1.0, 1.5)  # refuses other axes and non-finite or negative rates
+    i_uw = mutual_information(joint, ("U",), ("W",))
+    i_uvw = mutual_information(joint, ("U", "V"), ("W",))
+    m1, m2 = r1 - i_uw, r1 + r2 - i_uvw  # SoftCoverSpec.rate_margins
     if not m1 > 0.0 or not m2 > 0.0:
         raise ValueError(f"rates sit below the covering thresholds: margins are ({m1!r}, {m2!r})")
 
@@ -217,7 +233,7 @@ def best_gamma(joint: JointPmf, r1: float, r2: float) -> BestGammaResult:
         best = scan(np.linspace(lo, hi, 15), best)
         span *= 4.0 / 15.0
 
-    res = _gamma(SoftCoverSpec(joint, r1, r2, best[1], best[2]), tables)
+    res = _gamma(SoftCoverSpec(joint, r1, r2, best[1], best[2]), tables, _inside((m1, m2), best[1], best[2]))
     return BestGammaResult(
         gamma=res.gamma,
         alpha=res.alpha,
@@ -225,6 +241,8 @@ def best_gamma(joint: JointPmf, r1: float, r2: float) -> BestGammaResult:
         d2=best[2],
         c=res.c,
         degenerate=res.degenerate,
+        i_uw=i_uw,
+        i_uvw=i_uvw,
     )
 
 

@@ -33,11 +33,12 @@ from sdwtc.models import (
     RlnModel,
     as_input_policy,
     assemble_joint,
+    build_rln_example,
     model_to_dict,
 )
 from sdwtc.optimize import FUNCTIONALS, _search_space, rate_report
 from sdwtc.prob import Channel, Pmf, binary_entropy, entropy, inv_binary_entropy
-from sdwtc.simulate import index_count
+from sdwtc.simulate import binning_otp_protocol, index_count
 
 RNG_SEED = 20240823
 
@@ -397,6 +398,9 @@ def test_binning_sim_summary_counts_indices(capsys):
     assert block["num_bins"] == index_count(6, rbin)
     assert block["num_messages"] == index_count(6, 0.2)
     assert 0.0 <= block["error_rate"] <= 1.0
+    res = binning_otp_protocol(build_rln_example(alpha_star, 0.05), 6, ra, rbin, 0.2, 5, 3 + 6, 1.25)
+    assert (block["x_decode_failures"], block["key_decode_failures"]) == (
+        res.x_decode_failures, res.key_decode_failures)
 
 
 @pytest.mark.parametrize("example", [["--alpha", "0.4"], ["--sigma=0.3"], ["--sigma", "0.5", "--alpha", "0.25"]])

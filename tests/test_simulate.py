@@ -47,6 +47,7 @@ from sdwtc.simulate import (
     EncoderFailure,
     ReliabilityResult,
     TrialRecord,
+    _RANK_TABLE,
     _TRIAL_CHUNK,
     _decode,
     _distinct_words,
@@ -807,6 +808,75 @@ def test_distinct_words_edge_sweep_matches_numpy_unique():
                     assert np.array_equal(index, want_index.ravel()), (p, width, rows)
                     checked += 1
     assert checked == 3 * 3 * (3 + 6 * 4)
+
+
+def _spy(monkeypatch, name: str) -> list:
+    """Record what each np.<name> call returns until monkeypatch.undo()."""
+    real, seen = getattr(np, name), []
+
+    def spy(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(np, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_distinct_words_count_up_to_the_table_bound(monkeypatch, rows):
+    # key spaces one below, at and one above _RANK_TABLE rows, then p = 1,
+    # width 0 and a wide binary word, re-ranked on the way; only an alphabet
+    # wider than the bound sorts
+    limit = _RANK_TABLE * rows
+    rng = np.random.default_rng(RNG_SEED + rows)
+    for p, width in ((limit - 1, 1), (limit, 1), (limit + 1, 1), (1, 3), (5, 0), (2, 40)):
+        codes = rng.integers(0, p, size=(rows, width))
+        sorts = _spy(monkeypatch, "unique")
+        words, index = _distinct_words(codes, p)
+        monkeypatch.undo()
+        want, want_index = np.unique(codes, axis=0, return_inverse=True)
+        assert words.shape == want.shape and np.array_equal(words, want), (p, width)
+        assert np.array_equal(index, want_index.ravel()), (p, width)
+        assert bool(sorts) == (width > 0 and p > limit), (p, width)
+
+
+def test_output_divergence_counts_pairs_as_numpy_unique(monkeypatch):
+    rng = np.random.default_rng(RNG_SEED + 77)
+    for _ in range(12):
+        card_u, card_v, card_w, n = (int(x) for x in rng.integers((1, 1, 2, 1), (4, 4, 4, 9)))
+        q_u = Pmf(tuple(range(card_u)), _random_kernel(rng, card_u))
+        q_v = Channel((("U", q_u.symbols),), (("V", tuple(range(card_v))),),
+                      _random_kernel(rng, (card_u, card_v)))
+        q_w_given_uv = Channel((("U", q_u.symbols), ("V", tuple(range(card_v)))),
+                               (("W", tuple(range(card_w))),), _random_kernel(rng, (card_u, card_v, card_w)))
+        q_w = Pmf(tuple(range(card_w)), _random_kernel(rng, card_w))
+        cb = sample_codebook(q_u, q_v, n, *rng.uniform(0.2, 0.8, size=2), 0.0, seed=int(rng.integers(100)))
+        counted = _spy(monkeypatch, "bincount")
+        exact_output_divergence(cb, q_w_given_uv, q_w)
+        monkeypatch.undo()
+        uv = simulate._uv_codes(cb).reshape(-1, n)
+        _, ia = np.unique(uv[:, : n // 2], axis=0, return_inverse=True)
+        second, ib = np.unique(uv[:, n // 2:], axis=0, return_inverse=True)
+        _, want = np.unique(ia.ravel() * len(second) + ib.ravel(), return_counts=True)
+        assert len(counted) == 1 and np.array_equal(counted[0], want)
+
+
+def test_bench_codebooks_rank_their_words_without_sorting(monkeypatch):
+    # softcov-sim at n = 10: 32 keys per half in 16 384 codewords; the leakage
+    # job at n = 8: 256 keys in each message's 588 pairs
+    model = load_channel_spec(str(_FIXTURES / "wiretap.json"))
+    policy = as_input_policy(model, load_policy_spec(str(_FIXTURES / "x_given_s.json"), model))
+    joint = assemble_joint(model, policy)
+    cover = _covering_joint(joint, "S")
+    law = CodeLaw.of(joint)
+    cb = sample_codebook(law.q_u, law.q_v_given_u, 10, 0.7, 0.7, 0.0, derive_seeds(11, 1)[0])
+    assert cb.num_u * cb.num_v * cb.num_messages == 16384
+    q_w = marginalize(cover, ("W",)).as_pmf()
+    sorts = _spy(monkeypatch, "unique")
+    exact_output_divergence(cb, channel_from_joint(cover, ("U", "V"), ("W",)), q_w)
+    model, policy, cb = bench_code(8, 7100)
+    exact_message_channel(model, policy, cb)
+    assert sorts == []
 
 
 def _random_kernel(rng, shape):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from test_cli import wiretap_doc, x_given_s_doc
+from sdwtc import softcover
 from sdwtc.cli import _covering_joint
 from sdwtc.models import as_input_policy, assemble_joint, model_from_dict, policy_from_dict
 from sdwtc.prob import LN2, JointPmf, Pmf, mutual_information, renyi_divergence
@@ -418,6 +419,17 @@ def test_best_gamma_matches_the_sequential_search():
         cases.append((j, *_rates_with_margins(j, rng.uniform(0.01, 1.0), rng.uniform(0.01, 1.5))))
     for j, r1, r2 in cases:
         assert best_gamma(j, r1, r2) == _sequential_best_gamma(j, r1, r2)
+
+
+def test_best_gamma_scores_its_golden_sections_a_tree_at_a_time(monkeypatch):
+    # two grid calls, the four first probes, ten trees and the two midpoints
+    # at every bench rate pair; one probe per call took 43 calls
+    calls = []
+    monkeypatch.setattr(softcover, "_betas", lambda *args: calls.append(args) or _betas(*args))
+    for r1, r2 in ((0.6, 0.6), (0.7, 0.7), (0.3, 0.4)):
+        calls.clear()
+        best_gamma(criterion_11_joint(), r1, r2)
+        assert len(calls) <= 14, (r1, r2)
 
 
 def test_gamma_exponent_matches_the_sequential_golden_sections():
