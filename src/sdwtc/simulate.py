@@ -431,34 +431,38 @@ def _check_work(ops: int) -> None:
         raise ValueError(f"enumeration needs ~{ops} operations; guard is {_MAX_ENUM_OPS}")
 
 
+def _unique_keys(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(key, return_inverse=True) for keys in [0, bound): counted in
+    a presence table when bound is at most _RANK_TABLE keys per row, else sorted."""
+    if bound > _RANK_TABLE * len(key):
+        return np.unique(key, return_inverse=True)
+    present = np.zeros(bound, dtype=bool)
+    present[key] = True
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[key]
+
+
 def _distinct_words(codes: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of (C, w) letter codes in [0, p), in lexicographic
     order, and the index of each row among them.
 
-    Rows are keyed letter by letter as key * p + code.  Before a letter could
-    push the key space past _RANK_TABLE C, and after the last, the keys are
-    replaced by their ranks, which keep their order: counted in a presence
-    table over the key space, or sorted where it is larger, as only a p above
-    _RANK_TABLE makes it.  Each distinct row is copied from one row with its key.
+    Rows are keyed letter by letter as key * p + code; before a letter could
+    push the key space past _RANK_TABLE C the keys are replaced by their
+    ranks, which keeps their order, so _unique_keys counts them unless p
+    alone exceeds _RANK_TABLE.  Each distinct row is copied from one row that
+    has its key (return_index would force a stable sort).
     """
-    rows, width = codes.shape
-    limit = _RANK_TABLE * rows
-    key, bound = np.zeros(rows, dtype=np.int64), 1  # every key is below bound
-    for t in range(width + 1):
-        if t == width or bound * p > limit:
-            if bound > limit:
-                distinct, key = np.unique(key, return_inverse=True)
-                bound = distinct.size
-            else:
-                present = np.zeros(bound, dtype=bool)
-                present[key] = True
-                ranks = np.cumsum(present)
-                bound, key = int(ranks[-1]), ranks[key] - 1
-        if t < width:
-            key, bound = key * p + codes[:, t], bound * p
-    first = np.empty(bound, dtype=np.intp)
-    first[key] = np.arange(rows)
-    return codes[first], key
+    key = np.zeros(codes.shape[0], dtype=np.int64)
+    bound = 1  # every key is below bound
+    for t in range(codes.shape[1]):
+        if bound * p > _RANK_TABLE * key.size:
+            ranks, key = _unique_keys(key, bound)
+            bound = ranks.size
+        key = key * p + codes[:, t]
+        bound *= p
+    distinct, inverse = _unique_keys(key, bound)
+    first = np.empty(distinct.size, dtype=np.intp)
+    first[inverse] = np.arange(key.size)
+    return codes[first], inverse
 
 
 def exact_output_divergence(cb: Codebook, q_w_given_uv: Channel, q_w: Pmf) -> float:
@@ -487,11 +491,11 @@ def exact_output_divergence(cb: Codebook, q_w_given_uv: Channel, q_w: Pmf) -> fl
     h = cb.n // 2
     first, ia = _distinct_words(uv[:, :h], len(rows))
     second, ib = _distinct_words(uv[:, h:], len(rows))
-    pairs, ip = _distinct_words(np.stack((ia, ib), axis=1), max(len(first), len(second)))  # sorted by first half
+    pairs, ip = _unique_keys(ia * len(second) + ib, len(first) * len(second))  # sorted by first half
     _check_work(n_w ** cb.n * len(first) + n_w ** (cb.n - h) * len(pairs))
 
-    starts = np.searchsorted(pairs[:, 0], np.arange(len(first)))
-    weighted = _product_chain(rows[second]).T[pairs[:, 1]]
+    starts = np.searchsorted(pairs, np.arange(len(first)) * len(second))
+    weighted = _product_chain(rows[second]).T[pairs % len(second)]
     weighted *= np.bincount(ip)[:, None]  # each pair's count
     g = np.add.reduceat(weighted, starts, axis=0)  # (n_a, |W|^(n-h))
     induced = (_product_chain(rows[first]) @ g).ravel() / len(uv)

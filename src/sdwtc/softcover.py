@@ -133,25 +133,22 @@ def _gamma(spec: SoftCoverSpec, tables, valid: bool) -> GammaResult:
     xa = [lo + (1.0 - _GOLDEN) * (hi - lo) for lo, hi in zip(a, b)]
     xb = [lo + _GOLDEN * (hi - lo) for lo, hi in zip(a, b)]
     fa, fb = objective(xa + xb, [0, 1, 0, 1])[1].reshape(2, 2).tolist()
+    size = 2 ** (_DEPTH + 1)  # a tree's brackets in heap order: node j goes up to 2j, down to 2j + 1
     while live := [i for i in (0, 1) if b[i] - a[i] > 1e-9]:
-        tree, ts, lanes = {}, [], []  # (lane, path) -> (bracket after it, its probe's index in ts)
-        for i in live:
-            level = [((), a[i], b[i], xa[i], xb[i])]
-            for _ in range(_DEPTH):
-                level = [node for path, lo, hi, pa, pb in level if hi - lo > 1e-9 for node in (
-                    (path + (True,), pa, hi, pb, pa + _GOLDEN * (hi - pa)),
-                    (path + (False,), lo, pb, lo + (1.0 - _GOLDEN) * (pb - lo), pa))]
-                for path, *bracket in level:
-                    tree[i, path] = bracket, len(ts)
-                    ts.append(bracket[3] if path[-1] else bracket[2])
-                    lanes.append(i)
-        f = objective(ts, lanes)[1].tolist()
-        for i in live:
-            path = ()
-            while len(path) < _DEPTH and b[i] - a[i] > 1e-9:
-                path += (fa[i] < fb[i],)
-                (a[i], b[i], xa[i], xb[i]), j = tree[i, path]
-                fa[i], fb[i] = (fb[i], f[j]) if path[-1] else (f[j], fa[i])
+        trees = [[None, (a[i], b[i], xa[i], xb[i])] for i in live]
+        for tree in trees:
+            for j in range(1, size // 2):
+                lo, hi, pa, pb = tree[j]
+                tree += [(pa, hi, pb, pa + _GOLDEN * (hi - pa)), (lo, pb, lo + (1.0 - _GOLDEN) * (pb - lo), pa)]
+        ts = [tree[j][3 - j % 2] for tree in trees for j in range(2, size)]  # each node's new probe
+        f = objective(ts, [i for i in live for _ in range(2, size)])[1].tolist()
+        for n, (i, tree) in enumerate(zip(live, trees)):
+            j = 1
+            while j < size // 2 and b[i] - a[i] > 1e-9:
+                j = 2 * j + (not fa[i] < fb[i])
+                a[i], b[i], xa[i], xb[i] = tree[j]
+                v = f[n * (size - 2) + j - 2]
+                fa[i], fb[i] = (fb[i], v) if j % 2 == 0 else (v, fa[i])
     alphas, values = objective([0.5 * (lo + hi) for lo, hi in zip(a, b)], [0, 1])
     on_grid = curves[[0, 1], k]
     worse = values < on_grid
