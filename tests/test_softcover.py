@@ -422,8 +422,8 @@ def test_best_gamma_matches_the_sequential_search():
 
 
 def test_best_gamma_scores_its_golden_sections_a_tree_at_a_time(monkeypatch):
-    # two grid calls, the four first probes, ten trees and the two midpoints
-    # at every bench rate pair; one probe per call took 43 calls
+    # at every bench rate pair: two grid calls, one for the first four probes,
+    # ten trees and one for the two midpoints; one probe per call took 43 calls
     calls = []
     monkeypatch.setattr(softcover, "_betas", lambda *args: calls.append(args) or _betas(*args))
     for r1, r2 in ((0.6, 0.6), (0.7, 0.7), (0.3, 0.4)):
