@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import hashlib
 import json
@@ -22,6 +23,7 @@ import numpy as np
 
 from . import __version__, simulate
 from .models import (
+    InputPolicy,
     RlnModel,
     SdWtcModel,
     achieving_rln_policy,
@@ -150,6 +152,29 @@ def _covering_joint(joint: JointPmf, w_axis: str) -> JointPmf:
     return JointPmf(axes, sub.mass)
 
 
+def _code_inputs(args: argparse.Namespace) -> tuple[SdWtcModel, InputPolicy]:
+    """The --channel model and the --policy lifted to the layered form, for the
+    subcommands that build codes; those take an SdWtcModel only."""
+    model = load_channel_spec(args.channel)
+    if not isinstance(model, SdWtcModel):
+        raise TypeError(f"{args.subcommand} needs an SdWtcModel; "
+                        "lift_side_information turns an rln channel into one")
+    return model, as_input_policy(model, load_policy_spec(args.policy, model))
+
+
+def _codebook_median(law: CodeLaw, n: int, rates: tuple, seed: int, trials: int, metric: str,
+                     measure, rows: list) -> float:
+    """The median of measure over trials codebooks at blocklength n: codebook k
+    is drawn from derive_seeds(seed + n, 1, start=k) when reached and kept no
+    longer than its measurement; each value is appended to rows as metric."""
+    values = []
+    for k in range(trials):
+        s = derive_seeds(seed + n, 1, start=k)[0]
+        values.append(measure(sample_codebook(law.q_u, law.q_v_given_u, n, *rates, s)))
+        rows.append((metric, n, s, values[-1], None, None))
+    return _median(values)
+
+
 # ---------------------------------------------------------------------------
 # subcommand bodies; each returns (results dict, csv rows)
 
@@ -158,13 +183,7 @@ def _cmd_rate(args: argparse.Namespace) -> tuple[dict, list]:
     model = load_channel_spec(args.channel)
     policy = load_policy_spec(args.policy, model)
     report = rate_report(args.functional, model, policy)
-    results = {
-        "functional": args.functional,
-        "value": report.value,
-        "active_term": report.active_term,
-        "terms": {label: value for label, value in report.terms},
-        "feasible": report.feasible,
-    }
+    results = {**vars(report), "terms": dict(report.terms), "functional": args.functional}
     terms = {f"term:{label}": value for label, value in results["terms"].items()}
     return results, _rows(results, ("value",), seed=args.seed) + _rows(terms, terms, seed=args.seed)
 
@@ -212,64 +231,39 @@ def _cmd_example(args: argparse.Namespace) -> tuple[dict, list]:
 
 
 def _cmd_softcov_exponent(args: argparse.Namespace) -> tuple[dict, list]:
-    model = load_channel_spec(args.channel)
-    policy = as_input_policy(model, load_policy_spec(args.policy, model))
+    model, policy = _code_inputs(args)
     joint = _covering_joint(assemble_joint(model, policy), args.w_axis)
     result = best_gamma(joint, args.r1, args.r2)
-    results = {
-        "w_axis": args.w_axis,
-        "r1": args.r1,
-        "r2": args.r2,
-        "i_uw": result.i_uw,
-        "i_uvw": result.i_uvw,
-        "gamma": result.gamma,
-        "alpha": result.alpha,
-        "d1": result.d1,
-        "d2": result.d2,
-        "c": result.c,
-        "degenerate": result.degenerate,
-    }
+    results = {"w_axis": args.w_axis, "r1": args.r1, "r2": args.r2, **dataclasses.asdict(result)}
     return results, _rows(results, ("gamma", "alpha", "d1", "d2", "c"), seed=args.seed)
 
 
 def _cmd_softcov_sim(args: argparse.Namespace) -> tuple[dict, list]:
-    model = load_channel_spec(args.channel)
-    policy = as_input_policy(model, load_policy_spec(args.policy, model))
+    model, policy = _code_inputs(args)
     simulate.check_trials(args.trials)
     joint = assemble_joint(model, policy)
     law = CodeLaw.of(joint)
     cover = _covering_joint(joint, args.w_axis)
     q_w = marginalize(cover, ("W",)).as_pmf()
     q_w_given_uv = channel_from_joint(cover, ("U", "V"), ("W",))
-
     rows: list[tuple] = []
-    medians: dict[str, float] = {}
-    for n in args.n:
-        values = []
-        for k in range(args.trials):  # each seed derived when reached; no codebook outlives its divergence
-            s = derive_seeds(args.seed + n, 1, start=k)[0]
-            cb = sample_codebook(law.q_u, law.q_v_given_u, n, args.r1, args.r2, 0.0, s)
-            d = exact_output_divergence(cb, q_w_given_uv, q_w)
-            del cb
-            values.append(d)
-            rows.append(("divergence", n, s, d, None, None))
-        medians[str(n)] = _median(values)
+    medians = {str(n): _codebook_median(law, n, (args.r1, args.r2, 0.0), args.seed, args.trials, "divergence",
+                                        lambda cb: exact_output_divergence(cb, q_w_given_uv, q_w), rows)
+               for n in args.n}
     return {"w_axis": args.w_axis, "median_divergence": medians}, rows
 
 
 def _cmd_codec_sim(args: argparse.Namespace) -> tuple[dict, list]:
-    model = load_channel_spec(args.channel)
-    policy = as_input_policy(model, load_policy_spec(args.policy, model))
+    model, policy = _code_inputs(args)
     simulate.check_trials(args.leakage_trials, "leakage trials", least=0)
     rate_triple = CodeRates(args.r1, args.r2, args.r)
-    law = CodeLaw.of(assemble_joint(model, policy))
+    law = CodeLaw.of(assemble_joint(model, policy)) if args.leakage_trials > 0 else None
 
     rows: list[tuple] = []
     summary: dict[str, dict] = {}
     for n in args.n:
-        res = run_reliability_experiment(
-            model, policy, n, rate_triple, args.eps, args.trials, args.seed + n
-        )
+        res = run_reliability_experiment(model, policy, n, rate_triple, args.eps, args.trials,
+                                         args.seed + n)
         summary[str(n)] = {
             "avg_error_rate": res.average_error_rate,
             "max_error_rate": res.max_error_rate,
@@ -278,16 +272,10 @@ def _cmd_codec_sim(args: argparse.Namespace) -> tuple[dict, list]:
         }
         rows += _rows(summary[str(n)], ("avg_error_rate", "max_error_rate", "erasure_rate"), n,
                       args.seed + n, {"avg_error_rate": res.average_interval})
-        if args.leakage_trials > 0:
-            leaks = []
-            for k in range(args.leakage_trials):  # each seed derived when reached, as above
-                s = derive_seeds(args.seed + n, 1, start=k)[0]
-                cb = sample_codebook(law.q_u, law.q_v_given_u, n, *rate_triple, s)
-                cap = leakage_capacity(exact_message_channel(model, policy, cb))
-                del cb
-                leaks.append(cap.bits)
-                rows.append(("leakage_bits", n, s, cap.bits, None, None))
-            summary[str(n)]["median_leakage_bits"] = _median(leaks)
+        if law is not None:
+            summary[str(n)]["median_leakage_bits"] = _codebook_median(
+                law, n, rate_triple, args.seed, args.leakage_trials, "leakage_bits",
+                lambda cb: leakage_capacity(exact_message_channel(model, policy, cb)).bits, rows)
     return summary, rows
 
 

@@ -10,13 +10,14 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from identities import random_model, random_rln_model
 import sdwtc
-from sdwtc import __version__, rates
+from sdwtc import __version__, cli, rates
 from sdwtc.cli import (
     _fmt,
     _median,
@@ -34,11 +35,12 @@ from sdwtc.models import (
     as_input_policy,
     assemble_joint,
     build_rln_example,
+    lift_side_information,
     model_to_dict,
 )
 from sdwtc.optimize import FUNCTIONALS, _search_space, rate_report
 from sdwtc.prob import Channel, Pmf, binary_entropy, entropy, inv_binary_entropy
-from sdwtc.simulate import binning_otp_protocol, index_count
+from sdwtc.simulate import CodeLaw, binning_otp_protocol, index_count
 
 RNG_SEED = 20240823
 
@@ -706,6 +708,59 @@ def test_codec_sim_leakage_is_pinned(tmp_path, capsys):
     assert main(argv) == 0
     results = json.loads(capsys.readouterr().out)["results"]
     assert {n: block["median_leakage_bits"] for n, block in results.items()} == PINNED_LEAKAGE
+
+
+def count_code_laws(monkeypatch) -> list:
+    """The joints of the CodeLaw.of calls that cli makes from here on."""
+    joints = []
+
+    def of(joint):
+        joints.append(joint)
+        return CodeLaw.of(joint)
+
+    monkeypatch.setattr(cli, "CodeLaw", SimpleNamespace(of=of))
+    return joints
+
+
+@pytest.mark.parametrize("leakage_trials, laws", [("0", 0), ("2", 1)])
+def test_codec_sim_builds_a_code_law_only_for_its_leakage(tmp_path, capsys, monkeypatch, leakage_trials, laws):
+    ch = write_json(tmp_path / "ch.json", wiretap_doc())
+    pol = write_json(tmp_path / "pol.json", x_given_s_doc())
+    joints = count_code_laws(monkeypatch)
+    assert main(["codec-sim", "--channel", ch, "--policy", pol, "--r1", "0.25", "--r2", "0.25", "--r", "0.25",
+                 "--n", "4,6", "--trials", "4", "--eps", "1.0", "--leakage-trials", leakage_trials]) == 0
+    capsys.readouterr()
+    assert len(joints) == laws
+
+
+def test_softcov_sim_builds_one_code_law_per_run(tmp_path, capsys, monkeypatch):
+    ch = write_json(tmp_path / "ch.json", wiretap_doc())
+    pol = write_json(tmp_path / "pol.json", x_given_s_doc())
+    joints = count_code_laws(monkeypatch)
+    for n_list in ("3", "3,4,5"):
+        assert main(["softcov-sim", "--channel", ch, "--policy", pol, "--r1", "0.7", "--r2", "0.7",
+                     "--n", n_list, "--trials", "2"]) == 0
+    capsys.readouterr()
+    assert len(joints) == 2
+
+
+@pytest.mark.parametrize("subcommand, flags", [
+    ("softcov-exponent", ["--r1", "0.6", "--r2", "0.6"]),
+    ("softcov-sim", ["--r1", "0.7", "--r2", "0.7", "--n", "4", "--trials", "1"]),
+    ("codec-sim", ["--r1", "0.2", "--r2", "0.2", "--n", "4", "--trials", "4", "--leakage-trials", "1"]),
+])
+def test_code_subcommands_refuse_an_rln_channel_and_take_it_lifted(tmp_path, capsys, subcommand, flags):
+    rln = build_rln_example(0.1, 0.5)
+    ch = write_json(tmp_path / "rln.json", model_to_dict(rln))
+    pol = write_json(tmp_path / "pol.json", x_given_s_doc())
+    assert main([subcommand, "--channel", ch, "--policy", pol, *flags]) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "type": "TypeError",
+        "message": f"{subcommand} needs an SdWtcModel; lift_side_information turns an rln channel into one",
+    }
+    lifted = write_json(tmp_path / "lifted.json", model_to_dict(lift_side_information(rln)))
+    assert main([subcommand, "--channel", lifted, "--policy", pol, *flags]) == 0
+    capsys.readouterr()
 
 
 def test_successive_mains_print_what_fresh_processes_print(tmp_path, capsys):
