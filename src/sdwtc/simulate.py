@@ -426,9 +426,11 @@ def _uv_codes(cb: Codebook) -> np.ndarray:
 
 
 def _check_work(ops: int) -> None:
-    """Refuse an enumeration of more than _MAX_ENUM_OPS multiply-adds."""
+    """Refuse an enumeration of more than _MAX_ENUM_OPS multiply-adds; a count
+    of more than 15 digits is printed by its order of magnitude."""
     if ops > _MAX_ENUM_OPS:
-        raise ValueError(f"enumeration needs ~{ops} operations; guard is {_MAX_ENUM_OPS}")
+        count = ops if ops < 10 ** 15 else f"10^{math.log10(ops):.1f}"
+        raise ValueError(f"enumeration needs ~{count} operations; guard is {_MAX_ENUM_OPS}")
 
 
 def _unique_keys(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -477,18 +479,19 @@ def exact_output_divergence(cb: Codebook, q_w_given_uv: Channel, q_w: Pmf) -> fl
     the second halves that follow first half a, each as often as it does.
     That costs |W|^n n_a + |W|^(n-h) n_p multiply-adds for the n_p distinct
     (first, second) pairs, where n_a <= min(Ncw, (|U||V|)^h) and
-    n_p <= Ncw; the guard counts them once the halves are known, before any
-    |W|^n table is built.  It differs from the per-codeword average only in
-    rounding, by at most 1e-12 bits.
+    n_p <= Ncw; the guard counts them with n_a = n_p = 1 before the halves
+    are ranked, and again once they are known, before any |W|^n table is
+    built.  It differs from the per-codeword average only in rounding, by at
+    most 1e-12 bits.
     """
     w = q_w_given_uv.out_names[:1] or ("W",)  # the one output axis, by whatever name
     alphabets = check_parts("exact_output_divergence", (("q_w_given_uv", q_w_given_uv, ("U", "V"), w),
                                                         ("q_w", q_w, (), w)))
     _check_alphabets(cb, alphabets["U"], alphabets["V"])
-    n_w = len(q_w.symbols)
+    n_w, h = len(q_w.symbols), cb.n // 2
+    _check_work(n_w ** cb.n + n_w ** (cb.n - h))
     rows = q_w_given_uv.kernel.reshape(-1, n_w)  # (|U||V|, |W|)
     uv = _uv_codes(cb).reshape(-1, cb.n)  # (Ncw, n)
-    h = cb.n // 2
     first, ia = _distinct_words(uv[:, :h], len(rows))
     second, ib = _distinct_words(uv[:, h:], len(rows))
     pairs, ip = _unique_keys(ia * len(second) + ib, len(first) * len(second))  # sorted by first half
@@ -607,20 +610,24 @@ def exact_message_channel(model: SdWtcModel, policy: InputPolicy, cb: Codebook) 
     n-mode product), so after n steps the axes are z_1..z_n in lexicographic
     order and the words are summed out.  That is D sum_t |S|^(n-t+1) |Z|^t multiply-adds and two
     D max(|S|, |Z|)^n tables per message; the guard counts
-    sum_m D_m sum_t |S|^(n-t+1) |Z|^t once every message's words are known,
-    before any table is built.
+    sum_m D_m sum_t |S|^(n-t+1) |Z|^t with every D_m = 1 before any word is
+    ranked, and again once every message's words are known, before any table
+    is built.
     """
     law = CodeLaw.of(assemble_joint(model, policy))
     _check_alphabets(cb, law.joint.alphabet("U"), law.joint.alphabet("V"))
     n_s, n_z = len(model.s_symbols), len(model.z_symbols)
     pairs = cb.num_u * cb.num_v
+    # sum_t |S|^(n-t+1) |Z|^t, a geometric sum in closed form
+    letter_ops = (n_s * n_z * (n_s ** cb.n - n_z ** cb.n) // (n_s - n_z) if n_s != n_z
+                  else cb.n * n_s ** (cb.n + 1))
+    _check_work(letter_ops * cb.num_messages)
     log_k = law.log_q_s_given_uv.reshape(-1, n_s)  # rows by (u, v) letter code u |V| + v
     uv = _uv_codes(cb)
     distinct = []  # each message's distinct words and how many pairs share each
     for m in range(cb.num_messages):
         words, inverse = _distinct_words(uv[:, :, m].reshape(pairs, cb.n), len(log_k))
         distinct.append((words, np.bincount(inverse, minlength=len(words))))
-    letter_ops = sum(n_s ** (cb.n - t + 1) * n_z ** t for t in range(1, cb.n + 1))
     _check_work(letter_ops * sum(len(words) for words, _ in distinct))
 
     ws = _state_law(model, cb.n)

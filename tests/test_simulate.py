@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import math
 import re
+import time
 import tracemalloc
 from itertools import product as iter_product
 from pathlib import Path
@@ -1625,6 +1626,60 @@ def test_divergence_guard_counts_distinct_halves():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+def _single_word_codebook(n: int) -> Codebook:
+    """One all-zero codeword over U = {0}, V = {0, 1}: the fewest words an enumeration can count."""
+    return Codebook(n=n, r1=0.0, r2=0.0, r=0.0, u_symbols=(0,), v_symbols=(0, 1),
+                    u_words=np.zeros((1, n), dtype=np.int64), v_words=np.zeros((1, 1, 1, n), dtype=np.int64),
+                    seed=0)
+
+
+def _enumerations():
+    model = bsc_wiretap(0.1, tap="copy")
+    policy = uniform_input_policy(model)
+    copy_v = Channel((("U", (0,)), ("V", (0, 1))), (("W", (0, 1)),), np.eye(2)[None, :, :].copy())
+    q_w = Pmf((0, 1), np.array([0.5, 0.5]))
+    return {
+        "exact_message_channel": lambda cb: exact_message_channel(model, policy, cb),
+        "approximation_gap": lambda cb: approximation_gap(model, policy, cb),
+        "exact_output_divergence": lambda cb: exact_output_divergence(cb, copy_v, q_w),
+    }
+
+
+@pytest.mark.parametrize("name, n", [("exact_message_channel", 60_000), ("approximation_gap", 60_000),
+                                     ("exact_output_divergence", 60_000),
+                                     ("exact_output_divergence", 1_000_000)])
+def test_enumerations_refuse_long_blocks_at_once_with_a_printable_count(name, n):
+    # the counts have 18 000 and more digits, past what str(int) prints; each
+    # is refused from the count with one word (or half-word) per message,
+    # before any word is ranked or table built
+    enumerate_ = _enumerations()[name]
+    cb = _single_word_codebook(n)
+    enumerate_(_single_word_codebook(2))  # warm the code laws' caches
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as err:
+        enumerate_(cb)
+    elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            enumerate_(cb)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    message = str(err.value)
+    assert re.fullmatch(r"enumeration needs ~10\^\d+\.\d operations; guard is 100000000", message), message
+    assert len(message) < 200
+    assert elapsed < 0.1
+    assert peak < 2 ** 20
+
+
+def test_work_counts_print_exactly_to_15_digits():
+    for ops, text in ((10 ** 8 + 1, "100000001"), (10 ** 15 - 1, "9" * 15),
+                      (10 ** 15, "10^15.0"), (2 ** 60000, "10^18061.8")):
+        with pytest.raises(ValueError, match=f"^enumeration needs ~{re.escape(text)} operations"):
+            simulate._check_work(ops)
 
 
 def test_bench_size_monte_carlo_outcomes_are_pinned():
