@@ -72,7 +72,7 @@ spec = SoftCoverSpec(cover, r1, r2, d1, 1.98 * d1)
 print(f"failure bound window: (d1, d2) = ({spec.d1:.4f}, {spec.d2:.4f})")
 print(f"\n{'n':>6} {'log2 P(fail)':>14} {'P(fail) <=':>12}")
 for n in (50, 100, 200, 400, 800):
-    b = failure_probability_bound(spec, n, 2)
+    b = failure_probability_bound(spec, n)
     print(f"{n:6d} {b.log2_bound:14.4g} {b.probability:12.3e}")
 print("the tail bound only bites past n ~ 100 at this window, then collapses fast")
 

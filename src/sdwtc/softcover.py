@@ -261,25 +261,23 @@ class FailureBound:
         return float(2.0 ** self.log2_bound)
 
 
-def failure_probability_bound(spec: SoftCoverSpec, n: int, w_alphabet_size: int) -> FailureBound:
+def failure_probability_bound(spec: SoftCoverSpec, n: int) -> FailureBound:
     """Evaluate the three-term tail bound at blocklength n.
 
-    ln-domain terms (W = w_alphabet_size):
+    ln-domain terms (W = |W|, the size of the spec joint's W axis):
       t1 = n r2 ln 2 - (1/3) 2^{n d1}
       t2 = n ln W + n r1 ln 2 - 2^{n d2 / 2}
       t3 = n ln W - (1/3) 2^{n (d2 - d1) / 2}
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n!r}")
-    if w_alphabet_size < 1:
-        raise ValueError(f"w_alphabet_size must be positive, got {w_alphabet_size!r}")
     res = gamma_exponent(spec)
     threshold = res.c * n * 2.0 ** (-n * res.gamma)
 
     def pow2(x: float) -> float:
         return float(2.0 ** min(x, 1020.0))
 
-    ln_w = n * math.log(w_alphabet_size)
+    ln_w = n * math.log(len(spec.joint.alphabet("W")))
     t1 = n * spec.r2 * LN2 - pow2(n * spec.d1) / 3.0
     t2 = ln_w + n * spec.r1 * LN2 - pow2(n * spec.d2 / 2.0)
     t3 = ln_w - pow2(n * (spec.d2 - spec.d1) / 2.0) / 3.0

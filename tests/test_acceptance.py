@@ -304,7 +304,7 @@ def test_criterion_06_exponent_calculator_against_dense_grid():
         # construction, so this window is always valid)
         d1 = 0.95 * 0.3
         spec = SoftCoverSpec(j, r1, r2, d1, 1.98 * d1)
-        bounds = [failure_probability_bound(spec, n, 2) for n in (50, 100, 200)]
+        bounds = [failure_probability_bound(spec, n) for n in (50, 100, 200)]
         ok &= bounds[0].log2_bound > bounds[1].log2_bound > bounds[2].log2_bound
         ok &= not any(b.vacuous for b in bounds)
     dt = time.perf_counter() - t0

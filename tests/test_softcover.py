@@ -452,7 +452,7 @@ def _wide_valid_spec() -> SoftCoverSpec:
 
 
 def test_bound_vacuous_at_tiny_blocklength():
-    b = failure_probability_bound(_wide_valid_spec(), 1, 2)
+    b = failure_probability_bound(_wide_valid_spec(), 1)
     assert isinstance(b, FailureBound)
     assert b.vacuous
     assert b.log2_bound >= 0.0
@@ -461,15 +461,15 @@ def test_bound_vacuous_at_tiny_blocklength():
 
 def test_bound_decreases_with_blocklength():
     spec = _wide_valid_spec()
-    b30 = failure_probability_bound(spec, 30, 2)
-    b60 = failure_probability_bound(spec, 60, 2)
+    b30 = failure_probability_bound(spec, 30)
+    b60 = failure_probability_bound(spec, 60)
     assert b60.log2_bound < b30.log2_bound
     assert not b60.vacuous
     assert 0.0 <= b60.probability < 1.0
 
 
 def test_bound_collapses_at_large_blocklength():
-    b = failure_probability_bound(_wide_valid_spec(), 200, 2)
+    b = failure_probability_bound(_wide_valid_spec(), 200)
     nats = b.log2_bound * math.log(2.0)
     assert nats < -1e6
     assert b.probability == 0.0
@@ -479,12 +479,24 @@ def test_bound_threshold_tracks_gamma():
     spec = _wide_valid_spec()
     res = gamma_exponent(spec)
     for n in (30, 60):
-        b = failure_probability_bound(spec, n, 2)
+        b = failure_probability_bound(spec, n)
         assert b.threshold == pytest.approx(res.c * n * 2.0 ** (-n * res.gamma), rel=1e-9)
+
+
+def test_bound_reads_the_w_alphabet_off_the_spec():
+    # t2 and t3 carry n ln|W|; a three-symbol W axis gives n ln 3
+    axes = (("U", (0, 1)), ("V", (0, 1)), ("W", (0, 1, 2)))
+    spec = SoftCoverSpec(JointPmf(axes, np.full((2, 2, 3), 1.0 / 12.0)), 1.0, 1.0, 0.45, 0.89)
+    n = 30
+    t1 = n * spec.r2 * math.log(2.0) - 2.0 ** (n * spec.d1) / 3.0
+    t2 = n * math.log(3.0) + n * spec.r1 * math.log(2.0) - 2.0 ** (n * spec.d2 / 2.0)
+    t3 = n * math.log(3.0) - 2.0 ** (n * (spec.d2 - spec.d1) / 2.0) / 3.0
+    want = np.logaddexp(np.logaddexp(t1, t2), t3) / math.log(2.0)
+    assert failure_probability_bound(spec, n).log2_bound == pytest.approx(want, rel=1e-12)
 
 
 def test_bound_vacuous_flag_outside_validity():
     j = independent_uvw()
     bad = SoftCoverSpec(j, 1.0, 1.0, 0.2, 0.5)  # d2 >= 2 d1
-    b = failure_probability_bound(bad, 50, 2)
+    b = failure_probability_bound(bad, 50)
     assert b.vacuous
