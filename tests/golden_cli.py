@@ -68,10 +68,11 @@ def _csv_path(row: dict, workdir: Path) -> Path | None:
     return workdir / argv[argv.index("--out") + 1] if "--out" in argv else None
 
 
-def _lines(text: str) -> list[str]:
-    lines = text.split("\n")
+def _lines(text: str, end: str = "\n") -> list[str]:
+    """The lines of text, each ended by end (csv.writer ends its rows with \\r\\n)."""
+    lines = text.split(end)
     if lines[-1] != "":
-        raise ValueError(f"output does not end with a newline: {text[-40:]!r}")
+        raise ValueError(f"output does not end with {end!r}: {text[-40:]!r}")
     return lines[:-1]
 
 
@@ -79,7 +80,10 @@ def _outcome(row: dict, workdir: Path, status: int, stdout: str) -> dict:
     got = {"status": status, "stdout": _lines(stdout)}
     path = _csv_path(row, workdir)
     if path is not None:
-        got["csv"] = _lines(path.read_text().replace("\r\n", "\n")) if path.exists() else None
+        got["csv"] = None
+        if path.exists():
+            with open(path, newline="") as fh:
+                got["csv"] = _lines(fh.read(), "\r\n")
     return got
 
 
