@@ -76,9 +76,14 @@ def _lines(text: str, end: str = "\n") -> list[str]:
     return lines[:-1]
 
 
-def _outcome(row: dict, workdir: Path, status: int, stdout: str) -> dict:
-    got = {"status": status, "stdout": _lines(stdout)}
+def _outcome(row: dict, workdir: Path, run) -> dict:
+    """The exit status, stdout lines and (for an --out row) CSV lines of
+    run() -> (status, stdout), any earlier --out file removed first."""
     path = _csv_path(row, workdir)
+    if path is not None and path.exists():
+        path.unlink()
+    status, stdout = run()
+    got = {"status": status, "stdout": _lines(stdout)}
     if path is not None:
         got["csv"] = None
         if path.exists():
@@ -91,27 +96,26 @@ def run_in_process(row: dict, workdir: Path) -> dict:
     """Run a row through cli.main with workdir as the working directory."""
     from sdwtc import cli
 
-    path = _csv_path(row, workdir)
-    if path is not None and path.exists():
-        path.unlink()
-    out, cwd = io.StringIO(), os.getcwd()
-    os.chdir(workdir)
-    try:
-        with contextlib.redirect_stdout(out):
-            status = cli.main(list(row["argv"]))
-    finally:
-        os.chdir(cwd)
-    return _outcome(row, workdir, status, out.getvalue())
+    def run() -> tuple[int, str]:
+        out, cwd = io.StringIO(), os.getcwd()
+        os.chdir(workdir)
+        try:
+            with contextlib.redirect_stdout(out):
+                return cli.main(list(row["argv"])), out.getvalue()
+        finally:
+            os.chdir(cwd)
+
+    return _outcome(row, workdir, run)
 
 
 def run_fresh(row: dict, workdir: Path) -> dict:
     """Run a row in a fresh sdwtc console-script process in workdir."""
-    path = _csv_path(row, workdir)
-    if path is not None and path.exists():
-        path.unlink()
-    proc = subprocess.run([shutil.which("sdwtc") or "sdwtc", *row["argv"]], cwd=workdir,
-                          stdin=subprocess.DEVNULL, capture_output=True, text=True)
-    return _outcome(row, workdir, proc.returncode, proc.stdout)
+    def run() -> tuple[int, str]:
+        proc = subprocess.run([shutil.which("sdwtc") or "sdwtc", *row["argv"]], cwd=workdir,
+                              stdin=subprocess.DEVNULL, capture_output=True, text=True)
+        return proc.returncode, proc.stdout
+
+    return _outcome(row, workdir, run)
 
 
 def _close(want, got) -> bool:
