@@ -246,6 +246,8 @@ def _cmd_softcov_sim(args: argparse.Namespace) -> tuple[dict, list]:
     cover = _covering_joint(joint, args.w_axis)
     q_w = marginalize(cover, ("W",)).as_pmf()
     q_w_given_uv = channel_from_joint(cover, ("U", "V"), ("W",))
+    for n in args.n:  # an enumeration the guard refuses fails before any codebook is drawn
+        simulate._check_work(simulate._half_word_ops(len(q_w.symbols), n))
     rows: list[tuple] = []
     medians = {str(n): _codebook_median(law, n, (args.r1, args.r2, 0.0), args.seed, args.trials, "divergence",
                                         lambda cb: exact_output_divergence(cb, q_w_given_uv, q_w), rows)
@@ -258,6 +260,9 @@ def _cmd_codec_sim(args: argparse.Namespace) -> tuple[dict, list]:
     simulate.check_trials(args.leakage_trials, "leakage trials", least=0)
     rate_triple = CodeRates(args.r1, args.r2, args.r)
     law = CodeLaw.of(assemble_joint(model, policy)) if args.leakage_trials > 0 else None
+    if law is not None:  # a leakage the guard refuses fails before any trial or codebook is drawn
+        for n in args.n:
+            simulate._check_work(simulate._letter_ops(model, n) * simulate._codebook_shape(n, *rate_triple)[2])
 
     rows: list[tuple] = []
     summary: dict[str, dict] = {}
@@ -283,7 +288,7 @@ def _cmd_binning_sim(args: argparse.Namespace) -> tuple[dict, list]:
     if args.channel:
         model = load_channel_spec(args.channel)
         if not isinstance(model, RlnModel):
-            raise ValueError("binning-sim needs an rln channel spec")
+            raise TypeError("binning-sim needs an RlnModel; an rln channel document gives one")
     else:
         model = build_rln_example(args.alpha, args.sigma)
 

@@ -22,6 +22,8 @@ MASS_ATOL = 1e-9
 ZERO_MASS = 1e-15
 
 LN2 = math.log(2.0)
+# np.add.reduce sums a run of at least this many entries pairwise, a shorter one left to right
+_PAIRWISE = 8
 
 
 def _clean_mass(mass: np.ndarray, what: str) -> np.ndarray:
@@ -193,19 +195,28 @@ def _entropy_bits(masses: Sequence[np.ndarray], lead: int = 0) -> np.ndarray:
     lead axes (a (masses, *lead) array), the logs of all taken in one pass.
     Masses at or below ZERO_MASS count as zero and their log is never taken."""
     flat = [np.asarray(m, dtype=float).reshape(np.shape(m)[:lead] + (-1,)) for m in masses]
-    runs = [(m.shape[-1], 1) for m in flat]
-    return np.moveaxis(_run_entropy_bits(np.concatenate(flat, axis=-1), runs), -1, 0)
+    # entries first, then the lead axes (transpose, not np.moveaxis, which costs microseconds a call)
+    return _run_entropy_bits(np.concatenate([m.transpose(lead, *range(lead)) for m in flat]),
+                             [(m.shape[-1], 1) for m in flat])
 
 
 def _run_entropy_bits(p: np.ndarray, runs: Sequence[tuple[int, int]]) -> np.ndarray:
-    """The entropy in bits of each run of masses laid side by side along the
-    last axis of p, as in _entropy_bits, one per entry of that axis of the
-    result; runs lists (size, count) for each stretch of count runs of one
-    size.  Each run is summed on its own, so it rounds the same anywhere."""
+    """The entropy in bits of each run of masses laid end to end along the
+    first axis of p, as in _entropy_bits, batch-minor: a (runs, *rest)
+    array, one column per entry of p's other axes.  runs lists (size,
+    count) for each stretch of count runs of one size.  Each run is summed
+    as np.add.reduce sums it in a row of its own, so it rounds the same
+    anywhere: a run shorter than _PAIRWISE left to right, by a reduce over
+    a leading axis that adds whole columns at a time; a longer one
+    pairwise, by a row reduce on a C-ordered copy of its stretch (the
+    stretch itself when it is C-ordered already, as for a lone mass)."""
     p_log_p = p * np.log2(np.where(p > ZERO_MASS, p, 1.0))
-    lead, ends = p.shape[:-1], accumulate(size * count for size, count in runs)
-    return -np.concatenate([np.add.reduce(p_log_p[..., end - size * count:end].reshape(*lead, count, size), -1)
-                            for (size, count), end in zip(runs, ends)], axis=-1)
+    sums, ends = [], accumulate(size * count for size, count in runs)
+    for (size, count), end in zip(runs, ends):
+        block = p_log_p[end - size * count:end].reshape(count, size, *p.shape[1:])
+        sums.append(np.add.reduce(block, axis=1) if size < _PAIRWISE
+                    else np.add.reduce(np.ascontiguousarray(block.transpose(0, *range(2, block.ndim), 1)), axis=-1))
+    return -np.concatenate(sums)
 
 
 def entropy(

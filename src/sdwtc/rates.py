@@ -14,14 +14,14 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import groupby
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .models import ERASURE, InputPolicy, gp_policy
-from .prob import JointPmf, _run_entropy_bits
+from .prob import _PAIRWISE, JointPmf, _run_entropy_bits
 
 FEAS_TOL = 1e-10
 INDEP_TOL = 1e-9
@@ -71,43 +71,41 @@ SEMIDET = Terms(("H(Y|Z)", "H(Y|S)"),
 LN_ENCDEC = Terms(("I(X;Y|S)", "I(X;Y|S)-I(X;Z|S)+H(S|Z)"))
 
 _TOKEN = re.compile(r"([+-]?)(\[|\]\+|[IH]\([^()]*\))")
-# np.add.reduce sums a block of at least this many entries pairwise, a shorter one left to right
-_PAIRWISE = 8
 
 
 def _sum_gather(shape: tuple[int, ...], drop: tuple[int, ...]) -> np.ndarray | None:
     """The element numbers (in C order of one joint of this shape) that sum
     a drop set (axes of the C-ordered (B, *shape) stack) as np.add.reduce
-    does (see plan): an (L, J, K) array, or (J, K) when L is 1, to take and
-    reduce over its leading axes; None where the plain reduce is kept
-    (L >= _PAIRWISE or J = 1)."""
+    does (see plan): an (L, J, K) array, without its L or J axis where that
+    is 1, to take and reduce over its leading axes; None where the plain
+    reduce is kept (L >= _PAIRWISE, or nothing summed)."""
     size = dict(enumerate(shape, start=1))  # stack axis -> its size
     order = [i for i in size if size[i] > 1]
     cut = max((k + 1 for k, i in enumerate(order) if i not in drop), default=0)
     run, outer = order[cut:], [i for i in order[:cut] if i in drop]
     block = math.prod(size[i] for i in run)
-    if block >= _PAIRWISE or not outer:
+    if block >= _PAIRWISE or not run + outer:
         return None
     keep = [i for i in size if i not in drop]
     ids = np.arange(math.prod(shape)).reshape(shape).transpose([i - 1 for i in run + outer + keep])
     combos, kept = math.prod(size[i] for i in outer), math.prod(size[i] for i in keep)
-    return ids.reshape((block, combos, kept) if run else (combos, kept))
+    return ids.reshape(*(n for n in (block, combos) if n > 1), kept)
 
 
 def _drop_sums(mass: np.ndarray, drops: Sequence[tuple[int, ...]],
                gathers: Sequence[np.ndarray | None]) -> list[np.ndarray]:
-    """The (B, K) sum of a (B, *shape) stack over each drop set, by its
-    _sum_gather where it has one and by np.add.reduce where not."""
+    """The (K, B) sum of a C-ordered (B, *shape) stack over each drop set, by
+    its _sum_gather where it has one and by np.add.reduce where not."""
     items = mass.reshape(len(mass), -1).T.copy()  # (entries of one joint in C order, B), B contiguous
     sums = []
     for drop, ids in zip(drops, gathers):
         if ids is None:
-            sums.append((np.add.reduce(mass, axis=drop) if drop else mass).reshape(len(mass), -1))
+            sums.append(np.add.reduce(mass, axis=drop).reshape(len(mass), -1).T if drop else items)
             continue
         block = items.take(ids, axis=0)
         for _ in range(ids.ndim - 1):
             block = np.add.reduce(block, axis=0)
-        sums.append(block.T)
+        sums.append(block)
     return sums
 
 
@@ -115,30 +113,33 @@ def _drop_sums(mass: np.ndarray, drops: Sequence[tuple[int, ...]],
 def plan(terms: Terms, names: tuple[str, ...],
          shape: tuple[int, ...]) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """The evaluator of a rate on (B, *shape) stacks of joints over the named
-    axes, built once per rate and shape; evaluate calls it.  Its rounding is
-    fixed by: one sum per distinct set of summed-out axes (a drop set, from
-    which axes of size 1 are left out, which changes no bit), never over
-    merged axes; one gather of all marginals, each summed on its own
+    axes, built once per rate and shape; evaluate calls it.  It works
+    batch-minor: drop-set sums, marginals, entropies and formula stages are
+    (entries, B) arrays, so each short left-to-right sum is a few adds of
+    whole batches, not one short inner loop per row.  Its rounding is fixed
+    by: one sum per distinct set of summed-out axes (a drop set, from which
+    axes of size 1 are left out, which changes no bit), never over merged
+    axes; one gather of all marginals, each summed on its own
     (prob._run_entropy_bits); each formula a row of (column, +-1.0) pairs
-    folded left to right by cumsum, as acc + v, padded with a column of
-    -0.0, which changes no sum.  The rows are evaluated in stages, each
-    into further columns: the I(A;B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C)
-    and H(A|C) = H(A,C) - H(C) nodes, the [...]+ brackets deepest first
-    (clamped at zero), then the formulas.
+    folded left to right, as acc + v, padded with a column of -0.0, which
+    changes no sum.  The rows are evaluated in stages, each into further
+    columns: the I(A;B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C) and H(A|C) =
+    H(A,C) - H(C) nodes, the [...]+ brackets deepest first (clamped at
+    zero), then the formulas.
 
     Every stack is summed in C order of (B, *shape): evaluate_stack takes a
     C-ordered copy of a stack in any other layout (models.joint_plan builds
     every stack C-ordered, so it copies none of them).  A drop set's sum is
-    then np.add.reduce's: each output starts at 0.0 and adds, left to right
-    over the other summed axes, the sum of one block, the trailing run of
-    summed axes (L entries), which numpy adds pairwise when L >= _PAIRWISE
-    and left to right otherwise.  A short block (L < _PAIRWISE) behind more
-    than one such combination is summed instead by one gather into an
-    (L, J, K, B) array (J combinations, K kept entries) and one left-to-right
-    reduce over L and one over J: the same additions in the same order, so
-    the same bits, sign bits included (_sum_gather, built once per drop
-    set).  Other drop sets keep the plain reduce.  So a row gets the bits it
-    gets alone in any stack, whatever its layout."""
+    np.add.reduce's on that stack: each output starts at 0.0 and adds, left
+    to right over the other summed axes, the sum of one block, the trailing
+    run of summed axes (L entries), which numpy adds pairwise when
+    L >= _PAIRWISE and left to right otherwise.  A short block
+    (L < _PAIRWISE) is summed instead by one gather into an (L, J, K, B)
+    array (J combinations, K kept entries) and left-to-right reduces over
+    its leading L and J axes: the same additions in the same order, so the
+    same bits, sign bits included (_sum_gather, built once per drop set).
+    A block of _PAIRWISE or more keeps numpy's pairwise row reduce.  So a
+    row gets the bits it gets alone in any stack, whatever its layout."""
     formulas = tuple(filter(None, (*terms.labels, terms.feasible, terms.vanishing)))
     marginals: dict[tuple[str, ...], int] = {}
     # (clamp, ((sign, ref), ...)) -> number: a node over marginals, or a
@@ -196,10 +197,11 @@ def plan(terms: Terms, names: tuple[str, ...],
         depth.append(1 + max(depth[r] for _, r in row) if clamp else 1)
 
     def table(rows: list) -> tuple[np.ndarray, np.ndarray]:
+        """A stage's (width, rows) columns and (width, rows, 1) signs."""
         width = max(map(len, rows))
-        return (np.array([[j for _, j in row] + [pad] * (width - len(row)) for row in rows]),
+        return (np.array([[j for _, j in row] + [pad] * (width - len(row)) for row in rows]).T,
                 np.array([[-1.0 if s == "-" else 1.0 for s, _ in row] + [1.0] * (width - len(row))
-                          for row in rows]))
+                          for row in rows]).T[..., None])
 
     stages = []
     for level in range(1, max(depth, default=0) + 1):
@@ -214,27 +216,27 @@ def plan(terms: Terms, names: tuple[str, ...],
 
     def evaluate_stack(mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mass = np.ascontiguousarray(mass)
-        flat = _drop_sums(mass, drops, gathers)
-        # take keeps p C-ordered; p[:, index] would not, and its run sums would round differently
-        h = _run_entropy_bits(np.concatenate(flat, axis=1).take(index, axis=1), runs)
-        v = np.full((len(mass), 1), -0.0)
+        # take keeps p C-ordered, (entries, B), so each run's entries are rows of B contiguous masses
+        h = _run_entropy_bits(np.concatenate(_drop_sums(mass, drops, gathers)).take(index, axis=0), runs)
+        v = np.full((1, len(mass)), -0.0)
         with np.errstate(invalid="ignore"):  # inf - inf from an infinite mass; named below
             for idx, sgn, clamp in stages:
-                h = np.concatenate([h, v], axis=1)
-                v = (h.take(idx, axis=1) * sgn).cumsum(axis=2)[..., -1]
+                h = np.concatenate([h, v])
+                # acc + v from the first column; np.add.reduce starts at +0.0, which drops a -0.0
+                v = reduce(np.add, h.take(idx, axis=0) * sgn)
                 if clamp:
                     v = np.maximum(0.0, v)
         if not np.isfinite(v).all():
-            j = int(np.argmin(np.isfinite(v).all(axis=0)))
-            raise ValueError(f"rate term {formulas[j]} is not finite: got {v[~np.isfinite(v[:, j]), j][0]}")
+            j = int(np.argmin(np.isfinite(v).all(axis=1)))
+            raise ValueError(f"rate term {formulas[j]} is not finite: got {v[j, ~np.isfinite(v[j])][0]}")
         if terms.vanishing is not None:
-            bad = np.nonzero(v[:, -1] > INDEP_TOL)[0]
+            bad = np.nonzero(v[-1] > INDEP_TOL)[0]
             if bad.size:
                 raise ValueError(
-                    f"{terms.requirement}, got {terms.vanishing} = {float(v[bad[0], -1])!r} bits")
+                    f"{terms.requirement}, got {terms.vanishing} = {float(v[-1, bad[0]])!r} bits")
         feasible = (np.ones(len(mass), dtype=bool) if terms.feasible is None
-                    else v[:, n_labels] >= -FEAS_TOL)
-        return v[:, :n_labels], feasible
+                    else v[n_labels] >= -FEAS_TOL)
+        return v[:n_labels].T, feasible
 
     return evaluate_stack
 

@@ -433,6 +433,19 @@ def _check_work(ops: int) -> None:
         raise ValueError(f"enumeration needs ~{count} operations; guard is {_MAX_ENUM_OPS}")
 
 
+def _half_word_ops(n_w: int, n: int) -> int:
+    """|W|^n + |W|^(n-h): exact_output_divergence's multiply-adds at
+    blocklength n for one distinct pair of half-words, its least work."""
+    return n_w ** n + n_w ** (n - n // 2)
+
+
+def _letter_ops(model: SdWtcModel, n: int) -> int:
+    """sum_t |S|^(n-t+1) |Z|^t, a geometric sum in closed form:
+    exact_message_channel's multiply-adds for one word of n letters."""
+    n_s, n_z = len(model.s_symbols), len(model.z_symbols)
+    return n_s * n_z * (n_s ** n - n_z ** n) // (n_s - n_z) if n_s != n_z else n * n_s ** (n + 1)
+
+
 def _unique_keys(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     """np.unique(key, return_inverse=True) for keys in [0, bound): counted in
     a presence table when bound is at most _RANK_TABLE keys per row, else sorted."""
@@ -489,7 +502,7 @@ def exact_output_divergence(cb: Codebook, q_w_given_uv: Channel, q_w: Pmf) -> fl
                                                         ("q_w", q_w, (), w)))
     _check_alphabets(cb, alphabets["U"], alphabets["V"])
     n_w, h = len(q_w.symbols), cb.n // 2
-    _check_work(n_w ** cb.n + n_w ** (cb.n - h))
+    _check_work(_half_word_ops(n_w, cb.n))
     rows = q_w_given_uv.kernel.reshape(-1, n_w)  # (|U||V|, |W|)
     uv = _uv_codes(cb).reshape(-1, cb.n)  # (Ncw, n)
     first, ia = _distinct_words(uv[:, :h], len(rows))
@@ -617,10 +630,7 @@ def exact_message_channel(model: SdWtcModel, policy: InputPolicy, cb: Codebook) 
     law = CodeLaw.of(assemble_joint(model, policy))
     _check_alphabets(cb, law.joint.alphabet("U"), law.joint.alphabet("V"))
     n_s, n_z = len(model.s_symbols), len(model.z_symbols)
-    pairs = cb.num_u * cb.num_v
-    # sum_t |S|^(n-t+1) |Z|^t, a geometric sum in closed form
-    letter_ops = (n_s * n_z * (n_s ** cb.n - n_z ** cb.n) // (n_s - n_z) if n_s != n_z
-                  else cb.n * n_s ** (cb.n + 1))
+    pairs, letter_ops = cb.num_u * cb.num_v, _letter_ops(model, cb.n)
     _check_work(letter_ops * cb.num_messages)
     log_k = law.log_q_s_given_uv.reshape(-1, n_s)  # rows by (u, v) letter code u |V| + v
     uv = _uv_codes(cb)

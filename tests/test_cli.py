@@ -6,8 +6,10 @@ summary, and CSV bytes can all be captured and compared across reruns.
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -642,6 +644,47 @@ def test_softcov_sim_runs_at_n12(tmp_path, capsys):
     values = [float(row.split(",")[3]) for row in out_csv.read_text().splitlines()[1:]]
     assert len(values) == 2 and all(0.0 < v < 1e-3 for v in values)
     assert median == pytest.approx(sum(values) / 2, rel=1e-9)
+
+
+@pytest.mark.parametrize("subcommand, flags", [
+    ("softcov-sim", ["--r1", "0", "--r2", "0", "--trials", "1"]),
+    ("codec-sim", ["--r1", "0", "--r2", "0", "--leakage-trials", "1"]),
+])
+def test_code_subcommands_refuse_long_enumerations_before_any_draw(capsys, subcommand, flags):
+    # at n = 10^6 the guard's least count (one half-word pair, one word a
+    # message) refuses from n, the rates and the alphabets alone, before a
+    # codebook of 10^6-letter words is drawn or a Monte Carlo trial run
+    fixtures = Path(__file__).resolve().parents[1] / "bench" / "fixtures"
+    docs = ["--channel", str(fixtures / "wiretap.json"), "--policy", str(fixtures / "x_given_s.json")]
+    assert main([subcommand, *docs, *flags, "--n", "2"]) == 0  # warm the code laws' caches
+    capsys.readouterr()
+    argv = [subcommand, *docs, *flags, "--n", "1000000"]
+    start = time.perf_counter()
+    status = main(argv)
+    elapsed = time.perf_counter() - start
+    record = json.loads(capsys.readouterr().out)
+    tracemalloc.start()
+    try:
+        assert main(argv) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert status == 1
+    assert record["error"]["type"] == "ValueError"
+    assert re.fullmatch(r"enumeration needs ~10\^\d+\.\d operations; guard is 100000000",
+                        record["error"]["message"]), record
+    assert elapsed < 0.1
+    assert peak < 2 * 2 ** 20
+
+
+def test_binning_sim_refuses_a_channel_of_another_kind(tmp_path, capsys):
+    # one requirement, one error type and wording: as the code subcommands
+    # name SdWtcModel, binning-sim names RlnModel
+    ch = write_json(tmp_path / "ch.json", wiretap_doc())
+    assert main(["binning-sim", "--channel", ch, "--ra", "0.89", "--rbin", "0.64", "--n", "6"]) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "type": "TypeError", "message": "binning-sim needs an RlnModel; an rln channel document gives one"}
 
 
 @pytest.mark.parametrize("subcommand, flags, message", [

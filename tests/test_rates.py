@@ -38,6 +38,7 @@ from sdwtc.prob import (
     entropy,
     mutual_information,
     _entropy_bits,
+    _run_entropy_bits,
     uniform,
 )
 from sdwtc import rates
@@ -763,7 +764,7 @@ def test_gathered_drop_sums_equal_add_reduce():
         axes = [1 + i for i, n in enumerate(shape) if n > 1]
         drop = tuple(sorted(a for a in axes if rng.random() < 0.6))
         ids = _sum_gather(shape, drop)
-        want = np.add.reduce(mass, axis=drop).reshape(batch, -1) if drop else mass.reshape(batch, -1)
+        want = (np.add.reduce(mass, axis=drop).reshape(batch, -1) if drop else mass.reshape(batch, -1)).T
         (got,) = _drop_sums(mass, [drop], [ids])
         assert _same_bits(got, want), (shape, batch, drop)
         if ids is not None:
@@ -828,6 +829,49 @@ def test_search_stacks_have_the_batch_axis_outermost(batch):
         for blocks in (stacks, views):
             mass = joint_mass(blocks)
             assert mass.flags.c_contiguous, (functional, mass.shape, mass.strides)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 16, 256])
+def test_batch_minor_evaluation_matches_the_per_marginal_reference(monkeypatch, batch):
+    # every functional, and a lone H(S) beside wider formulas, on C-ordered
+    # stacks whose rows 0, 4, 8, ... are point masses (every entropy -0.0,
+    # which the lone row keeps through its -0.0 pads) and whose last row
+    # (B > 2) is -0.0 throughout: evaluate equals the per-marginal reference
+    # bit for bit, entropy runs on both sides of _PAIRWISE, and a row scores
+    # alone as in its stack
+    rng = np.random.default_rng(RNG_SEED + 40 + batch)
+    sizes, negative_zeros = set(), 0
+
+    def recording(p, runs):
+        sizes.update(size for size, _ in runs)
+        return _run_entropy_bits(p, runs)
+
+    monkeypatch.setattr(rates, "_run_entropy_bits", recording)
+    lone = Terms(("H(S)", "I(X;Y)-I(X;Z)"))
+    for functional, (model, card_u, card_v) in _sweep_instances(rng).items():
+        entry = FUNCTIONALS[functional]
+        shapes, _ = _search_space(entry, model, card_u, card_v)
+        stacks = [rng.dirichlet(np.full(d, 0.5), size=(batch, rows)) for rows, d in shapes]
+        axes, mass = stacked_joint(entry.policy_kinds[0], model, _aux(entry, card_u, card_v), stacks)
+        names = tuple(name for name, _ in axes)
+        for b in range(0, batch, 4):
+            mass[b] = 0.0
+            mass[b].flat[rng.integers(mass[b].size)] = 1.0
+        if batch > 2:
+            mass[-1] = -0.0
+        assert mass.flags.c_contiguous
+        for terms in (entry.terms, lone):
+            values, feasible = evaluate(terms, names, mass)
+            want_values, want_feasible = _evaluate_per_marginal(terms, names, mass)
+            assert _same_bits(values, want_values), (functional, terms.labels, batch)
+            assert np.array_equal(feasible, want_feasible)
+            for b in {0, batch // 2, batch - 1}:
+                one, one_feasible = evaluate(terms, names, mass[b:b + 1])
+                assert _same_bits(one[0], values[b]), (functional, terms.labels, b)
+                assert one_feasible[0] == feasible[b]
+        negative_zeros += int(np.signbit(values[::4, 0]).sum())
+    assert min(sizes) < _PAIRWISE <= max(sizes)
+    assert negative_zeros == len(FUNCTIONALS) * len(range(0, batch, 4))
 
 
 def test_formula_fold_pads_rows_with_negative_zero():
